@@ -8,6 +8,9 @@ the numerical layer integrates the certified flows and monitors the drift
 of the two exact invariants.
 """
 
+# set before the submodule imports: report reads it while being imported
+__version__ = "0.1.0"
+
 from .algnum import AlgNum, algnum_invert
 from .curve import CurveParams, curve_Q, dr_numerator, in_Bg, sylvester_resultant
 from .derivations import Derivation, make_derivation, psi1, psi2
@@ -24,5 +27,3 @@ from .sim import (SimState, Trajectory, commute_experiment, curve_ordinate,
 from .symsq import SymSqElem, SymSqField, abcd_to_xy, build_MN, xy_to_abcd
 from .tables import (FlowTable, PoissonStructure, first_integrals, flow_table,
                      poisson_bracket, structure_I, structure_II)
-
-__version__ = "0.1.0"

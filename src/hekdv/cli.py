@@ -1,21 +1,21 @@
 """Command-line frontend: verification suites, simulation, expansions.
 
-Exit codes: 0 when every requested check passes, 1 on any failure (or an
-aborted simulation), 2 on usage or configuration errors.
+Exit codes: 0 when every requested check passes, 1 on any failure (an
+aborted simulation, or an internal error of the program), 2 on usage or
+configuration errors.
 """
 
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 
 from . import phiring, ratlimit, verify_hierarchy, verify_tables
 from .curve import CurveParams, in_Bg
-from .errors import HekdvError, SingularityAbort
+from .errors import ConfigError, HekdvError, SingularityAbort
 from .report import emit_report
 from .sim import commute_experiment, curve_ordinate, integrate, seed_state
-
-__version__ = "0.1.0"
 
 # reference configuration: a nonsingular curve with an exact rational point
 DEFAULT_Y = ("0", "0", "0", "0", "1", "1")          # Q = X^7 + X - 1
@@ -34,11 +34,18 @@ SUITES = {
 SUITE_ORDER = ("bm", "integrals", "hamiltonian", "dkdv", "rational", "appendix")
 
 
+def _rational(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{text!r} is not an exact rational") from None
+
+
 def _parse_rationals(text, expect=None):
     parts = [p.strip() for p in text.split(",")]
     if expect is not None and len(parts) != expect:
-        raise ValueError(f"expected {expect} comma-separated values")
-    return [Fraction(p) for p in parts]
+        raise ConfigError(f"expected {expect} comma-separated values")
+    return [_rational(p) for p in parts]
 
 
 def _build_params(ns):
@@ -52,12 +59,12 @@ def _build_params(ns):
 def _parse_point(text, params):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
-        raise ValueError("points are given as x,y (y may be 'auto')")
-    x = Fraction(parts[0])
+        raise ConfigError("points are given as x,y (y may be 'auto')")
+    x = _rational(parts[0])
     if parts[1] == "auto":
         y = curve_ordinate(params, x)
     else:
-        y = Fraction(parts[1])
+        y = _rational(parts[1])
     return (x, y)
 
 
@@ -77,7 +84,7 @@ def _cmd_verify(ns):
             reports.extend(SUITES[name]())
     else:
         reports = SUITES[ns.suite]()
-    doc = emit_report(reports, version=__version__)
+    doc = emit_report(reports)
     _write_or_print(doc, ns.out)
     for check in doc["checks"]:
         print(f"{check['status']:4s} {check['id']}: {check['residual_summary']}",
@@ -118,7 +125,7 @@ def _cmd_simulate(ns):
 
 def _cmd_series(ns):
     if ns.target != "phi":
-        raise ValueError("the only series target is 'phi'")
+        raise ConfigError("the only series target is 'phi'")
     series = phiring.phi_series_example1(ns.order)
     doc = {
         "series": "phi(t) branch through the origin at w5 = 1",
@@ -134,7 +141,7 @@ def _cmd_commute(ns):
     params = _build_params(ns)
     flows = tuple(f.strip() for f in ns.flows.split(","))
     if len(flows) != 2:
-        raise ValueError("--flows takes two comma-separated flow ids")
+        raise ConfigError("--flows takes two comma-separated flow ids")
     p1 = _parse_point(ns.p1, params)
     p2 = _parse_point(ns.p2, params)
     s0 = seed_state(params, p1, p2, flow=flows[0])
@@ -199,9 +206,14 @@ def run(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return ns.func(ns)
-    except (HekdvError, ValueError, OSError) as exc:
+    except (HekdvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault of the program, not of its input
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

@@ -56,10 +56,6 @@ class CurveParams:
     def is_numeric(self):
         return all(v is not None for v in self.ys)
 
-    @property
-    def is_symbolic(self):
-        return all(v is None for v in self.ys)
-
     def coefficient(self, name):
         """The parameter as a Fraction or as its formal symbol."""
         names = y_symbols(self.genus)

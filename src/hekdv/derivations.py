@@ -13,8 +13,8 @@ relation, which is asserted at construction time.
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .poly import MPoly, eval_poly
-from .symsq import SymSqElem, SymSqField
+from .poly import MPoly
+from .symsq import SymSqElem, SymSqField, clear_denominator
 
 _GEN_NAMES = ("X1", "Y1", "X2", "Y2")
 
@@ -120,33 +120,14 @@ def make_derivation(field: SymSqField, name: str) -> Derivation:
 
 def psi1(e: SymSqElem, target: SymSqField) -> SymSqElem:
     """Field map X_i -> X_i, Y_i -> Y_i/X_i into the degenerate genus-3 square."""
-    return _transfer(e, target, y_scale="divide")
+    num, k1 = clear_denominator(e.num, "Y1", MPoly.var("X1"))
+    num, k2 = clear_denominator(num, "Y2", MPoly.var("X2"))
+    return target.elem(num, e.den * MPoly.var("X1", k1) * MPoly.var("X2", k2))
 
 
 def psi2(e: SymSqElem, target: SymSqField) -> SymSqElem:
     """Inverse map X_i -> X_i, Y_i -> X_i*Y_i back to the genus-2 square."""
-    return _transfer(e, target, y_scale="multiply")
-
-
-def _transfer(e, target, y_scale):
-    x1 = MPoly.var("X1")
-    x2 = MPoly.var("X2")
-    if y_scale == "divide":
-        mapping = {"Y1": target.elem(MPoly.var("Y1"), x1),
-                   "Y2": target.elem(MPoly.var("Y2"), x2)}
-    else:
-        mapping = {"Y1": target.elem(MPoly.var("Y1") * x1),
-                   "Y2": target.elem(MPoly.var("Y2") * x2)}
-    for v in ("X1", "X2"):
-        mapping[v] = target.elem(MPoly.var(v))
-    num = _eval_in(e.num, mapping, target)
-    den = _eval_in(e.den, mapping, target)
-    return num / den
-
-
-def _eval_in(p, mapping, target):
-    full = dict(mapping)
-    for v in p.variables_used():
-        if v not in full:
-            full[v] = target.elem(MPoly.var(v))
-    return eval_poly(p, full, one=target.one())
+    sub = {v: MPoly.var(v) for v in e.num.variables_used()}
+    sub.update(Y1=MPoly.var("X1") * MPoly.var("Y1"),
+               Y2=MPoly.var("X2") * MPoly.var("Y2"))
+    return target.elem(e.num.subst(sub), e.den)

@@ -27,8 +27,6 @@ SYMBOL_ORDER = (
 )
 _RANK = {name: i for i, name in enumerate(SYMBOL_ORDER)}
 
-QQ = Fraction
-
 
 def _as_fraction(c):
     if isinstance(c, Fraction):
@@ -151,9 +149,6 @@ class MPoly:
             return 0
         i = self.vars.index(name)
         return min(e[i] for e in self.terms)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     def as_constant(self):
         """Return the Fraction value if constant, else None."""

@@ -155,10 +155,6 @@ class RatFn:
         den = eval_poly(self.den, lifted, one)
         return num / den
 
-    def simplify(self, factors):
-        """Re-normalize with cancellation against the given factor list."""
-        return RatFn(self.num, self.den, known_factors=tuple(factors))
-
     def fraction_weight(self, table):
         """Weighted degree num minus den if both homogeneous, else None."""
         wn = weighted_degree(self.num, table)

@@ -4,6 +4,8 @@ import json
 import time
 from dataclasses import dataclass
 
+from . import __version__
+
 RESIDUAL_TERM_CAP = 200
 
 
@@ -79,7 +81,7 @@ class ReportBuilder:
                             tuple(self._rows), millis)
 
 
-def emit_report(reports, version="0.1.0"):
+def emit_report(reports, version=__version__):
     """Assemble the machine-readable document for a list of reports."""
     if not reports:
         raise ValueError("empty check list")
@@ -90,7 +92,7 @@ def emit_report(reports, version="0.1.0"):
     }
 
 
-def report_json(reports, version="0.1.0", strip_millis=False):
+def report_json(reports, version=__version__, strip_millis=False):
     doc = emit_report(reports, version=version)
     if strip_millis:
         for c in doc["checks"]:

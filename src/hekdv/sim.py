@@ -95,12 +95,6 @@ class SimState:
     def vector(self):
         return np.array([self.u2, self.u4, self.u5, self.u7], dtype=complex)
 
-    @property
-    def is_real(self):
-        return all(abs(v.imag) == 0 for v in
-                   (complex(self.u2), complex(self.u4),
-                    complex(self.u5), complex(self.u7)))
-
 
 @dataclass
 class Trajectory:

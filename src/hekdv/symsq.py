@@ -12,14 +12,16 @@ function generators: substitution of
     a = (X1+X2)/2,  b = (X1-X2)^2/4,  c = (Y1-Y2)/(X1-X2),  d = (Y1+Y2)/2
 
 and its inverse through the auxiliary variable s with X1 = a+s, X2 = a-s,
-Y1 = d+s*c, Y2 = d-s*c, s^2 = b.
+Y1 = d+s*c, Y2 = d-s*c, s^2 = b.  Only c has a denominator, so every
+evaluation on the square is one polynomial substitution over the common
+denominator (X1-X2)^k, normalized once (see ``abcd_to_xy``).
 """
 
 from fractions import Fraction
 
 from .curve import CurveParams, y_symbols
 from .errors import NotSymmetricError, ZeroDenominatorError
-from .poly import MPoly, eval_poly, merge_vars
+from .poly import MPoly, merge_vars
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -80,11 +82,6 @@ class SymSqField:
             "c": self.elem(y1v - y2v, x1 - x2),
             "d": self.elem((y1v + y2v) * _HALF),
         }
-
-    def y_elems(self):
-        """Curve parameters as field elements (symbols or constants)."""
-        return {n: self.elem(self.params.coefficient(n))
-                for n in y_symbols(self.params.genus)}
 
     def weights(self):
         from .poly import standard_weights
@@ -263,14 +260,51 @@ def _lift_poly(x):
 
 # -- coordinate bridges ------------------------------------------------------
 
+def clear_denominator(p, name, factor):
+    """Clear a denominator carried by one variable of ``p``.
+
+    In ``p`` the variable ``name`` stands for ``name / factor``.  Returns
+    ``(q, k)`` with k = deg_name(p) and q = p * factor^k as a polynomial in
+    which ``name`` is kept: its e-th power gains ``factor^(k - e)``.
+    """
+    k = p.degree_in(name)
+    if not k:
+        return p, 0
+    i = p.vars.index(name)
+    parts = {}
+    for expo, coeff in p.terms.items():
+        parts.setdefault(expo[i], {})[expo] = coeff
+    q = MPoly.zero()
+    for e, terms in parts.items():
+        q = q + MPoly(p.vars, terms) * factor ** (k - e)
+    return q, k
+
+
 def abcd_to_xy(expr, field):
-    """Evaluate a polynomial (or fraction pair) in a,b,c,d,y on the square."""
-    mapping = dict(field.abcd())
-    mapping.update(field.y_elems())
-    for v in expr.variables_used():
-        if v not in mapping:
-            mapping[v] = field.elem(MPoly.var(v))
-    return eval_poly(expr, mapping, one=field.one())
+    """Evaluate a polynomial in a,b,c,d and the curve parameters on the square.
+
+    With 2s = X1 - X2, c = (Y1-Y2)/(2s) is the only generator with a
+    denominator: expr * (2s)^k (k = deg_c expr) is a polynomial, and one
+    substitution turns it into the numerator over (X1-X2)^k.  The bridge
+    variable s is (X1-X2)/2; other variables stand for themselves.
+    """
+    num, k = clear_denominator(expr, "c", MPoly.var("s") * 2)
+    x1, y1, x2, y2 = (MPoly.var(n) for n in ("X1", "Y1", "X2", "Y2"))
+    dx = x1 - x2
+    sub = {v: MPoly.var(v) for v in num.variables_used()}
+    sub.update({n: field.params.coefficient(n)
+                for n in y_symbols(field.params.genus)})
+    sub.update(a=(x1 + x2) * _HALF, b=dx ** 2 * _QUARTER, c=y1 - y2,
+               d=(y1 + y2) * _HALF, s=dx * _HALF)
+    return field.elem(num.subst(sub), dx ** k)
+
+
+def _in_s_chart(p):
+    """p rewritten through X1=a+s, X2=a-s, Y1=d+s*c, Y2=d-s*c."""
+    a, c, d, s = (MPoly.var(n) for n in ("a", "c", "d", "s"))
+    sub = {v: MPoly.var(v) for v in p.variables_used()}
+    sub.update(X1=a + s, X2=a - s, Y1=d + s * c, Y2=d - s * c)
+    return p.subst(sub)
 
 
 def xy_to_abcd(p):
@@ -279,14 +313,7 @@ def xy_to_abcd(p):
     Only even powers of s may survive; they become powers of b.  Raises
     NotSymmetricError otherwise.
     """
-    a, c, d, s = (MPoly.var(n) for n in ("a", "c", "d", "s"))
-    q = p.subst({
-        "X1": a + s, "X2": a - s,
-        "Y1": d + s * c, "Y2": d - s * c,
-        **{v: MPoly.var(v) for v in p.variables_used()
-           if v not in ("X1", "X2", "Y1", "Y2")},
-    })
-    return _even_s_to_b(q)
+    return _even_s_to_b(_in_s_chart(p))
 
 
 def _even_s_to_b(q):
@@ -324,19 +351,10 @@ def build_MN(params):
     Q2 = params.Q("X2")
     Y1 = MPoly.var("Y1")
     Y2 = MPoly.var("Y2")
-    m_num = Y1 ** 2 - Q1 - Y2 ** 2 + Q2
-    n_raw = Y1 ** 2 - Q1 + Y2 ** 2 - Q2
-    a, c, d, s = (MPoly.var(n) for n in ("a", "c", "d", "s"))
-    sub = {
-        "X1": a + s, "X2": a - s, "Y1": d + s * c, "Y2": d - s * c,
-        **{v: MPoly.var(v) for v in y_symbols(params.genus)},
-    }
-    m_s = m_num.subst({k: v for k, v in sub.items() if k in m_num.variables_used()})
-    m_div = m_s.exact_div(s * 2)
+    m_div = _in_s_chart(Y1 ** 2 - Q1 - Y2 ** 2 + Q2).exact_div(MPoly.var("s") * 2)
     if m_div is None:
         raise NotSymmetricError("difference quotient is not exact")
     M = _even_s_to_b(m_div)
-    N = _even_s_to_b(n_raw.subst(
-        {k: v for k, v in sub.items() if k in n_raw.variables_used()}))
-    N_tilde = N * Fraction(-1, 2) + a * M
+    N = xy_to_abcd(Y1 ** 2 - Q1 + Y2 ** 2 - Q2)
+    N_tilde = N * Fraction(-1, 2) + MPoly.var("a") * M
     return M, N_tilde

@@ -22,7 +22,7 @@ from .curve import CurveParams
 from .derivations import make_derivation, psi1, psi2
 from .poly import MPoly
 from .report import ReportBuilder
-from .symsq import SymSqField
+from .symsq import SymSqField, abcd_to_xy
 from .verify_tables import pullback_u
 from .ratfun import RatFn
 from .tables import u2 as u2_poly, u4 as u4_poly, y4 as y4_poly
@@ -151,17 +151,6 @@ def verify_dkdv_equations(coeffs=None):
     return rb.build()
 
 
-def dkdv_single_equation(eq_name, coeffs=None):
-    """Residual of one hierarchy equation (kept separate for reporting)."""
-    coeffs = coeffs or DEFAULT_EQ_COEFFS
-    eqs = _hierarchy_terms(coeffs)
-    field, *_ = _ctx()
-    total = field.zero()
-    for _, term in eqs[eq_name]:
-        total = total + term
-    return total
-
-
 def verify_kdv_reduction():
     """At y12 = y14 = 0 the hierarchy collapses to the classical KdV pair.
 
@@ -223,12 +212,11 @@ def verify_psi_intertwine(trans2_images=None):
                  psi2(psi1(gens2[yv], f32), f2), gens2[yv])
     images = trans2_images or _trans2_images()
     ab2 = f2.abcd()
-    ab3 = f32.abcd()
     for gen in ("a", "b", "c", "d"):
         num, den = images[gen]
         mapped = psi1(ab2[gen], f32)
-        want_num = _abcd32(num, f32, ab3)
-        want_den = _abcd32(den, f32, ab3)
+        want_num = abcd_to_xy(num, f32)
+        want_den = abcd_to_xy(den, f32)
         rb.equal(f"psi1({gen}) image", mapped * want_den, want_num)
     T1 = make_derivation(f32, "T1")
     T3 = make_derivation(f32, "T3")
@@ -239,15 +227,6 @@ def verify_psi_intertwine(trans2_images=None):
             rb.equal(f"{tag} intertwine on {v}",
                      Tg3(psi1(gens2[v], f32)), psi1(Lg2(gens2[v]), f32))
     return rb.build()
-
-
-def _abcd32(p, field, ab):
-    from .poly import eval_poly
-    mapping = dict(ab)
-    for v in p.variables_used():
-        if v not in mapping:
-            mapping[v] = field.elem(MPoly.var(v))
-    return eval_poly(p, mapping, one=field.one())
 
 
 def split_psi_reports(report):

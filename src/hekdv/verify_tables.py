@@ -10,10 +10,10 @@ from functools import lru_cache
 
 from .curve import CurveParams
 from .derivations import make_derivation
-from .poly import eval_poly
+from .poly import MPoly
 from .ratfun import RatFn
 from .report import ReportBuilder
-from .symsq import SymSqField
+from .symsq import SymSqField, abcd_to_xy
 from .tables import (U_VARS, first_integrals, flow_table, poisson_bracket,
                      structure_I, structure_II, u2, u4, u5, u7)
 
@@ -38,13 +38,13 @@ def _symbolic_field():
 def pullback_u(rf: RatFn, field=None):
     """Evaluate a u-space rational function on the symmetric square."""
     field = field or _symbolic_field()
-    ab = field.abcd()
-    mapping = {u: ab[g] for u, g in _ABCD_OF_U.items()}
-    mapping.update(field.y_elems())
-    one = field.one()
-    num = eval_poly(rf.num, {k: mapping[k] for k in rf.num.variables_used()}, one)
-    den = eval_poly(rf.den, {k: mapping[k] for k in rf.den.variables_used()}, one)
+    num, den = (abcd_to_xy(_u_to_abcd(p), field) for p in (rf.num, rf.den))
     return num / den
+
+
+def _u_to_abcd(p):
+    return p.subst({v: MPoly.var(_ABCD_OF_U.get(v, v))
+                    for v in p.variables_used()})
 
 
 def verify_flow_table(flow, table=None):
@@ -106,7 +106,6 @@ def verify_t1_is_scaled_II():
     rb = ReportBuilder("t1-cross-consistency",
                        "T1 = -(1/(X1 X2)) L5 relation between the tables")
     field = _symbolic_field()
-    from .poly import MPoly
     x1x2 = field.elem(MPoly.var("X1") * MPoly.var("X2"))
     tab1 = flow_table("T1")
     tab2 = flow_table("II")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hekdv import cli
 from hekdv.cli import run
 from hekdv.report import emit_report, report_json
 
@@ -126,6 +127,19 @@ class TestCommuteCommand:
     def test_bad_flows_usage(self):
         assert run(["commute", "--sigma", "0.1", "--tau", "0.1",
                     "--flows", "T1"]) == 2
+
+
+class TestExitCodes:
+    def test_malformed_rational_is_usage_error(self):
+        assert run(["simulate", "--flow", "I", "--p1", "1,one"]) == 2
+        assert run(["simulate", "--flow", "I", "--y", "0,0,0,0,1/0,1"]) == 2
+
+    def test_internal_fault_exits_one(self, monkeypatch, capsys):
+        def boom():
+            raise ValueError("zero polynomial has no leading term")
+        monkeypatch.setitem(cli.SUITES, "bm", boom)
+        assert run(["verify", "bm"]) == 1
+        assert "internal error: ValueError" in capsys.readouterr().err
 
 
 class TestReportHelpers:

@@ -1,12 +1,29 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from conftest import mpoly_strategy
 from hekdv.curve import CurveParams
 from hekdv.derivations import make_derivation, psi1, psi2
 from hekdv.errors import ConfigError
-from hekdv.poly import MPoly, variables
+from hekdv.poly import MPoly, eval_poly, variables
 from hekdv.symsq import SymSqField
 
 X1, Y1, X2, Y2 = variables("X1", "Y1", "X2", "Y2")
+
+xy_polys = mpoly_strategy(var_names=("X1", "Y1", "X2", "Y2"),
+                          max_terms=4, max_exp=2)
+# denominators X1^i * X2^j * (X1 - X2)^k, the shapes every check produces
+known_dens = st.tuples(*[st.integers(0, 2)] * 3).map(
+    lambda ijk: X1 ** ijk[0] * X2 ** ijk[1] * (X1 - X2) ** ijk[2])
+
+
+def _transfer_by_evaluation(e, target, y_images):
+    """Reference transfer: evaluate num and den monomial by monomial."""
+    mapping = {v: target.elem(MPoly.var(v))
+               for v in e.num.variables_used() | e.den.variables_used()}
+    mapping.update(X1=target.elem(X1), X2=target.elem(X2), **y_images)
+    one = target.one()
+    return eval_poly(e.num, mapping, one) / eval_poly(e.den, mapping, one)
 
 
 @pytest.fixture(scope="module")
@@ -107,3 +124,17 @@ class TestTransfer:
 
     def test_x_fixed(self, f2, f32):
         assert psi1(f2.elem(X1), f32) == f32.elem(X1)
+
+    @given(xy_polys, known_dens)
+    @settings(max_examples=25)
+    def test_psi_match_evaluation(self, f2, f32, num, den):
+        e2 = f2.elem(num, den)
+        want = _transfer_by_evaluation(
+            e2, f32, {"Y1": f32.elem(Y1, X1), "Y2": f32.elem(Y2, X2)})
+        got = psi1(e2, f32)
+        assert got.num == want.num and got.den == want.den
+        e3 = f32.elem(num, den)
+        want = _transfer_by_evaluation(
+            e3, f2, {"Y1": f2.elem(X1 * Y1), "Y2": f2.elem(X2 * Y2)})
+        got = psi2(e3, f2)
+        assert got.num == want.num and got.den == want.den

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import mpoly_strategy
-from hekdv.curve import CurveParams
+from hekdv.curve import CurveParams, y_symbols
 from hekdv.errors import NotSymmetricError
-from hekdv.poly import MPoly, standard_weights, variables, weighted_degree
+from hekdv.poly import (MPoly, eval_poly, standard_weights, variables,
+                        weighted_degree)
 from hekdv.symsq import SymSqField, abcd_to_xy, build_MN, xy_to_abcd
 
 X1, Y1, X2, Y2 = variables("X1", "Y1", "X2", "Y2")
@@ -95,6 +96,21 @@ class TestBridges:
                              for v in p.variables_used()})
         e = xy_to_abcd(p_sym)
         assert abcd_to_xy(e, f) == f.elem(p_sym)
+
+    @given(abcd_polys, abcd_polys)
+    @settings(max_examples=25)
+    def test_abcd_to_xy_matches_per_monomial_evaluation(self, p, q):
+        # reference: evaluate monomial by monomial in the field, normalizing
+        # every product and partial sum; the substitution must give the same
+        # (num, den) pair, which keeps residual strings unchanged
+        e = p + q * y12
+        for f in (SymSqField(CurveParams.symbolic(3)),
+                  SymSqField(CurveParams.symbolic(3).specialize(y12=0))):
+            params = {n: f.elem(f.params.coefficient(n))
+                      for n in y_symbols(f.params.genus)}
+            want = eval_poly(e, {**f.abcd(), **params}, one=f.one())
+            got = abcd_to_xy(e, f)
+            assert got.num == want.num and got.den == want.den
 
 
 # Y-exponents capped at 1 so conjugate clearing stays small; reduction of
