@@ -8,6 +8,7 @@ is not coprime to the modulus.
 from fractions import Fraction
 
 from .errors import ZeroDivisorError
+from .poly import power
 
 
 def _trim(v):
@@ -111,15 +112,7 @@ class AlgNum:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = AlgNum.const(self.minpoly, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, AlgNum.const(self.minpoly, 1))
 
     def inverse(self):
         """Extended-Euclid inverse modulo the minimal polynomial."""

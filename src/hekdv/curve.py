@@ -115,16 +115,11 @@ def dr_numerator(genus, i):
 
 def _univ_coeffs(p, xvar):
     """Dense coefficient list (constant first) of a univariate polynomial."""
-    deg = p.degree_in(xvar)
-    coeffs = [Fraction(0)] * (deg + 1)
-    for expo, c in p.terms.items():
-        e = 0
-        for v, k in zip(p.vars, expo):
-            if v == xvar:
-                e = k
-            elif k:
-                raise ConfigError("polynomial is not univariate")
-        coeffs[e] += c
+    coeffs = [Fraction(0)] * (p.degree_in(xvar) + 1)
+    for e, c in p.coeffs_in(xvar).items():
+        coeffs[e] = c.as_constant()
+        if coeffs[e] is None:
+            raise ConfigError("polynomial is not univariate")
     return coeffs
 
 

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .algnum import AlgNum
 from .errors import ConfigError
-from .poly import MPoly, variables
+from .poly import MPoly, eval_poly, power, variables
 from .ratlimit import sigma_rational
 from .report import ReportBuilder
 from .series import PSeries, newton_solve
@@ -50,19 +50,10 @@ class PhiRingElem:
     @staticmethod
     def from_mpoly(p):
         """Split a polynomial in (phi, w3, w5) by phi-degree and reduce."""
-        deg = p.degree_in("phi")
-        coeffs = [MPoly.zero()] * (deg + 1)
-        if "phi" not in p.vars:
-            coeffs[0] = p
-            return PhiRingElem(coeffs)
-        i = p.vars.index("phi")
-        buckets = [dict() for _ in range(deg + 1)]
-        for expo, c in p.terms.items():
-            e = expo[i]
-            key = expo[:i] + (0,) + expo[i + 1:]
-            buckets[e][key] = buckets[e].get(key, Fraction(0)) + c
-        for e, b in enumerate(buckets):
-            coeffs[e] = MPoly(p.vars, {k: c for k, c in b.items() if c}).pruned()
+        parts = p.coeffs_in("phi")
+        coeffs = [MPoly.zero()] * (p.degree_in("phi") + 1)
+        for e, c in parts.items():
+            coeffs[e] = c.pruned()
         return PhiRingElem(coeffs)
 
     @staticmethod
@@ -106,15 +97,7 @@ class PhiRingElem:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = PhiRingElem.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, PhiRingElem.const(1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -270,24 +253,15 @@ def d_total(frac, wname):
 
 # -- the corrected solution components -----------------------------------
 
-@lru_cache(maxsize=None)
-def f_component(name):
-    """f-functions as fractions: sigma partial over sigma_1."""
-    keys = {"f1": "11", "f2": "3", "f3": "13", "f4": "5",
-            "f5": "33", "g5": "15", "f7": "35"}
-    return PhiFrac(sigma_on_ring(keys[name]), 1)
+# f-function name -> multi-index of the sigma partial in its numerator
+_F_KEYS = {"f1": "11", "f2": "3", "f3": "13", "f4": "5",
+           "f5": "33", "g5": "15", "f7": "35"}
 
 
-@lru_cache(maxsize=None)
-def solution_component(i):
-    """F_i built from its defining combination of the f-functions."""
-    f1 = f_component("f1")
-    f2 = f_component("f2")
-    f3 = f_component("f3")
-    f4 = f_component("f4")
-    f5 = f_component("f5")
-    g5 = f_component("g5")
-    f7 = f_component("f7")
+def _combine(f, i):
+    """F_i from its defining combination of the f-functions in ``f``."""
+    f1, f2, f3, f4, f5, g5, f7 = (
+        f[n] for n in ("f1", "f2", "f3", "f4", "f5", "g5", "f7"))
     if i == 2:
         return f2 * Fraction(-1, 2)
     if i == 4:
@@ -299,6 +273,18 @@ def solution_component(i):
                 + f1 * f2 * f4 * 2 - f2 * f5 + f7 * 2
                 - f2 * g5 * 2) * Fraction(1, 4)
     raise ConfigError(f"no solution component with index {i}")
+
+
+@lru_cache(maxsize=None)
+def f_component(name):
+    """f-functions as fractions: sigma partial over sigma_1."""
+    return PhiFrac(sigma_on_ring(_F_KEYS[name]), 1)
+
+
+@lru_cache(maxsize=None)
+def solution_component(i):
+    """F_i built from its defining combination of the f-functions."""
+    return _combine({n: f_component(n) for n in _F_KEYS}, i)
 
 
 def printed_forms():
@@ -483,39 +469,16 @@ def _sigma_at_point(key):
     """Evaluate a sigma partial at (w1, w3, w5) = (q*theta, theta^3, 0)."""
     sig = sigma_rational(3)
     p = sig.sigma if key == "" else sig.partial(key)
-    qgen = AlgNum.generator(MINPOLY_Q)
-    total = ThetaVal(AlgNum.const(MINPOLY_Q, 0), 0)
-    idx = {v: i for i, v in enumerate(p.vars)}
-    for expo, c in p.terms.items():
-        e1 = expo[idx["w1"]] if "w1" in idx else 0
-        e3 = expo[idx["w3"]] if "w3" in idx else 0
-        e5 = expo[idx["w5"]] if "w5" in idx else 0
-        if e5:
-            continue    # w5 = 0 kills the term
-        total = total + ThetaVal(qgen ** e1 * c, e1 + 3 * e3)
-    return total
+    point = {"w1": ThetaVal(AlgNum.generator(MINPOLY_Q), 1),
+             "w3": ThetaVal(1, 3), "w5": ThetaVal(0)}
+    return eval_poly(p, point, ThetaVal(1))
 
 
 def example3_values():
     """All four solution components at the algebraic point, plus sigma_1."""
-    svals = {k: _sigma_at_point(k)
-             for k in ("", "1", "3", "5", "11", "13", "33", "15", "35")}
-    s1 = svals["1"]
-    f = {"f1": svals["11"] / s1, "f2": svals["3"] / s1,
-         "f3": svals["13"] / s1, "f4": svals["5"] / s1,
-         "f5": svals["33"] / s1, "g5": svals["15"] / s1,
-         "f7": svals["35"] / s1}
-    F = {
-        2: f["f2"] * Fraction(-1, 2),
-        4: f["f2"] * f["f2"] * Fraction(1, 4) - f["f4"],
-        5: (f["f1"] * f["f2"] * f["f2"] + f["f5"]
-            - f["f2"] * f["f3"] * 2) * Fraction(1, 2),
-        7: (f["f2"] * f["f2"] * f["f3"] * 2 - f["f3"] * f["f4"] * 2
-            - f["f1"] * f["f2"] ** 3 + f["f1"] * f["f2"] * f["f4"] * 2
-            - f["f2"] * f["f5"] + f["f7"] * 2
-            - f["f2"] * f["g5"] * 2) * Fraction(1, 4),
-    }
-    return F, svals
+    svals = {k: _sigma_at_point(k) for k in ("", "1", *_F_KEYS.values())}
+    f = {n: svals[k] / svals["1"] for n, k in _F_KEYS.items()}
+    return {i: _combine(f, i) for i in (2, 4, 5, 7)}, svals
 
 
 def verify_example3(expected=None):

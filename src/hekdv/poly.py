@@ -5,6 +5,12 @@ coefficients, together with an ordered tuple of variable names.  All
 variable tuples are subsequences of one fixed global symbol order, so
 every polynomial has a deterministic leading term and two polynomials in
 different variable subsets can always be aligned.
+
+This representation is private to this module: other modules read a
+polynomial only through ``MPoly.coeffs_in`` (the coefficients of the powers
+of one variable), ``MPoly.monomials`` (each term as its nonzero
+(variable, exponent) pairs and coefficient), the structural queries, and
+``eval_poly``/``MPoly.subst``, so the storage can change without them.
 """
 
 import os
@@ -150,6 +156,25 @@ class MPoly:
         i = self.vars.index(name)
         return min(e[i] for e in self.terms)
 
+    def coeffs_in(self, name):
+        """{e: coefficient of name^e}; no coefficient contains ``name``.
+
+        The zero polynomial gives {}; a polynomial without ``name`` gives
+        {0: self}.
+        """
+        if name not in self.vars:
+            return {0: self} if self.terms else {}
+        i = self.vars.index(name)
+        parts = {}
+        for expo, c in self.terms.items():
+            parts.setdefault(expo[i], {})[expo[:i] + (0,) + expo[i + 1:]] = c
+        return {e: MPoly(self.vars, terms) for e, terms in parts.items()}
+
+    def monomials(self):
+        """Yield (((var, exp), ...), coeff) per term, zero exponents left out."""
+        for expo, c in self.terms.items():
+            yield tuple((v, e) for v, e in zip(self.vars, expo) if e), c
+
     def as_constant(self):
         """Return the Fraction value if constant, else None."""
         if not self.terms:
@@ -220,6 +245,10 @@ class MPoly:
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         p, q = MPoly._align_pair(self, other)
         terms = dict(p.terms)
         for expo, c in q.terms.items():
@@ -272,7 +301,12 @@ class MPoly:
         if len(q.terms) == 1:
             (qe, qc), = q.terms.items()
             if not any(qe):
+                if qc == 1:
+                    return p
                 return MPoly(p.vars, {e: c * qc for e, c in p.terms.items()})
+            if qc == 1:
+                return MPoly(p.vars, {tuple(a + b for a, b in zip(pe, qe)): pc
+                                      for pe, pc in p.terms.items()})
             for pe, pc in p.terms.items():
                 terms[tuple(a + b for a, b in zip(pe, qe))] = pc * qc
             return MPoly(p.vars, terms)
@@ -296,14 +330,7 @@ class MPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = MPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return power(self, n, MPoly.const(1))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -502,6 +529,20 @@ def variables(*names):
     return tuple(MPoly.var(n) for n in names)
 
 
+def power(base, n, one):
+    """base^n (n >= 0) by square-and-multiply in any ring with identity ``one``."""
+    if n < 0:
+        raise ValueError("negative exponent; invert the base first")
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
+
 def eval_poly(p, mapping, one):
     """Evaluate polynomial `p` in any commutative ring.
 
@@ -515,7 +556,7 @@ def eval_poly(p, mapping, one):
         raise ConfigError(f"eval_poly: unmapped variables {sorted(missing)}")
     power_cache = {}
 
-    def power(v, e):
+    def cached_power(v, e):
         key = (v, e)
         got = power_cache.get(key)
         if got is None:
@@ -531,7 +572,7 @@ def eval_poly(p, mapping, one):
         acc = None
         for v, e in zip(p.vars, expo):
             if e:
-                pv = power(v, e)
+                pv = cached_power(v, e)
                 acc = pv if acc is None else acc * pv
         if acc is None:
             term = one * c

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from .errors import SingularExpansionError
+from .poly import eval_poly, power
 
 
 class PSeries:
@@ -85,15 +86,7 @@ class PSeries:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        result = PSeries(self.variable, [1], self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, PSeries(self.variable, [1], self.order))
 
     def inverse(self):
         """Multiplicative inverse; requires a unit (nonzero constant term)."""
@@ -142,18 +135,7 @@ def eval_at_series(p, assignments, order):
     """Evaluate an MPoly at PSeries values for each of its variables."""
     var = next(iter(assignments.values())).variable
     one = PSeries(var, [1], order)
-    total = PSeries.zero(var, order)
-    cache = {}
-    for expo, c in p.terms.items():
-        acc = one
-        for v, e in zip(p.vars, expo):
-            if e:
-                key = (v, e)
-                if key not in cache:
-                    cache[key] = assignments[v] ** e
-                acc = acc * cache[key]
-        total = total + acc * c
-    return total
+    return PSeries.zero(var, order) + eval_poly(p, assignments, one)
 
 
 def newton_solve(rel, order, seed, unknown="phi", parameter="t"):

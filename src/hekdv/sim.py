@@ -27,13 +27,10 @@ def _poly_source(p: MPoly):
     if p.is_zero:
         return "0.0"
     parts = []
-    for expo, c in p.terms.items():
+    for mono, c in p.monomials():
         factors = [repr(float(c))]
-        for v, e in zip(p.vars, expo):
-            if e == 1:
-                factors.append(v)
-            elif e > 1:
-                factors.append(f"{v}**{e}")
+        for v, e in mono:
+            factors.append(v if e == 1 else f"{v}**{e}")
         parts.append("*".join(factors))
     return "(" + "+".join(parts) + ")"
 

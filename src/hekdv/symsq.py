@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from .curve import CurveParams, y_symbols
 from .errors import NotSymmetricError, ZeroDenominatorError
-from .poly import MPoly, merge_vars
+from .poly import MPoly, power
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -43,19 +43,18 @@ class SymSqField:
     # -- reduction ---------------------------------------------------------
 
     def reduce(self, p):
-        """Confluent Y-reduction: rewrite Y_i^k (k >= 2) via Y_i^2 -> Q(X_i)."""
+        """Confluent Y-reduction: Y_i^e -> Q(X_i)^(e//2) * Y_i^(e%2)."""
         for yvar, Q in (("Y1", self.Q1), ("Y2", self.Q2)):
-            while p.degree_in(yvar) >= 2:
-                i = p.vars.index(yvar)
-                low = {}
-                high = {}
-                for expo, c in p.terms.items():
-                    e = expo[i]
-                    if e >= 2:
-                        high[expo[:i] + (e - 2,) + expo[i + 1:]] = c
-                    else:
-                        low[expo] = c
-                p = MPoly(p.vars, low) + MPoly(p.vars, high) * Q
+            if p.degree_in(yvar) < 2:
+                continue
+            out = MPoly.zero()
+            for e, c in p.coeffs_in(yvar).items():
+                if e >= 2:
+                    c = c * Q ** (e // 2)
+                if e % 2:
+                    c = c * MPoly.var(yvar)
+                out = out + c
+            p = out
         return p
 
     # -- element construction ----------------------------------------------
@@ -128,15 +127,12 @@ class SymSqElem:
         num = field.reduce(num)
         den = field.reduce(den)
         # clear Y from the denominator by conjugate multiplication
-        for yvar, Q in (("Y1", field.Q1), ("Y2", field.Q2)):
+        for yvar in ("Y1", "Y2"):
             if den.degree_in(yvar):
-                i = den.vars.index(yvar)
-                even = {e: c for e, c in den.terms.items() if e[i] % 2 == 0}
-                odd = {e[:i] + (e[i] - 1,) + e[i + 1:]: c
-                       for e, c in den.terms.items() if e[i] % 2 == 1}
-                p = MPoly(den.vars, even)
-                qpart = MPoly(den.vars, odd)
-                conj = p - MPoly.var(yvar) * qpart
+                # den = C0 + Y*C1 after reduction; its conjugate is C0 - Y*C1
+                parts = den.coeffs_in(yvar)
+                zero = MPoly.zero()
+                conj = parts.get(0, zero) - MPoly.var(yvar) * parts.get(1, zero)
                 num = field.reduce(num * conj)
                 den = field.reduce(den * conj)
         if num.is_zero:
@@ -215,15 +211,7 @@ class SymSqElem:
     def __pow__(self, n):
         if n < 0:
             return (self.field.one() / self) ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return power(self, n, self.field.one())
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -270,13 +258,10 @@ def clear_denominator(p, name, factor):
     k = p.degree_in(name)
     if not k:
         return p, 0
-    i = p.vars.index(name)
-    parts = {}
-    for expo, coeff in p.terms.items():
-        parts.setdefault(expo[i], {})[expo] = coeff
+    y = MPoly.var(name)
     q = MPoly.zero()
-    for e, terms in parts.items():
-        q = q + MPoly(p.vars, terms) * factor ** (k - e)
+    for e, c in p.coeffs_in(name).items():
+        q = q + c * (y ** e * factor ** (k - e))
     return q, k
 
 
@@ -317,27 +302,16 @@ def xy_to_abcd(p):
 
 
 def _even_s_to_b(q):
-    if "s" not in q.vars:
-        return q
-    i = q.vars.index("s")
-    vars = merge_vars(q.vars, ("b",))
-    j = vars.index("b")
-    out = {}
-    for expo, coeff in q.terms.items():
-        e = expo[i]
-        if e % 2:
-            raise NotSymmetricError(
-                "odd power of the antisymmetric variable survives; "
-                "input is not a symmetric function of the two points")
-        new = [0] * len(vars)
-        for v, k in zip(q.vars, expo):
-            if v == "s":
-                continue
-            new[vars.index(v)] = k
-        new[j] += e // 2
-        key = tuple(new)
-        out[key] = out.get(key, Fraction(0)) + coeff
-    return MPoly(vars, {e: c for e, c in out.items() if c}).pruned()
+    parts = q.coeffs_in("s")
+    if any(e % 2 for e in parts):
+        raise NotSymmetricError(
+            "odd power of the antisymmetric variable survives; "
+            "input is not a symmetric function of the two points")
+    b = MPoly.var("b")
+    out = MPoly.zero()
+    for e, c in parts.items():
+        out = out + c * b ** (e // 2)
+    return out.pruned()
 
 
 def build_MN(params):

@@ -1,12 +1,19 @@
+import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+import hekdv.poly
 from conftest import mpoly_strategy, small_fractions
-from hekdv.errors import ConfigError, MemoryCapExceeded
-from hekdv.poly import (MPoly, eval_poly, standard_weights, variables,
-                        weighted_degree)
+from hekdv.curve import CurveParams
+from hekdv.errors import ConfigError, MemoryCapExceeded, NotSymmetricError
+from hekdv.phiring import PhiRingElem
+from hekdv.poly import (MPoly, eval_poly, merge_vars, power, standard_weights,
+                        variables, weighted_degree)
+from hekdv.series import PSeries
+from hekdv.symsq import SymSqField, _even_s_to_b, _in_s_chart, xy_to_abcd
 
 a, b, c, d = variables("a", "b", "c", "d")
 X1, X2 = variables("X1", "X2")
@@ -126,3 +133,139 @@ class TestPrinting:
         p = sum((a**i for i in range(6)), MPoly.zero())
         s = p.to_str(max_terms=2)
         assert "more terms" in s
+
+
+class TestUnivariateView:
+    @given(mpoly_strategy(), st.sampled_from(("a", "b", "c", "d")))
+    def test_coeffs_in_rebuilds(self, p, name):
+        parts = p.coeffs_in(name)
+        x = MPoly.var(name)
+        assert sum((cf * x ** e for e, cf in parts.items()), MPoly.zero()) == p
+        assert all(cf.degree_in(name) == 0 and not cf.is_zero
+                   for cf in parts.values())
+
+    @given(mpoly_strategy())
+    def test_coeffs_in_absent_variable(self, p):
+        assert p.coeffs_in("X1") == ({0: p} if p else {})
+
+    def test_coeffs_in_zero(self):
+        assert MPoly.zero().coeffs_in("a") == {}
+        assert (a - a).coeffs_in("a") == {}
+
+    @given(mpoly_strategy())
+    def test_monomials_rebuild(self, p):
+        rebuilt = MPoly.zero()
+        for mono, cf in p.monomials():
+            assert all(e > 0 for _, e in mono)
+            term = MPoly.const(cf)
+            for v, e in mono:
+                term = term * MPoly.var(v, e)
+            rebuilt = rebuilt + term
+        assert rebuilt == p
+
+    def test_power(self):
+        for n in range(9):
+            assert power(F(2, 3), n, F(1)) == F(2, 3) ** n
+        assert power(a + b, 0, MPoly.const(1)) == MPoly.const(1)
+
+    def test_negative_power_is_an_error(self):
+        with pytest.raises(ValueError):
+            PSeries.zero("t", 2) ** -1
+
+
+# -- the per-module exponent loops the univariate view replaced, kept as
+# references for differential tests --------------------------------------
+
+def _reduce_by_exponent_loop(field, p):
+    for yvar, Q in (("Y1", field.Q1), ("Y2", field.Q2)):
+        while p.degree_in(yvar) >= 2:
+            i = p.vars.index(yvar)
+            low = {}
+            high = {}
+            for expo, cf in p.terms.items():
+                e = expo[i]
+                if e >= 2:
+                    high[expo[:i] + (e - 2,) + expo[i + 1:]] = cf
+                else:
+                    low[expo] = cf
+            p = MPoly(p.vars, low) + MPoly(p.vars, high) * Q
+    return p
+
+
+def _even_s_to_b_by_exponent_loop(q):
+    if "s" not in q.vars:
+        return q
+    i = q.vars.index("s")
+    vars = merge_vars(q.vars, ("b",))
+    j = vars.index("b")
+    out = {}
+    for expo, coeff in q.terms.items():
+        e = expo[i]
+        if e % 2:
+            raise NotSymmetricError("odd power of s")
+        new = [0] * len(vars)
+        for v, k in zip(q.vars, expo):
+            if v != "s":
+                new[vars.index(v)] = k
+        new[j] += e // 2
+        key = tuple(new)
+        out[key] = out.get(key, F(0)) + coeff
+    return MPoly(vars, {e: cf for e, cf in out.items() if cf}).pruned()
+
+
+def _from_mpoly_by_exponent_loop(p):
+    deg = p.degree_in("phi")
+    coeffs = [MPoly.zero()] * (deg + 1)
+    if "phi" not in p.vars:
+        coeffs[0] = p
+        return PhiRingElem(coeffs)
+    i = p.vars.index("phi")
+    buckets = [dict() for _ in range(deg + 1)]
+    for expo, cf in p.terms.items():
+        key = expo[:i] + (0,) + expo[i + 1:]
+        buckets[expo[i]][key] = buckets[expo[i]].get(key, F(0)) + cf
+    for e, bucket in enumerate(buckets):
+        coeffs[e] = MPoly(p.vars, {k: cf for k, cf in bucket.items() if cf})
+    return PhiRingElem(coeffs)
+
+
+_FIELD2 = SymSqField(CurveParams.symbolic(2))
+_SWAP = {"X1": MPoly.var("X2"), "Y1": MPoly.var("Y2"),
+         "X2": MPoly.var("X1"), "Y2": MPoly.var("Y1")}
+
+
+class TestAgainstExponentLoops:
+    @given(mpoly_strategy(("X1", "Y1", "X2", "Y2"), max_terms=4, max_exp=5))
+    def test_reduce(self, p):
+        assert _FIELD2.reduce(p) == _reduce_by_exponent_loop(_FIELD2, p)
+
+    @given(mpoly_strategy(("a", "b", "c", "d", "s"), max_terms=4, max_exp=3))
+    def test_even_s_to_b(self, p):
+        p = p.subst({**{v: MPoly.var(v) for v in "abcd"},
+                     "s": MPoly.var("s", 2)})
+        assert _even_s_to_b(p) == _even_s_to_b_by_exponent_loop(p)
+        odd = p + MPoly.var("s", 3)
+        with pytest.raises(NotSymmetricError):
+            _even_s_to_b(odd)
+
+    @given(mpoly_strategy(("X1", "Y1", "X2", "Y2"), max_terms=3, max_exp=3))
+    def test_xy_to_abcd(self, p):
+        p = p + p.subst(_SWAP)
+        assert xy_to_abcd(p) == _even_s_to_b_by_exponent_loop(_in_s_chart(p))
+
+    @given(mpoly_strategy(("w3", "w5", "phi"), max_terms=5, max_exp=8))
+    def test_from_mpoly(self, p):
+        got = PhiRingElem.from_mpoly(p)
+        want = _from_mpoly_by_exponent_loop(p)
+        assert got.coeffs == want.coeffs
+
+
+def test_representation_stays_in_poly():
+    """Only poly.py may read an MPoly's storage (.terms / .vars)."""
+    src = Path(hekdv.poly.__file__).parent
+    pattern = re.compile(r"\.(terms|vars)\b")
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(src.glob("*.py")) if path.name != "poly.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)]
+    assert not hits, "\n".join(hits)
