@@ -1,13 +1,17 @@
 """Derivations of the symmetric-square field and the genus-2/3 transfer maps.
 
-A derivation is specified by its images on the coordinate generators and
-extended through the Leibniz and quotient rules.  All operators used here
-are combinations of the two basic vector fields
+All operators used here are combinations of the two basic vector fields
 
     D_k = 2*Y_k d/dX_k + Q'(X_k) d/dY_k,     k = 1, 2,
 
-divided by X1, X2 or X1 - X2; their images are compatible with the curve
-relation, which is asserted at construction time.
+of the form (p*D1 + q*D2)/den with polynomials p, q and a denominator den
+among 1, X1 - X2 and X1*X2*(X1 - X2).  A derivation is therefore stored as
+that one denominator and four polynomial coefficients, one per coordinate
+generator, and applied to n/d through the quotient rule as one polynomial
+over den*d^2, normalized once.  When d is a constant times X1^i*X2^j*
+(X1-X2)^k, so is den*d^2, and the normalized pair is the one that stepwise
+field arithmetic would reach.  Compatibility with the curve relation is a
+polynomial identity between the coefficients.
 """
 
 from dataclasses import dataclass
@@ -23,44 +27,40 @@ _GEN_NAMES = ("X1", "Y1", "X2", "Y2")
 class Derivation:
     name: str
     field: SymSqField
-    images: dict
+    coeffs: dict   # generator name -> MPoly coefficient over den
+    den: MPoly
 
     def __post_init__(self):
-        missing = set(_GEN_NAMES) - set(self.images)
+        missing = set(_GEN_NAMES) - set(self.coeffs)
         if missing:
-            raise ConfigError(f"derivation lacks images for {sorted(missing)}")
+            raise ConfigError(f"derivation lacks coefficients for {sorted(missing)}")
+
+    @property
+    def images(self):
+        """The images of the coordinate generators, as field elements."""
+        return {v: self.field.elem(self.coeffs[v], self.den) for v in _GEN_NAMES}
 
     def check_compatible(self):
-        """2*Y_i * image(Y_i) == Q'(X_i) * image(X_i) in the field."""
+        """2*Y_i * coeff(Y_i) == Q'(X_i) * coeff(X_i) modulo the curve relation."""
         f = self.field
-        ok = True
-        for xv, yv, dQ in (("X1", "Y1", f.dQ1), ("X2", "Y2", f.dQ2)):
-            lhs = f.elem(MPoly.var(yv)) * 2 * self.images[yv]
-            rhs = f.elem(dQ) * self.images[xv]
-            ok = ok and (lhs == rhs)
-        return ok
+        c = self.coeffs
+        return all(
+            f.reduce(MPoly.var(yv) * 2 * c[yv] - dQ * c[xv]).is_zero
+            for xv, yv, dQ in (("X1", "Y1", f.dQ1), ("X2", "Y2", f.dQ2)))
 
     def __call__(self, e):
-        """Apply to a field element via partials, Leibniz and quotient rule."""
+        """Apply to n/d: sum_v coeff(v)*(d*dn/dv - n*dd/dv) over den*d^2."""
         if isinstance(e, MPoly):
             e = self.field.elem(e)
         if e.field is not self.field:
             raise ValueError("derivation and element live on different squares")
-        dnum = self._apply_poly(e.num)
-        if e.den.as_constant() == 1:
-            return dnum
-        dden = self._apply_poly(e.den)
-        den_el = self.field.elem(e.den)
-        num_el = self.field.elem(e.num)
-        return (dnum * den_el - num_el * dden) / (den_el * den_el)
-
-    def _apply_poly(self, p):
-        total = self.field.zero()
+        n, d = e.num, e.den
+        total = MPoly.zero()
         for v in _GEN_NAMES:
-            dp = p.derivative(v)
-            if not dp.is_zero:
-                total = total + self.field.elem(dp) * self.images[v]
-        return total
+            c = self.coeffs[v]
+            if not c.is_zero:
+                total = total + c * (d * n.derivative(v) - n * d.derivative(v))
+        return self.field.elem(total, self.den * d * d)
 
     def commutator_on(self, other, e):
         """[self, other] applied to e."""
@@ -77,43 +77,35 @@ def make_derivation(field: SymSqField, name: str) -> Derivation:
     g = field.params.genus
     x1 = MPoly.var("X1")
     x2 = MPoly.var("X2")
-    y1 = MPoly.var("Y1")
-    y2 = MPoly.var("Y2")
+    one = MPoly.const(1)
     dx = x1 - x2
-    el = field.elem
 
+    # name -> (p, q, den) with the derivation (p*D1 + q*D2) / den
     if name == "D1":
-        images = {"X1": el(2 * y1), "Y1": el(field.dQ1),
-                  "X2": field.zero(), "Y2": field.zero()}
+        p, q, den = 1, 0, one
     elif name == "D2":
-        images = {"X1": field.zero(), "Y1": field.zero(),
-                  "X2": el(2 * y2), "Y2": el(field.dQ2)}
+        p, q, den = 0, 1, one
     elif name == f"L{2 * g - 3}":
         # (D2 - D1) / (X1 - X2)
-        images = {"X1": el(-2 * y1, dx), "Y1": el(-1 * field.dQ1, dx),
-                  "X2": el(2 * y2, dx), "Y2": el(field.dQ2, dx)}
+        p, q, den = -1, 1, dx
     elif name == f"L{2 * g - 1}":
         # (X2*D1 - X1*D2) / (X1 - X2)
-        images = {"X1": el(2 * x2 * y1, dx), "Y1": el(x2 * field.dQ1, dx),
-                  "X2": el(-2 * x1 * y2, dx), "Y2": el(-1 * x1 * field.dQ2, dx)}
+        p, q, den = x2, -x1, dx
     elif name in ("T1", "T3"):
         if g != 3:
             raise ConfigError("T1 and T3 require a genus-3 curve shape")
         if name == "T1":
             # -(1/(X1*X2)) * L5
-            images = {"X1": el(-2 * y1, x1 * dx),
-                      "Y1": el(-1 * field.dQ1, x1 * dx),
-                      "X2": el(2 * y2, x2 * dx),
-                      "Y2": el(field.dQ2, x2 * dx)}
+            p, q = -x2, x1
         else:
             # L3 + ((X1+X2)/(X1*X2)) * L5
-            images = {"X1": el(2 * x2 * y1, x1 * dx),
-                      "Y1": el(x2 * field.dQ1, x1 * dx),
-                      "X2": el(-2 * x1 * y2, x2 * dx),
-                      "Y2": el(-1 * x1 * field.dQ2, x2 * dx)}
+            p, q = x2 ** 2, -(x1 ** 2)
+        den = x1 * x2 * dx
     else:
         raise ConfigError(f"unknown derivation {name!r} for genus {g}")
-    return Derivation(name, field, images)
+    coeffs = {"X1": p * MPoly.var("Y1") * 2, "Y1": p * field.dQ1,
+              "X2": q * MPoly.var("Y2") * 2, "Y2": q * field.dQ2}
+    return Derivation(name, field, coeffs, den)
 
 
 # -- transfer between the genus-2 square and the degenerate genus-3 square --

@@ -3,9 +3,10 @@
 The right-hand sides are compiled from the same transcribed tables that the
 symbolic engine certifies, so the measured drift of the two integrals along
 a trajectory is purely integrator error.  The stepper is an embedded
-Dormand-Prince 5(4) pair with PI step-size control; complex seeds (curve
-points with negative ordinate squares) are integrated as split real
-systems of twice the dimension.
+Dormand-Prince 5(4) pair with PI step-size control.  The state is always
+a complex numpy array of the four coordinates, so complex seeds (curve
+points with negative ordinate squares) are advanced directly, and the
+error norm measures each component by its modulus.
 """
 
 from dataclasses import dataclass, field

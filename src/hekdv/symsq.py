@@ -115,11 +115,6 @@ class SymSqElem:
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field, num, den=1):
-        if isinstance(num, SymSqElem):
-            if num.field is not field:
-                raise ValueError("element belongs to a different square")
-            num, den0 = num.num, num.den
-            den = den0 * _lift_poly(den)
         num = _lift_poly(num)
         den = _lift_poly(den)
         if den.is_zero:

@@ -14,6 +14,7 @@ source of the numerical right-hand sides.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ConfigError
 from .poly import MPoly, standard_weights, variables
@@ -139,8 +140,12 @@ def flow_table(flow):
     return FlowTable(flow, _BUILDERS[flow]())
 
 
+@lru_cache(maxsize=None)
 def first_integrals():
-    """H12 and H14 as u-polynomials, built from the square's relations."""
+    """H12 and H14 as u-polynomials, built from the square's relations.
+
+    Built once per process: the returned RatFn values are immutable.
+    """
     M3, N3t = build_MN(CurveParams.symbolic(3))
     sub = {"a": u2, "b": u4, "c": u5, "d": u7}
     keep = {v: MPoly.var(v) for v in ("y4", "y6", "y8", "y10", "y12", "y14")}

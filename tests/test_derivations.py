@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mpoly_strategy
 from hekdv.curve import CurveParams
-from hekdv.derivations import make_derivation, psi1, psi2
+from hekdv.derivations import Derivation, make_derivation, psi1, psi2
 from hekdv.errors import ConfigError
 from hekdv.poly import MPoly, eval_poly, variables
 from hekdv.symsq import SymSqField
@@ -24,6 +24,47 @@ def _transfer_by_evaluation(e, target, y_images):
     mapping.update(X1=target.elem(X1), X2=target.elem(X2), **y_images)
     one = target.one()
     return eval_poly(e.num, mapping, one) / eval_poly(e.den, mapping, one)
+
+
+def _printed_images(field, name):
+    """Generator images of each derivation, one normalized element each."""
+    g = field.params.genus
+    dQ1, dQ2 = field.dQ1, field.dQ2
+    dx = X1 - X2
+    one = MPoly.const(1)
+    table = {
+        "D1": {"X1": (2 * Y1, one), "Y1": (dQ1, one),
+               "X2": (0, one), "Y2": (0, one)},
+        "D2": {"X1": (0, one), "Y1": (0, one),
+               "X2": (2 * Y2, one), "Y2": (dQ2, one)},
+        f"L{2 * g - 3}": {"X1": (-2 * Y1, dx), "Y1": (-1 * dQ1, dx),
+                          "X2": (2 * Y2, dx), "Y2": (dQ2, dx)},
+        f"L{2 * g - 1}": {"X1": (2 * X2 * Y1, dx), "Y1": (X2 * dQ1, dx),
+                          "X2": (-2 * X1 * Y2, dx), "Y2": (-1 * X1 * dQ2, dx)},
+        "T1": {"X1": (-2 * Y1, X1 * dx), "Y1": (-1 * dQ1, X1 * dx),
+               "X2": (2 * Y2, X2 * dx), "Y2": (dQ2, X2 * dx)},
+        "T3": {"X1": (2 * X2 * Y1, X1 * dx), "Y1": (X2 * dQ1, X1 * dx),
+               "X2": (-2 * X1 * Y2, X2 * dx), "Y2": (-1 * X1 * dQ2, X2 * dx)},
+    }
+    return {v: field.elem(n, d) for v, (n, d) in table[name].items()}
+
+
+def _apply_by_leibniz(field, images, e):
+    """Reference application: Leibniz rule over the generator images, then
+    the quotient rule, every step a normalized field operation."""
+    def on_poly(p):
+        total = field.zero()
+        for v in ("X1", "Y1", "X2", "Y2"):
+            dp = p.derivative(v)
+            if not dp.is_zero:
+                total = total + field.elem(dp) * images[v]
+        return total
+
+    dnum = on_poly(e.num)
+    if e.den.as_constant() == 1:
+        return dnum
+    den_el = field.elem(e.den)
+    return (dnum * den_el - field.elem(e.num) * on_poly(e.den)) / (den_el * den_el)
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +129,13 @@ class TestStructure:
     def test_curve_compatibility(self, f3, name):
         assert make_derivation(f3, name).check_compatible()
 
+    @pytest.mark.parametrize("gen", ["X1", "Y1", "X2", "Y2"])
+    def test_changed_coefficient_is_incompatible(self, f3, gen):
+        T3 = make_derivation(f3, "T3")
+        coeffs = dict(T3.coeffs)
+        coeffs[gen] = coeffs[gen] + X1 * X2
+        assert not Derivation("T3", f3, coeffs, T3.den).check_compatible()
+
     def test_commutators_vanish(self, f3):
         L3 = make_derivation(f3, "L3")
         L5 = make_derivation(f3, "L5")
@@ -104,6 +152,19 @@ class TestStructure:
         assert L3(ab["a"]) == -1 * ab["c"]
         want = (ab["a"] * ab["c"] - ab["d"]) / (ab["b"] - ab["a"] ** 2)
         assert T1(ab["a"]) == want
+
+
+class TestQuotientRule:
+    @given(xy_polys, known_dens)
+    @settings(max_examples=25)
+    def test_matches_leibniz_application(self, f3, f2, num, den):
+        for field, names in ((f3, ("D1", "D2", "L3", "L5", "T1", "T3")),
+                             (f2, ("D1", "D2", "L1", "L3"))):
+            e = field.elem(num, den)
+            for name in names:
+                got = make_derivation(field, name)(e)
+                want = _apply_by_leibniz(field, _printed_images(field, name), e)
+                assert got.num == want.num and got.den == want.den, name
 
 
 class TestTransfer:

@@ -7,6 +7,7 @@ from hekdv.curve import CurveParams, in_Bg
 from hekdv.errors import SeedError, SingularityAbort
 from hekdv.sim import (CompiledIntegrals, commute_experiment, curve_ordinate,
                        integrate, seed_state)
+from hekdv import tables
 from hekdv.tables import first_integrals
 
 # reference configuration: Q = X^7 + X - 1 with the exact point (1, 1)
@@ -52,6 +53,21 @@ class TestSeeding:
             "u5": complex(s.u5), "u7": complex(s.u7),
             "y4": 0, "y6": 0, "y8": 0, "y10": 0})
         assert abs(exact - 1.0) < 1e-10
+
+    def test_integrals_built_once(self, monkeypatch):
+        first_integrals()
+        calls = []
+
+        def counting_build_MN(params):
+            calls.append(params)
+            return build_MN(params)
+
+        build_MN = tables.build_MN
+        monkeypatch.setattr(tables, "build_MN", counting_build_MN)
+        s = seed_state(PARAMS, P1, P2)
+        integrate("I", s, 0.01, params=PARAMS)
+        integrate("II", s, 0.01, params=PARAMS)
+        assert calls == []
 
     def test_coincident_points_rejected(self):
         with pytest.raises(SeedError):
