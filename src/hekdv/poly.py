@@ -392,13 +392,19 @@ class MPoly:
     # -- division -------------------------------------------------------
 
     def exact_div(self, divisor):
-        """Exact quotient self/divisor, or None when not divisible."""
+        """Exact quotient self/divisor, or None when not divisible.
+
+        A divisor u - v of two variables goes to ``divide_out_linear``.
+        """
         if isinstance(divisor, (int, Fraction)):
             return self / divisor
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return MPoly.zero()
+        diff = divisor._variable_difference()
+        if diff is not None:
+            return self.divide_out_linear(*diff)
         p, d = MPoly._align_pair(self, divisor)
         if len(d.terms) == 1:
             (de, dc), = d.terms.items()
@@ -410,6 +416,14 @@ class MPoly:
                 terms[new] = c / dc
             return MPoly(p.vars, terms)
         return p._long_div(d)
+
+    def _variable_difference(self):
+        """(u, v) when self is exactly u - v for two variables, else None."""
+        if len(self.terms) != 2:
+            return None
+        signs = {c: self.vars[e.index(1)]
+                 for e, c in self.terms.items() if sum(e) == 1}
+        return (signs[1], signs[-1]) if set(signs) == {1, -1} else None
 
     def _long_div(self, d):
         """Single-divisor division; returns quotient iff remainder is zero."""

@@ -1,20 +1,15 @@
-"""Rational functions as reduced fractions of sparse polynomials.
+"""Rational functions as fractions of sparse polynomials, and their normal form.
 
-Normalization is deliberately lazy: no multivariate gcd.  Constructors
-strip scalar content, fix the sign of the denominator's leading
-coefficient, and attempt exact-division cancellation only against an
-optional list of known factors (or the full denominator when it is small).
-Equality is decided by cross-multiplication, which is representation
-independent.
+``normal_form`` is the one routine that cancels or scales a fraction, for
+both ``RatFn`` and ``symsq.SymSqElem``.  It is deliberately lazy (no
+multivariate gcd), so equality is decided by cross-multiplication, which is
+representation independent.
 """
 
 from fractions import Fraction
 
 from .errors import ZeroDenominatorError
 from .poly import MPoly, weighted_degree
-
-# denominators with at most this many terms are tried as exact divisors
-_FULL_REDUCE_TERM_LIMIT = 24
 
 
 def _as_mpoly(x):
@@ -25,43 +20,55 @@ def _as_mpoly(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to a polynomial")
 
 
+def normal_form(num, den, factors=()):
+    """The stored (num, den) pair of num/den.
+
+    In order: a zero den raises (a zero num gives 0/1); the common monomial
+    is cancelled, each variable to its lower minimum degree; the common
+    power of each of ``factors`` is divided out, skipping a factor whose
+    variables den lacks; den is scaled to content 1 with a positive leading
+    coefficient (den = 1 when constant).  The pair is canonical only when
+    every factor num and den share is a monomial or one of ``factors``.
+    """
+    if den.is_zero:
+        raise ZeroDenominatorError("fraction with zero denominator")
+    if num.is_zero:
+        return MPoly.zero(), MPoly.const(1)
+    mono = MPoly.const(1)
+    for name in den.variables_used():
+        k = den.min_degree_in(name)
+        if k:
+            k = min(k, num.min_degree_in(name))
+            if k:
+                mono = mono * MPoly.var(name, k)
+    if mono.as_constant() is None:
+        num, den = num.exact_div(mono), den.exact_div(mono)
+    for f in factors:
+        needed = f.variables_used()
+        while needed <= den.variables_used():
+            dq = den.exact_div(f)
+            if dq is None:
+                break
+            nq = num.exact_div(f)
+            if nq is None:
+                break
+            num, den = nq, dq
+    dc = den.as_constant()
+    if dc is not None:
+        return num * (Fraction(1) / dc), MPoly.const(1)
+    scale = den.content()
+    if den.leading()[1] < 0:
+        scale = -scale
+    return num * (Fraction(1) / scale), den * (Fraction(1) / scale)
+
+
 class RatFn:
     """A fraction num/den of multivariate polynomials, den != 0."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=1, known_factors=()):
-        num = _as_mpoly(num)
-        den = _as_mpoly(den)
-        if den.is_zero:
-            raise ZeroDenominatorError("rational function with zero denominator")
-        if num.is_zero:
-            object.__setattr__(self, "num", MPoly.zero())
-            object.__setattr__(self, "den", MPoly.const(1))
-            return
-        for f in known_factors:
-            while True:
-                dq = den.exact_div(f)
-                if dq is None or dq.is_zero:
-                    break
-                nq = num.exact_div(f)
-                if nq is None:
-                    break
-                num, den = nq, dq
-        if den.as_constant() is None and den.term_count() <= _FULL_REDUCE_TERM_LIMIT:
-            q = num.exact_div(den)
-            if q is not None:
-                num, den = q, MPoly.const(1)
-        dc = den.as_constant()
-        if dc is not None:
-            num = num * (Fraction(1) / dc)
-            den = MPoly.const(1)
-        else:
-            scale = den.content()
-            if den.leading()[1] < 0:
-                scale = -scale
-            num = num * (Fraction(1) / scale)
-            den = den * (Fraction(1) / scale)
+        num, den = normal_form(_as_mpoly(num), _as_mpoly(den), known_factors)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 

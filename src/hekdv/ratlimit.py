@@ -100,11 +100,11 @@ def printed_V():
 
 
 def _dx(rf):
-    return rf.derivative("x", known_factors=(x_var ** 3 - 3 * t_var, x_var))
+    return rf.derivative("x", known_factors=(x_var ** 3 - 3 * t_var,))
 
 
 def _dt(rf):
-    return rf.derivative("t", known_factors=(x_var ** 3 - 3 * t_var, x_var))
+    return rf.derivative("t", known_factors=(x_var ** 3 - 3 * t_var,))
 
 
 def kdv_residuals(U, V):

@@ -13,13 +13,20 @@ RESIDUAL_TERM_CAP = 200
 class VerifyReport:
     check_id: str
     anchor: str
-    status: str                 # "PASS" or "FAIL"
     residuals: tuple            # ((label, residual string or "0"), ...)
-    millis: float
+    row_millis: tuple           # time charged to each row, in ms
+
+    @property
+    def status(self):
+        return "PASS" if all(r == "0" for _, r in self.residuals) else "FAIL"
 
     @property
     def passed(self):
         return self.status == "PASS"
+
+    @property
+    def millis(self):
+        return sum(self.row_millis)
 
     def summary(self):
         zeros = sum(1 for _, r in self.residuals if r == "0")
@@ -56,29 +63,54 @@ def _residual_str(obj):
 
 
 class ReportBuilder:
-    """Accumulates labeled residuals for one check, timing included."""
+    """Accumulates labeled residuals for one check, timing each row."""
 
     def __init__(self, check_id, anchor):
         self.check_id = check_id
         self.anchor = anchor
         self._rows = []
-        self._t0 = time.perf_counter()
+        self._marks = [time.perf_counter()]
+
+    def _add(self, label, value):
+        self._rows.append((label, value))
+        self._marks.append(time.perf_counter())
 
     def residual(self, label, obj):
-        self._rows.append((label, _residual_str(obj)))
+        self._add(label, _residual_str(obj))
 
     def equal(self, label, lhs, rhs):
         self.residual(label, lhs - rhs)
 
     def expect(self, label, ok):
         """Record a boolean condition as a pseudo-residual."""
-        self._rows.append((label, "0" if ok else "condition violated"))
+        self._add(label, "0" if ok else "condition violated")
 
     def build(self):
-        status = "PASS" if all(r == "0" for _, r in self._rows) else "FAIL"
-        millis = (time.perf_counter() - self._t0) * 1000.0
-        return VerifyReport(self.check_id, self.anchor, status,
-                            tuple(self._rows), millis)
+        """The report, timed from this builder's creation to its last row.
+
+        Each row is charged the time since the row before it (since the
+        builder was made, for the first row), so work shared by all rows and
+        done before the first one is charged to the first row.
+        """
+        m = self._marks
+        return VerifyReport(self.check_id, self.anchor, tuple(self._rows),
+                            tuple((b - a) * 1000.0 for a, b in zip(m, m[1:])))
+
+
+def split_report(report, groups):
+    """One report per (check_id, anchor, keep) group of ``groups``.
+
+    A group holds the rows whose label satisfies ``keep``, in their order,
+    with their times; work shared by all rows was charged to the first row
+    (see ``ReportBuilder.build``), so to the group that holds it.
+    """
+    out = []
+    for check_id, anchor, keep in groups:
+        picked = [i for i, (label, _) in enumerate(report.residuals) if keep(label)]
+        out.append(VerifyReport(check_id, anchor,
+                                tuple(report.residuals[i] for i in picked),
+                                tuple(report.row_millis[i] for i in picked)))
+    return out
 
 
 def emit_report(reports, version=__version__):

@@ -3,8 +3,10 @@
 Every element is stored as num/den with num of degree <= 1 in each of Y1,
 Y2 (the rewrites Y_i^2 -> Q(X_i) are confluent, so this normal form is
 canonical) and den free of Y variables.  Denominators arising anywhere in
-the pipeline are products of X1, X2 and (X1 - X2); normalization cancels
-exactly those factors, which keeps expression swell linear.
+the pipeline are products of X1, X2 and (X1 - X2).  After Y-reduction and
+conjugate clearing an element goes through ``ratfun.normal_form`` with the
+one declared factor X1 - X2, which cancels exactly those factors and keeps
+expression swell linear.
 
 The module also provides the two coordinate bridges with the symmetric
 function generators: substitution of
@@ -22,6 +24,7 @@ from fractions import Fraction
 from .curve import CurveParams, y_symbols
 from .errors import NotSymmetricError, ZeroDenominatorError
 from .poly import MPoly, power
+from .ratfun import _as_mpoly, normal_form
 
 _HALF = Fraction(1, 2)
 _QUARTER = Fraction(1, 4)
@@ -36,9 +39,9 @@ class SymSqField:
         self.Q2 = params.Q("X2")
         self.dQ1 = self.Q1.derivative("X1")
         self.dQ2 = self.Q2.derivative("X2")
-        self._x1 = MPoly.var("X1")
-        self._x2 = MPoly.var("X2")
-        self._x1mx2 = self._x1 - self._x2
+        # the one non-monomial factor a denominator on the square may share
+        # with its numerator
+        self.known_factors = (MPoly.var("X1") - MPoly.var("X2"),)
 
     # -- reduction ---------------------------------------------------------
 
@@ -87,40 +90,14 @@ class SymSqField:
         return standard_weights(self.params.genus)
 
 
-def _strip_known_factors(num, den):
-    """Cancel common powers of X1, X2 and (X1 - X2); cheap and exact."""
-    for name in ("X1", "X2"):
-        kd = den.min_degree_in(name)
-        if kd:
-            kn = num.min_degree_in(name)
-            k = min(kd, kn)
-            if k:
-                mono = MPoly.var(name, k)
-                num = num.exact_div(mono)
-                den = den.exact_div(mono)
-    while den.degree_in("X1") or den.degree_in("X2"):
-        dq = den.divide_out_linear("X1", "X2")
-        if dq is None:
-            break
-        nq = num.divide_out_linear("X1", "X2")
-        if nq is None:
-            break
-        num, den = nq, dq
-    return num, den
-
-
 class SymSqElem:
     """One element of the field, normalized as described in the module doc."""
 
     __slots__ = ("field", "num", "den")
 
     def __init__(self, field, num, den=1):
-        num = _lift_poly(num)
-        den = _lift_poly(den)
-        if den.is_zero:
-            raise ZeroDenominatorError("symmetric-square element with zero denominator")
-        num = field.reduce(num)
-        den = field.reduce(den)
+        num = field.reduce(_as_mpoly(num))
+        den = field.reduce(_as_mpoly(den))
         # clear Y from the denominator by conjugate multiplication
         for yvar in ("Y1", "Y2"):
             if den.degree_in(yvar):
@@ -130,20 +107,7 @@ class SymSqElem:
                 conj = parts.get(0, zero) - MPoly.var(yvar) * parts.get(1, zero)
                 num = field.reduce(num * conj)
                 den = field.reduce(den * conj)
-        if num.is_zero:
-            num, den = MPoly.zero(), MPoly.const(1)
-        else:
-            num, den = _strip_known_factors(num, den)
-            dc = den.as_constant()
-            if dc is not None:
-                num = num * (Fraction(1) / dc)
-                den = MPoly.const(1)
-            else:
-                scale = den.content()
-                if den.leading()[1] < 0:
-                    scale = -scale
-                num = num * (Fraction(1) / scale)
-                den = den * (Fraction(1) / scale)
+        num, den = normal_form(num, den, field.known_factors)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -167,7 +131,7 @@ class SymSqElem:
             if other.field is not self.field:
                 raise ValueError("elements of different symmetric squares")
             return other
-        return SymSqElem(self.field, _lift_poly(other))
+        return SymSqElem(self.field, other)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -209,6 +173,8 @@ class SymSqElem:
         return power(self, n, self.field.one())
 
     def __eq__(self, other):
+        if not isinstance(other, (SymSqElem, MPoly, int, Fraction)):
+            return NotImplemented
         o = self._lift(other)
         return (self.num * o.den - o.num * self.den).is_zero
 
@@ -231,14 +197,6 @@ class SymSqElem:
 
     def __repr__(self):
         return f"SymSqElem({self.num.to_str(max_terms=6)} / {self.den.to_str(max_terms=6)})"
-
-
-def _lift_poly(x):
-    if isinstance(x, MPoly):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return MPoly.const(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} into the field")
 
 
 # -- coordinate bridges ------------------------------------------------------

@@ -21,7 +21,7 @@ from functools import lru_cache
 from .curve import CurveParams
 from .derivations import make_derivation, psi1, psi2
 from .poly import MPoly
-from .report import ReportBuilder
+from .report import ReportBuilder, split_report
 from .symsq import SymSqField, abcd_to_xy
 from .verify_tables import pullback_u
 from .ratfun import RatFn
@@ -231,39 +231,22 @@ def verify_psi_intertwine(trans2_images=None):
 
 def split_psi_reports(report):
     """Partition the psi suite rows into the three advertised check ids."""
-    rows = dict(report.residuals)
-    groups = {
-        "psi-identity": [k for k in rows if k.startswith("psi2(")],
-        "eq-trans2": [k for k in rows if k.startswith("psi1(")],
-        "prop-6.3": [k for k in rows if "intertwine" in k],
-    }
-    from .report import VerifyReport
-    out = []
-    anchors = {
-        "psi-identity": "transfer map is a two-sided inverse",
-        "eq-trans2": "generator images of the transfer map",
-        "prop-6.3": "intertwining with the genus-2 derivations",
-    }
-    for cid, keys in groups.items():
-        rs = tuple((k, rows[k]) for k in keys)
-        status = "PASS" if all(v == "0" for _, v in rs) else "FAIL"
-        out.append(VerifyReport(cid, anchors[cid], status, rs,
-                                report.millis / 3))
-    return out
+    return split_report(report, (
+        ("psi-identity", "transfer map is a two-sided inverse",
+         lambda label: label.startswith("psi2(")),
+        ("eq-trans2", "generator images of the transfer map",
+         lambda label: label.startswith("psi1(")),
+        ("prop-6.3", "intertwining with the genus-2 derivations",
+         lambda label: "intertwine" in label),
+    ))
 
 
 def split_dkdv_equation_reports(report):
     """One report per hierarchy equation, with stable check ids."""
-    from .report import VerifyReport
-    out = []
-    for eq in ("first", "second", "third", "fourth"):
-        rs = tuple((lbl, v) for lbl, v in report.residuals
-                   if lbl.startswith(f"({eq})"))
-        status = "PASS" if all(v == "0" for _, v in rs) else "FAIL"
-        out.append(VerifyReport(f"thm-5.5-{eq}",
-                                f"deformed hierarchy, equation ({eq})",
-                                status, rs, report.millis / 4))
-    return out
+    return split_report(report, [
+        (f"thm-5.5-{eq}", f"deformed hierarchy, equation ({eq})",
+         lambda label, eq=eq: label.startswith(f"({eq})"))
+        for eq in ("first", "second", "third", "fourth")])
 
 
 def suite_dkdv():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +52,17 @@ class TestVerifyCommand:
         for expected in ("thm-3.1-I", "eq-seconddif", "thm-5.5-first",
                          "prop-6.5", "thm-8.1", "thm-A.1", "ex-A.1", "ex-A.3"):
             assert expected in ids
+
+    def test_verify_all_matches_golden(self, capsys):
+        # the committed report of the benchmark's certify workload; only
+        # millis may differ
+        golden = (Path(__file__).resolve().parents[1]
+                  / "perfbench" / "golden" / "verify_all.json")
+        assert run(["verify", "all"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for check in doc["checks"]:
+            check.pop("millis")
+        assert doc == json.loads(golden.read_text())
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(["verify", "nonsense"]) == 2

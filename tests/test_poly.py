@@ -72,6 +72,21 @@ class TestDivision:
         f = (a + b + 1) * (a * b - c + 2)
         assert f.exact_div(a + b + 1) == a * b - c + 2
 
+    @pytest.mark.parametrize("u, v", [("X1", "X2"), ("X2", "X1"), ("a", "b")])
+    @given(mpoly_strategy(var_names=("X1", "Y1", "X2", "a", "b"), max_terms=3),
+           mpoly_strategy(var_names=("X1", "Y1", "X2", "a", "b"), max_terms=2))
+    def test_difference_matches_long_division(self, u, v, f, r):
+        # exact_div sends u - v to divide_out_linear; long division is the
+        # reference, on a multiple of u - v and on a perturbed one
+        d = MPoly.var(u) - MPoly.var(v)
+        for p in (f * d, f * d + r):
+            got = p.exact_div(d)
+            pa, da = MPoly._align_pair(p, d)
+            want = pa._long_div(da)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got == want and got * d == p
+
 
 class TestWeightedDegree:
     def test_homogeneous_examples(self):

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 
 from conftest import mpoly_strategy
 from hekdv.curve import CurveParams, y_symbols
-from hekdv.errors import NotSymmetricError
+from hekdv.errors import NotSymmetricError, ZeroDenominatorError
 from hekdv.poly import (MPoly, eval_poly, standard_weights, variables,
                         weighted_degree)
+from hekdv.ratfun import RatFn
 from hekdv.symsq import SymSqField, abcd_to_xy, build_MN, xy_to_abcd
 
 X1, Y1, X2, Y2 = variables("X1", "Y1", "X2", "Y2")
@@ -53,6 +54,17 @@ class TestElemNormalization:
     def test_zero(self, symbolic_field3):
         z = symbolic_field3.elem(0)
         assert z.is_zero and z.den == MPoly.const(1)
+
+    def test_denominator_zero_after_reduction(self, symbolic_field3):
+        f = symbolic_field3
+        with pytest.raises(ZeroDenominatorError):
+            f.elem(1, Y1 ** 2 - f.Q1)
+
+    def test_equality_with_foreign_operands(self, symbolic_field3):
+        one = symbolic_field3.one()
+        assert not (one == None) and one != None  # noqa: E711
+        assert not (RatFn(1) == one) and RatFn(1) != one
+        assert one == 1 and not (one != 1)
 
 
 class TestBridges:

@@ -1,9 +1,12 @@
 import copy
 
+import pytest
+
 from hekdv.verify_hierarchy import (DEFAULT_EQ_COEFFS, suite_dkdv, suite_psi,
                                     verify_dkdv_equations, verify_kdv_reduction,
                                     verify_psi_intertwine, verify_seconddif,
-                                    split_dkdv_equation_reports)
+                                    split_dkdv_equation_reports,
+                                    split_psi_reports)
 
 
 def test_seconddif_passes():
@@ -33,6 +36,24 @@ def test_split_equation_reports():
     assert ids == ["thm-5.5-first", "thm-5.5-second",
                    "thm-5.5-third", "thm-5.5-fourth"]
     assert all(p.passed for p in parts)
+
+
+@pytest.mark.parametrize("check, split, ids", [
+    (verify_dkdv_equations, split_dkdv_equation_reports,
+     ["thm-5.5-first", "thm-5.5-second", "thm-5.5-third", "thm-5.5-fourth"]),
+    (verify_psi_intertwine, split_psi_reports,
+     ["psi-identity", "eq-trans2", "prop-6.3"]),
+])
+def test_split_millis_sum_to_joint_report(check, split, ids):
+    joint = check()
+    parts = split(joint)
+    assert [p.check_id for p in parts] == ids
+    assert tuple(row for p in parts for row in p.residuals) == joint.residuals
+    assert sum(p.millis for p in parts) == pytest.approx(joint.millis)
+    # each part is charged its own rows' times, not a share of the total
+    assert tuple(t for p in parts for t in p.row_millis) == joint.row_millis
+    for p in parts:
+        assert p.millis == pytest.approx(sum(p.row_millis)) and p.millis >= 0
 
 
 def test_kdv_reduction():
