@@ -1,51 +1,17 @@
 """Arithmetic in a quotient ring Q[q]/(m(q)) for a monic minimal polynomial m.
 
-Elements are coefficient vectors of length deg(m); inversion runs the
-extended Euclidean algorithm and reports a zero divisor when the element
-is not coprime to the modulus.
+Elements are coefficient vectors of length deg(m).  Products, reduction
+modulo m and the extended-Euclid inverse are the dense univariate routines
+of ``poly``; an element that is not coprime to the modulus has no inverse
+and raises ``ZeroDivisorError``.
 """
 
 from fractions import Fraction
 
 from .errors import ZeroDivisorError
-from .poly import power
+from .poly import dense_divmod, dense_inverse, dense_mul, power
 
-
-def _trim(v):
-    v = list(v)
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return _trim([x - y for x, y in zip(a, b)])
-
-
-def _poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv_lead = Fraction(1) / b[-1]
-    for k in range(len(a) - len(b), -1, -1):
-        coef = a[k + len(b) - 1] * inv_lead
-        if coef:
-            q[k] = coef
-            for j, y in enumerate(b):
-                a[k + j] -= coef * y
-    return _trim(q), _trim(a)
+_ZERO = Fraction(0)
 
 
 class AlgNum:
@@ -57,13 +23,10 @@ class AlgNum:
         minpoly = tuple(Fraction(c) for c in minpoly)
         if not minpoly or minpoly[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        deg = len(minpoly) - 1
-        vec = [Fraction(c) for c in vec]
-        if len(vec) >= len(minpoly):
-            _, vec = _poly_divmod(vec, list(minpoly))
-        vec = vec + [Fraction(0)] * (deg - len(vec))
+        _, vec = dense_divmod([Fraction(c) for c in vec], minpoly, _ZERO)
+        vec += [_ZERO] * (len(minpoly) - 1 - len(vec))
         object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "vec", tuple(vec[:deg]))
+        object.__setattr__(self, "vec", tuple(vec))
 
     def __setattr__(self, *_):
         raise AttributeError("AlgNum is immutable")
@@ -107,7 +70,7 @@ class AlgNum:
 
     def __mul__(self, other):
         o = self._lift(other)
-        return AlgNum(self.minpoly, _poly_mul(list(self.vec), list(o.vec)))
+        return AlgNum(self.minpoly, dense_mul(self.vec, o.vec, _ZERO))
 
     __rmul__ = __mul__
 
@@ -118,18 +81,11 @@ class AlgNum:
         """Extended-Euclid inverse modulo the minimal polynomial."""
         if self.is_zero:
             raise ZeroDivisorError("zero has no inverse in the quotient ring")
-        r0, r1 = list(self.minpoly), _trim(self.vec)
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        if len(r0) != 1:
+        inv = dense_inverse(self.vec, self.minpoly, _ZERO)
+        if inv is None:
             raise ZeroDivisorError(
                 "element shares a factor with the modulus; not invertible")
-        scale = Fraction(1) / r0[0]
-        return AlgNum(self.minpoly, [c * scale for c in s0])
+        return AlgNum(self.minpoly, inv)
 
     def __truediv__(self, other):
         return self * self._lift(other).inverse()

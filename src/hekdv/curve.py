@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, ModeError
-from .poly import MPoly
+from .poly import MPoly, dense_divmod
 
 
 def y_symbols(genus):
@@ -124,47 +124,23 @@ def _univ_coeffs(p, xvar):
 
 
 def sylvester_resultant(p, q, xvar="X1"):
-    """Exact resultant of two univariate polynomials via the Sylvester matrix."""
+    """Exact resultant (Sylvester determinant) of two univariate polynomials.
+
+    Euclid's recurrence res(a, b) = (-1)^(mn) lc(b)^(m-k) res(b, a mod b),
+    m, n, k the degrees of a, b, a mod b, ends at res(a, c) = c^m; the zero
+    polynomial counts as degree 0, as in the Sylvester matrix.
+    """
     a = _univ_coeffs(p, xvar)
     b = _univ_coeffs(q, xvar)
-    m, n = len(a) - 1, len(b) - 1
-    if m < 0 or n < 0:
-        return Fraction(0)
-    size = m + n
-    if size == 0:
-        return Fraction(1)
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(a)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [Fraction(0)] * size
-        for j, c in enumerate(reversed(b)):
-            row[i + j] = c
-        rows.append(row)
-    # fraction-free-ish Gaussian elimination (sizes here are at most 13x13)
-    det = Fraction(1)
-    for col in range(size):
-        pivot = None
-        for r in range(col, size):
-            if rows[r][col]:
-                pivot = r
-                break
-        if pivot is None:
+    res = Fraction(1)
+    while len(b) > 1:
+        _, r = dense_divmod(a, b, Fraction(0))
+        if not r:
             return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for r in range(col + 1, size):
-            if rows[r][col]:
-                factor = rows[r][col] * inv
-                for cc in range(col, size):
-                    rows[r][cc] -= factor * rows[col][cc]
-    return det
+        m, n, k = len(a) - 1, len(b) - 1, len(r) - 1
+        res *= (-1) ** (m * n) * b[-1] ** (m - k)
+        a, b = b, r
+    return res * b[0] ** (len(a) - 1)
 
 
 def in_Bg(params):

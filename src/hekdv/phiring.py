@@ -11,6 +11,8 @@ the pipeline is therefore a rational multiple of a power of sigma_1(phi);
 fractions carry that power explicitly and every equality is certified
 fraction-free by cross-multiplication in the ring.
 
+Products and the reduction modulo the monic sextic are the dense
+univariate routines of ``poly`` over MPoly coefficients.
 Division by ring elements is never performed.
 """
 
@@ -19,16 +21,17 @@ from functools import lru_cache
 
 from .algnum import AlgNum
 from .errors import ConfigError
-from .poly import MPoly, eval_poly, power, variables
+from .poly import MPoly, dense_divmod, dense_mul, eval_poly, power, variables
 from .ratlimit import sigma_rational
 from .report import ReportBuilder
 from .series import PSeries, newton_solve
 
 w3, w5, phi_var, t_var = variables("w3", "w5", "phi", "t")
 
-_W3 = w3
-_W3SQ = w3 * w3
-_W5 = w5
+_ZERO = MPoly.zero()
+# the sextic's coefficients in phi, constant term first
+_SEXTIC = (-45 * w3 ** 2, 45 * w5, _ZERO, -15 * w3, _ZERO, _ZERO,
+           MPoly.const(1))
 
 
 class PhiRingElem:
@@ -39,9 +42,8 @@ class PhiRingElem:
     def __init__(self, coeffs):
         coeffs = list(coeffs)
         if len(coeffs) > 6:
-            coeffs = _reduce_list(coeffs)
-        while len(coeffs) < 6:
-            coeffs.append(MPoly.zero())
+            _, coeffs = dense_divmod(coeffs, _SEXTIC, _ZERO)
+        coeffs += [_ZERO] * (6 - len(coeffs))
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
     def __setattr__(self, *_):
@@ -50,9 +52,8 @@ class PhiRingElem:
     @staticmethod
     def from_mpoly(p):
         """Split a polynomial in (phi, w3, w5) by phi-degree and reduce."""
-        parts = p.coeffs_in("phi")
-        coeffs = [MPoly.zero()] * (p.degree_in("phi") + 1)
-        for e, c in parts.items():
+        coeffs = [_ZERO] * (p.degree_in("phi") + 1)
+        for e, c in p.coeffs_in("phi").items():
             coeffs[e] = c.pruned()
         return PhiRingElem(coeffs)
 
@@ -60,13 +61,23 @@ class PhiRingElem:
     def const(c):
         return PhiRingElem([MPoly.const(c)])
 
+    @staticmethod
+    def _lift(other):
+        if isinstance(other, PhiRingElem):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return PhiRingElem.const(other)
+        if isinstance(other, MPoly):
+            return PhiRingElem.from_mpoly(other)
+        raise TypeError(
+            f"cannot combine a ring element with {type(other).__name__}")
+
     @property
     def is_zero(self):
         return all(c.is_zero for c in self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PhiRingElem.const(other)
+        other = self._lift(other)
         return PhiRingElem([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
@@ -75,24 +86,16 @@ class PhiRingElem:
         return PhiRingElem([-a for a in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PhiRingElem.const(other)
-        return self + (-other)
+        return self + (-self._lift(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, MPoly)):
+        if isinstance(other, (int, Fraction)):
             return PhiRingElem([a * other for a in self.coeffs])
-        out = [MPoly.zero()] * 11
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return PhiRingElem(out)
+        other = self._lift(other)
+        return PhiRingElem(dense_mul(self.coeffs, other.coeffs, _ZERO))
 
     __rmul__ = __mul__
 
@@ -100,8 +103,10 @@ class PhiRingElem:
         return power(self, n, PhiRingElem.const(1))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PhiRingElem.const(other)
+        try:
+            other = self._lift(other)
+        except TypeError:
+            return NotImplemented
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     def d_w(self, name):
@@ -123,31 +128,14 @@ class PhiRingElem:
     __repr__ = __str__
 
 
-def _reduce_list(coeffs):
-    """Rewrite phi^k (k >= 6) via the sextic, highest degree first."""
-    coeffs = list(coeffs)
-    for k in range(len(coeffs) - 1, 5, -1):
-        c = coeffs[k]
-        if c.is_zero:
-            continue
-        coeffs[k] = MPoly.zero()
-        coeffs[k - 3] = coeffs[k - 3] + c * _W3 * 15
-        coeffs[k - 6] = coeffs[k - 6] + c * _W3SQ * 45
-        coeffs[k - 5] = coeffs[k - 5] - c * _W5 * 45
-    return coeffs[:6]
-
-
 def phi_reduce(p):
     """Canonical degree-<6 remainder of a polynomial in phi modulo the sextic."""
-    if isinstance(p, MPoly):
-        return PhiRingElem.from_mpoly(p)
-    return PhiRingElem(list(p.coeffs))
+    return PhiRingElem._lift(p)
 
 
 def sextic_relation():
     """The defining relation as a polynomial in (phi, w3, w5)."""
-    return (phi_var ** 6 - 15 * phi_var ** 3 * w3 - 45 * w3 ** 2
-            + 45 * phi_var * w5)
+    return sum((c * phi_var ** k for k, c in enumerate(_SEXTIC)), _ZERO)
 
 
 @lru_cache(maxsize=None)
@@ -170,11 +158,7 @@ class PhiFrac:
     __slots__ = ("num", "k")
 
     def __init__(self, num, k=0):
-        if isinstance(num, (int, Fraction)):
-            num = PhiRingElem.const(num)
-        elif isinstance(num, MPoly):
-            num = PhiRingElem.from_mpoly(num)
-        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "num", PhiRingElem._lift(num))
         object.__setattr__(self, "k", k)
 
     def __setattr__(self, *_):

@@ -11,10 +11,16 @@ polynomial only through ``MPoly.coeffs_in`` (the coefficients of the powers
 of one variable), ``MPoly.monomials`` (each term as its nonzero
 (variable, exponent) pairs and coefficient), the structural queries, and
 ``eval_poly``/``MPoly.subst``, so the storage can change without them.
+
+The ``dense_*`` routines are the one dense univariate arithmetic: lists of
+coefficients, constant term first, over Fractions or MPolys (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 2-3 and 6).
 """
 
 import os
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
 from math import gcd, lcm
 
 from .errors import ConfigError, MemoryCapExceeded
@@ -291,9 +297,9 @@ class MPoly:
         p, q = MPoly._align_pair(self, other)
         if len(p.terms) < len(q.terms):
             p, q = q, p
-        cap = _mem_cap_product_terms()
+        # the cap is at least 1 term, so a one-term product skips the lookup
         projected = len(p.terms) * len(q.terms)
-        if cap is not None and projected > cap:
+        if projected > 1 and projected > _mem_cap_product_terms():
             raise MemoryCapExceeded(
                 f"product would allocate ~{projected} terms, above the "
                 f"HEKDV_MEM_CAP_MB limit; raise the cap to proceed")
@@ -557,6 +563,63 @@ def power(base, n, one):
     return one if result is None else result
 
 
+def dense_trim(v):
+    """Copy of the coefficient list ``v`` without trailing zeros."""
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return v
+
+
+def dense_mul(a, b, zero, n=None):
+    """Trimmed product a*b, cut to its first ``n`` coefficients if given."""
+    n = len(a) + len(b) - 1 if n is None else n
+    out = [zero] * max(n, 0)
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return dense_trim(out)
+
+
+def dense_divmod(a, b, zero):
+    """Trimmed (q, r) with a = q*b + r and len(r) < len(b); b trimmed, b != 0.
+
+    A leading coefficient 1 is never divided by, so a monic b works over MPoly.
+    """
+    a = list(a)
+    d = len(b) - 1
+    monic = b[-1] == 1
+    low = [(j, y) for j, y in enumerate(b[:d]) if y]
+    q = [zero] * max(0, len(a) - d)
+    for k in range(len(a) - 1 - d, -1, -1):
+        c = a[k + d]
+        if c:
+            q[k] = c = c if monic else c / b[-1]
+            for j, y in low:
+                a[k + j] = a[k + j] - c * y
+    return dense_trim(q), dense_trim(a[:d])
+
+
+def dense_inverse(a, m, zero):
+    """s with a*s = 1 modulo m, by extended Euclid over a field.
+
+    None when a and m have a common factor (a = 0 included).
+    """
+    r0, r1 = dense_trim(m), dense_trim(a)
+    s0, s1 = [], [zero + 1]
+    while r1:
+        q, r = dense_divmod(r0, r1, zero)
+        qs = dense_mul(q, s1, zero)
+        r0, r1 = r1, r
+        s0, s1 = s1, dense_trim(
+            x - y for x, y in zip_longest(s0, qs, fillvalue=zero))
+    if len(r0) != 1:
+        return None
+    return [c / r0[0] for c in s0]
+
+
 def eval_poly(p, mapping, one):
     """Evaluate polynomial `p` in any commutative ring.
 
@@ -568,18 +631,10 @@ def eval_poly(p, mapping, one):
     missing = p.variables_used() - set(mapping)
     if missing:
         raise ConfigError(f"eval_poly: unmapped variables {sorted(missing)}")
-    power_cache = {}
 
+    @lru_cache(maxsize=None)
     def cached_power(v, e):
-        key = (v, e)
-        got = power_cache.get(key)
-        if got is None:
-            base = mapping[v]
-            got = base
-            for _ in range(e - 1):
-                got = got * base
-            power_cache[key] = got
-        return got
+        return power(mapping[v], e, one)
 
     total = None
     for expo, c in p.terms.items():

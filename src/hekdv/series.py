@@ -1,9 +1,14 @@
-"""Truncated univariate power series over exact rationals, with Newton lifting."""
+"""Truncated univariate power series over exact rationals, with Newton lifting.
+
+A product is the dense product of ``poly`` cut after the smaller order.  The
+inverse solves its coefficient recurrence, which is faster here than an
+extended-Euclid inverse modulo t^(order+1).
+"""
 
 from fractions import Fraction
 
 from .errors import SingularExpansionError
-from .poly import eval_poly, power
+from .poly import dense_mul, eval_poly, power
 
 
 class PSeries:
@@ -47,9 +52,17 @@ class PSeries:
                 return i
         return self.order + 1
 
-    def _binop(self, other, op):
+    def _lift(self, other):
+        if isinstance(other, PSeries):
+            if other.variable != self.variable:
+                raise ValueError("series in different variables do not mix")
+            return other
         if isinstance(other, (int, Fraction)):
-            other = PSeries(self.variable, [other], self.order)
+            return PSeries(self.variable, [other], self.order)
+        raise TypeError(f"cannot combine a series with {type(other).__name__}")
+
+    def _binop(self, other, op):
+        other = self._lift(other)
         n = min(self.order, other.order)
         return PSeries(self.variable,
                        [op(self[k], other[k]) for k in range(n + 1)], n)
@@ -69,18 +82,9 @@ class PSeries:
         return PSeries(self.variable, [-c for c in self.coeffs], self.order)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PSeries(self.variable, [c * other for c in self.coeffs],
-                           self.order)
+        other = self._lift(other)
         n = min(self.order, other.order)
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a and i <= n:
-                for j, b in enumerate(other.coeffs):
-                    if i + j > n:
-                        break
-                    if b:
-                        out[i + j] += a * b
+        out = dense_mul(self.coeffs, other.coeffs, Fraction(0), n + 1)
         return PSeries(self.variable, out, n)
 
     __rmul__ = __mul__
@@ -103,12 +107,12 @@ class PSeries:
         return PSeries(self.variable, out, self.order)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return self * other.inverse()
+        return self * self._lift(other).inverse()
 
     def __eq__(self, other):
-        if not isinstance(other, PSeries):
+        try:
+            other = self._lift(other)
+        except TypeError:
             return NotImplemented
         n = min(self.order, other.order)
         return all(self[k] == other[k] for k in range(n + 1))

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hekdv
 from hekdv import cli
 from hekdv.cli import run
 from hekdv.report import emit_report, report_json
@@ -152,6 +156,24 @@ class TestExitCodes:
         monkeypatch.setitem(cli.SUITES, "bm", boom)
         assert run(["verify", "bm"]) == 1
         assert "internal error: ValueError" in capsys.readouterr().err
+
+
+class TestMalformedMemCap:
+    """A malformed HEKDV_MEM_CAP_MB is a usage error, also at import time."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "integrals"],
+        ["simulate", "--flow", "I", "--t-end", "0.01"],
+    ])
+    def test_exits_two_without_traceback(self, argv):
+        src = str(Path(hekdv.__file__).resolve().parents[1])
+        env = {**os.environ, "HEKDV_MEM_CAP_MB": "abc", "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "hekdv.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert "error: HEKDV_MEM_CAP_MB='abc' is not a number" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 class TestReportHelpers:

@@ -1,0 +1,243 @@
+"""Independent oracles: sympy re-decides what the dense univariate routines
+of ``poly`` compute, and the code they replaced is kept here as a reference.
+
+Resultants are checked against the determinant of the Sylvester matrix, not
+against ``sympy.resultant``: sympy 1.14 returns 5 for X^3 - X + 1 and
+X^5 + 2, where the Sylvester determinant and the product over the roots
+both give -5.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from conftest import mpoly_strategy, small_fractions
+from hekdv.curve import sylvester_resultant
+from hekdv.phiring import MINPOLY_Q, PhiRingElem, sextic_relation
+from hekdv.poly import MPoly, dense_divmod, dense_inverse, dense_mul, dense_trim
+from hekdv.series import PSeries
+
+sympy = pytest.importorskip("sympy")
+
+F = Fraction
+X = sympy.Symbol("X")
+ZERO = F(0)
+
+coeff_lists = st.lists(small_fractions, max_size=7)
+nonzero_lists = coeff_lists.map(dense_trim).filter(bool)
+
+
+def to_sympy(v):
+    """Dense Fraction list (constant first) as a sympy polynomial in X."""
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(v)] or [0], X, domain="QQ")
+
+
+def from_sympy(p):
+    return dense_trim(F(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+def mpoly_to_sympy(p):
+    out = sympy.Integer(0)
+    for mono, c in p.monomials():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for v, e in mono:
+            term *= sympy.Symbol(v) ** e
+        out += term
+    return out
+
+
+# sympy is slow per call; fewer examples keep this file near 1.5 s
+oracle_settings = settings(max_examples=10)
+
+
+class TestDenseAgainstSympy:
+    @oracle_settings
+    @given(coeff_lists, coeff_lists, st.integers(0, 10))
+    def test_mul_and_cut_mul(self, a, b, n):
+        full = from_sympy(to_sympy(a) * to_sympy(b))
+        assert dense_mul(a, b, ZERO) == full
+        assert dense_mul(a, b, ZERO, n) == dense_trim(full[:n])
+
+    @oracle_settings
+    @given(coeff_lists, nonzero_lists)
+    def test_divmod(self, a, b):
+        q, r = sympy.div(to_sympy(a), to_sympy(b))
+        assert dense_divmod(a, b, ZERO) == (from_sympy(q), from_sympy(r))
+
+    @oracle_settings
+    @given(st.lists(small_fractions, max_size=6))
+    def test_inverse_modulo_minpoly(self, a):
+        assume(any(a))
+        want = sympy.invert(to_sympy(a), to_sympy(MINPOLY_Q))
+        assert dense_inverse(a, MINPOLY_Q, ZERO) == from_sympy(want)
+
+    @oracle_settings
+    @given(nonzero_lists, nonzero_lists)
+    def test_inverse_or_common_factor(self, m, a):
+        m = m + [F(1)]          # monic of degree >= 1
+        a = a[:len(m) - 1]
+        try:
+            want = from_sympy(sympy.invert(to_sympy(a), to_sympy(m)))
+        except sympy.polys.polyerrors.NotInvertible:
+            want = None
+        assert dense_inverse(a, m, ZERO) == want
+
+    @pytest.mark.parametrize("a, m", [
+        ([], [F(-1), ZERO, F(1)]),
+        ([F(-1), F(1)], [F(-1), ZERO, F(1)]),
+        ([F(2), F(3), F(1)], [F(2), F(2), ZERO, F(1), F(1)]),
+    ])
+    def test_common_factor_has_no_inverse(self, a, m):
+        with pytest.raises(sympy.polys.polyerrors.NotInvertible):
+            sympy.invert(to_sympy(a), to_sympy(m))
+        assert dense_inverse(a, m, ZERO) is None
+
+
+phi_w_polys = mpoly_strategy(("w3", "w5", "phi"), max_terms=3, max_exp=5)
+
+
+class TestPhiRingAgainstSympy:
+    @staticmethod
+    def as_sympy(x):
+        phi = sympy.Symbol("phi")
+        return sum((mpoly_to_sympy(c) * phi ** k
+                    for k, c in enumerate(x.coeffs)), sympy.Integer(0))
+
+    @oracle_settings
+    @given(phi_w_polys, phi_w_polys)
+    def test_product_is_remainder_by_sextic(self, f, g):
+        phi = sympy.Symbol("phi")
+        want = sympy.rem(mpoly_to_sympy(f * g), mpoly_to_sympy(sextic_relation()),
+                         phi)
+        got = PhiRingElem.from_mpoly(f) * PhiRingElem.from_mpoly(g)
+        assert sympy.expand(self.as_sympy(got) - want) == 0
+
+
+# -- the code the dense routines replaced, kept verbatim as references ------
+
+def _sylvester_elimination(p, q, xvar="X1"):
+    from hekdv.curve import _univ_coeffs
+    a = _univ_coeffs(p, xvar)
+    b = _univ_coeffs(q, xvar)
+    m, n = len(a) - 1, len(b) - 1
+    if m < 0 or n < 0:
+        return Fraction(0)
+    size = m + n
+    if size == 0:
+        return Fraction(1)
+    rows = []
+    for i in range(n):
+        row = [Fraction(0)] * size
+        for j, c in enumerate(reversed(a)):
+            row[i + j] = c
+        rows.append(row)
+    for i in range(m):
+        row = [Fraction(0)] * size
+        for j, c in enumerate(reversed(b)):
+            row[i + j] = c
+        rows.append(row)
+    # fraction-free-ish Gaussian elimination (sizes here are at most 13x13)
+    det = Fraction(1)
+    for col in range(size):
+        pivot = None
+        for r in range(col, size):
+            if rows[r][col]:
+                pivot = r
+                break
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            rows[col], rows[pivot] = rows[pivot], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = Fraction(1) / rows[col][col]
+        for r in range(col + 1, size):
+            if rows[r][col]:
+                factor = rows[r][col] * inv
+                for cc in range(col, size):
+                    rows[r][cc] -= factor * rows[col][cc]
+    return det
+
+
+_W3 = MPoly.var("w3")
+_W3SQ = _W3 * _W3
+_W5 = MPoly.var("w5")
+
+
+def _reduce_list(coeffs):
+    """Rewrite phi^k (k >= 6) via the sextic, highest degree first."""
+    coeffs = list(coeffs)
+    for k in range(len(coeffs) - 1, 5, -1):
+        c = coeffs[k]
+        if c.is_zero:
+            continue
+        coeffs[k] = MPoly.zero()
+        coeffs[k - 3] = coeffs[k - 3] + c * _W3 * 15
+        coeffs[k - 6] = coeffs[k - 6] + c * _W3SQ * 45
+        coeffs[k - 5] = coeffs[k - 5] - c * _W5 * 45
+    return coeffs[:6]
+
+
+def _series_loop(self, other):
+    n = min(self.order, other.order)
+    out = [Fraction(0)] * (n + 1)
+    for i, a in enumerate(self.coeffs):
+        if a and i <= n:
+            for j, b in enumerate(other.coeffs):
+                if i + j > n:
+                    break
+                if b:
+                    out[i + j] += a * b
+    return PSeries(self.variable, out, n)
+
+
+def x_poly(coeffs):
+    x = MPoly.var("X1")
+    return sum((c * x ** k for k, c in enumerate(coeffs)), MPoly.zero())
+
+
+def sylvester_det(a, b):
+    """Determinant of the Sylvester matrix, by sympy (zero counts as degree 0)."""
+    a = [sympy.Rational(c.numerator, c.denominator) for c in reversed(a or [ZERO])]
+    b = [sympy.Rational(c.numerator, c.denominator) for c in reversed(b or [ZERO])]
+    m, n = len(a) - 1, len(b) - 1
+    rows = ([[0] * i + a + [0] * (n - 1 - i) for i in range(n)]
+            + [[0] * i + b + [0] * (m - 1 - i) for i in range(m)])
+    det = sympy.Matrix(rows).det() if rows else sympy.Integer(1)
+    return F(int(det.p), int(det.q))
+
+
+class TestAgainstReplacedCode:
+    @oracle_settings
+    @given(coeff_lists, coeff_lists, coeff_lists)
+    def test_resultant_matches_sylvester(self, a, b, g):
+        a, b = dense_trim(a), dense_trim(b)
+        p, q = x_poly(a), x_poly(b)
+        want = _sylvester_elimination(p, q)
+        assert sylvester_resultant(p, q) == want == sylvester_det(a, b)
+        # a common factor makes the resultant vanish
+        if len(dense_trim(g)) > 1 and a and b:
+            pg, qg = x_poly(dense_mul(a, g, ZERO)), x_poly(dense_mul(b, g, ZERO))
+            assert sylvester_resultant(pg, qg) == 0 == _sylvester_elimination(pg, qg)
+
+    def test_resultant_sign_with_both_degrees_odd(self):
+        x = MPoly.var("X1")
+        p, q = x ** 3 - x + 1, x ** 5 + 2
+        assert sylvester_resultant(p, q) == -5 == _sylvester_elimination(p, q)
+        assert sylvester_resultant(q, p) == 5
+
+    @oracle_settings
+    @given(st.lists(mpoly_strategy(("w3", "w5"), max_terms=2, max_exp=2),
+                    min_size=6, max_size=12))
+    def test_reduction_matches_reduce_list(self, coeffs):
+        got = PhiRingElem(coeffs).coeffs
+        assert list(got) == _reduce_list(coeffs)
+
+    @oracle_settings
+    @given(coeff_lists, coeff_lists, st.integers(0, 9), st.integers(0, 9))
+    def test_series_product_matches_loop(self, a, b, m, n):
+        s, t = PSeries("t", a, m), PSeries("t", b, n)
+        got, want = s * t, _series_loop(s, t)
+        assert got.order == want.order and got.coeffs == want.coeffs

@@ -39,6 +39,26 @@ class TestRing:
         assert p * q == phi_reduce(phi ** 6)
 
 
+class TestCoercion:
+    def test_mpoly_factor_is_a_ring_element(self):
+        assert PhiRingElem.from_mpoly(phi ** 5) * phi == phi_reduce(phi ** 6)
+        assert phi * PhiRingElem.from_mpoly(phi ** 5) == phi_reduce(phi ** 6)
+
+    def test_mpoly_sum_difference_and_equality(self):
+        x = PhiRingElem.from_mpoly(phi ** 5 + w3)
+        assert x + phi ** 6 == phi_reduce(phi ** 5 + w3 + phi ** 6)
+        assert x - phi ** 6 == phi_reduce(phi ** 5 + w3 - phi ** 6)
+        assert phi ** 6 - x == phi_reduce(phi ** 6 - phi ** 5 - w3)
+        assert phi_reduce(phi ** 6) == phi ** 6
+        assert phi_reduce(phi ** 6) != phi ** 6 + 1
+
+    def test_foreign_operands_compare_unequal(self):
+        assert (PhiRingElem.const(1) == None) is False  # noqa: E711
+        assert PhiRingElem.const(1) != "1"
+        with pytest.raises(TypeError):
+            PhiRingElem.const(1) + "1"
+
+
 class TestSolutionComponents:
     def test_printed_forms_certify(self):
         report = verify_appendix_forms()

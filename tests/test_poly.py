@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -284,3 +287,21 @@ def test_representation_stays_in_poly():
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert not hits, "\n".join(hits)
+
+
+def test_tracer_finds_every_target():
+    """The benchmark's tracer looks each target up in its class's own body.
+
+    It runs in a child process because ``install`` wraps the classes for
+    good.
+    """
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(hekdv.poly.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tracer; "
+            "print(tracer.install().missing)")
+    done = subprocess.run([sys.executable, "-c", code,
+                           str(root / "perfbench")],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

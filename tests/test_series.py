@@ -37,6 +37,30 @@ class TestPSeries:
         assert (s + (-s)).is_zero
 
 
+class TestCoercion:
+    def test_equal_to_scalars(self):
+        assert PSeries("t", [0], 2) == 0
+        assert PSeries("t", [F(3, 2)], 2) == F(3, 2)
+        assert PSeries("t", [1, 1], 2) != 1
+
+    def test_different_variables_do_not_mix(self):
+        s, x = PSeries("t", [1, 1], 3), PSeries("x", [1, 1], 3)
+        for op in (lambda: s + x, lambda: s - x, lambda: s * x,
+                   lambda: s / x, lambda: s == x):
+            with pytest.raises(ValueError):
+                op()
+
+    def test_foreign_operands(self):
+        s = PSeries("t", [1], 2)
+        assert (s == None) is False  # noqa: E711
+        assert s != "1"
+        with pytest.raises(TypeError):
+            s * "1"
+
+    def test_scalar_division(self):
+        assert PSeries("t", [2, 4], 3) / 2 == PSeries("t", [1, 2], 3)
+
+
 class TestNewton:
     def test_printed_branch(self):
         seed = PSeries("t", [0, 0, 1], 2)
