@@ -54,7 +54,7 @@ class PhiRingElem:
         """Split a polynomial in (phi, w3, w5) by phi-degree and reduce."""
         coeffs = [_ZERO] * (p.degree_in("phi") + 1)
         for e, c in p.coeffs_in("phi").items():
-            coeffs[e] = c.pruned()
+            coeffs[e] = c
         return PhiRingElem(coeffs)
 
     @staticmethod
@@ -205,6 +205,10 @@ class PhiFrac:
         return PhiFrac(self.num ** n, self.k * n)
 
     def __eq__(self, other):
+        try:
+            other = other if isinstance(other, PhiFrac) else PhiFrac(other)
+        except TypeError:
+            return NotImplemented
         a, b, _ = self._match(other)
         return (a - b).is_zero
 
@@ -439,6 +443,10 @@ class ThetaVal:
         return ThetaVal(self.coeff ** n, self.exp * n)
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = ThetaVal(other)
+        if not isinstance(other, ThetaVal):
+            return NotImplemented
         if self.is_zero and other.is_zero:
             return True
         return self.coeff == other.coeff and self.exp == other.exp

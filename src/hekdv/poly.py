@@ -1,10 +1,16 @@
 """Sparse multivariate polynomials over arbitrary-precision rationals.
 
-A polynomial is a map from exponent vectors to nonzero ``Fraction``
-coefficients, together with an ordered tuple of variable names.  All
-variable tuples are subsequences of one fixed global symbol order, so
-every polynomial has a deterministic leading term and two polynomials in
-different variable subsets can always be aligned.
+A polynomial is a map from monomials to nonzero ``Fraction`` coefficients.
+A monomial is one int over the fixed global symbol order: the exponent of
+``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
+the highest field, so comparing two monomials as ints compares them in the
+lexicographic term order, and multiplying them is one int addition.  The
+top bit of each field is a guard (Monagan & Pearce, "Sparse polynomial
+division using a heap", JSC 46(7), 2011): exponents stay at most
+``MAX_EXPONENT``, so a sum of two monomials can reach a guard bit but
+never carry into the next field, and every sum is checked for it.  A
+monomial divides another when subtracting it from the dividend with all
+guard bits set leaves every guard bit set.
 
 This representation is private to this module: other modules read a
 polynomial only through ``MPoly.coeffs_in`` (the coefficients of the powers
@@ -19,9 +25,10 @@ Gathen & Gerhard, Modern Computer Algebra, ch. 2-3 and 6).
 
 import os
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import zip_longest
 from math import gcd, lcm
+from operator import or_
 
 from .errors import ConfigError, MemoryCapExceeded
 
@@ -37,7 +44,75 @@ SYMBOL_ORDER = (
     "y4", "y6", "y8", "y10", "y12", "y14",
     "x", "t", "tau", "theta",
 )
-_RANK = {name: i for i, name in enumerate(SYMBOL_ORDER)}
+
+# Monomial packing: field k (counted from the lowest bits) holds the
+# exponent of SYMBOL_ORDER[-1 - k]; its top bit is the guard.
+_WIDTH = 16
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
+_FIELD_NAME = SYMBOL_ORDER[::-1]
+_SHIFT = {name: _WIDTH * k for k, name in enumerate(_FIELD_NAME)}
+_GUARD = sum(1 << (shift + _WIDTH - 1) for shift in _SHIFT.values())
+_VARIABLE = {1 << shift: name for name, shift in _SHIFT.items()}
+
+
+def _shift(name):
+    try:
+        return _SHIFT[name]
+    except KeyError:
+        raise ConfigError(f"unknown symbol {name!r}; extend SYMBOL_ORDER") from None
+
+
+def _exponents(m):
+    """Yield the nonzero (name, exponent) pairs of monomial m in symbol order."""
+    while m:
+        field = (m.bit_length() - 1) // _WIDTH
+        e = m >> (field * _WIDTH)
+        yield _FIELD_NAME[field], e
+        m -= e << (field * _WIDTH)
+
+
+def _pack(pairs):
+    """The monomial of (name, exponent) pairs, each exponent in range."""
+    m = 0
+    for name, e in pairs:
+        if e < 0:
+            raise ValueError("negative powers are not polynomials")
+        if e > MAX_EXPONENT:
+            raise OverflowError(f"exponent of {name} exceeds {MAX_EXPONENT}")
+        m += e << _shift(name)
+    return m
+
+
+def _checked(monomials):
+    """``monomials``, after checking that no sum of two reached a guard bit."""
+    over = reduce(or_, monomials, 0) & _GUARD
+    if over:
+        field = (over.bit_length() - 1) // _WIDTH
+        raise OverflowError(
+            f"exponent of {_FIELD_NAME[field]} exceeds {MAX_EXPONENT}")
+    return monomials
+
+
+def _sum(a, b):
+    """The term dict of a + b: a's monomials first, then b's new ones."""
+    terms = dict(a)
+    for m, c in b.items():
+        acc = terms.get(m)
+        if acc is None:
+            terms[m] = c
+        else:
+            acc = acc + c
+            if acc:
+                terms[m] = acc
+            else:
+                del terms[m]
+    return terms
+
+
+def _quotient(m, d):
+    """Monomial m / d, or None when an exponent would go negative."""
+    q = (m | _GUARD) - d
+    return q - _GUARD if q & _GUARD == _GUARD else None
 
 
 def _as_fraction(c):
@@ -56,9 +131,9 @@ DEFAULT_MEM_CAP_MB = 1024.0
 def _mem_cap_product_terms():
     """Translate HEKDV_MEM_CAP_MB into a rough cap on product-term count.
 
-    A stored term costs on the order of 200 bytes (tuple + Fraction + dict
-    slot); the estimate is deliberately crude but monotone.  Unset means
-    the 1 GiB default.
+    A stored term costs on the order of 200 bytes (monomial int + Fraction
+    + dict slot); the estimate is deliberately crude but monotone.  Unset
+    means the 1 GiB default.
     """
     cap_mb = os.environ.get("HEKDV_MEM_CAP_MB")
     if cap_mb is None:
@@ -71,22 +146,14 @@ def _mem_cap_product_terms():
     return max(1, int(cap * 1_000_000 / 200))
 
 
-def merge_vars(va, vb):
-    """Union of two ordered variable tuples, in global-order position."""
-    if va == vb:
-        return va
-    return tuple(sorted(set(va) | set(vb), key=_RANK.__getitem__))
-
-
 class MPoly:
     """Immutable sparse multivariate polynomial with Fraction coefficients."""
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, vars, terms):
+    def __init__(self, terms):
         # Trusted constructor: `terms` must already be free of zero
-        # coefficients and keyed by exponent tuples of matching length.
-        object.__setattr__(self, "vars", tuple(vars))
+        # coefficients and keyed by in-range monomials.
         object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *_):
@@ -96,37 +163,33 @@ class MPoly:
 
     @staticmethod
     def zero():
-        return MPoly((), {})
+        return MPoly({})
 
     @staticmethod
     def const(c):
         c = _as_fraction(c)
-        return MPoly((), {(): c} if c else {})
+        return MPoly({0: c} if c else {})
 
     @staticmethod
     def var(name, power=1):
-        if name not in _RANK:
-            raise ConfigError(f"unknown symbol {name!r}; extend SYMBOL_ORDER")
-        if power < 0:
-            raise ValueError("negative powers are not polynomials")
-        if power == 0:
-            return MPoly.const(1)
-        return MPoly((name,), {(power,): Fraction(1)})
+        return MPoly({_pack([(name, power)]): Fraction(1)})
 
     @staticmethod
     def from_terms(vars, term_map):
+        """Sum of c * prod(v^e for v, e in zip(vars, expo)) over ``term_map``.
+
+        Every name in ``vars`` must be a known symbol, in any order.
+        """
         vars = tuple(vars)
         for v in vars:
-            if v not in _RANK:
-                raise ConfigError(f"unknown symbol {v!r}")
-        if list(vars) != sorted(vars, key=_RANK.__getitem__):
-            raise ConfigError("variables must follow the global symbol order")
+            _shift(v)
         terms = {}
         for expo, c in term_map.items():
             c = _as_fraction(c)
             if c:
-                terms[tuple(expo)] = terms.get(tuple(expo), Fraction(0)) + c
-        return MPoly(vars, {e: c for e, c in terms.items() if c})
+                m = _pack(zip(vars, expo))
+                terms[m] = terms.get(m, 0) + c
+        return MPoly(_checked({m: c for m, c in terms.items() if c}))
 
     # -- structural queries -------------------------------------------
 
@@ -141,26 +204,15 @@ class MPoly:
         return len(self.terms)
 
     def variables_used(self):
-        used = set()
-        for expo in self.terms:
-            for v, e in zip(self.vars, expo):
-                if e:
-                    used.add(v)
-        return used
+        return {v for v, _ in _exponents(reduce(or_, self.terms, 0))}
 
     def degree_in(self, name):
-        if name not in self.vars or not self.terms:
-            return 0
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
+        shift = _shift(name)
+        return max(((m >> shift) & MAX_EXPONENT for m in self.terms), default=0)
 
     def min_degree_in(self, name):
-        if not self.terms:
-            return 0
-        if name not in self.vars:
-            return 0
-        i = self.vars.index(name)
-        return min(e[i] for e in self.terms)
+        shift = _shift(name)
+        return min(((m >> shift) & MAX_EXPONENT for m in self.terms), default=0)
 
     def coeffs_in(self, name):
         """{e: coefficient of name^e}; no coefficient contains ``name``.
@@ -168,35 +220,32 @@ class MPoly:
         The zero polynomial gives {}; a polynomial without ``name`` gives
         {0: self}.
         """
-        if name not in self.vars:
-            return {0: self} if self.terms else {}
-        i = self.vars.index(name)
+        shift = _shift(name)
         parts = {}
-        for expo, c in self.terms.items():
-            parts.setdefault(expo[i], {})[expo[:i] + (0,) + expo[i + 1:]] = c
-        return {e: MPoly(self.vars, terms) for e, terms in parts.items()}
+        for m, c in self.terms.items():
+            e = (m >> shift) & MAX_EXPONENT
+            parts.setdefault(e, {})[m - (e << shift)] = c
+        return {e: MPoly(terms) for e, terms in parts.items()}
 
     def monomials(self):
         """Yield (((var, exp), ...), coeff) per term, zero exponents left out."""
-        for expo, c in self.terms.items():
-            yield tuple((v, e) for v, e in zip(self.vars, expo) if e), c
+        for m, c in self.terms.items():
+            yield tuple(_exponents(m)), c
 
     def as_constant(self):
         """Return the Fraction value if constant, else None."""
         if not self.terms:
             return Fraction(0)
         if len(self.terms) == 1:
-            (expo, c), = self.terms.items()
-            if not any(expo):
-                return c
+            return self.terms.get(0)
         return None
 
     def leading(self):
-        """Leading (exponent, coefficient) under the global lex order."""
+        """Leading (monomial, coefficient) under the global lex order."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        expo = max(self.terms)
-        return expo, self.terms[expo]
+        m = max(self.terms)
+        return m, self.terms[m]
 
     def content(self):
         """Positive rational content: gcd of numerators over lcm of denominators."""
@@ -209,41 +258,6 @@ class MPoly:
             den = lcm(den, c.denominator)
         return Fraction(num, den)
 
-    # -- alignment ------------------------------------------------------
-
-    def aligned_to(self, vars):
-        """Re-express with the given variable tuple (a superset of self.vars)."""
-        if vars == self.vars:
-            return self
-        idx = []
-        for v in self.vars:
-            idx.append(vars.index(v))
-        n = len(vars)
-        terms = {}
-        for expo, c in self.terms.items():
-            new = [0] * n
-            for pos, e in zip(idx, expo):
-                new[pos] = e
-            terms[tuple(new)] = c
-        return MPoly(vars, terms)
-
-    def pruned(self):
-        """Drop variables that never appear with a nonzero exponent."""
-        used = self.variables_used()
-        if len(used) == len(self.vars):
-            return self
-        keep = [i for i, v in enumerate(self.vars) if v in used]
-        vars = tuple(self.vars[i] for i in keep)
-        terms = {tuple(e[i] for i in keep): c for e, c in self.terms.items()}
-        return MPoly(vars, terms)
-
-    @staticmethod
-    def _align_pair(p, q):
-        if p.vars == q.vars:
-            return p, q
-        vars = merge_vars(p.vars, q.vars)
-        return p.aligned_to(vars), q.aligned_to(vars)
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
@@ -255,24 +269,12 @@ class MPoly:
             return self
         if not self.terms:
             return other
-        p, q = MPoly._align_pair(self, other)
-        terms = dict(p.terms)
-        for expo, c in q.terms.items():
-            acc = terms.get(expo)
-            if acc is None:
-                terms[expo] = c
-            else:
-                acc = acc + c
-                if acc:
-                    terms[expo] = acc
-                else:
-                    del terms[expo]
-        return MPoly(p.vars, terms)
+        return MPoly(_sum(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MPoly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -291,10 +293,10 @@ class MPoly:
                 return MPoly.zero()
             if c == 1:
                 return self
-            return MPoly(self.vars, {e: k * c for e, k in self.terms.items()})
+            return MPoly({m: k * c for m, k in self.terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
-        p, q = MPoly._align_pair(self, other)
+        p, q = self, other
         if len(p.terms) < len(q.terms):
             p, q = q, p
         # the cap is at least 1 term, so a one-term product skips the lookup
@@ -306,20 +308,19 @@ class MPoly:
         terms = {}
         if len(q.terms) == 1:
             (qe, qc), = q.terms.items()
-            if not any(qe):
+            if not qe:
                 if qc == 1:
                     return p
-                return MPoly(p.vars, {e: c * qc for e, c in p.terms.items()})
+                return MPoly({m: c * qc for m, c in p.terms.items()})
             if qc == 1:
-                return MPoly(p.vars, {tuple(a + b for a, b in zip(pe, qe)): pc
-                                      for pe, pc in p.terms.items()})
-            for pe, pc in p.terms.items():
-                terms[tuple(a + b for a, b in zip(pe, qe))] = pc * qc
-            return MPoly(p.vars, terms)
+                return MPoly(_checked({pe + qe: pc
+                                       for pe, pc in p.terms.items()}))
+            return MPoly(_checked({pe + qe: pc * qc
+                                   for pe, pc in p.terms.items()}))
         get = terms.get
         for qe, qc in q.terms.items():
             for pe, pc in p.terms.items():
-                key = tuple(a + b for a, b in zip(pe, qe))
+                key = pe + qe
                 acc = get(key)
                 if acc is None:
                     terms[key] = pc * qc
@@ -329,7 +330,7 @@ class MPoly:
                         terms[key] = acc
                     else:
                         del terms[key]
-        return MPoly(p.vars, terms)
+        return MPoly(_checked(terms))
 
     __rmul__ = __mul__
 
@@ -351,26 +352,21 @@ class MPoly:
             other = MPoly.const(other)
         if not isinstance(other, MPoly):
             return NotImplemented
-        p, q = MPoly._align_pair(self, other)
-        return p.terms == q.terms
+        return self.terms == other.terms
 
     def __hash__(self):
-        p = self.pruned()
-        return hash((p.vars, frozenset(p.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     # -- calculus and substitution ---------------------------------------
 
     def derivative(self, name):
-        if name not in self.vars:
-            return MPoly.zero()
-        i = self.vars.index(name)
+        shift = _shift(name)
         terms = {}
-        for expo, c in self.terms.items():
-            e = expo[i]
+        for m, c in self.terms.items():
+            e = (m >> shift) & MAX_EXPONENT
             if e:
-                new = expo[:i] + (e - 1,) + expo[i + 1:]
-                terms[new] = terms.get(new, Fraction(0)) + c * e
-        return MPoly(self.vars, {e: c for e, c in terms.items() if c})
+                terms[m - (1 << shift)] = c * e
+        return MPoly(terms)
 
     def subst(self, mapping):
         """Substitute variables by polynomials/Fractions; returns MPoly."""
@@ -381,15 +377,13 @@ class MPoly:
     def eval_numeric(self, point):
         """Evaluate at a dict of numbers (Fraction, float or complex)."""
         total = None
-        for expo, c in self.terms.items():
-            val = c if isinstance(c, Fraction) else Fraction(c)
+        for m, c in self.terms.items():
             acc = None
-            for v, e in zip(self.vars, expo):
-                if e:
-                    base = point[v]
-                    acc = base ** e if acc is None else acc * base ** e
-            term = val if acc is None else (
-                float(val) * acc if isinstance(acc, (float, complex)) else val * acc)
+            for v, e in _exponents(m):
+                base = point[v]
+                acc = base ** e if acc is None else acc * base ** e
+            term = c if acc is None else (
+                float(c) * acc if isinstance(acc, (float, complex)) else c * acc)
             total = term if total is None else total + term
         if total is None:
             return Fraction(0)
@@ -411,48 +405,48 @@ class MPoly:
         diff = divisor._variable_difference()
         if diff is not None:
             return self.divide_out_linear(*diff)
-        p, d = MPoly._align_pair(self, divisor)
-        if len(d.terms) == 1:
-            (de, dc), = d.terms.items()
+        if len(divisor.terms) == 1:
+            (de, dc), = divisor.terms.items()
             terms = {}
-            for expo, c in p.terms.items():
-                new = tuple(a - b for a, b in zip(expo, de))
-                if any(e < 0 for e in new):
+            for m, c in self.terms.items():
+                q = _quotient(m, de)
+                if q is None:
                     return None
-                terms[new] = c / dc
-            return MPoly(p.vars, terms)
-        return p._long_div(d)
+                terms[q] = c / dc
+            return MPoly(terms)
+        return self._long_div(divisor)
 
     def _variable_difference(self):
         """(u, v) when self is exactly u - v for two variables, else None."""
         if len(self.terms) != 2:
             return None
-        signs = {c: self.vars[e.index(1)]
-                 for e, c in self.terms.items() if sum(e) == 1}
-        return (signs[1], signs[-1]) if set(signs) == {1, -1} else None
+        signs = {c: _VARIABLE.get(m) for m, c in self.terms.items()}
+        if set(signs) != {1, -1} or None in signs.values():
+            return None
+        return signs[1], signs[-1]
 
     def _long_div(self, d):
         """Single-divisor division; returns quotient iff remainder is zero."""
         rem = dict(self.terms)
-        vars = self.vars
-        de, dc = max(d.terms.items())
-        dterms = [(e, c) for e, c in d.terms.items()]
+        de, dc = d.leading()
         qterms = {}
         while rem:
-            re = max(rem)
-            new = tuple(a - b for a, b in zip(re, de))
-            if any(e < 0 for e in new):
+            # a sum new + e past the range keeps its carry in the guard bit
+            # and so its place in the order; it is refused once it leads
+            re, = _checked((max(rem),))
+            new = _quotient(re, de)
+            if new is None:
                 return None
             qc = rem[re] / dc
-            qterms[new] = qterms.get(new, Fraction(0)) + qc
-            for e, c in dterms:
-                key = tuple(a + b for a, b in zip(new, e))
-                acc = rem.get(key, Fraction(0)) - qc * c
+            qterms[new] = qterms.get(new, 0) + qc
+            for e, c in d.terms.items():
+                key = new + e
+                acc = rem.get(key, 0) - qc * c
                 if acc:
                     rem[key] = acc
                 else:
                     rem.pop(key, None)
-        return MPoly(vars, {e: c for e, c in qterms.items() if c})
+        return MPoly({m: c for m, c in qterms.items() if c})
 
     def divide_out_linear(self, name, other_name):
         """Exact quotient by (name - other_name), e.g. (X1 - X2); None if inexact.
@@ -461,59 +455,29 @@ class MPoly:
         ``name`` with coefficients in the remaining variables; linear cost
         in the term count times the degree.
         """
-        if name not in self.vars:
-            return None if self.terms else MPoly.zero()
-        vars = merge_vars(self.vars, (other_name,))
-        p = self.aligned_to(vars)
-        i = vars.index(name)
-        j = vars.index(other_name)
-        deg = p.degree_in(name)
+        i, unit = _shift(name), 1 << _shift(other_name)
+        deg = self.degree_in(name)
         # bucket by exponent of `name`
         buckets = [dict() for _ in range(deg + 1)]
-        for expo, c in p.terms.items():
-            e = expo[i]
-            key = expo[:i] + (0,) + expo[i + 1:]
-            buckets[e][key] = buckets[e].get(key, Fraction(0)) + c
+        for m, c in self.terms.items():
+            e = (m >> i) & MAX_EXPONENT
+            buckets[e][m - (e << i)] = c
         carry = {}      # running b_k as dict
         quotient = {}
         for e in range(deg, 0, -1):
             # b_{e-1} = A_e + carry ;  quotient gains b_{e-1} * name^{e-1}
-            b = dict(carry)
-            for key, c in buckets[e].items():
-                acc = b.get(key, Fraction(0)) + c
-                if acc:
-                    b[key] = acc
-                else:
-                    b.pop(key, None)
+            b = _sum(carry, buckets[e])
             for key, c in b.items():
-                qkey = key[:i] + (e - 1,) + key[i + 1:]
-                quotient[qkey] = c
+                quotient[key + ((e - 1) << i)] = c
             # carry for next lower degree: b * other_name
-            carry = {}
-            for key, c in b.items():
-                nkey = key[:j] + (key[j] + 1,) + key[j + 1:]
-                carry[nkey] = carry.get(nkey, Fraction(0)) + c
+            carry = _checked({key + unit: c for key, c in b.items()})
         # remainder = A_0 + carry must vanish
-        rem = dict(carry)
-        for key, c in buckets[0].items():
-            acc = rem.get(key, Fraction(0)) + c
-            if acc:
-                rem[key] = acc
-            else:
-                rem.pop(key, None)
-        if rem:
-            return None
-        return MPoly(vars, quotient)
+        return None if _sum(carry, buckets[0]) else MPoly(quotient)
 
     # -- printing ---------------------------------------------------------
 
-    def _term_str(self, expo, c):
-        factors = []
-        for v, e in zip(self.vars, expo):
-            if e == 1:
-                factors.append(v)
-            elif e > 1:
-                factors.append(f"{v}^{e}")
+    def _term_str(self, m, c):
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in _exponents(m)]
         if not factors:
             return str(c)
         body = "*".join(factors)
@@ -527,11 +491,11 @@ class MPoly:
         if not self.terms:
             return "0"
         parts = []
-        for n, expo in enumerate(sorted(self.terms, reverse=True)):
+        for n, m in enumerate(sorted(self.terms, reverse=True)):
             if max_terms is not None and n >= max_terms:
                 parts.append(f"... (+{len(self.terms) - max_terms} more terms)")
                 break
-            s = self._term_str(expo, self.terms[expo])
+            s = self._term_str(m, self.terms[m])
             if parts and not s.startswith("-"):
                 s = "+" + s
             parts.append(s)
@@ -637,12 +601,11 @@ def eval_poly(p, mapping, one):
         return power(mapping[v], e, one)
 
     total = None
-    for expo, c in p.terms.items():
+    for m, c in p.terms.items():
         acc = None
-        for v, e in zip(p.vars, expo):
-            if e:
-                pv = cached_power(v, e)
-                acc = pv if acc is None else acc * pv
+        for v, e in _exponents(m):
+            pv = cached_power(v, e)
+            acc = pv if acc is None else acc * pv
         if acc is None:
             term = one * c
         else:
@@ -693,8 +656,8 @@ def weighted_degree(p, table):
     if p.is_zero:
         return 0
     deg = None
-    for expo in p.terms:
-        d = sum(e * table[v] for v, e in zip(p.vars, expo) if e)
+    for m in p.terms:
+        d = sum(e * table[v] for v, e in _exponents(m))
         if deg is None:
             deg = d
         elif d != deg:

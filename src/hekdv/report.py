@@ -113,19 +113,19 @@ def split_report(report, groups):
     return out
 
 
-def emit_report(reports, version=__version__):
+def emit_report(reports):
     """Assemble the machine-readable document for a list of reports."""
     if not reports:
         raise ValueError("empty check list")
     return {
-        "version": version,
+        "version": __version__,
         "checks": [r.to_dict() for r in reports],
         "overall": "PASS" if all(r.passed for r in reports) else "FAIL",
     }
 
 
-def report_json(reports, version=__version__, strip_millis=False):
-    doc = emit_report(reports, version=version)
+def report_json(reports, strip_millis=False):
+    doc = emit_report(reports)
     if strip_millis:
         for c in doc["checks"]:
             c.pop("millis")

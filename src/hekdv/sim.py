@@ -309,9 +309,12 @@ def _initial_step(rhs, y, f0, rel_tol, abs_tol):
     return min(100 * h0, h1)
 
 
+# a commutation discrepancy passes below this multiple of the state scale
+_COMMUTE_THRESHOLD = 1e-8
+
+
 def commute_experiment(params: CurveParams, s0: SimState, sigma, tau,
-                       rel_tol=1e-12, abs_tol=1e-14, flows=("T1", "T3"),
-                       threshold_scale=1e-8):
+                       rel_tol=1e-12, abs_tol=1e-14, flows=("T1", "T3")):
     """Compare the two orderings of a pair of flows from the same seed.
 
     Returns a dict with the endpoint discrepancy and a PASS flag against
@@ -332,7 +335,7 @@ def commute_experiment(params: CurveParams, s0: SimState, sigma, tau,
     disc = float(np.max(np.abs(diff)))
     scale = max(1.0, float(np.max(np.abs(leg1.vector()))),
                 float(np.max(np.abs(leg2.vector()))))
-    threshold = threshold_scale * scale
+    threshold = _COMMUTE_THRESHOLD * scale
     return {
         "flows": list(flows),
         "sigma": sigma,

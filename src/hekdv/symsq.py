@@ -77,13 +77,7 @@ class SymSqField:
 
     def abcd(self):
         """Pullbacks of the four symmetric generators."""
-        x1, y1v, x2, y2v = (MPoly.var(n) for n in ("X1", "Y1", "X2", "Y2"))
-        return {
-            "a": self.elem((x1 + x2) * _HALF),
-            "b": self.elem((x1 - x2) ** 2 * _QUARTER),
-            "c": self.elem(y1v - y2v, x1 - x2),
-            "d": self.elem((y1v + y2v) * _HALF),
-        }
+        return {g: abcd_to_xy(MPoly.var(g), self) for g in "abcd"}
 
     def weights(self):
         from .poly import standard_weights
@@ -264,7 +258,7 @@ def _even_s_to_b(q):
     out = MPoly.zero()
     for e, c in parts.items():
         out = out + c * b ** (e // 2)
-    return out.pruned()
+    return out
 
 
 def build_MN(params):

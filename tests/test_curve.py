@@ -39,8 +39,8 @@ def _univariate_gcd_degree(p, q, var):
     """Independent oracle: Euclid over Q[X]; returns degree of the gcd."""
     def coeffs(f):
         out = [F(0)] * (f.degree_in(var) + 1)
-        for expo, c in f.terms.items():
-            out[expo[f.vars.index(var)]] += c
+        for mono, c in f.monomials():
+            out[dict(mono).get(var, 0)] += c
         return out
 
     def trim(v):

@@ -1,5 +1,6 @@
-"""Independent oracles: sympy re-decides what the dense univariate routines
-of ``poly`` compute, and the code they replaced is kept here as a reference.
+"""Independent oracles: sympy re-decides what the sparse ``MPoly`` kernel and
+the dense univariate routines of ``poly`` compute, and the code the dense
+routines replaced is kept here as a reference.
 
 Resultants are checked against the determinant of the Sylvester matrix, not
 against ``sympy.resultant``: sympy 1.14 returns 5 for X^3 - X + 1 and
@@ -113,6 +114,91 @@ class TestPhiRingAgainstSympy:
                          phi)
         got = PhiRingElem.from_mpoly(f) * PhiRingElem.from_mpoly(g)
         assert sympy.expand(self.as_sympy(got) - want) == 0
+
+
+# variables in SYMBOL_ORDER, so sympy's lex order is the kernel's term order
+KERNEL_VARS = ("X1", "Y1", "X2", "a", "b")
+GENS = tuple(sympy.Symbol(v) for v in KERNEL_VARS)
+kernel_polys = mpoly_strategy(KERNEL_VARS, max_terms=4, max_exp=3)
+kernel_vars = st.sampled_from(KERNEL_VARS)
+
+
+def kernel_poly(p):
+    return sympy.Poly(mpoly_to_sympy(p), *GENS, domain="QQ")
+
+
+def term_poly(monom, c):
+    """The MPoly of one sympy term: exponents over GENS, a QQ coefficient."""
+    term = MPoly.const(F(int(c.numerator), int(c.denominator)))
+    for v, e in zip(KERNEL_VARS, monom):
+        term = term * MPoly.var(v, e)
+    return term
+
+
+class TestMPolyAgainstSympy:
+    @oracle_settings
+    @given(kernel_polys, kernel_polys)
+    def test_add_and_mul(self, f, g):
+        assert kernel_poly(f + g) == kernel_poly(f) + kernel_poly(g)
+        assert kernel_poly(f * g) == kernel_poly(f) * kernel_poly(g)
+
+    @oracle_settings
+    @given(kernel_polys, kernel_vars)
+    def test_derivative_and_degree(self, f, v):
+        x = sympy.Symbol(v)
+        assert kernel_poly(f.derivative(v)) == kernel_poly(f).diff(x)
+        assert f.degree_in(v) == max(kernel_poly(f).degree(x), 0)
+
+    @oracle_settings
+    @given(kernel_polys, kernel_vars)
+    def test_coeffs_in(self, f, v):
+        x = sympy.Symbol(v)
+        want = {k: sympy.expand(c) for (k,), c in
+                sympy.Poly(mpoly_to_sympy(f), x).as_dict().items() if c}
+        got = {e: sympy.expand(mpoly_to_sympy(c))
+               for e, c in f.coeffs_in(v).items()}
+        assert got == want
+
+    @staticmethod
+    def check_exact_div(p, d):
+        q, r = sympy.div(kernel_poly(p), kernel_poly(d))
+        got = p.exact_div(d)
+        if r.is_zero:
+            assert got is not None and kernel_poly(got) == q
+        else:
+            assert got is None
+
+    @oracle_settings
+    @given(kernel_polys, kernel_polys)
+    def test_exact_div_by_difference(self, f, r):
+        d = MPoly.var("X1") - MPoly.var("X2")
+        for p in (f * d, f * d + r, f):
+            self.check_exact_div(p, d)
+
+    @oracle_settings
+    @given(kernel_polys, kernel_polys, small_fractions.filter(bool),
+           kernel_vars, st.integers(0, 3), kernel_vars, st.integers(0, 3))
+    def test_exact_div_by_monomial(self, f, r, c, v, i, w, j):
+        d = MPoly.var(v, i) * MPoly.var(w, j) * c
+        for p in (f * d, f * d + r, f):
+            self.check_exact_div(p, d)
+
+    @oracle_settings
+    @given(kernel_polys, kernel_polys, kernel_polys)
+    def test_exact_div_general(self, f, r, d):
+        assume(d.term_count() >= 2)
+        for p in (f * d, f * d + r, f):
+            self.check_exact_div(p, d)
+
+    @oracle_settings
+    @given(kernel_polys)
+    def test_to_str_lists_terms_in_lex_order(self, f):
+        sp = kernel_poly(f)      # monoms() and coeffs() come in lex order
+        parts = [term_poly(m, c).to_str() for m, c in zip(sp.monoms(),
+                                                         sp.coeffs()) if c]
+        want = "".join(s if n == 0 or s.startswith("-") else "+" + s
+                       for n, s in enumerate(parts)) or "0"
+        assert f.to_str() == want
 
 
 # -- the code the dense routines replaced, kept verbatim as references ------

@@ -58,6 +58,18 @@ class TestCoercion:
         with pytest.raises(TypeError):
             PhiRingElem.const(1) + "1"
 
+    def test_phi_frac_against_foreign_operands(self):
+        assert (PhiFrac(1) == None) is False  # noqa: E711
+        assert PhiFrac(1) != "1"
+        assert PhiFrac(1) == 1 and PhiFrac(phi ** 6) == phi_reduce(phi ** 6)
+
+    def test_theta_val_against_numbers_and_foreign_operands(self):
+        assert ThetaVal(1) == 1 and 1 == ThetaVal(1)
+        assert ThetaVal(F(2, 3)) == F(2, 3) and ThetaVal(2) != 3
+        assert ThetaVal(1, 1) != 1 and ThetaVal(0, 4) == 0
+        assert (ThetaVal(1) == None) is False  # noqa: E711
+        assert ThetaVal(1) != "1"
+
 
 class TestSolutionComponents:
     def test_printed_forms_certify(self):

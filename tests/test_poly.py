@@ -13,13 +13,21 @@ from conftest import mpoly_strategy, small_fractions
 from hekdv.curve import CurveParams
 from hekdv.errors import ConfigError, MemoryCapExceeded, NotSymmetricError
 from hekdv.phiring import PhiRingElem
-from hekdv.poly import (MPoly, eval_poly, merge_vars, power, standard_weights,
+from hekdv.poly import (MAX_EXPONENT, MPoly, eval_poly, power, standard_weights,
                         variables, weighted_degree)
 from hekdv.series import PSeries
 from hekdv.symsq import SymSqField, _even_s_to_b, _in_s_chart, xy_to_abcd
 
 a, b, c, d = variables("a", "b", "c", "d")
 X1, X2 = variables("X1", "X2")
+
+
+def _term(mono, cf):
+    """cf times the product of MPoly.var(v, e) over the (v, e) pairs."""
+    term = MPoly.const(cf)
+    for v, e in mono:
+        term = term * MPoly.var(v, e)
+    return term
 
 
 class TestArithmetic:
@@ -84,11 +92,57 @@ class TestDivision:
         d = MPoly.var(u) - MPoly.var(v)
         for p in (f * d, f * d + r):
             got = p.exact_div(d)
-            pa, da = MPoly._align_pair(p, d)
-            want = pa._long_div(da)
+            want = p._long_div(d)
             assert (got is None) == (want is None)
             if got is not None:
                 assert got == want and got * d == p
+
+
+class TestExponentRange:
+    """Each exponent has a fixed range; leaving it raises, never corrupts."""
+
+    def test_var_past_the_maximum_raises(self):
+        assert MPoly.var("X1", MAX_EXPONENT).degree_in("X1") == MAX_EXPONENT
+        with pytest.raises(OverflowError, match="X1"):
+            MPoly.var("X1", MAX_EXPONENT + 1)
+        with pytest.raises(OverflowError, match="b"):
+            MPoly.from_terms(("a", "b"), {(1, MAX_EXPONENT + 1): 1})
+
+    @pytest.mark.parametrize("name", ["X1", "b", "theta"])
+    def test_product_past_the_maximum_raises(self, name):
+        top = MPoly.var(name, MAX_EXPONENT)
+        with pytest.raises(OverflowError, match=name):
+            _ = top * MPoly.var(name)
+        with pytest.raises(OverflowError, match=name):
+            _ = (top + a) * (MPoly.var(name) + c)
+        with pytest.raises(OverflowError, match=name):
+            _ = top * (MPoly.var(name, 2) * 3)
+
+    def test_neighbours_keep_their_exponents(self):
+        names = ("X1", "Y1", "X2", "a", "b", "c", "theta")
+        for i, name in enumerate(names):
+            p = MPoly.var(name, MAX_EXPONENT - 1) * MPoly.var(name)
+            for other in names:
+                p = p * MPoly.var(other, 0 if other == name else i + 1)
+            for other in names:
+                want = MAX_EXPONENT if other == name else i + 1
+                assert p.degree_in(other) == want
+            (mono, _), = p.monomials()
+            assert dict(mono) == {v: (MAX_EXPONENT if v == name else i + 1)
+                                  for v in names}
+
+    def test_monomial_division_going_negative_is_none(self):
+        assert (a * c).exact_div(b) is None
+        assert (a ** 2 * c).exact_div(a * b) is None
+        assert MPoly.var("X1").exact_div(MPoly.var("theta")) is None
+        assert (a * b ** 3).exact_div(b ** 2 * 5) == a * b * F(1, 5)
+
+    def test_division_carries_past_the_maximum_raise(self):
+        x1, x2 = MPoly.var("X1"), MPoly.var("X2")
+        with pytest.raises(OverflowError, match="X2"):
+            (x1 * MPoly.var("X2", MAX_EXPONENT)).divide_out_linear("X1", "X2")
+        with pytest.raises(OverflowError, match="a"):
+            (x1 * MPoly.var("a", MAX_EXPONENT)).exact_div(x1 + a)
 
 
 class TestWeightedDegree:
@@ -166,6 +220,14 @@ class TestUnivariateView:
     def test_coeffs_in_absent_variable(self, p):
         assert p.coeffs_in("X1") == ({0: p} if p else {})
 
+    def test_unknown_symbol_is_config_error(self):
+        with pytest.raises(ConfigError):
+            MPoly.var("zz")
+        with pytest.raises(ConfigError):
+            MPoly.from_terms(("a", "zz"), {})
+        with pytest.raises(ConfigError):
+            (a + b).coeffs_in("zz")
+
     def test_coeffs_in_zero(self):
         assert MPoly.zero().coeffs_in("a") == {}
         assert (a - a).coeffs_in("a") == {}
@@ -175,10 +237,7 @@ class TestUnivariateView:
         rebuilt = MPoly.zero()
         for mono, cf in p.monomials():
             assert all(e > 0 for _, e in mono)
-            term = MPoly.const(cf)
-            for v, e in mono:
-                term = term * MPoly.var(v, e)
-            rebuilt = rebuilt + term
+            rebuilt = rebuilt + _term(mono, cf)
         assert rebuilt == p
 
     def test_power(self):
@@ -197,53 +256,34 @@ class TestUnivariateView:
 def _reduce_by_exponent_loop(field, p):
     for yvar, Q in (("Y1", field.Q1), ("Y2", field.Q2)):
         while p.degree_in(yvar) >= 2:
-            i = p.vars.index(yvar)
-            low = {}
-            high = {}
-            for expo, cf in p.terms.items():
-                e = expo[i]
-                if e >= 2:
-                    high[expo[:i] + (e - 2,) + expo[i + 1:]] = cf
+            low = high = MPoly.zero()
+            for mono, cf in p.monomials():
+                if dict(mono).get(yvar, 0) >= 2:
+                    high = high + _term([(v, e - 2 if v == yvar else e)
+                                         for v, e in mono], cf)
                 else:
-                    low[expo] = cf
-            p = MPoly(p.vars, low) + MPoly(p.vars, high) * Q
+                    low = low + _term(mono, cf)
+            p = low + high * Q
     return p
 
 
 def _even_s_to_b_by_exponent_loop(q):
-    if "s" not in q.vars:
-        return q
-    i = q.vars.index("s")
-    vars = merge_vars(q.vars, ("b",))
-    j = vars.index("b")
-    out = {}
-    for expo, coeff in q.terms.items():
-        e = expo[i]
+    out = MPoly.zero()
+    for mono, cf in q.monomials():
+        e = dict(mono).get("s", 0)
         if e % 2:
             raise NotSymmetricError("odd power of s")
-        new = [0] * len(vars)
-        for v, k in zip(q.vars, expo):
-            if v != "s":
-                new[vars.index(v)] = k
-        new[j] += e // 2
-        key = tuple(new)
-        out[key] = out.get(key, F(0)) + coeff
-    return MPoly(vars, {e: cf for e, cf in out.items() if cf}).pruned()
+        out = out + _term([(v, k) for v, k in mono if v != "s"]
+                          + [("b", e // 2)], cf)
+    return out
 
 
 def _from_mpoly_by_exponent_loop(p):
-    deg = p.degree_in("phi")
-    coeffs = [MPoly.zero()] * (deg + 1)
-    if "phi" not in p.vars:
-        coeffs[0] = p
-        return PhiRingElem(coeffs)
-    i = p.vars.index("phi")
-    buckets = [dict() for _ in range(deg + 1)]
-    for expo, cf in p.terms.items():
-        key = expo[:i] + (0,) + expo[i + 1:]
-        buckets[expo[i]][key] = buckets[expo[i]].get(key, F(0)) + cf
-    for e, bucket in enumerate(buckets):
-        coeffs[e] = MPoly(p.vars, {k: cf for k, cf in bucket.items() if cf})
+    coeffs = [MPoly.zero()] * (p.degree_in("phi") + 1)
+    for mono, cf in p.monomials():
+        e = dict(mono).get("phi", 0)
+        coeffs[e] = coeffs[e] + _term([(v, k) for v, k in mono if v != "phi"],
+                                      cf)
     return PhiRingElem(coeffs)
 
 
@@ -279,11 +319,17 @@ class TestAgainstExponentLoops:
 
 
 def test_representation_stays_in_poly():
-    """Only poly.py may read an MPoly's storage (.terms / .vars)."""
+    """Only poly.py may read an MPoly's storage (its terms or vars).
+
+    The package, the tests and the scripts are scanned.
+    """
+    root = Path(__file__).resolve().parents[1]
     src = Path(hekdv.poly.__file__).parent
     pattern = re.compile(r"\.(terms|vars)\b")
+    paths = [path for folder in (src, root / "tests", root / "scripts")
+             for path in sorted(folder.glob("*.py")) if path.name != "poly.py"]
     hits = [f"{path.name}:{n}: {line.strip()}"
-            for path in sorted(src.glob("*.py")) if path.name != "poly.py"
+            for path in paths
             for n, line in enumerate(path.read_text().splitlines(), 1)
             if pattern.search(line)]
     assert not hits, "\n".join(hits)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 
 from conftest import mpoly_strategy
-from hekdv.poly import MPoly, merge_vars, standard_weights, weighted_degree
+from hekdv.poly import MPoly, standard_weights, weighted_degree
 from hekdv.ratfun import RatFn
 from hekdv.tables import (FLOW_IDS, first_integrals, flow_table,
                           poisson_bracket, structure_I, structure_II,
@@ -13,12 +13,9 @@ from hekdv.tables import (FLOW_IDS, first_integrals, flow_table,
 
 def _coeff_of(p, mono):
     """Coefficient of the (unit-coefficient) monomial `mono` inside `p`."""
-    vars = merge_vars(p.vars, mono.vars)
-    pa = p.aligned_to(vars)
-    ma = mono.aligned_to(vars)
-    (expo, mc), = ma.terms.items()
+    (key, mc), = mono.monomials()
     assert mc == 1
-    return pa.terms.get(expo, F(0))
+    return dict(p.monomials()).get(key, F(0))
 
 
 class TestFlowTables:
