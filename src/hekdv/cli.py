@@ -2,7 +2,8 @@
 
 Exit codes: 0 when every requested check passes, 1 on any failure (an
 aborted simulation, or an internal error of the program), 2 on usage or
-configuration errors.
+configuration errors.  The simulator, and numpy with it, is imported only
+by the commands that simulate.
 """
 
 import argparse
@@ -13,9 +14,8 @@ from fractions import Fraction
 
 from . import phiring, ratlimit, verify_hierarchy, verify_tables
 from .curve import CurveParams, in_Bg
-from .errors import ConfigError, HekdvError, SingularityAbort
+from .errors import ConfigError, MemoryCapExceeded, SeedError, SingularityAbort
 from .report import emit_report
-from .sim import commute_experiment, curve_ordinate, integrate, seed_state
 
 # reference configuration: a nonsingular curve with an exact rational point
 DEFAULT_Y = ("0", "0", "0", "0", "1", "1")          # Q = X^7 + X - 1
@@ -52,7 +52,7 @@ def _build_params(ns):
     ys = _parse_rationals(ns.y, expect=6)
     params = CurveParams.numeric(3, ys)
     if not in_Bg(params):
-        raise HekdvError("curve parameters lie on the discriminant locus")
+        raise ConfigError("curve parameters lie on the discriminant locus")
     return params
 
 
@@ -62,6 +62,7 @@ def _parse_point(text, params):
         raise ConfigError("points are given as x,y (y may be 'auto')")
     x = _rational(parts[0])
     if parts[1] == "auto":
+        from .sim import curve_ordinate
         y = curve_ordinate(params, x)
     else:
         y = _rational(parts[1])
@@ -93,14 +94,15 @@ def _cmd_verify(ns):
 
 
 def _cmd_simulate(ns):
+    from . import sim
     params = _build_params(ns)
     p1 = _parse_point(ns.p1, params)
     p2 = _parse_point(ns.p2, params)
-    s0 = seed_state(params, p1, p2, flow=ns.flow)
+    s0 = sim.seed_state(params, p1, p2, flow=ns.flow)
     aborted = False
     try:
-        traj = integrate(ns.flow, s0, ns.t_end, rel_tol=ns.rel_tol,
-                         abs_tol=ns.abs_tol, params=params)
+        traj = sim.integrate(ns.flow, s0, ns.t_end, rel_tol=ns.rel_tol,
+                             abs_tol=ns.abs_tol, params=params)
     except SingularityAbort as exc:
         traj = exc.trajectory
         aborted = True
@@ -138,16 +140,17 @@ def _cmd_series(ns):
 
 
 def _cmd_commute(ns):
+    from . import sim
     params = _build_params(ns)
     flows = tuple(f.strip() for f in ns.flows.split(","))
     if len(flows) != 2:
         raise ConfigError("--flows takes two comma-separated flow ids")
     p1 = _parse_point(ns.p1, params)
     p2 = _parse_point(ns.p2, params)
-    s0 = seed_state(params, p1, p2, flow=flows[0])
-    rep = commute_experiment(params, s0, ns.sigma, ns.tau,
-                             rel_tol=ns.rel_tol, abs_tol=ns.abs_tol,
-                             flows=flows)
+    s0 = sim.seed_state(params, p1, p2, flow=flows[0])
+    rep = sim.commute_experiment(params, s0, ns.sigma, ns.tau,
+                                 rel_tol=ns.rel_tol, abs_tol=ns.abs_tol,
+                                 flows=flows)
     _write_or_print(rep, ns.out)
     return 0 if rep["pass"] else 1
 
@@ -206,9 +209,13 @@ def run(argv=None):
         return 2 if exc.code not in (0, None) else 0
     try:
         return ns.func(ns)
-    except (HekdvError, OSError) as exc:
+    except (ConfigError, SeedError, MemoryCapExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SingularityAbort as exc:
+        # a simulation that could not finish, e.g. a commutativity leg
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except Exception as exc:
         # a fault of the program, not of its input
         traceback.print_exc()

@@ -2,8 +2,9 @@
 
 The right-hand sides are compiled from the same transcribed tables that the
 symbolic engine certifies, so the measured drift of the two integrals along
-a trajectory is purely integrator error.  The stepper is an embedded
-Dormand-Prince 5(4) pair with PI step-size control.  The state is always
+a trajectory is purely integrator error.  Each table compiles into one
+generated function.  The stepper is an embedded Dormand-Prince 5(4) pair
+with PI step-size control, its stages one (7, 4) array.  The state is always
 a complex numpy array of the four coordinates, so complex seeds (curve
 points with negative ordinate squares) are advanced directly, and the
 error norm measures each component by its modulus.
@@ -16,8 +17,8 @@ import numpy as np
 
 from .curve import CurveParams
 from .errors import ConfigError, SeedError, SingularityAbort
-from .tables import first_integrals, flow_table
 from .poly import MPoly
+from .tables import U_VARS, first_integrals, flow_table
 
 T_FLOWS = ("T1", "T3")
 
@@ -36,16 +37,17 @@ def _poly_source(p: MPoly):
     return "(" + "+".join(parts) + ")"
 
 
-def _bind_numeric(rf, params: CurveParams):
-    """Compile a u-space rational function into f(u2, u4, u5, u7)."""
-    num = params.sub_y(rf.num)
-    den = params.sub_y(rf.den)
-    src_num = _poly_source(num)
-    if den.as_constant() == 1:
-        body = src_num
-    else:
-        body = f"({src_num}) / ({_poly_source(den)})"
-    code = f"lambda u2, u4, u5, u7: {body}"
+def _bind_numeric(rfs, params: CurveParams):
+    """Compile u-space rational functions into one f(u2, u4, u5, u7) that
+    returns their values as a tuple, in the given order."""
+    bodies = []
+    for rf in rfs:
+        body = _poly_source(params.sub_y(rf.num))
+        den = params.sub_y(rf.den)
+        if den.as_constant() != 1:
+            body = f"{body} / {_poly_source(den)}"
+        bodies.append(body)
+    code = f"lambda {', '.join(U_VARS)}: ({', '.join(bodies)},)"
     return eval(code, {"__builtins__": {}})
 
 
@@ -58,26 +60,20 @@ class CompiledFlow:
         self.flow = flow
         self.params = params
         table = flow_table(flow)
-        self._fns = [_bind_numeric(table.entries[u], params)
-                     for u in ("u2", "u4", "u5", "u7")]
+        self._fn = _bind_numeric([table.entries[u] for u in U_VARS], params)
 
     def __call__(self, state4):
-        u2, u4, u5, u7 = state4
-        return np.array([f(u2, u4, u5, u7) for f in self._fns],
-                        dtype=complex)
+        return np.array(self._fn(*state4), dtype=complex)
 
 
 class CompiledIntegrals:
     """Numeric evaluators for the two invariants at fixed parameters."""
 
     def __init__(self, params: CurveParams):
-        h12, h14 = first_integrals()
-        self._h12 = _bind_numeric(h12, params)
-        self._h14 = _bind_numeric(h14, params)
+        self._fn = _bind_numeric(first_integrals(), params)
 
     def __call__(self, state4):
-        u2, u4, u5, u7 = state4
-        return self._h12(u2, u4, u5, u7), self._h14(u2, u4, u5, u7)
+        return self._fn(*state4)
 
 
 # -- states and trajectories --------------------------------------------------
@@ -189,24 +185,31 @@ def seed_state(params: CurveParams, p1, p2, flow=None):
 
 # -- the embedded 5(4) pair ---------------------------------------------------
 
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-         22 / 525, -1 / 40)
+# row i combines the stages before stage i; the last row is also the
+# fifth-order solution (first-same-as-last)
+_DP_A = np.array([
+    [0, 0, 0, 0, 0, 0],
+    [1 / 5, 0, 0, 0, 0, 0],
+    [3 / 40, 9 / 40, 0, 0, 0, 0],
+    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
+    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
+_DP_B5 = _DP_A[6]
+_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40])
 
 
-def _error_norm(err, y_old, y_new, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((np.abs(err) / scale) ** 2)))
+def _rms(x, scale):
+    return float(np.sqrt(np.mean((np.abs(x) / scale) ** 2)))
+
+
+def _abort(traj, reason):
+    """Mark the trajectory aborted; the exception to raise carries it."""
+    traj.aborted = True
+    traj.abort_reason = reason
+    return SingularityAbort(reason, traj)
 
 
 def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
@@ -217,17 +220,13 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     evaluated alongside each sample.  For the rational flows, steps that
     would bring |u4 - u2^2| below 1e-8 times its initial size are rejected
     and the run aborts with the partial trajectory once the step size
-    underflows.
+    underflows.  With reverse=True every step is taken backwards, as -h.
     """
     if params is None:
         raise ConfigError("integrate needs the curve parameters")
-    rhs_flow = CompiledFlow(flow, params)
+    rhs = CompiledFlow(flow, params)
     invariants = CompiledIntegrals(params)
     sign = -1.0 if reverse else 1.0
-
-    def rhs(y):
-        return sign * rhs_flow(y)
-
     guard = flow in T_FLOWS
     y = s0.vector()
     t = 0.0
@@ -246,39 +245,32 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     if span == 0.0:
         return traj
 
-    k = [None] * 7
+    k = np.empty((7, 4), dtype=complex)
     k[0] = rhs(y)
-    h = min(0.01 * span, _initial_step(rhs, y, k[0], rel_tol, abs_tol))
+    h = min(0.01 * span, _initial_step(rhs, y, k[0], sign, rel_tol, abs_tol))
     err_prev = 1.0
     steps = 0
     while t < span:
         if steps >= max_steps:
-            traj.aborted = True
-            traj.abort_reason = "step budget exhausted"
-            raise SingularityAbort(traj.abort_reason, traj)
+            raise _abort(traj, "step budget exhausted")
         h = min(h, span - t)
         if h < 1e-15 * max(1.0, t):
-            traj.aborted = True
-            traj.abort_reason = "step size underflow near the singular set"
-            raise SingularityAbort(traj.abort_reason, traj)
-        for i in range(1, 7):
-            yi = y + h * sum(aij * k[j] for j, aij in enumerate(_DP_A[i]))
-            k[i] = rhs(yi)
-        y_new = y + h * sum(b * k[i] for i, b in enumerate(_DP_B5) if b)
-        err_vec = h * sum(e * k[i] for i, e in enumerate(_DP_E) if e)
-        err = _error_norm(err_vec, y, y_new, rel_tol, abs_tol)
-        bad = not np.all(np.isfinite(y_new.view(float)))
-        if guard and not bad:
-            if abs(y_new[1] - y_new[0] ** 2) < guard_floor:
-                bad = True
+            raise _abort(traj, "step size underflow near the singular set")
+        hs = sign * h
+        for i in range(1, 6):
+            k[i] = rhs(y + hs * (_DP_A[i, :i] @ k[:i]))
+        y_new = y + hs * (_DP_B5 @ k[:6])
+        k[6] = rhs(y_new)
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms(h * (_DP_E @ k), scale)
+        bad = (not np.all(np.isfinite(y_new.view(float)))
+               or guard and abs(y_new[1] - y_new[0] ** 2) < guard_floor)
         if err <= 1.0 and not bad:
             t += h
             y = y_new
             if float(np.max(np.abs(y))) > 1e9:
-                traj.aborted = True
-                traj.abort_reason = ("state magnitude overflow "
-                                     "(finite-time escape)")
-                raise SingularityAbort(traj.abort_reason, traj)
+                raise _abort(traj, "state magnitude overflow "
+                                   "(finite-time escape)")
             k[0] = k[6]     # first-same-as-last
             h12, h14 = invariants(y)
             traj.samples.append((t, tuple(y), h12, h14))
@@ -294,18 +286,14 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     return traj
 
 
-def _initial_step(rhs, y, f0, rel_tol, abs_tol):
+def _initial_step(rhs, y, f0, sign, rel_tol, abs_tol):
     scale = abs_tol + rel_tol * np.abs(y)
-    d0 = float(np.sqrt(np.mean((np.abs(y) / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((np.abs(f0) / scale) ** 2)))
+    d0 = _rms(y, scale)
+    d1 = _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y + h0 * f0
-    f1 = rhs(y1)
-    d2 = float(np.sqrt(np.mean((np.abs(f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) > 1e-15:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 5)
-    else:
-        h1 = max(1e-6, h0 * 1e-3)
+    d2 = _rms(rhs(y + sign * h0 * f0) - f0, scale) / h0
+    d = max(d1, d2)
+    h1 = (0.01 / d) ** (1 / 5) if d > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1)
 
 

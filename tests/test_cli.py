@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 
 import hekdv
+import hekdv.sim
 from hekdv import cli
 from hekdv.cli import run
+from hekdv.errors import ZeroDenominatorError
 from hekdv.report import emit_report, report_json
 
 
@@ -156,6 +158,48 @@ class TestExitCodes:
         monkeypatch.setitem(cli.SUITES, "bm", boom)
         assert run(["verify", "bm"]) == 1
         assert "internal error: ValueError" in capsys.readouterr().err
+
+    def test_package_error_from_a_suite_is_internal(self, monkeypatch, capsys):
+        # a package exception that is not about the input is a program
+        # fault, not a usage error
+        def boom():
+            raise ZeroDenominatorError("rational function with zero denominator")
+        monkeypatch.setitem(cli.SUITES, "bm", boom)
+        assert run(["verify", "bm"]) == 1
+        assert "internal error: ZeroDenominatorError" in capsys.readouterr().err
+
+    def test_commute_abort_exits_one(self, capsys):
+        # a leg escapes to infinity before sigma = tau = 1
+        assert run(["commute", "--sigma", "1", "--tau", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "error: state magnitude overflow (finite-time escape)" in err
+        assert "Traceback" not in err and "internal error" not in err
+
+    def test_simulate_step_budget_exits_one(self, monkeypatch, tmp_path):
+        integrate = hekdv.sim.integrate
+
+        def tight_budget(*args, **kwargs):
+            return integrate(*args, **kwargs, max_steps=3)
+        monkeypatch.setattr(hekdv.sim, "integrate", tight_budget)
+        out = tmp_path / "sum.json"
+        assert run(["simulate", "--flow", "I", "--out", str(out)]) == 1
+        doc = json.loads(out.read_text())
+        assert doc["aborted"] is True
+        assert doc["abort_reason"] == "step budget exhausted"
+
+
+class TestColdVerify:
+    def test_verify_does_not_import_numpy(self):
+        src = str(Path(hekdv.__file__).resolve().parents[1])
+        code = ("import sys, hekdv.cli; "
+                "assert hekdv.cli.run(['verify', 'integrals', '--out', "
+                "sys.argv[1]]) == 0; "
+                "assert 'numpy' not in sys.modules, 'numpy was imported'")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code, os.devnull],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestMalformedMemCap:

@@ -5,10 +5,10 @@ import pytest
 
 from hekdv.curve import CurveParams, in_Bg
 from hekdv.errors import SeedError, SingularityAbort
-from hekdv.sim import (CompiledIntegrals, commute_experiment, curve_ordinate,
-                       integrate, seed_state)
+from hekdv.sim import (CompiledFlow, CompiledIntegrals, commute_experiment,
+                       curve_ordinate, integrate, seed_state)
 from hekdv import tables
-from hekdv.tables import first_integrals
+from hekdv.tables import U_VARS, first_integrals, flow_table
 
 # reference configuration: Q = X^7 + X - 1 with the exact point (1, 1)
 PARAMS = CurveParams.numeric(3, [0, 0, 0, 0, 1, 1])
@@ -141,6 +141,60 @@ class TestIntegration:
             integrate("T1", s, 1.0, params=params)
         partial = exc.value.trajectory
         assert partial is not None and len(partial.samples) >= 1
+
+    def test_step_budget_abort(self, s0):
+        with pytest.raises(SingularityAbort) as exc:
+            integrate("I", s0, 1.0, params=PARAMS, max_steps=3)
+        partial = exc.value.trajectory
+        assert partial.aborted
+        assert partial.abort_reason == "step budget exhausted"
+        assert str(exc.value) == "step budget exhausted"
+        assert len(partial.samples) >= 1
+
+
+# the endpoint must match scipy's DOP853 to perfbench's ORACLE_AGREEMENT
+ORACLE_AGREEMENT = 1e-8
+ORACLE_RUNS = (("I", 1.0, False), ("II", 0.02, False), ("T1", 0.1, False),
+               ("T3", 0.1, False), ("T1", 0.1, True))
+
+
+class TestOracles:
+    """The stepper and the compiled right-hand sides against independent
+    evaluations: scipy's DOP853 and exact rational arithmetic."""
+
+    def test_dop853_endpoints(self, s0):
+        solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+        for flow, span, reverse in ORACLE_RUNS:
+            traj = integrate(flow, s0, span, rel_tol=1e-12, abs_tol=1e-14,
+                             params=PARAMS, reverse=reverse)
+            rhs = CompiledFlow(flow, PARAMS)
+            ref = solve_ivp(lambda t, y: rhs(y),
+                            (0.0, -span if reverse else span), s0.vector(),
+                            method="DOP853", rtol=1e-13, atol=1e-15)
+            assert ref.success, (flow, ref.message)
+            want = ref.y[:, -1]
+            gap = float(np.max(np.abs(traj.final_state().vector() - want)))
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert gap <= ORACLE_AGREEMENT * scale, (flow, reverse, gap)
+
+    def test_compiled_matches_exact_evaluation(self):
+        # a rational state off the singular set u4 = u2^2
+        point = {"u2": F(1, 3), "u4": F(2, 7), "u5": F(-3, 5), "u7": F(5, 4)}
+        state = np.array([float(point[u]) for u in U_VARS], dtype=complex)
+
+        def exact(rf):
+            return (PARAMS.sub_y(rf.num).eval_numeric(point)
+                    / PARAMS.sub_y(rf.den).eval_numeric(point))
+
+        cases = [(CompiledFlow(flow, PARAMS)(state),
+                  [flow_table(flow).entries[u] for u in U_VARS])
+                 for flow in ("I", "II", "T1", "T3")]
+        cases.append((CompiledIntegrals(PARAMS)(state), first_integrals()))
+        for got, entries in cases:
+            assert len(got) == len(entries)
+            for g, rf in zip(got, entries):
+                want = float(exact(rf))
+                assert want != 0 and abs(g - want) <= 1e-12 * abs(want)
 
 
 class TestCommute:
