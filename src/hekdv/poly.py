@@ -1,6 +1,19 @@
 """Sparse multivariate polynomials over arbitrary-precision rationals.
 
-A polynomial is a map from monomials to nonzero ``Fraction`` coefficients.
+A nonzero polynomial is stored as a positive rational content times a
+primitive integer polynomial: a map from monomials to nonzero int
+coefficients whose gcd is 1, as FLINT's ``fmpq_mpoly`` is a content times
+an ``fmpz_mpoly``.  The zero polynomial has content 0 and no terms.  The
+form is unique, so equality and hashing compare it as stored, and the
+arithmetic runs on ints.  By Gauss's lemma a product of primitive
+polynomials is primitive, so a product multiplies the contents and
+convolves the integer parts without a gcd; a scalar changes only the
+content (a negative one also flips the signs); a sum brings both sides to
+one common content and divides out the gcd of the result.  An exact
+quotient of primitive polynomials is again primitive, with integer
+coefficients, so long division stops at the first quotient coefficient
+that is not an integer.
+
 A monomial is one int over the fixed global symbol order: the exponent of
 ``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
 the highest field, so comparing two monomials as ints compares them in the
@@ -15,8 +28,9 @@ guard bits set leaves every guard bit set.
 This representation is private to this module: other modules read a
 polynomial only through ``MPoly.coeffs_in`` (the coefficients of the powers
 of one variable), ``MPoly.monomials`` (each term as its nonzero
-(variable, exponent) pairs and coefficient), the structural queries, and
-``eval_poly``/``MPoly.subst``, so the storage can change without them.
+(variable, exponent) pairs and its ``Fraction`` coefficient), the
+structural queries, and ``eval_poly``/``MPoly.subst``, so the storage can
+change without them.
 
 The ``dense_*`` routines are the one dense univariate arithmetic: lists of
 coefficients, constant term first, over Fractions or MPolys (von zur
@@ -53,6 +67,9 @@ _FIELD_NAME = SYMBOL_ORDER[::-1]
 _SHIFT = {name: _WIDTH * k for k, name in enumerate(_FIELD_NAME)}
 _GUARD = sum(1 << (shift + _WIDTH - 1) for shift in _SHIFT.values())
 _VARIABLE = {1 << shift: name for name, shift in _SHIFT.items()}
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _shift(name):
@@ -93,20 +110,43 @@ def _checked(monomials):
     return monomials
 
 
-def _sum(a, b):
-    """The term dict of a + b: a's monomials first, then b's new ones."""
-    terms = dict(a)
+def _sum(a, b, ka=1, kb=1):
+    """The int term dict of ka*a + kb*b: a's monomials, then b's new ones."""
+    terms = dict(a) if ka == 1 else {m: c * ka for m, c in a.items()}
+    if kb != 1:
+        b = {m: c * kb for m, c in b.items()}
     for m, c in b.items():
         acc = terms.get(m)
         if acc is None:
             terms[m] = c
         else:
-            acc = acc + c
+            acc += c
             if acc:
                 terms[m] = acc
             else:
                 del terms[m]
     return terms
+
+
+def _primitive(content, terms):
+    """The MPoly content * terms (int coefficients, any gcd)."""
+    if not terms:
+        return MPoly(_ZERO, terms)
+    g = gcd(*terms.values())
+    if g == 1:
+        return MPoly(content, terms)
+    return MPoly(content * g, {m: c // g for m, c in terms.items()})
+
+
+def _from_fractions(terms):
+    """The MPoly of a term dict of nonzero Fraction coefficients."""
+    if not terms:
+        return MPoly(_ZERO, terms)
+    num = gcd(*(c.numerator for c in terms.values()))
+    den = lcm(*(c.denominator for c in terms.values()))
+    return MPoly(Fraction(num, den),
+                 {m: c.numerator * (den // c.denominator) // num
+                  for m, c in terms.items()})
 
 
 def _quotient(m, d):
@@ -116,10 +156,10 @@ def _quotient(m, d):
 
 
 def _as_fraction(c):
-    if isinstance(c, Fraction):
-        return c
     if isinstance(c, int):
         return Fraction(c)
+    if isinstance(c, Fraction):
+        return c
     if isinstance(c, str):
         return Fraction(c)
     raise TypeError(f"cannot use {type(c).__name__} as an exact coefficient")
@@ -129,13 +169,19 @@ DEFAULT_MEM_CAP_MB = 1024.0
 
 
 def _mem_cap_product_terms():
-    """Translate HEKDV_MEM_CAP_MB into a rough cap on product-term count.
+    """The product-term cap that HEKDV_MEM_CAP_MB sets at this moment."""
+    return _product_term_cap(os.environ.get("HEKDV_MEM_CAP_MB"))
 
-    A stored term costs on the order of 200 bytes (monomial int + Fraction
-    + dict slot); the estimate is deliberately crude but monotone.  Unset
-    means the 1 GiB default.
+
+@lru_cache(maxsize=8)
+def _product_term_cap(cap_mb):
+    """Translate a raw HEKDV_MEM_CAP_MB value into a rough cap on product terms.
+
+    A stored term costs on the order of 200 bytes (monomial int + int
+    coefficient + dict slot); the estimate is deliberately crude but
+    monotone.  Unset (None) means the 1 GiB default.  Each raw string is
+    parsed once; a malformed one raises on every product.
     """
-    cap_mb = os.environ.get("HEKDV_MEM_CAP_MB")
     if cap_mb is None:
         cap = DEFAULT_MEM_CAP_MB
     else:
@@ -147,14 +193,16 @@ def _mem_cap_product_terms():
 
 
 class MPoly:
-    """Immutable sparse multivariate polynomial with Fraction coefficients."""
+    """Immutable sparse multivariate polynomial with rational coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_content", "terms")
 
-    def __init__(self, terms):
-        # Trusted constructor: `terms` must already be free of zero
-        # coefficients and keyed by in-range monomials.
-        object.__setattr__(self, "terms", terms)
+    def __init__(self, content, terms):
+        # Trusted constructor: `content` is a positive Fraction and `terms`
+        # a primitive int term dict keyed by in-range monomials, or content
+        # 0 with no terms.  A term dict may be shared, so none is mutated.
+        _set_content(self, content)
+        _set_terms(self, terms)
 
     def __setattr__(self, *_):
         raise AttributeError("MPoly is immutable")
@@ -163,16 +211,22 @@ class MPoly:
 
     @staticmethod
     def zero():
-        return MPoly({})
+        return MPoly(_ZERO, {})
 
     @staticmethod
     def const(c):
         c = _as_fraction(c)
-        return MPoly({0: c} if c else {})
+        # the sign of a Fraction is its numerator's, read without a
+        # Fraction comparison
+        if c.numerator > 0:
+            return MPoly(c, {0: 1})
+        if c.numerator < 0:
+            return MPoly(-c, {0: -1})
+        return MPoly.zero()
 
     @staticmethod
     def var(name, power=1):
-        return MPoly({_pack([(name, power)]): Fraction(1)})
+        return MPoly(_ONE, {_pack([(name, power)]): 1})
 
     @staticmethod
     def from_terms(vars, term_map):
@@ -189,7 +243,7 @@ class MPoly:
             if c:
                 m = _pack(zip(vars, expo))
                 terms[m] = terms.get(m, 0) + c
-        return MPoly(_checked({m: c for m, c in terms.items() if c}))
+        return _from_fractions(_checked({m: c for m, c in terms.items() if c}))
 
     # -- structural queries -------------------------------------------
 
@@ -225,19 +279,31 @@ class MPoly:
         for m, c in self.terms.items():
             e = (m >> shift) & MAX_EXPONENT
             parts.setdefault(e, {})[m - (e << shift)] = c
-        return {e: MPoly(terms) for e, terms in parts.items()}
+        return {e: _primitive(self._content, terms)
+                for e, terms in parts.items()}
+
+    def _items(self):
+        """Yield (monomial, Fraction coefficient) per term."""
+        num, den = self._content.numerator, self._content.denominator
+        for m, c in self.terms.items():
+            yield m, Fraction(num * c, den)
 
     def monomials(self):
         """Yield (((var, exp), ...), coeff) per term, zero exponents left out."""
+        num, den = self._content.numerator, self._content.denominator
         for m, c in self.terms.items():
-            yield tuple(_exponents(m)), c
+            yield tuple(_exponents(m)), Fraction(num * c, den)
 
     def as_constant(self):
         """Return the Fraction value if constant, else None."""
         if not self.terms:
-            return Fraction(0)
+            return _ZERO
         if len(self.terms) == 1:
-            return self.terms.get(0)
+            # a primitive constant is 1 or -1
+            c = self.terms.get(0)
+            if c is None:
+                return None
+            return self._content if c == 1 else -self._content
         return None
 
     def leading(self):
@@ -245,57 +311,66 @@ class MPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms)
-        return m, self.terms[m]
+        return m, self._content * self.terms[m]
 
     def content(self):
         """Positive rational content: gcd of numerators over lcm of denominators."""
-        if not self.terms:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, abs(c.numerator))
-            den = lcm(den, c.denominator)
-        return Fraction(num, den)
+        return self._content
 
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other)
         if not isinstance(other, MPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MPoly.const(other)
         if not other.terms:
             return self
         if not self.terms:
             return other
-        return MPoly(_sum(self.terms, other.terms))
+        # the common content gcd(numerators) / lcm(denominators); both
+        # contents are integer multiples of it
+        cp, cq = self._content, other._content
+        # equal contents are often one object: every var() has the same 1,
+        # and a product with a factor of content 1 keeps the other content
+        if cp is cq:
+            return _primitive(cp, _sum(self.terms, other.terms))
+        pn, pd = cp.numerator, cp.denominator
+        qn, qd = cq.numerator, cq.denominator
+        num, den = gcd(pn, qn), lcm(pd, qd)
+        kp, kq = pn // num * (den // pd), qn // num * (den // qd)
+        common = cp if kp == 1 else cq if kq == 1 else Fraction(num, den)
+        return _primitive(common, _sum(self.terms, other.terms, kp, kq))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({m: -c for m, c in self.terms.items()})
+        return MPoly(self._content, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other)
         if not isinstance(other, MPoly):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = MPoly.const(other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # an MPoly operand is tested first: isinstance against Fraction
+        # goes through the numbers ABCs and is slow
+        if not isinstance(other, MPoly):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             c = _as_fraction(other)
             if not c:
                 return MPoly.zero()
-            if c == 1:
-                return self
-            return MPoly({m: k * c for m, k in self.terms.items()})
-        if not isinstance(other, MPoly):
-            return NotImplemented
+            terms = self.terms
+            if c.numerator < 0:
+                c, terms = -c, {m: -k for m, k in terms.items()}
+            cp = self._content
+            return MPoly(c if cp == 1 else cp if c == 1 else cp * c, terms)
         p, q = self, other
         if len(p.terms) < len(q.terms):
             p, q = q, p
@@ -305,18 +380,22 @@ class MPoly:
             raise MemoryCapExceeded(
                 f"product would allocate ~{projected} terms, above the "
                 f"HEKDV_MEM_CAP_MB limit; raise the cap to proceed")
-        terms = {}
+        # Fraction arithmetic is slow; skip it when one content is 1
+        cp, cq = p._content, q._content
+        content = cq if cp == 1 else cp if cq == 1 else cp * cq
         if len(q.terms) == 1:
+            # a primitive term has coefficient 1 or -1
             (qe, qc), = q.terms.items()
             if not qe:
-                if qc == 1:
-                    return p
-                return MPoly({m: c * qc for m, c in p.terms.items()})
+                return MPoly(content, p.terms if qc == 1 else
+                             {m: -c for m, c in p.terms.items()})
             if qc == 1:
-                return MPoly(_checked({pe + qe: pc
-                                       for pe, pc in p.terms.items()}))
-            return MPoly(_checked({pe + qe: pc * qc
-                                   for pe, pc in p.terms.items()}))
+                return MPoly(content, _checked({pe + qe: pc
+                                                for pe, pc in p.terms.items()}))
+            return MPoly(content, _checked({pe + qe: -pc
+                                            for pe, pc in p.terms.items()}))
+        # primitive times primitive is primitive (Gauss): no gcd needed
+        terms = {}
         get = terms.get
         for qe, qc in q.terms.items():
             for pe, pc in p.terms.items():
@@ -325,12 +404,12 @@ class MPoly:
                 if acc is None:
                     terms[key] = pc * qc
                 else:
-                    acc = acc + pc * qc
+                    acc += pc * qc
                     if acc:
                         terms[key] = acc
                     else:
                         del terms[key]
-        return MPoly(_checked(terms))
+        return MPoly(content, _checked(terms))
 
     __rmul__ = __mul__
 
@@ -341,21 +420,24 @@ class MPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            if not c:
+            if not other:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return self * (Fraction(1) / c)
+            return self * (_ONE / other)
         return NotImplemented
 
     def __eq__(self, other):
+        if isinstance(other, MPoly):
+            return self.terms == other.terms and self._content == other._content
         if isinstance(other, (int, Fraction)):
-            other = MPoly.const(other)
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self.terms == other.terms
+            return self.as_constant() == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant hashes as its value, since it compares equal to it
+        value = self.as_constant()
+        if value is not None:
+            return hash(value)
+        return hash((self._content, frozenset(self.terms.items())))
 
     # -- calculus and substitution ---------------------------------------
 
@@ -366,7 +448,7 @@ class MPoly:
             e = (m >> shift) & MAX_EXPONENT
             if e:
                 terms[m - (1 << shift)] = c * e
-        return MPoly(terms)
+        return _primitive(self._content, terms)
 
     def subst(self, mapping):
         """Substitute variables by polynomials/Fractions; returns MPoly."""
@@ -377,7 +459,7 @@ class MPoly:
     def eval_numeric(self, point):
         """Evaluate at a dict of numbers (Fraction, float or complex)."""
         total = None
-        for m, c in self.terms.items():
+        for m, c in self._items():
             acc = None
             for v, e in _exponents(m):
                 base = point[v]
@@ -406,19 +488,21 @@ class MPoly:
         if diff is not None:
             return self.divide_out_linear(*diff)
         if len(divisor.terms) == 1:
+            # a primitive term has coefficient 1 or -1, so the quotient
+            # keeps the dividend's coefficients up to sign
             (de, dc), = divisor.terms.items()
             terms = {}
             for m, c in self.terms.items():
                 q = _quotient(m, de)
                 if q is None:
                     return None
-                terms[q] = c / dc
-            return MPoly(terms)
+                terms[q] = c if dc == 1 else -c
+            return MPoly(self._content / divisor._content, terms)
         return self._long_div(divisor)
 
     def _variable_difference(self):
         """(u, v) when self is exactly u - v for two variables, else None."""
-        if len(self.terms) != 2:
+        if len(self.terms) != 2 or self._content != 1:
             return None
         signs = {c: _VARIABLE.get(m) for m, c in self.terms.items()}
         if set(signs) != {1, -1} or None in signs.values():
@@ -426,9 +510,15 @@ class MPoly:
         return signs[1], signs[-1]
 
     def _long_div(self, d):
-        """Single-divisor division; returns quotient iff remainder is zero."""
+        """Single-divisor division; returns quotient iff remainder is zero.
+
+        It divides the integer parts.  Their exact quotient has integer
+        coefficients (Gauss's lemma), so a quotient coefficient that is not
+        an integer means the remainder cannot vanish.
+        """
         rem = dict(self.terms)
-        de, dc = d.leading()
+        de = max(d.terms)
+        dc = d.terms[de]
         qterms = {}
         while rem:
             # a sum new + e past the range keeps its carry in the guard bit
@@ -437,8 +527,12 @@ class MPoly:
             new = _quotient(re, de)
             if new is None:
                 return None
-            qc = rem[re] / dc
-            qterms[new] = qterms.get(new, 0) + qc
+            qc, r = divmod(rem[re], dc)
+            if r:
+                return None
+            # the leading remainder term falls at every step, so `new` is
+            # a fresh monomial each time
+            qterms[new] = qc
             for e, c in d.terms.items():
                 key = new + e
                 acc = rem.get(key, 0) - qc * c
@@ -446,14 +540,15 @@ class MPoly:
                     rem[key] = acc
                 else:
                     rem.pop(key, None)
-        return MPoly({m: c for m, c in qterms.items() if c})
+        return MPoly(self._content / d._content, qterms)
 
     def divide_out_linear(self, name, other_name):
         """Exact quotient by (name - other_name), e.g. (X1 - X2); None if inexact.
 
         Horner-style division treating the polynomial as univariate in
         ``name`` with coefficients in the remaining variables; linear cost
-        in the term count times the degree.
+        in the term count times the degree.  It runs on the integer part
+        and never divides, and an exact quotient is again primitive.
         """
         i, unit = _shift(name), 1 << _shift(other_name)
         deg = self.degree_in(name)
@@ -472,7 +567,9 @@ class MPoly:
             # carry for next lower degree: b * other_name
             carry = _checked({key + unit: c for key, c in b.items()})
         # remainder = A_0 + carry must vanish
-        return None if _sum(carry, buckets[0]) else MPoly(quotient)
+        if _sum(carry, buckets[0]):
+            return None
+        return MPoly(self._content, quotient)
 
     # -- printing ---------------------------------------------------------
 
@@ -495,7 +592,7 @@ class MPoly:
             if max_terms is not None and n >= max_terms:
                 parts.append(f"... (+{len(self.terms) - max_terms} more terms)")
                 break
-            s = self._term_str(m, self.terms[m])
+            s = self._term_str(m, self._content * self.terms[m])
             if parts and not s.startswith("-"):
                 s = "+" + s
             parts.append(s)
@@ -506,6 +603,12 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.to_str(max_terms=8)})"
+
+
+# the slot setters, past the immutability guard (faster than
+# object.__setattr__ on every construction)
+_set_content = MPoly._content.__set__
+_set_terms = MPoly.terms.__set__
 
 
 def variables(*names):
@@ -601,7 +704,7 @@ def eval_poly(p, mapping, one):
         return power(mapping[v], e, one)
 
     total = None
-    for m, c in p.terms.items():
+    for m, c in p._items():
         acc = None
         for v, e in _exponents(m):
             pv = cached_power(v, e)

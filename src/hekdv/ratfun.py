@@ -27,8 +27,11 @@ def normal_form(num, den, factors=()):
     is cancelled, each variable to its lower minimum degree; the common
     power of each of ``factors`` is divided out, skipping a factor whose
     variables den lacks; den is scaled to content 1 with a positive leading
-    coefficient (den = 1 when constant).  The pair is canonical only when
-    every factor num and den share is a monomial or one of ``factors``.
+    coefficient (den = 1 when constant).  The scaling reads den's stored
+    content and replaces the contents of both, flipping the signs of their
+    integer parts when den leads negative; no coefficient is divided.  The
+    pair is canonical only when every factor num and den share is a
+    monomial or one of ``factors``.
     """
     if den.is_zero:
         raise ZeroDenominatorError("fraction with zero denominator")

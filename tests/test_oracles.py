@@ -1,6 +1,8 @@
 """Independent oracles: sympy re-decides what the sparse ``MPoly`` kernel and
-the dense univariate routines of ``poly`` compute, and the code the dense
-routines replaced is kept here as a reference.
+the dense univariate routines of ``poly`` compute, and the u-space identities
+the verifier certifies (first integrals, Hamiltonian form, involution) from
+the same transcribed tables; the code the dense routines replaced is kept
+here as a reference.
 
 Resultants are checked against the determinant of the Sylvester matrix, not
 against ``sympy.resultant``: sympy 1.14 returns 5 for X^3 - X + 1 and
@@ -18,6 +20,8 @@ from hekdv.curve import sylvester_resultant
 from hekdv.phiring import MINPOLY_Q, PhiRingElem, sextic_relation
 from hekdv.poly import MPoly, dense_divmod, dense_inverse, dense_mul, dense_trim
 from hekdv.series import PSeries
+from hekdv.tables import (FLOW_IDS, U_VARS, PoissonStructure, first_integrals,
+                          flow_table, structure_I, structure_II)
 
 sympy = pytest.importorskip("sympy")
 
@@ -199,6 +203,86 @@ class TestMPolyAgainstSympy:
         want = "".join(s if n == 0 or s.startswith("-") else "+" + s
                        for n, s in enumerate(parts)) or "0"
         assert f.to_str() == want
+
+
+# -- the u-space suites, re-decided by sympy from the transcribed inputs -----
+
+def ratfn_to_sympy(rf):
+    return mpoly_to_sympy(rf.num) / mpoly_to_sympy(rf.den)
+
+
+def flow_derivative(h, table):
+    """The derivative of sympy expression h along a flow table."""
+    return sum(sympy.diff(h, sympy.Symbol(u)) * ratfn_to_sympy(table.entries[u])
+               for u in U_VARS)
+
+
+def bracket(f, g, structure):
+    """{f, g} of sympy expressions from the bracket's table of pairs."""
+    total = sympy.Integer(0)
+    for (vi, vj), c in structure.table.items():
+        xi, xj = sympy.Symbol(vi), sympy.Symbol(vj)
+        total += sympy.Rational(c.numerator, c.denominator) * (
+            sympy.diff(f, xi) * sympy.diff(g, xj)
+            - sympy.diff(f, xj) * sympy.diff(g, xi))
+    return total
+
+
+def vanishes(expr):
+    return sympy.cancel(sympy.together(expr)) == 0
+
+
+U_DELTA = MPoly.var("u2") * MPoly.var("u5") * F(3, 7)
+
+
+class TestUSpaceAgainstSympy:
+    """The first-integrals and hamiltonian-form suites, decided by sympy."""
+
+    @pytest.fixture(scope="class")
+    def integrals(self):
+        return tuple(ratfn_to_sympy(h) for h in first_integrals())
+
+    @pytest.mark.parametrize("flow", FLOW_IDS)
+    def test_integrals_invariant(self, integrals, flow):
+        table = flow_table(flow)
+        for h in integrals:
+            assert vanishes(flow_derivative(h, table))
+
+    def test_hamiltonian_form(self, integrals):
+        h12, h14 = integrals
+        for flow, h, structure in (("I", h12, structure_I()),
+                                   ("II", h14, structure_II())):
+            table = flow_table(flow)
+            for u in U_VARS:
+                want = ratfn_to_sympy(table.entries[u])
+                assert vanishes(bracket(sympy.Symbol(u), h, structure) - want)
+
+    def test_integrals_in_involution(self, integrals):
+        for structure in (structure_I(), structure_II()):
+            assert vanishes(bracket(*integrals, structure))
+
+    @pytest.mark.parametrize("flow, u", [("I", "u5"), ("T3", "u2")])
+    def test_mutated_table_has_residual(self, integrals, flow, u):
+        table = flow_table(flow).mutated(u, U_DELTA)
+        assert not all(vanishes(flow_derivative(h, table)) for h in integrals)
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_mutated_integral_has_residual(self, which):
+        bad = list(first_integrals())
+        bad[which] = bad[which] + U_DELTA
+        h = ratfn_to_sympy(bad[which])
+        assert not all(vanishes(flow_derivative(h, flow_table(flow)))
+                       for flow in FLOW_IDS)
+
+    def test_mutated_bracket_has_residual(self, integrals):
+        table = dict(structure_I().table)
+        table[("u2", "u7")] += F(1, 3)
+        bad = PoissonStructure("I", table)
+        h12 = integrals[0]
+        flow = flow_table("I")
+        assert not all(
+            vanishes(bracket(sympy.Symbol(u), h12, bad)
+                     - ratfn_to_sympy(flow.entries[u])) for u in U_VARS)
 
 
 # -- the code the dense routines replaced, kept verbatim as references ------

@@ -3,13 +3,14 @@ import re
 import subprocess
 import sys
 from fractions import Fraction as F
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import hekdv.poly
-from conftest import mpoly_strategy, small_fractions
+from conftest import mpoly_strategy, nonzero_fractions, small_fractions
 from hekdv.curve import CurveParams
 from hekdv.errors import ConfigError, MemoryCapExceeded, NotSymmetricError
 from hekdv.phiring import PhiRingElem
@@ -248,6 +249,88 @@ class TestUnivariateView:
     def test_negative_power_is_an_error(self):
         with pytest.raises(ValueError):
             PSeries.zero("t", 2) ** -1
+
+
+def _content_reference(p):
+    """gcd of the coefficient numerators over lcm of their denominators."""
+    num, den = 0, 1
+    for _, cf in p.monomials():
+        num = gcd(num, cf.numerator)
+        den = lcm(den, cf.denominator)
+    return F(num, den)
+
+
+_LINEAR_VARS = ("X1", "X2", "a", "b")
+# numerators and denominators up to 10^6, so contents meet large gcds
+_big_fractions = st.builds(F, st.integers(-10**6, 10**6),
+                           st.integers(1, 10**6)).filter(bool)
+_big_polys = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 4), _big_fractions),
+    max_size=4).map(lambda terms: MPoly.from_terms(_LINEAR_VARS, dict(terms)))
+
+
+class TestIntegerCoefficients:
+    """A polynomial is stored as one positive rational content times a
+    primitive integer part, so every route to it gives one stored form."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want and hash(got) == hash(want)
+
+    @given(mpoly_strategy(_LINEAR_VARS), mpoly_strategy(_LINEAR_VARS),
+           nonzero_fractions, st.integers(2, 30))
+    def test_routes_agree(self, p, q, k, n):
+        unreduced = {tuple(dict(mono).get(v, 0) for v in _LINEAR_VARS):
+                     f"{cf.numerator * n}/{cf.denominator * n}"
+                     for mono, cf in p.monomials()}
+        for got in (MPoly.from_terms(_LINEAR_VARS, unreduced),
+                    (p * k) / k, p + q - q, -(-p)):
+            self.assert_same(got, p)
+
+    @given(mpoly_strategy(_LINEAR_VARS), nonzero_fractions)
+    def test_division_routes_agree(self, p, k):
+        for divisor in (a ** 2 * b * k,                 # monomial
+                        X1 - X2,                        # variable difference
+                        (a * 3 + b * 2 + k) * k):       # long division
+            self.assert_same((p * divisor).exact_div(divisor), p)
+
+    @given(_big_polys, _big_polys, _big_polys)
+    def test_content_with_large_denominators(self, p, q, r):
+        for x in (p, q, p + q, p - q, p * q, p * r + q * r, -p):
+            assert x.content() == _content_reference(x)
+        # Gauss's lemma: the content of a product is the product of contents
+        assert (p * q).content() == p.content() * q.content()
+        assert (p + q) * r == p * r + q * r
+        self.assert_same((p * r + q * r - q * r) * 7 / 7, p * r)
+        if r:
+            self.assert_same((p * r).exact_div(r), p)
+
+    @given(mpoly_strategy(_LINEAR_VARS))
+    def test_coefficients_read_as_fractions(self, p):
+        assert all(type(cf) is F for _, cf in p.monomials())
+        if p:
+            assert type(p.leading()[1]) is F
+        for value in (0, 3, F(-2, 3)):
+            assert type(MPoly.const(value).as_constant()) is F
+        assert type(p.content()) is F
+
+    def test_long_division_stops_at_a_fractional_quotient(self):
+        assert (X1 * 2 + 1)._long_div(X1 * 3 + 1) is None
+        assert (X1 * 4 + 1)._long_div(1 - X1 * 2) is None
+        self.assert_same(((X1 * 2 + 1) * (X1 * 3 + 1))._long_div(X1 * 3 + 1),
+                         X1 * 2 + 1)
+        half = X1 * F(1, 2) + F(1, 3)
+        self.assert_same((half * (X1 * 3 - a * 2))._long_div(X1 * 3 - a * 2),
+                         half)
+        self.assert_same((half * (a * 2 - X1 * 3))._long_div(X1 * 3 - a * 2),
+                         -half)
+
+    @pytest.mark.parametrize("value", [0, 3, -7, F(-5, 6)])
+    def test_constant_hashes_as_its_value(self, value):
+        p = MPoly.const(value)
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+        assert len({MPoly.zero(), 0}) == 1
 
 
 # -- the per-module exponent loops the univariate view replaced, kept as
