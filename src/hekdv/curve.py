@@ -68,14 +68,9 @@ class CurveParams:
 
     def sub_y(self, p):
         """Substitute the numeric parameters of this curve into a polynomial."""
-        mapping = {}
-        for name, v in zip(y_symbols(self.genus), self.ys):
-            if v is not None:
-                mapping[name] = v
-        if not mapping:
-            return p
-        keep = {v: MPoly.var(v) for v in p.variables_used() if v not in mapping}
-        return p.subst({**keep, **{k: MPoly.const(v) for k, v in mapping.items()}})
+        mapping = {name: v for name, v in zip(y_symbols(self.genus), self.ys)
+                   if v is not None}
+        return p.subst(mapping) if mapping else p
 
 
 def curve_Q(params, xvar="X1"):

@@ -119,7 +119,6 @@ def psi1(e: SymSqElem, target: SymSqField) -> SymSqElem:
 
 def psi2(e: SymSqElem, target: SymSqField) -> SymSqElem:
     """Inverse map X_i -> X_i, Y_i -> X_i*Y_i back to the genus-2 square."""
-    sub = {v: MPoly.var(v) for v in e.num.variables_used()}
-    sub.update(Y1=MPoly.var("X1") * MPoly.var("Y1"),
-               Y2=MPoly.var("X2") * MPoly.var("Y2"))
+    sub = {"Y1": MPoly.var("X1") * MPoly.var("Y1"),
+           "Y2": MPoly.var("X2") * MPoly.var("Y2")}
     return target.elem(e.num.subst(sub), e.den)

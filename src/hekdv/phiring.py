@@ -143,7 +143,7 @@ def sigma_on_ring(key):
     """sigma partial (by multi-index string) evaluated at w1 = phi."""
     sig = sigma_rational(3)
     p = sig.sigma if key == "" else sig.partial(key)
-    mapped = p.subst({"w1": phi_var, "w3": w3, "w5": w5})
+    mapped = p.subst({"w1": phi_var})
     return PhiRingElem.from_mpoly(mapped)
 
 
@@ -368,8 +368,7 @@ def phi_series_example1(order=15):
     """
     if order < 2:
         raise ConfigError("the seed already has order 2")
-    rel = sextic_relation().subst({
-        "phi": phi_var, "w3": t_var, "w5": MPoly.const(1)})
+    rel = sextic_relation().subst({"w3": t_var, "w5": MPoly.const(1)})
     seed = PSeries("t", [0, 0, 1], 2)
     return newton_solve(rel, order, seed, unknown="phi", parameter="t")
 
@@ -381,8 +380,7 @@ def verify_example1(expected=None):
     for k in range(13):
         target = want.get(k, Fraction(0))
         rb.expect(f"coefficient of t^{k} = {target}", series[k] == target)
-    rel = sextic_relation().subst({
-        "phi": phi_var, "w3": t_var, "w5": MPoly.const(1)})
+    rel = sextic_relation().subst({"w3": t_var, "w5": MPoly.const(1)})
     from .series import eval_at_series, PSeries as _PS
     back = eval_at_series(rel, {"phi": series,
                                 "t": _PS.identity("t", 12)}, 12)
@@ -416,7 +414,19 @@ class ThetaVal:
     def is_zero(self):
         return self.coeff.is_zero
 
+    @staticmethod
+    def _lift(other):
+        """A ThetaVal, or an int/Fraction as a theta-degree-0 value; else None."""
+        if isinstance(other, ThetaVal):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return ThetaVal(other)
+        return None
+
     def __add__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         if other.is_zero:
             return self
         if self.is_zero:
@@ -427,25 +437,32 @@ class ThetaVal:
         return ThetaVal(self.coeff + other.coeff, self.exp)
 
     def __sub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         return self + ThetaVal(-other.coeff, other.exp)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return ThetaVal(self.coeff * other, self.exp)
+        if not isinstance(other, ThetaVal):
+            return NotImplemented
         return ThetaVal(self.coeff * other.coeff, self.exp + other.exp)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
         return ThetaVal(self.coeff / other.coeff, self.exp - other.exp)
 
     def __pow__(self, n):
         return ThetaVal(self.coeff ** n, self.exp * n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ThetaVal(other)
-        if not isinstance(other, ThetaVal):
+        other = self._lift(other)
+        if other is None:
             return NotImplemented
         if self.is_zero and other.is_zero:
             return True

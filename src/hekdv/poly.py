@@ -451,10 +451,14 @@ class MPoly:
         return _primitive(self._content, terms)
 
     def subst(self, mapping):
-        """Substitute variables by polynomials/Fractions; returns MPoly."""
-        mapping = {k: (MPoly.const(v) if isinstance(v, (int, Fraction)) else v)
-                   for k, v in mapping.items()}
-        return eval_poly(self, mapping, one=MPoly.const(1))
+        """Substitute variables by polynomials/Fractions; returns MPoly.
+
+        Variables that ``mapping`` does not name stay as they are.
+        """
+        full = {v: MPoly.var(v) for v in self.variables_used()}
+        full.update((k, MPoly.const(v) if isinstance(v, (int, Fraction)) else v)
+                    for k, v in mapping.items())
+        return eval_poly(self, full, one=MPoly.const(1))
 
     def eval_numeric(self, point):
         """Evaluate at a dict of numbers (Fraction, float or complex)."""

@@ -1,9 +1,10 @@
 """Rational functions as fractions of sparse polynomials, and their normal form.
 
-``normal_form`` is the one routine that cancels or scales a fraction, for
-both ``RatFn`` and ``symsq.SymSqElem``.  It is deliberately lazy (no
-multivariate gcd), so equality is decided by cross-multiplication, which is
-representation independent.
+``RatFn`` holds the one fraction arithmetic; ``symsq.SymSqElem`` inherits it
+and supplies its own normal form.  ``normal_form`` is the one routine that
+cancels or scales a fraction; its ``factors`` are declared by the ring, not
+per call.  It is deliberately lazy (no multivariate gcd), so equality is
+decided by cross-multiplication, which is representation independent.
 """
 
 from fractions import Fraction
@@ -66,17 +67,32 @@ def normal_form(num, den, factors=()):
 
 
 class RatFn:
-    """A fraction num/den of multivariate polynomials, den != 0."""
+    """A fraction num/den of multivariate polynomials, den != 0.
+
+    The ring operators, equality and printing are written once, here, for
+    every fraction ring.  A subclass supplies its normal form in
+    ``__init__`` and two hooks: ``_lift`` brings an operand into the ring
+    (raising TypeError for a foreign one) and ``_make`` builds a result.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1, known_factors=()):
-        num, den = normal_form(_as_mpoly(num), _as_mpoly(den), known_factors)
+    def __init__(self, num, den=1):
+        num, den = normal_form(_as_mpoly(num), _as_mpoly(den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
     def __setattr__(self, *_):
-        raise AttributeError("RatFn is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _lift(self, other):
+        """``other`` as an element of this ring: a RatFn, MPoly or scalar."""
+        if type(other) is RatFn:
+            return other
+        return RatFn(other)
+
+    def _make(self, num, den):
+        return RatFn(num, den)
 
     # -- predicates -----------------------------------------------------
 
@@ -92,74 +108,70 @@ class RatFn:
 
     # -- arithmetic -------------------------------------------------------
 
-    @staticmethod
-    def _coerce(x):
-        if isinstance(x, RatFn):
-            return x
-        return RatFn(_as_mpoly(x))
-
     def __add__(self, other):
-        other = RatFn._coerce(other)
-        return RatFn(self.num * other.den + other.num * self.den,
-                     self.den * other.den)
+        o = self._lift(other)
+        return self._make(self.num * o.den + o.num * self.den,
+                          self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFn(-self.num, self.den)
+        return self._make(-self.num, self.den)
 
     def __sub__(self, other):
-        other = RatFn._coerce(other)
-        return RatFn(self.num * other.den - other.num * self.den,
-                     self.den * other.den)
+        o = self._lift(other)
+        return self._make(self.num * o.den - o.num * self.den,
+                          self.den * o.den)
 
     def __rsub__(self, other):
-        return RatFn._coerce(other) - self
+        return self._lift(other) - self
 
     def __mul__(self, other):
-        other = RatFn._coerce(other)
-        return RatFn(self.num * other.num, self.den * other.den)
+        if isinstance(other, (int, Fraction)):
+            return self._make(self.num * other, self.den)
+        o = self._lift(other)
+        return self._make(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = RatFn._coerce(other)
-        if other.num.is_zero:
-            raise ZeroDenominatorError("division by the zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
+        o = self._lift(other)
+        if o.is_zero:
+            raise ZeroDenominatorError("division by the zero fraction")
+        return self._make(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
-        return RatFn._coerce(other) / self
+        return self._lift(other) / self
 
     def __pow__(self, n):
         if n < 0:
-            if self.num.is_zero:
-                raise ZeroDenominatorError("inverting the zero rational function")
-            return RatFn(self.den ** (-n), self.num ** (-n))
-        return RatFn(self.num ** n, self.den ** n)
+            if self.is_zero:
+                raise ZeroDenominatorError("inverting the zero fraction")
+            return self._make(self.den ** (-n), self.num ** (-n))
+        return self._make(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, MPoly)):
-            other = RatFn._coerce(other)
-        if not isinstance(other, RatFn):
+        try:
+            o = self._lift(other)
+        except TypeError:
             return NotImplemented
-        return ratfn_equal(self, other)
+        return (self.num * o.den - o.num * self.den).is_zero
 
     def __hash__(self):
-        raise TypeError("RatFn is unhashable; equality is cross-multiplicative")
+        raise TypeError(f"{type(self).__name__} is unhashable; "
+                        "equality is cross-multiplicative")
 
     # -- calculus ----------------------------------------------------------
 
-    def derivative(self, name, known_factors=()):
+    def derivative(self, name):
         return RatFn(self.num.derivative(name) * self.den
                      - self.num * self.den.derivative(name),
-                     self.den * self.den,
-                     known_factors=known_factors)
+                     self.den * self.den)
 
     def subst(self, mapping):
         """Substitute variables by RatFn/MPoly/Fraction values."""
         from .poly import eval_poly
-        lifted = {k: RatFn._coerce(v) for k, v in mapping.items()}
+        lifted = {k: self._lift(v) for k, v in mapping.items()}
         one = RatFn(MPoly.const(1))
         num = eval_poly(self.num, lifted, one)
         den = eval_poly(self.den, lifted, one)
@@ -179,11 +191,10 @@ class RatFn:
         return f"({self.num}) / ({self.den})"
 
     def __repr__(self):
-        return f"RatFn({self.num.to_str(max_terms=6)} / {self.den.to_str(max_terms=6)})"
+        return (f"{type(self).__name__}({self.num.to_str(max_terms=6)} / "
+                f"{self.den.to_str(max_terms=6)})")
 
 
 def ratfn_equal(f, g):
     """True iff f and g agree as rational functions (cross-multiplication)."""
-    f = RatFn._coerce(f)
-    g = RatFn._coerce(g)
-    return (f.num * g.den - g.num * f.den).is_zero
+    return f == g

@@ -99,21 +99,13 @@ def printed_V():
     return RatFn(-18 * x_var ** 2, (x_var ** 3 - 3 * t_var) ** 2)
 
 
-def _dx(rf):
-    return rf.derivative("x", known_factors=(x_var ** 3 - 3 * t_var,))
-
-
-def _dt(rf):
-    return rf.derivative("t", known_factors=(x_var ** 3 - 3 * t_var,))
-
-
 def kdv_residuals(U, V):
     """The three hierarchy residuals for an explicit solution pair."""
-    Up = _dx(U)
-    Uppp = _dx(_dx(Up))
-    Udot = _dt(U)
-    Vp = _dx(V)
-    Udotpp = _dx(_dx(Udot))
+    Up = U.derivative("x")
+    Uppp = Up.derivative("x").derivative("x")
+    Udot = U.derivative("t")
+    Vp = V.derivative("x")
+    Udotpp = Udot.derivative("x").derivative("x")
     return (
         ("U''' - 4 Udot - 6 U U'", Uppp - Udot * 4 - U * Up * 6),
         ("Udot'' - 4 U Udot - 2 U' V", Udotpp - U * Udot * 4 - Up * V * 2),

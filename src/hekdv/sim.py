@@ -10,6 +10,7 @@ points with negative ordinate squares) are advanced directly, and the
 error norm measures each component by its modulus.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -212,6 +213,15 @@ def _abort(traj, reason):
     return SingularityAbort(reason, traj)
 
 
+def _check_tolerances(rel_tol, abs_tol):
+    """ConfigError unless both are finite and nonnegative and one is positive."""
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ConfigError(f"{name} must be finite and nonnegative, got {tol!r}")
+    if rel_tol == 0 and abs_tol == 0:
+        raise ConfigError("rel_tol and abs_tol are both zero")
+
+
 def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
               params: CurveParams = None, max_steps=200_000, reverse=False):
     """Integrate one flow from the seed state to the requested time.
@@ -221,18 +231,22 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     would bring |u4 - u2^2| below 1e-8 times its initial size are rejected
     and the run aborts with the partial trajectory once the step size
     underflows.  With reverse=True every step is taken backwards, as -h.
+    A span or tolerances that no step control can honour raise ConfigError.
     """
     if params is None:
         raise ConfigError("integrate needs the curve parameters")
+    span = float(t_end)
+    if not math.isfinite(span):
+        raise ConfigError(f"t_end must be finite, got {t_end!r}")
+    if span < 0:
+        raise ConfigError("t_end must be nonnegative; use reverse=True to go back")
+    _check_tolerances(rel_tol, abs_tol)
     rhs = CompiledFlow(flow, params)
     invariants = CompiledIntegrals(params)
     sign = -1.0 if reverse else 1.0
     guard = flow in T_FLOWS
     y = s0.vector()
     t = 0.0
-    span = float(t_end)
-    if span < 0:
-        raise ConfigError("t_end must be nonnegative; use reverse=True to go back")
     v0 = abs(y[1] - y[0] ** 2)
     if guard and v0 == 0:
         raise SeedError("seed sits on the singular set u4 = u2^2")
@@ -309,6 +323,7 @@ def commute_experiment(params: CurveParams, s0: SimState, sigma, tau,
     1e-8 times the state scale; the flows commute exactly, so the
     discrepancy measures integrator error only.
     """
+    _check_tolerances(rel_tol, abs_tol)     # also for a leg of zero span
     fa, fb = flows
 
     def run(flow, state, span):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConfigError
-from .poly import MPoly, standard_weights, variables
+from .poly import standard_weights, variables
 from .ratfun import RatFn
 from .symsq import build_MN
 from .curve import CurveParams
@@ -148,9 +148,8 @@ def first_integrals():
     """
     M3, N3t = build_MN(CurveParams.symbolic(3))
     sub = {"a": u2, "b": u4, "c": u5, "d": u7}
-    keep = {v: MPoly.var(v) for v in ("y4", "y6", "y8", "y10", "y12", "y14")}
-    H12 = RatFn(M3.subst({**sub, **keep}) + y12)
-    H14 = RatFn(N3t.subst({**sub, **keep}) + y14)
+    H12 = RatFn(M3.subst(sub) + y12)
+    H14 = RatFn(N3t.subst(sub) + y14)
     return H12, H14
 
 

@@ -43,8 +43,7 @@ def pullback_u(rf: RatFn, field=None):
 
 
 def _u_to_abcd(p):
-    return p.subst({v: MPoly.var(_ABCD_OF_U.get(v, v))
-                    for v in p.variables_used()})
+    return p.subst({u: MPoly.var(g) for u, g in _ABCD_OF_U.items()})
 
 
 def verify_flow_table(flow, table=None):

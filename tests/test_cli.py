@@ -188,6 +188,27 @@ class TestExitCodes:
         assert doc["abort_reason"] == "step budget exhausted"
 
 
+class TestUnusableSimulatorSettings:
+    """Spans and tolerances the stepper cannot honour exit 2 with no result."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--flow", "I", "--t-end=nan"],
+        ["simulate", "--flow", "I", "--rel-tol=-1e-6"],
+        ["simulate", "--flow", "I", "--rel-tol=0", "--abs-tol=0"],
+        ["simulate", "--flow", "I", "--abs-tol=nan"],
+        ["commute", "--sigma=nan", "--tau=0.1"],
+        ["commute", "--sigma=0", "--tau=0", "--rel-tol=-1"],
+    ])
+    def test_exits_two_without_a_document(self, argv, tmp_path, capsys):
+        out = tmp_path / "doc.json"
+        assert run([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert '"pass"' not in captured.out
+        assert "error: " in captured.err
+        assert "step size underflow" not in captured.err
+
+
 class TestColdVerify:
     def test_verify_does_not_import_numpy(self):
         src = str(Path(hekdv.__file__).resolve().parents[1])

@@ -1,8 +1,9 @@
 """Independent oracles: sympy re-decides what the sparse ``MPoly`` kernel and
-the dense univariate routines of ``poly`` compute, and the u-space identities
+the dense univariate routines of ``poly`` compute, the u-space identities
 the verifier certifies (first integrals, Hamiltonian form, involution) from
-the same transcribed tables; the code the dense routines replaced is kept
-here as a reference.
+the same transcribed tables, and the rational-limit solution pair from the
+Schur polynomials; the code the dense routines replaced is kept here as a
+reference.
 
 Resultants are checked against the determinant of the Sylvester matrix, not
 against ``sympy.resultant``: sympy 1.14 returns 5 for X^3 - X + 1 and
@@ -19,6 +20,9 @@ from conftest import mpoly_strategy, small_fractions
 from hekdv.curve import sylvester_resultant
 from hekdv.phiring import MINPOLY_Q, PhiRingElem, sextic_relation
 from hekdv.poly import MPoly, dense_divmod, dense_inverse, dense_mul, dense_trim
+from hekdv.ratfun import RatFn
+from hekdv.ratlimit import (printed_U, printed_V, sigma_rational,
+                            uv_closed_form, verify_uv_closed_form)
 from hekdv.series import PSeries
 from hekdv.tables import (FLOW_IDS, U_VARS, PoissonStructure, first_integrals,
                           flow_table, structure_I, structure_II)
@@ -283,6 +287,65 @@ class TestUSpaceAgainstSympy:
         assert not all(
             vanishes(bracket(sympy.Symbol(u), h12, bad)
                      - ratfn_to_sympy(flow.entries[u])) for u in U_VARS)
+
+
+# -- the rational limit, re-derived by sympy from the Schur polynomials -----
+
+W1, W3, W5, XS, TS = sympy.symbols("w1 w3 w5 x t")
+
+
+def to_xt(expr):
+    """Rename (w1, w3) into the solution variables (x, t)."""
+    return expr.subs({W1: XS, W3: TS}, simultaneous=True)
+
+
+def kdv_residuals_sympy(U, V):
+    Up, Udot = sympy.diff(U, XS), sympy.diff(U, TS)
+    return (sympy.diff(U, XS, 3) - 4 * Udot - 6 * U * Up,
+            sympy.diff(Udot, XS, 2) - 4 * U * Udot - 2 * Up * V,
+            Udot - sympy.diff(V, XS))
+
+
+class TestRationalLimitAgainstSympy:
+    """The sec-8-UV, thm-8.1 and sec-8-DE identities, decided by sympy."""
+
+    @pytest.fixture(scope="class")
+    def uv(self):
+        sigma = mpoly_to_sympy(sigma_rational(3).sigma)
+        # sigma is linear in w5, so the divisor sigma = 0 is w5 = xi(w1, w3)
+        assert sympy.diff(sigma, W5, 2) == 0
+        xi = sympy.cancel(-sigma.subs(W5, 0) / sympy.diff(sigma, W5))
+        s1, s3, s5 = (sympy.diff(sigma, w).subs(W5, xi) for w in (W1, W3, W5))
+        U = sympy.cancel(to_xt(-2 * s3 / s1))
+        V = sympy.cancel(to_xt(-2 * s5 / s1))
+        return U, V
+
+    def test_printed_closed_forms(self, uv):
+        U, V = uv
+        assert vanishes(U - ratfn_to_sympy(printed_U()))
+        assert vanishes(V - ratfn_to_sympy(printed_V()))
+        kernel_U, kernel_V = uv_closed_form()
+        assert vanishes(U - ratfn_to_sympy(kernel_U))
+        assert vanishes(V - ratfn_to_sympy(kernel_V))
+
+    def test_kdv_residuals_vanish(self, uv):
+        for resid in kdv_residuals_sympy(*uv):
+            assert vanishes(resid)
+
+    def test_genus2_pair_equals_the_genus3_pair(self, uv):
+        sigma = mpoly_to_sympy(sigma_rational(2).sigma)
+        s1 = sympy.diff(sigma, W1)
+        D = to_xt(2 * (s1 ** 2 - sympy.diff(s1, W1) * sigma) / sigma ** 2)
+        E = to_xt(2 * (s1 * sympy.diff(sigma, W3)
+                       - sympy.diff(s1, W3) * sigma) / sigma ** 2)
+        U, V = uv
+        assert vanishes(D - U) and vanishes(E - V)
+
+    def test_mutated_expected_U_has_residual(self, uv):
+        x, t = MPoly.var("x"), MPoly.var("t")
+        bad = RatFn(5 * x * (x ** 3 + 6 * t), (x ** 3 - 3 * t) ** 2)   # 6 -> 5
+        assert not vanishes(uv[0] - ratfn_to_sympy(bad))
+        assert not verify_uv_closed_form(expected_U=bad).passed
 
 
 # -- the code the dense routines replaced, kept verbatim as references ------

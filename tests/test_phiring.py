@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -69,6 +70,18 @@ class TestCoercion:
         assert ThetaVal(1, 1) != 1 and ThetaVal(0, 4) == 0
         assert (ThetaVal(1) == None) is False  # noqa: E711
         assert ThetaVal(1) != "1"
+
+    def test_theta_val_with_scalar_operands(self):
+        assert ThetaVal(1) + 1 == ThetaVal(2)
+        assert ThetaVal(2) - 1 == ThetaVal(1)
+        assert ThetaVal(2) / 2 == ThetaVal(1)
+        assert ThetaVal(1, 3) * F(1, 2) == ThetaVal(F(1, 2), 3)
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul, operator.truediv])
+    def test_theta_val_rejects_a_string_operand(self, op):
+        with pytest.raises(TypeError):
+            op(ThetaVal(1), "x")
 
 
 class TestSolutionComponents:

@@ -183,6 +183,18 @@ class TestEvalAndSubst:
         with pytest.raises(ConfigError):
             eval_poly(a * b, {"a": MPoly.const(1)}, one=MPoly.const(1))
 
+    def test_subst_keeps_unmapped_variables(self):
+        p = a**2 * b + 3 * c * a - d + F(1, 2)
+        out = p.subst({"a": X1 + X2, "c": F(2, 3)})
+        assert out == (X1 + X2)**2 * b + 2 * (X1 + X2) - d + F(1, 2)
+        # the same terms in the same order as with the identity spelled out
+        spelled = p.subst({"a": X1 + X2, "b": b, "c": F(2, 3), "d": d})
+        assert list(out.monomials()) == list(spelled.monomials())
+
+    def test_subst_of_an_unused_variable_is_the_identity(self):
+        p = a * b - 1
+        assert p.subst({"c": X1}) == p
+
 
 class TestMemoryCap:
     def test_cap_triggers(self, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hekdv.curve import CurveParams, in_Bg
-from hekdv.errors import SeedError, SingularityAbort
+from hekdv.errors import ConfigError, SeedError, SingularityAbort
 from hekdv.sim import (CompiledFlow, CompiledIntegrals, commute_experiment,
                        curve_ordinate, integrate, seed_state)
 from hekdv import tables
@@ -150,6 +150,41 @@ class TestIntegration:
         assert partial.abort_reason == "step budget exhausted"
         assert str(exc.value) == "step budget exhausted"
         assert len(partial.samples) >= 1
+
+
+class TestRejectedSettings:
+    """A span or tolerances no step control can honour are usage errors."""
+
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_span(self, s0, t_end):
+        with pytest.raises(ConfigError, match="t_end must be finite"):
+            integrate("I", s0, t_end, params=PARAMS)
+
+    @pytest.mark.parametrize("tols", [
+        dict(rel_tol=-1e-6),
+        dict(abs_tol=-1e-14),
+        dict(rel_tol=float("nan")),
+        dict(abs_tol=float("nan")),
+        dict(rel_tol=float("inf")),
+        dict(rel_tol=0.0, abs_tol=0.0),
+    ])
+    def test_unusable_tolerances(self, s0, tols):
+        with pytest.raises(ConfigError, match="tol"):
+            integrate("I", s0, 0.1, params=PARAMS, **tols)
+
+    def test_one_zero_tolerance_is_accepted(self, s0):
+        traj = integrate("I", s0, 0.1, rel_tol=0.0, abs_tol=1e-12,
+                         params=PARAMS)
+        assert traj.samples[-1][0] == pytest.approx(0.1)
+
+    def test_commute_rejects_a_nan_leg(self, s0):
+        with pytest.raises(ConfigError, match="t_end must be finite"):
+            commute_experiment(PARAMS, s0, float("nan"), 0.1)
+
+    def test_commute_checks_tolerances_without_a_leg(self, s0):
+        with pytest.raises(ConfigError, match="rel_tol"):
+            commute_experiment(PARAMS, s0, 0.0, 0.0, rel_tol=-1.0)
 
 
 # the endpoint must match scipy's DOP853 to perfbench's ORACLE_AGREEMENT

@@ -67,6 +67,38 @@ class TestElemNormalization:
         assert one == 1 and not (one != 1)
 
 
+class TestElemIsAFraction:
+    """SymSqElem inherits RatFn's arithmetic and adds its field."""
+
+    def test_subclass_with_the_ring_operators(self, symbolic_field3):
+        from hekdv.symsq import SymSqElem
+        assert issubclass(SymSqElem, RatFn)
+        f = symbolic_field3
+        x1, y1 = f.gens()["X1"], f.gens()["Y1"]
+        assert y1 ** 2 == f.elem(f.Q1)
+        assert (y1 / x1) ** -2 * f.Q1 == x1 ** 2
+        assert 1 - y1 / x1 == (x1 - y1) / x1
+        assert type(2 / x1) is SymSqElem and (2 / x1) * x1 == 2
+
+    def test_unhashable(self, symbolic_field3):
+        with pytest.raises(TypeError):
+            hash(symbolic_field3.one())
+
+    def test_fields_do_not_mix(self, symbolic_field3):
+        other = SymSqField(CurveParams.symbolic(3))
+        with pytest.raises(ValueError):
+            symbolic_field3.one() + other.one()
+        with pytest.raises(TypeError):
+            symbolic_field3.one() + RatFn(1)
+
+    def test_calculus_ignoring_the_curve_is_refused(self, symbolic_field3):
+        y1 = symbolic_field3.gens()["Y1"]
+        with pytest.raises(TypeError):
+            y1.derivative("X1")
+        with pytest.raises(TypeError):
+            y1.subst({"Y1": X1})
+
+
 class TestBridges:
     def test_a2_minus_b(self, symbolic_field3):
         f = symbolic_field3
