@@ -22,17 +22,9 @@ from .poly import (MPoly, WeightTable, eval_poly, standard_weights, variables,
 from .ratfun import RatFn, ratfn_equal
 from .report import VerifyReport, emit_report, report_json
 from .series import PSeries, newton_solve
+from .sim import (SimState, Trajectory, commute_experiment, curve_ordinate,
+                  integrate, seed_state)
 from .symsq import SymSqElem, SymSqField, abcd_to_xy, build_MN, xy_to_abcd
 from .tables import (FlowTable, PoissonStructure, first_integrals, flow_table,
                      poisson_bracket, structure_I, structure_II)
 
-# the simulator pulls in numpy; load it on first use of one of its names
-_SIM_NAMES = ("SimState", "Trajectory", "commute_experiment", "curve_ordinate",
-              "integrate", "seed_state")
-
-
-def __getattr__(name):
-    if name in _SIM_NAMES:
-        from . import sim
-        return getattr(sim, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -2,8 +2,7 @@
 
 Exit codes: 0 when every requested check passes, 1 on any failure (an
 aborted simulation, or an internal error of the program), 2 on usage or
-configuration errors.  The simulator, and numpy with it, is imported only
-by the commands that simulate.
+configuration errors.
 """
 
 import argparse
@@ -12,7 +11,7 @@ import sys
 import traceback
 from fractions import Fraction
 
-from . import phiring, ratlimit, verify_hierarchy, verify_tables
+from . import phiring, ratlimit, sim, verify_hierarchy, verify_tables
 from .curve import CurveParams, in_Bg
 from .errors import ConfigError, MemoryCapExceeded, SeedError, SingularityAbort
 from .report import emit_report
@@ -62,8 +61,7 @@ def _parse_point(text, params):
         raise ConfigError("points are given as x,y (y may be 'auto')")
     x = _rational(parts[0])
     if parts[1] == "auto":
-        from .sim import curve_ordinate
-        y = curve_ordinate(params, x)
+        y = sim.curve_ordinate(params, x)
     else:
         y = _rational(parts[1])
     return (x, y)
@@ -94,7 +92,6 @@ def _cmd_verify(ns):
 
 
 def _cmd_simulate(ns):
-    from . import sim
     params = _build_params(ns)
     p1 = _parse_point(ns.p1, params)
     p2 = _parse_point(ns.p2, params)
@@ -140,7 +137,6 @@ def _cmd_series(ns):
 
 
 def _cmd_commute(ns):
-    from . import sim
     params = _build_params(ns)
     flows = tuple(f.strip() for f in ns.flows.split(","))
     if len(flows) != 2:

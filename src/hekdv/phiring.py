@@ -436,11 +436,19 @@ class ThetaVal:
                 "mixing theta-degrees; inputs were not weighted-homogeneous")
         return ThetaVal(self.coeff + other.coeff, self.exp)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
         other = self._lift(other)
         if other is None:
             return NotImplemented
         return self + ThetaVal(-other.coeff, other.exp)
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -456,6 +464,12 @@ class ThetaVal:
         if other is None:
             return NotImplemented
         return ThetaVal(self.coeff / other.coeff, self.exp - other.exp)
+
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        if other is None:
+            return NotImplemented
+        return other / self
 
     def __pow__(self, n):
         return ThetaVal(self.coeff ** n, self.exp * n)

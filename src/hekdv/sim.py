@@ -3,18 +3,19 @@
 The right-hand sides are compiled from the same transcribed tables that the
 symbolic engine certifies, so the measured drift of the two integrals along
 a trajectory is purely integrator error.  Each table compiles into one
-generated function.  The stepper is an embedded Dormand-Prince 5(4) pair
-with PI step-size control, its stages one (7, 4) array.  The state is always
-a complex numpy array of the four coordinates, so complex seeds (curve
-points with negative ordinate squares) are advanced directly, and the
-error norm measures each component by its modulus.
+generated function, compiled once per flow and curve.  The stepper is an
+embedded Dormand-Prince 5(4) pair with PI step-size control.  The state and
+each of the seven stages are 4-tuples of Python complex numbers, so complex
+seeds (curve points with negative ordinate squares) are advanced directly,
+and the error norm measures each component by its modulus.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from functools import lru_cache
+from operator import mul
 
 from .curve import CurveParams
 from .errors import ConfigError, SeedError, SingularityAbort
@@ -64,7 +65,7 @@ class CompiledFlow:
         self._fn = _bind_numeric([table.entries[u] for u in U_VARS], params)
 
     def __call__(self, state4):
-        return np.array(self._fn(*state4), dtype=complex)
+        return self._fn(*state4)
 
 
 class CompiledIntegrals:
@@ -75,6 +76,11 @@ class CompiledIntegrals:
 
     def __call__(self, state4):
         return self._fn(*state4)
+
+
+# integrate and seed_state share the compiled tables of each (flow, params)
+_compiled_flow = lru_cache(CompiledFlow)
+_compiled_integrals = lru_cache(CompiledIntegrals)
 
 
 # -- states and trajectories --------------------------------------------------
@@ -88,7 +94,7 @@ class SimState:
     time: float = 0.0
 
     def vector(self):
-        return np.array([self.u2, self.u4, self.u5, self.u7], dtype=complex)
+        return (self.u2, self.u4, self.u5, self.u7)
 
 
 @dataclass
@@ -143,7 +149,7 @@ def curve_ordinate(params: CurveParams, xval):
     qx = params.Q("X1").eval_numeric({"X1": Fraction(xval)
                                       if isinstance(xval, (int, Fraction, str))
                                       else xval})
-    return complex(np.sqrt(complex(qx)))
+    return cmath.sqrt(complex(qx))
 
 
 def seed_state(params: CurveParams, p1, p2, flow=None):
@@ -174,7 +180,7 @@ def seed_state(params: CurveParams, p1, p2, flow=None):
     u5 = (y1 - y2) / (x1 - x2)
     u7 = (y1 + y2) / 2
     state = (u2, u4, u5, u7)
-    hvals = CompiledIntegrals(params)(state)
+    hvals = _compiled_integrals(params)(state)
     targets = [float(params.coefficient(n).as_constant())
                for n in ("y12", "y14")]
     for tag, hv, want in zip(("H12", "H14"), hvals, targets):
@@ -186,24 +192,23 @@ def seed_state(params: CurveParams, p1, p2, flow=None):
 
 # -- the embedded 5(4) pair ---------------------------------------------------
 
-# row i combines the stages before stage i; the last row is also the
-# fifth-order solution (first-same-as-last)
-_DP_A = np.array([
-    [0, 0, 0, 0, 0, 0],
-    [1 / 5, 0, 0, 0, 0, 0],
-    [3 / 40, 9 / 40, 0, 0, 0, 0],
-    [44 / 45, -56 / 15, 32 / 9, 0, 0, 0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0],
-    [35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
-])
-_DP_B5 = _DP_A[6]
-_DP_E = np.array([71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40])
+# row i weighs the stages before stage i + 1, trailing zeros dropped; the
+# last row is also the fifth-order solution (first-same-as-last)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
 
 
 def _rms(x, scale):
-    return float(np.sqrt(np.mean((np.abs(x) / scale) ** 2)))
+    ratios = [abs(v) / s for v, s in zip(x, scale)]
+    return math.sqrt(sum([r * r for r in ratios]) / len(ratios))
 
 
 def _abort(traj, reason):
@@ -241,8 +246,8 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     if span < 0:
         raise ConfigError("t_end must be nonnegative; use reverse=True to go back")
     _check_tolerances(rel_tol, abs_tol)
-    rhs = CompiledFlow(flow, params)
-    invariants = CompiledIntegrals(params)
+    rhs = _compiled_flow(flow, params)
+    invariants = _compiled_integrals(params)
     sign = -1.0 if reverse else 1.0
     guard = flow in T_FLOWS
     y = s0.vector()
@@ -255,13 +260,12 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     traj = Trajectory(flow=flow, rel_tol=rel_tol, abs_tol=abs_tol,
                       t0=0.0, t_end=span)
     h12, h14 = invariants(y)
-    traj.samples.append((0.0, tuple(y), h12, h14))
+    traj.samples.append((0.0, y, h12, h14))
     if span == 0.0:
         return traj
 
-    k = np.empty((7, 4), dtype=complex)
-    k[0] = rhs(y)
-    h = min(0.01 * span, _initial_step(rhs, y, k[0], sign, rel_tol, abs_tol))
+    f0 = rhs(y)
+    h = min(0.01 * span, _initial_step(rhs, y, f0, sign, rel_tol, abs_tol))
     err_prev = 1.0
     steps = 0
     while t < span:
@@ -271,23 +275,25 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
         if h < 1e-15 * max(1.0, t):
             raise _abort(traj, "step size underflow near the singular set")
         hs = sign * h
-        for i in range(1, 6):
-            k[i] = rhs(y + hs * (_DP_A[i, :i] @ k[:i]))
-        y_new = y + hs * (_DP_B5 @ k[:6])
-        k[6] = rhs(y_new)
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(h * (_DP_E @ k), scale)
-        bad = (not np.all(np.isfinite(y_new.view(float)))
+        k = [f0]
+        for row in _DP_A:
+            y_new = tuple([yi + hs * sum(map(mul, row, col))
+                           for yi, col in zip(y, zip(*k))])
+            k.append(rhs(y_new))
+        scale = [abs_tol + rel_tol * max(abs(a), abs(b))
+                 for a, b in zip(y, y_new)]
+        err = _rms([h * sum(map(mul, _DP_E, col)) for col in zip(*k)], scale)
+        bad = (not all(map(cmath.isfinite, y_new))
                or guard and abs(y_new[1] - y_new[0] ** 2) < guard_floor)
         if err <= 1.0 and not bad:
             t += h
             y = y_new
-            if float(np.max(np.abs(y))) > 1e9:
+            if max(map(abs, y)) > 1e9:
                 raise _abort(traj, "state magnitude overflow "
                                    "(finite-time escape)")
-            k[0] = k[6]     # first-same-as-last
+            f0 = k[6]       # first-same-as-last
             h12, h14 = invariants(y)
-            traj.samples.append((t, tuple(y), h12, h14))
+            traj.samples.append((t, y, h12, h14))
             # PI controller (orders 5/4)
             factor = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
             err_prev = max(err, 1e-16)
@@ -301,11 +307,12 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
 
 
 def _initial_step(rhs, y, f0, sign, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.abs(y)
+    scale = [abs_tol + rel_tol * abs(v) for v in y]
     d0 = _rms(y, scale)
     d1 = _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    d2 = _rms(rhs(y + sign * h0 * f0) - f0, scale) / h0
+    f1 = rhs(tuple([v + sign * h0 * f for v, f in zip(y, f0)]))
+    d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
     d = max(d1, d2)
     h1 = (0.01 / d) ** (1 / 5) if d > 1e-15 else max(1e-6, h0 * 1e-3)
     return min(100 * h0, h1)
@@ -334,10 +341,9 @@ def commute_experiment(params: CurveParams, s0: SimState, sigma, tau,
 
     leg1 = run(fb, run(fa, s0, sigma), tau)
     leg2 = run(fa, run(fb, s0, tau), sigma)
-    diff = leg1.vector() - leg2.vector()
-    disc = float(np.max(np.abs(diff)))
-    scale = max(1.0, float(np.max(np.abs(leg1.vector()))),
-                float(np.max(np.abs(leg2.vector()))))
+    v1, v2 = leg1.vector(), leg2.vector()
+    disc = max(abs(a - b) for a, b in zip(v1, v2))
+    scale = max(1.0, *map(abs, v1), *map(abs, v2))
     threshold = _COMMUTE_THRESHOLD * scale
     return {
         "flows": list(flows),

@@ -210,14 +210,19 @@ class TestUnusableSimulatorSettings:
 
 
 class TestColdVerify:
-    def test_verify_does_not_import_numpy(self):
+    @pytest.mark.parametrize("argv", [
+        ["verify", "integrals"],
+        ["simulate", "--flow", "I", "--t-end", "0.1"],
+        ["commute", "--sigma", "0.01", "--tau", "0.01"],
+    ], ids=["verify", "simulate", "commute"])
+    def test_verify_does_not_import_numpy(self, argv):
         src = str(Path(hekdv.__file__).resolve().parents[1])
         code = ("import sys, hekdv.cli; "
-                "assert hekdv.cli.run(['verify', 'integrals', '--out', "
+                "assert hekdv.cli.run(sys.argv[2:] + ['--out', "
                 "sys.argv[1]]) == 0; "
                 "assert 'numpy' not in sys.modules, 'numpy was imported'")
         env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", code, os.devnull],
+        done = subprocess.run([sys.executable, "-c", code, os.devnull, *argv],
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr

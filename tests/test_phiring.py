@@ -76,12 +76,18 @@ class TestCoercion:
         assert ThetaVal(2) - 1 == ThetaVal(1)
         assert ThetaVal(2) / 2 == ThetaVal(1)
         assert ThetaVal(1, 3) * F(1, 2) == ThetaVal(F(1, 2), 3)
+        assert 1 + ThetaVal(1) == ThetaVal(2)
+        assert 1 - ThetaVal(2) == ThetaVal(-1)
+        assert F(1, 2) * ThetaVal(1, 3) == ThetaVal(F(1, 2), 3)
+        assert 2 / ThetaVal(1, 3) == ThetaVal(2, -3)
 
     @pytest.mark.parametrize("op", [operator.add, operator.sub,
                                     operator.mul, operator.truediv])
     def test_theta_val_rejects_a_string_operand(self, op):
         with pytest.raises(TypeError):
             op(ThetaVal(1), "x")
+        with pytest.raises(TypeError):
+            op("x", ThetaVal(1))
 
 
 class TestSolutionComponents:

@@ -7,7 +7,7 @@ from hekdv.curve import CurveParams, in_Bg
 from hekdv.errors import ConfigError, SeedError, SingularityAbort
 from hekdv.sim import (CompiledFlow, CompiledIntegrals, commute_experiment,
                        curve_ordinate, integrate, seed_state)
-from hekdv import tables
+from hekdv import sim, tables
 from hekdv.tables import U_VARS, first_integrals, flow_table
 
 # reference configuration: Q = X^7 + X - 1 with the exact point (1, 1)
@@ -69,6 +69,21 @@ class TestSeeding:
         integrate("II", s, 0.01, params=PARAMS)
         assert calls == []
 
+    def test_tables_compiled_once(self, monkeypatch):
+        integrate("I", seed_state(PARAMS, P1, P2), 0.01, params=PARAMS)
+        calls = []
+
+        def counting_bind_numeric(rfs, params):
+            calls.append(params)
+            return bind_numeric(rfs, params)
+
+        bind_numeric = sim._bind_numeric
+        monkeypatch.setattr(sim, "_bind_numeric", counting_bind_numeric)
+        s = seed_state(PARAMS, P1, P2)
+        integrate("I", s, 0.01, params=PARAMS)
+        integrate("I", s, 0.02, params=PARAMS)
+        assert calls == []
+
     def test_coincident_points_rejected(self):
         with pytest.raises(SeedError):
             seed_state(PARAMS, P1, P1)
@@ -118,7 +133,8 @@ class TestIntegration:
                         params=PARAMS)
         back = integrate("I", fwd.final_state(), 1.0, rel_tol=1e-12,
                          abs_tol=1e-14, params=PARAMS, reverse=True)
-        err = np.max(np.abs(back.final_state().vector() - s0.vector()))
+        err = np.max(np.abs(np.array(back.final_state().vector())
+                            - np.array(s0.vector())))
         scale = max(1.0, float(np.max(np.abs(s0.vector()))))
         assert err <= 1e-7 * scale
 
