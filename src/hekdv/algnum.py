@@ -1,35 +1,44 @@
-"""Arithmetic in a quotient ring Q[q]/(m(q)) for a monic minimal polynomial m.
+"""Arithmetic in a quotient ring R[q]/(m(q)) for a monic polynomial m.
 
-Elements are coefficient vectors of length deg(m).  Products, reduction
-modulo m and the extended-Euclid inverse are the dense univariate routines
-of ``poly``; an element that is not coprime to the modulus has no inverse
-and raises ``ZeroDivisorError``.
+Elements are coefficient vectors of length deg(m) over R, the rationals
+here; ``phiring.PhiRingElem`` is the same ring over Q[w3, w5].  Products,
+reduction modulo m and the extended-Euclid inverse are the dense univariate
+routines of ``poly``; an element that is not coprime to the modulus has no
+inverse and raises ``ZeroDivisorError``.
 """
 
 from fractions import Fraction
 
 from .errors import ZeroDivisorError
-from .poly import dense_divmod, dense_inverse, dense_mul, power
-
-_ZERO = Fraction(0)
+from .poly import Ring, dense_divmod, dense_inverse, dense_mul
 
 
-class AlgNum:
-    """Element of Q[q]/(m) given by its degree-reduced coefficient vector."""
+class AlgNum(Ring):
+    """Element of R[q]/(m) given by its degree-reduced coefficient vector."""
 
     __slots__ = ("minpoly", "vec")
+    _zero = Fraction(0)     # the zero of the coefficient ring R
 
     def __init__(self, minpoly, vec):
         minpoly = tuple(Fraction(c) for c in minpoly)
         if not minpoly or minpoly[-1] != 1:
             raise ValueError("minimal polynomial must be monic")
-        _, vec = dense_divmod([Fraction(c) for c in vec], minpoly, _ZERO)
-        vec += [_ZERO] * (len(minpoly) - 1 - len(vec))
-        object.__setattr__(self, "minpoly", minpoly)
-        object.__setattr__(self, "vec", tuple(vec))
+        self._store(minpoly, [Fraction(c) for c in vec])
 
-    def __setattr__(self, *_):
-        raise AttributeError("AlgNum is immutable")
+    def _store(self, minpoly, vec):
+        """Set the fields: the list ``vec`` over R reduced modulo ``minpoly``."""
+        zero = self._zero
+        d = len(minpoly) - 1
+        if len(vec) > d:
+            _, vec = dense_divmod(vec, minpoly, zero)
+        _set_minpoly(self, minpoly)
+        _set_vec(self, tuple(vec) + (zero,) * (d - len(vec)))
+
+    def _make(self, vec):
+        """The element of this ring with coefficient list ``vec``."""
+        new = object.__new__(type(self))
+        new._store(self.minpoly, vec)
+        return new
 
     @staticmethod
     def generator(minpoly):
@@ -44,61 +53,37 @@ class AlgNum:
             if other.minpoly != self.minpoly:
                 raise ValueError("mixed quotient rings")
             return other
-        return AlgNum.const(self.minpoly, other)
+        if isinstance(other, (int, Fraction)):
+            return self._make([self._zero + other])
+        raise TypeError(f"cannot combine {type(self).__name__} with "
+                        f"{type(other).__name__}")
 
     @property
     def is_zero(self):
         return not any(self.vec)
 
-    def __bool__(self):
-        return not self.is_zero
-
     def __add__(self, other):
         o = self._lift(other)
-        return AlgNum(self.minpoly, [a + b for a, b in zip(self.vec, o.vec)])
-
-    __radd__ = __add__
+        return self._make([a + b for a, b in zip(self.vec, o.vec)])
 
     def __neg__(self):
-        return AlgNum(self.minpoly, [-a for a in self.vec])
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
+        return self._make([-a for a in self.vec])
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._make([a * other for a in self.vec])
         o = self._lift(other)
-        return AlgNum(self.minpoly, dense_mul(self.vec, o.vec, _ZERO))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return power(self, n, AlgNum.const(self.minpoly, 1))
+        return self._make(dense_mul(self.vec, o.vec, self._zero))
 
     def inverse(self):
         """Extended-Euclid inverse modulo the minimal polynomial."""
         if self.is_zero:
             raise ZeroDivisorError("zero has no inverse in the quotient ring")
-        inv = dense_inverse(self.vec, self.minpoly, _ZERO)
+        inv = dense_inverse(self.vec, self.minpoly, self._zero)
         if inv is None:
             raise ZeroDivisorError(
                 "element shares a factor with the modulus; not invertible")
-        return AlgNum(self.minpoly, inv)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __eq__(self, other):
-        try:
-            o = self._lift(other)
-        except (ValueError, TypeError):
-            return NotImplemented
-        return self.vec == o.vec
+        return self._make(inv)
 
     def __hash__(self):
         return hash((self.minpoly, self.vec))
@@ -116,6 +101,11 @@ class AlgNum:
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
+
+
+# the slot setters, past the immutability guard
+_set_minpoly = AlgNum.minpoly.__set__
+_set_vec = AlgNum.vec.__set__
 
 
 def algnum_invert(x):

@@ -11,9 +11,9 @@ the pipeline is therefore a rational multiple of a power of sigma_1(phi);
 fractions carry that power explicitly and every equality is certified
 fraction-free by cross-multiplication in the ring.
 
-Products and the reduction modulo the monic sextic are the dense
-univariate routines of ``poly`` over MPoly coefficients.
-Division by ring elements is never performed.
+The ring is ``algnum.AlgNum`` over Q[w3, w5]: products and the reduction
+modulo the monic sextic are the dense univariate routines of ``poly`` over
+MPoly coefficients.  Division by ring elements is never performed.
 """
 
 from fractions import Fraction
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from .algnum import AlgNum
 from .errors import ConfigError
-from .poly import MPoly, dense_divmod, dense_mul, eval_poly, power, variables
+from .poly import MPoly, Ring, eval_poly, variables
 from .ratlimit import sigma_rational
 from .report import ReportBuilder
 from .series import PSeries, newton_solve
@@ -34,20 +34,19 @@ _SEXTIC = (-45 * w3 ** 2, 45 * w5, _ZERO, -15 * w3, _ZERO, _ZERO,
            MPoly.const(1))
 
 
-class PhiRingElem:
-    """Degree-reduced element: six coefficient polynomials in (w3, w5)."""
+class PhiRingElem(AlgNum):
+    """``AlgNum`` over Q[w3, w5]: six coefficient polynomials, the sextic
+    as modulus."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    _zero = _ZERO
 
     def __init__(self, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) > 6:
-            _, coeffs = dense_divmod(coeffs, _SEXTIC, _ZERO)
-        coeffs += [_ZERO] * (6 - len(coeffs))
-        object.__setattr__(self, "coeffs", tuple(coeffs))
+        self._store(_SEXTIC, list(coeffs))
 
-    def __setattr__(self, *_):
-        raise AttributeError("PhiRingElem is immutable")
+    @property
+    def coeffs(self):
+        return self.vec
 
     @staticmethod
     def from_mpoly(p):
@@ -61,65 +60,24 @@ class PhiRingElem:
     def const(c):
         return PhiRingElem([MPoly.const(c)])
 
-    @staticmethod
-    def _lift(other):
-        if isinstance(other, PhiRingElem):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PhiRingElem.const(other)
-        if isinstance(other, MPoly):
-            return PhiRingElem.from_mpoly(other)
-        raise TypeError(
-            f"cannot combine a ring element with {type(other).__name__}")
+    def _lift(self, other):
+        return phi_reduce(other)
 
-    @property
-    def is_zero(self):
-        return all(c.is_zero for c in self.coeffs)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return PhiRingElem([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PhiRingElem([-a for a in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PhiRingElem([a * other for a in self.coeffs])
-        other = self._lift(other)
-        return PhiRingElem(dense_mul(self.coeffs, other.coeffs, _ZERO))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return power(self, n, PhiRingElem.const(1))
-
-    def __eq__(self, other):
-        try:
-            other = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+    # the checks never divide here, and Euclid's inverse would need the
+    # coefficients in a field
+    inverse = Ring.inverse
 
     def d_w(self, name):
         """Formal partial derivative in w3 or w5 (phi held fixed)."""
-        return PhiRingElem([c.derivative(name) for c in self.coeffs])
+        return self._make([c.derivative(name) for c in self.vec])
 
     def d_phi(self):
         """Formal partial derivative in phi of the reduced representative."""
-        return PhiRingElem([self.coeffs[k] * k for k in range(1, 6)])
+        return self._make([self.vec[k] * k for k in range(1, 6)])
 
     def __str__(self):
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(self.vec):
             if not c.is_zero:
                 head = f"({c})"
                 parts.append(head if k == 0 else f"{head}*phi^{k}")
@@ -129,8 +87,17 @@ class PhiRingElem:
 
 
 def phi_reduce(p):
-    """Canonical degree-<6 remainder of a polynomial in phi modulo the sextic."""
-    return PhiRingElem._lift(p)
+    """``p`` in the ring: a polynomial in (phi, w3, w5) as its remainder by
+    the sextic, a scalar as a constant, a ring element as it stands."""
+    if isinstance(p, PhiRingElem):
+        return p
+    if isinstance(p, MPoly):
+        return PhiRingElem.from_mpoly(p)
+    if isinstance(p, (int, Fraction)):
+        return PhiRingElem.const(p)
+    if isinstance(p, AlgNum):
+        raise ValueError("mixed quotient rings")
+    raise TypeError(f"cannot combine a ring element with {type(p).__name__}")
 
 
 def sextic_relation():
@@ -152,65 +119,40 @@ def _sigma1_power(k):
     return sigma_on_ring("1") ** k
 
 
-class PhiFrac:
+class PhiFrac(Ring):
     """num / sigma_1(phi)^k, the only fraction shape the checks need."""
 
     __slots__ = ("num", "k")
 
     def __init__(self, num, k=0):
-        object.__setattr__(self, "num", PhiRingElem._lift(num))
+        object.__setattr__(self, "num", phi_reduce(num))
         object.__setattr__(self, "k", k)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PhiFrac is immutable")
 
     @property
     def is_zero(self):
         return self.num.is_zero
 
-    def _match(self, other):
-        if not isinstance(other, PhiFrac):
-            other = PhiFrac(other)
+    def _lift(self, other):
+        return other if isinstance(other, PhiFrac) else PhiFrac(other)
+
+    def __add__(self, other):
+        other = self._lift(other)
         k = max(self.k, other.k)
         a = self.num * _sigma1_power(k - self.k)
         b = other.num * _sigma1_power(k - other.k)
-        return a, b, k
-
-    def __add__(self, other):
-        a, b, k = self._match(other)
         return PhiFrac(a + b, k)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return PhiFrac(-self.num, self.k)
 
-    def __sub__(self, other):
-        a, b, k = self._match(other)
-        return PhiFrac(a - b, k)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return PhiFrac(self.num * other, self.k)
-        if not isinstance(other, PhiFrac):
-            other = PhiFrac(other)
+        other = self._lift(other)
         return PhiFrac(self.num * other.num, self.k + other.k)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n):
         return PhiFrac(self.num ** n, self.k * n)
-
-    def __eq__(self, other):
-        try:
-            other = other if isinstance(other, PhiFrac) else PhiFrac(other)
-        except TypeError:
-            return NotImplemented
-        a, b, _ = self._match(other)
-        return (a - b).is_zero
 
     def __str__(self):
         return f"({self.num}) / sigma1^{self.k}"
@@ -394,7 +336,7 @@ MINPOLY_Q = (Fraction(-45), Fraction(0), Fraction(0),
              Fraction(-15), Fraction(0), Fraction(0), Fraction(1))
 
 
-class ThetaVal:
+class ThetaVal(Ring):
     """AlgNum coefficient times an integer power of theta (theta^3 = t)."""
 
     __slots__ = ("coeff", "exp")
@@ -407,26 +349,20 @@ class ThetaVal:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "exp", exp)
 
-    def __setattr__(self, *_):
-        raise AttributeError("ThetaVal is immutable")
-
     @property
     def is_zero(self):
         return self.coeff.is_zero
 
-    @staticmethod
-    def _lift(other):
-        """A ThetaVal, or an int/Fraction as a theta-degree-0 value; else None."""
+    def _lift(self, other):
+        """A ThetaVal, or an int/Fraction as a theta-degree-0 value."""
         if isinstance(other, ThetaVal):
             return other
         if isinstance(other, (int, Fraction)):
             return ThetaVal(other)
-        return None
+        raise TypeError(f"cannot combine a ThetaVal with {type(other).__name__}")
 
     def __add__(self, other):
         other = self._lift(other)
-        if other is None:
-            return NotImplemented
         if other.is_zero:
             return self
         if self.is_zero:
@@ -436,47 +372,27 @@ class ThetaVal:
                 "mixing theta-degrees; inputs were not weighted-homogeneous")
         return ThetaVal(self.coeff + other.coeff, self.exp)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return self + ThetaVal(-other.coeff, other.exp)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
+    def __neg__(self):
+        return ThetaVal(-self.coeff, self.exp)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return ThetaVal(self.coeff * other, self.exp)
-        if not isinstance(other, ThetaVal):
-            return NotImplemented
+        other = self._lift(other)
         return ThetaVal(self.coeff * other.coeff, self.exp + other.exp)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._lift(other)
-        if other is None:
-            return NotImplemented
         return ThetaVal(self.coeff / other.coeff, self.exp - other.exp)
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, n):
         return ThetaVal(self.coeff ** n, self.exp * n)
 
     def __eq__(self, other):
-        other = self._lift(other)
-        if other is None:
+        # values of different theta-degrees are unequal, not an error
+        try:
+            other = self._lift(other)
+        except TypeError:
             return NotImplemented
         if self.is_zero and other.is_zero:
             return True

@@ -34,7 +34,9 @@ change without them.
 
 The ``dense_*`` routines are the one dense univariate arithmetic: lists of
 coefficients, constant term first, over Fractions or MPolys (von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 2-3 and 6).
+Gathen & Gerhard, Modern Computer Algebra, ch. 2-3 and 6).  ``Ring`` is
+the base of the other ring-element classes and writes their shared
+operators once.
 """
 
 import os
@@ -632,6 +634,73 @@ def power(base, n, one):
         if n:
             base = base * base
     return one if result is None else result
+
+
+# the operators Ring.__init_subclass__ copies into each subclass
+_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+              "__rmul__", "__neg__", "__pow__", "__truediv__",
+              "__rtruediv__", "__eq__")
+
+
+class Ring:
+    """Base of the immutable ring-element classes: the shared operators.
+
+    A subclass supplies ``is_zero``, ``_lift``, ``__add__``, ``__neg__``
+    and ``__mul__``, and ``inverse`` if it divides.  ``_lift`` brings an
+    operand into the ring; it raises TypeError for a foreign operand and
+    ValueError for an element of another ring of the same kind.  The other
+    operators are written here once, against those: ``==`` returns
+    NotImplemented for a foreign operand and otherwise asks whether the
+    difference is zero.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # perfbench/tracer.py looks a traced method up in its class's own
+        # namespace, so every operator is put there
+        for name in _OPERATORS:
+            if name not in vars(cls):
+                setattr(cls, name, getattr(cls, name))
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __bool__(self):
+        return not self.is_zero
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __pow__(self, n):
+        return power(self, n, self._lift(1))
+
+    def inverse(self):
+        """The multiplicative inverse; a ring that does not divide refuses it."""
+        raise TypeError(f"{type(self).__name__} has no division")
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._lift(other) / self
+
+    def __eq__(self, other):
+        try:
+            o = self._lift(other)
+        except TypeError:
+            return NotImplemented
+        return (self - o).is_zero
 
 
 def dense_trim(v):

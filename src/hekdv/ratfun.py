@@ -10,7 +10,7 @@ decided by cross-multiplication, which is representation independent.
 from fractions import Fraction
 
 from .errors import ZeroDenominatorError
-from .poly import MPoly, weighted_degree
+from .poly import MPoly, Ring, weighted_degree
 
 
 def _as_mpoly(x):
@@ -66,11 +66,12 @@ def normal_form(num, den, factors=()):
     return num * (Fraction(1) / scale), den * (Fraction(1) / scale)
 
 
-class RatFn:
+class RatFn(Ring):
     """A fraction num/den of multivariate polynomials, den != 0.
 
-    The ring operators, equality and printing are written once, here, for
-    every fraction ring.  A subclass supplies its normal form in
+    The fraction arithmetic, equality and printing are written once, here,
+    for every fraction ring; the reflected operators are ``Ring``'s.  A
+    subclass supplies its normal form in
     ``__init__`` and two hooks: ``_lift`` brings an operand into the ring
     (raising TypeError for a foreign one) and ``_make`` builds a result.
     """
@@ -81,9 +82,6 @@ class RatFn:
         num, den = normal_form(_as_mpoly(num), _as_mpoly(den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *_):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _lift(self, other):
         """``other`` as an element of this ring: a RatFn, MPoly or scalar."""
@@ -100,9 +98,6 @@ class RatFn:
     def is_zero(self):
         return self.num.is_zero
 
-    def __bool__(self):
-        return not self.num.is_zero
-
     def is_polynomial(self):
         return self.den.as_constant() == 1
 
@@ -113,8 +108,6 @@ class RatFn:
         return self._make(self.num * o.den + o.num * self.den,
                           self.den * o.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return self._make(-self.num, self.den)
 
@@ -123,25 +116,17 @@ class RatFn:
         return self._make(self.num * o.den - o.num * self.den,
                           self.den * o.den)
 
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._make(self.num * other, self.den)
         o = self._lift(other)
         return self._make(self.num * o.num, self.den * o.den)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         o = self._lift(other)
         if o.is_zero:
             raise ZeroDenominatorError("division by the zero fraction")
         return self._make(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
 
     def __pow__(self, n):
         if n < 0:

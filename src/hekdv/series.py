@@ -8,10 +8,10 @@ extended-Euclid inverse modulo t^(order+1).
 from fractions import Fraction
 
 from .errors import SingularExpansionError
-from .poly import dense_mul, eval_poly, power
+from .poly import Ring, dense_mul, eval_poly
 
 
-class PSeries:
+class PSeries(Ring):
     """Coefficients c[0..order] of a series truncated at the given order."""
 
     __slots__ = ("variable", "coeffs", "order")
@@ -23,9 +23,6 @@ class PSeries:
         object.__setattr__(self, "variable", variable)
         object.__setattr__(self, "coeffs", tuple(coeffs[:order + 1]))
         object.__setattr__(self, "order", order)
-
-    def __setattr__(self, *_):
-        raise AttributeError("PSeries is immutable")
 
     @staticmethod
     def zero(variable, order):
@@ -61,22 +58,11 @@ class PSeries:
             return PSeries(self.variable, [other], self.order)
         raise TypeError(f"cannot combine a series with {type(other).__name__}")
 
-    def _binop(self, other, op):
+    def __add__(self, other):
         other = self._lift(other)
         n = min(self.order, other.order)
         return PSeries(self.variable,
-                       [op(self[k], other[k]) for k in range(n + 1)], n)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return (-self) + other
+                       [self[k] + other[k] for k in range(n + 1)], n)
 
     def __neg__(self):
         return PSeries(self.variable, [-c for c in self.coeffs], self.order)
@@ -86,11 +72,6 @@ class PSeries:
         n = min(self.order, other.order)
         out = dense_mul(self.coeffs, other.coeffs, Fraction(0), n + 1)
         return PSeries(self.variable, out, n)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return power(self, n, PSeries(self.variable, [1], self.order))
 
     def inverse(self):
         """Multiplicative inverse; requires a unit (nonzero constant term)."""
@@ -105,17 +86,6 @@ class PSeries:
                 s += self[j] * out[k - j]
             out[k] = -inv0 * s
         return PSeries(self.variable, out, self.order)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inverse()
-
-    def __eq__(self, other):
-        try:
-            other = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        n = min(self.order, other.order)
-        return all(self[k] == other[k] for k in range(n + 1))
 
     def __str__(self):
         var = self.variable

@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import mpoly_strategy, small_fractions
 from hekdv.curve import sylvester_resultant
-from hekdv.phiring import MINPOLY_Q, PhiRingElem, sextic_relation
+from hekdv.phiring import (MINPOLY_Q, PhiRingElem, printed_forms,
+                           sextic_relation, verify_appendix_forms)
 from hekdv.poly import MPoly, dense_divmod, dense_inverse, dense_mul, dense_trim
 from hekdv.ratfun import RatFn
 from hekdv.ratlimit import (printed_U, printed_V, sigma_rational,
@@ -346,6 +347,73 @@ class TestRationalLimitAgainstSympy:
         bad = RatFn(5 * x * (x ** 3 + 6 * t), (x ** 3 - 3 * t) ** 2)   # 6 -> 5
         assert not vanishes(uv[0] - ratfn_to_sympy(bad))
         assert not verify_uv_closed_form(expected_U=bad).passed
+
+
+# -- the corrected appendix forms, re-derived by sympy from sigma -----------
+
+PHI = sympy.Symbol("phi")
+F_NAMES = ("f1", "f2", "f3", "f4", "f5", "g5", "f7")
+FS = sympy.symbols(F_NAMES)
+# f-function -> the variables of the sigma partial over sigma_1 it stands for
+F_PARTIALS = dict(zip(FS, [(W1, W1), (W3,), (W1, W3), (W5,), (W3, W3),
+                           (W1, W5), (W3, W5)]))
+
+
+def f_combinations():
+    """F_i as a polynomial in the f-functions."""
+    f1, f2, f3, f4, f5, g5, f7 = FS
+    return {
+        2: -f2 / 2,
+        4: f2 ** 2 / 4 - f4,
+        5: (f1 * f2 ** 2 + f5 - 2 * f2 * f3) / 2,
+        7: (2 * f2 ** 2 * f3 - 2 * f3 * f4 - f1 * f2 ** 3 + 2 * f1 * f2 * f4
+            - f2 * f5 + 2 * f7 - 2 * f2 * g5) / 4,
+    }
+
+
+class TestAppendixFormsAgainstSympy:
+    """app-F-forms: F_i * K_i = N_i * den modulo the sextic, decided by sympy."""
+
+    @pytest.fixture(scope="class")
+    def derived(self):
+        """The sextic, and each F_i as (numerator, sigma_1^k) at w1 = phi."""
+        sigma = mpoly_to_sympy(sigma_rational(3).sigma)
+        sextic = sympy.expand(45 * sigma.subs(W1, PHI))
+        assert sympy.Poly(sextic, PHI).LC() == 1
+        assert sympy.expand(sextic - mpoly_to_sympy(sextic_relation())) == 0
+        s1 = sympy.diff(sigma, W1).subs(W1, PHI)
+        partial = {f: sympy.diff(sigma, *ws).subs(W1, PHI)
+                   for f, ws in F_PARTIALS.items()}
+        forms = {}
+        for i, comb in f_combinations().items():
+            poly = sympy.Poly(comb, *FS)
+            k = poly.total_degree()
+            num = sum(c * s1 ** (k - sum(e)) * sympy.prod(
+                          partial[f] ** n for f, n in zip(FS, e))
+                      for e, c in poly.as_dict().items())
+            forms[i] = (num, s1 ** k)
+        return sextic, forms
+
+    @staticmethod
+    def remainder(derived, i, N, K):
+        sextic, forms = derived
+        num, den = forms[i]
+        as_sympy = TestPhiRingAgainstSympy.as_sympy
+        return sympy.rem(sympy.expand(num * as_sympy(K[i])
+                                      - as_sympy(N[i]) * den), sextic, PHI)
+
+    def test_printed_forms(self, derived):
+        N, K = printed_forms()
+        for i in (2, 4, 5, 7):
+            assert self.remainder(derived, i, N, K) == 0
+
+    def test_mutated_numerator_has_remainder(self, derived):
+        N, K = printed_forms()
+        # N4's coefficient of phi * w5 (225) goes up by 1
+        N = {**N, 4: N[4] + PhiRingElem.from_mpoly(MPoly.var("phi")
+                                                   * MPoly.var("w5"))}
+        assert self.remainder(derived, 4, N, K) != 0
+        assert not verify_appendix_forms(printed=(N, K)).passed
 
 
 # -- the code the dense routines replaced, kept verbatim as references ------
