@@ -16,7 +16,8 @@ from .curve import CurveParams, curve_Q, dr_numerator, in_Bg, sylvester_resultan
 from .derivations import Derivation, make_derivation, psi1, psi2
 from .errors import (ConfigError, HekdvError, MemoryCapExceeded, ModeError,
                      NotSymmetricError, SeedError, SingularExpansionError,
-                     SingularityAbort, ZeroDenominatorError, ZeroDivisorError)
+                     SingularityAbort, StepBudgetExhausted,
+                     ZeroDenominatorError, ZeroDivisorError)
 from .poly import (MPoly, WeightTable, eval_poly, standard_weights, variables,
                    weighted_degree)
 from .ratfun import RatFn, ratfn_equal

@@ -117,6 +117,7 @@ def _cmd_simulate(ns):
         "relative_drift_H14": d14,
         "aborted": aborted,
         "abort_reason": traj.abort_reason,
+        "steps": traj.step_stats(),
     }
     _write_or_print(doc, ns.out)
     return 1 if aborted else 0

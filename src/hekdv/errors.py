@@ -46,3 +46,7 @@ class SingularityAbort(HekdvError):
     def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
+
+
+class StepBudgetExhausted(SingularityAbort):
+    """Integration used its step budget before reaching the requested time."""

@@ -4,10 +4,11 @@ The right-hand sides are compiled from the same transcribed tables that the
 symbolic engine certifies, so the measured drift of the two integrals along
 a trajectory is purely integrator error.  Each table compiles into one
 generated function, compiled once per flow and curve.  The stepper is an
-embedded Dormand-Prince 5(4) pair with PI step-size control.  The state and
-each of the seven stages are 4-tuples of Python complex numbers, so complex
-seeds (curve points with negative ordinate squares) are advanced directly,
-and the error norm measures each component by its modulus.
+embedded Dormand-Prince 5(4) pair with PI step-size control; its tableau
+is unrolled into one generated step function, built on first use.  The
+state and each of the seven stages are 4-tuples of Python complex numbers,
+so complex seeds (curve points with negative ordinate squares) are advanced
+directly, and the error norm measures each component by its modulus.
 """
 
 import cmath
@@ -15,10 +16,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .curve import CurveParams
-from .errors import ConfigError, SeedError, SingularityAbort
+from .errors import (ConfigError, SeedError, SingularityAbort,
+                     StepBudgetExhausted)
 from .poly import MPoly
 from .tables import U_VARS, first_integrals, flow_table
 
@@ -53,6 +54,19 @@ def _bind_numeric(rfs, params: CurveParams):
     return eval(code, {"__builtins__": {}})
 
 
+# every CompiledFlow/CompiledIntegrals of one (flow, params) shares one
+# generated function
+@lru_cache(maxsize=None)
+def _flow_fn(flow, params: CurveParams):
+    table = flow_table(flow)
+    return _bind_numeric([table.entries[u] for u in U_VARS], params)
+
+
+@lru_cache(maxsize=None)
+def _integrals_fn(params: CurveParams):
+    return _bind_numeric(first_integrals(), params)
+
+
 class CompiledFlow:
     """Vector field for one flow at fixed numeric curve parameters."""
 
@@ -61,8 +75,7 @@ class CompiledFlow:
             raise ConfigError("simulation needs numeric curve parameters")
         self.flow = flow
         self.params = params
-        table = flow_table(flow)
-        self._fn = _bind_numeric([table.entries[u] for u in U_VARS], params)
+        self._fn = _flow_fn(flow, params)
 
     def __call__(self, state4):
         return self._fn(*state4)
@@ -72,15 +85,10 @@ class CompiledIntegrals:
     """Numeric evaluators for the two invariants at fixed parameters."""
 
     def __init__(self, params: CurveParams):
-        self._fn = _bind_numeric(first_integrals(), params)
+        self._fn = _integrals_fn(params)
 
     def __call__(self, state4):
         return self._fn(*state4)
-
-
-# integrate and seed_state share the compiled tables of each (flow, params)
-_compiled_flow = lru_cache(CompiledFlow)
-_compiled_integrals = lru_cache(CompiledIntegrals)
 
 
 # -- states and trajectories --------------------------------------------------
@@ -107,6 +115,20 @@ class Trajectory:
     samples: list = field(default_factory=list)  # (t, state4, H12, H14)
     aborted: bool = False
     abort_reason: str = ""
+    # step statistics: right-hand-side evaluations, attempted steps that
+    # left no sample (of them, those the guard or a non-finite trial state
+    # rejected) and the range of accepted step sizes (None before the first)
+    nfev: int = 0
+    rejected: int = 0
+    guard_rejected: int = 0
+    h_min: float = None
+    h_max: float = None
+
+    def step_stats(self):
+        """The step statistics; accepted steps are those that left a sample."""
+        return {"accepted": len(self.samples) - 1, "rejected": self.rejected,
+                "guard_rejected": self.guard_rejected, "nfev": self.nfev,
+                "h_min": self.h_min, "h_max": self.h_max}
 
     def times(self):
         return [s[0] for s in self.samples]
@@ -180,7 +202,7 @@ def seed_state(params: CurveParams, p1, p2, flow=None):
     u5 = (y1 - y2) / (x1 - x2)
     u7 = (y1 + y2) / 2
     state = (u2, u4, u5, u7)
-    hvals = _compiled_integrals(params)(state)
+    hvals = CompiledIntegrals(params)(state)
     targets = [float(params.coefficient(n).as_constant())
                for n in ("y12", "y14")]
     for tag, hv, want in zip(("H12", "H14"), hvals, targets):
@@ -206,16 +228,52 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40)
 
 
+def _stage_sum(weights, j):
+    """Source of the weighted sum of component j of the stages, zero
+    weights dropped, summed left to right."""
+    return " + ".join(f"{w!r} * k{i}_{j}"
+                      for i, w in enumerate(weights, start=1) if w)
+
+
+@lru_cache(maxsize=None)
+def _build_dp_attempt():
+    """Generate _dp_attempt(rhs, y, k1, hs, h) -> (y_new, k7, err_terms).
+
+    The tableau is unrolled per component: stage i + 1 is evaluated at
+    y_j + hs * (a1 * k1_j + a2 * k2_j + ...), the last stage at the
+    fifth-order solution, and err_terms[j] is h times the E-weighted sum
+    of the seven stages.  Each sum runs left to right over the nonzero
+    weights, the order of a loop over the stages, so unrolling leaves
+    every result unchanged to the bit.
+    """
+    comps = range(4)
+
+    def unpack(name):
+        return "    " + ", ".join(f"{name}_{j}" for j in comps) + f", = {name}"
+
+    lines = ["def _dp_attempt(rhs, y, k1, hs, h):", unpack("y"), unpack("k1")]
+    for i, row in enumerate(_DP_A, start=2):
+        state = ", ".join(f"y_{j} + hs * ({_stage_sum(row, j)})"
+                          for j in comps)
+        lines += [f"    y_new = ({state},)", f"    k{i} = rhs(y_new)",
+                  unpack(f"k{i}")]
+    errs = ", ".join(f"h * ({_stage_sum(_DP_E, j)})" for j in comps)
+    lines.append(f"    return y_new, k7, ({errs},)")
+    namespace = {"__builtins__": {}}
+    exec(compile("\n".join(lines), "<_dp_attempt>", "exec"), namespace)
+    return namespace["_dp_attempt"]
+
+
 def _rms(x, scale):
     ratios = [abs(v) / s for v, s in zip(x, scale)]
     return math.sqrt(sum([r * r for r in ratios]) / len(ratios))
 
 
-def _abort(traj, reason):
+def _abort(traj, reason, error=SingularityAbort):
     """Mark the trajectory aborted; the exception to raise carries it."""
     traj.aborted = True
     traj.abort_reason = reason
-    return SingularityAbort(reason, traj)
+    return error(reason, traj)
 
 
 def _check_tolerances(rel_tol, abs_tol):
@@ -237,6 +295,7 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     and the run aborts with the partial trajectory once the step size
     underflows.  With reverse=True every step is taken backwards, as -h.
     A span or tolerances that no step control can honour raise ConfigError.
+    The trajectory, also a partial one, carries the step statistics.
     """
     if params is None:
         raise ConfigError("integrate needs the curve parameters")
@@ -246,8 +305,8 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     if span < 0:
         raise ConfigError("t_end must be nonnegative; use reverse=True to go back")
     _check_tolerances(rel_tol, abs_tol)
-    rhs = _compiled_flow(flow, params)
-    invariants = _compiled_integrals(params)
+    rhs = CompiledFlow(flow, params)
+    invariants = CompiledIntegrals(params)
     sign = -1.0 if reverse else 1.0
     guard = flow in T_FLOWS
     y = s0.vector()
@@ -264,45 +323,55 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     if span == 0.0:
         return traj
 
+    dp_attempt = _build_dp_attempt()
     f0 = rhs(y)
     h = min(0.01 * span, _initial_step(rhs, y, f0, sign, rel_tol, abs_tol))
     err_prev = 1.0
-    steps = 0
-    while t < span:
-        if steps >= max_steps:
-            raise _abort(traj, "step budget exhausted")
-        h = min(h, span - t)
-        if h < 1e-15 * max(1.0, t):
-            raise _abort(traj, "step size underflow near the singular set")
-        hs = sign * h
-        k = [f0]
-        for row in _DP_A:
-            y_new = tuple([yi + hs * sum(map(mul, row, col))
-                           for yi, col in zip(y, zip(*k))])
-            k.append(rhs(y_new))
-        scale = [abs_tol + rel_tol * max(abs(a), abs(b))
-                 for a, b in zip(y, y_new)]
-        err = _rms([h * sum(map(mul, _DP_E, col)) for col in zip(*k)], scale)
-        bad = (not all(map(cmath.isfinite, y_new))
-               or guard and abs(y_new[1] - y_new[0] ** 2) < guard_floor)
-        if err <= 1.0 and not bad:
-            t += h
-            y = y_new
-            if max(map(abs, y)) > 1e9:
-                raise _abort(traj, "state magnitude overflow "
-                                   "(finite-time escape)")
-            f0 = k[6]       # first-same-as-last
-            h12, h14 = invariants(y)
-            traj.samples.append((t, y, h12, h14))
-            # PI controller (orders 5/4)
-            factor = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
-            err_prev = max(err, 1e-16)
-            h *= min(5.0, max(0.2, factor))
-        elif bad:
-            h *= 0.25
-        else:
-            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
-        steps += 1
+    steps = guard_rejected = 0
+    h_min, h_max = math.inf, 0.0
+    try:
+        while t < span:
+            if steps >= max_steps:
+                raise _abort(traj, "step budget exhausted", StepBudgetExhausted)
+            h = min(h, span - t)
+            if h < 1e-15 * max(1.0, t):
+                raise _abort(traj, "step size underflow near the singular set")
+            y_new, k7, err_terms = dp_attempt(rhs, y, f0, sign * h, h)
+            steps += 1
+            scale = [abs_tol + rel_tol * max(abs(a), abs(b))
+                     for a, b in zip(y, y_new)]
+            err = _rms(err_terms, scale)
+            bad = (not all(map(cmath.isfinite, y_new))
+                   or guard and abs(y_new[1] - y_new[0] ** 2) < guard_floor)
+            if err <= 1.0 and not bad:
+                t += h
+                y = y_new
+                if max(map(abs, y)) > 1e9:
+                    raise _abort(traj, "state magnitude overflow "
+                                       "(finite-time escape)")
+                f0 = k7         # first-same-as-last
+                h12, h14 = invariants(y)
+                traj.samples.append((t, y, h12, h14))
+                if h < h_min:
+                    h_min = h
+                if h > h_max:
+                    h_max = h
+                # PI controller (orders 5/4)
+                factor = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
+                err_prev = max(err, 1e-16)
+                h *= min(5.0, max(0.2, factor))
+            elif bad:
+                guard_rejected += 1
+                h *= 0.25
+            else:
+                h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+    finally:
+        # two evaluations choose the first step, then six per attempt (FSAL)
+        traj.nfev = 2 + 6 * steps
+        traj.rejected = steps - (len(traj.samples) - 1)
+        traj.guard_rejected = guard_rejected
+        if h_max:
+            traj.h_min, traj.h_max = h_min, h_max
     return traj
 
 
@@ -327,16 +396,19 @@ def commute_experiment(params: CurveParams, s0: SimState, sigma, tau,
     """Compare the two orderings of a pair of flows from the same seed.
 
     Returns a dict with the endpoint discrepancy and a PASS flag against
-    1e-8 times the state scale; the flows commute exactly, so the
-    discrepancy measures integrator error only.
+    1e-8 times the state scale, and the step statistics summed over the
+    legs; the flows commute exactly, so the discrepancy measures
+    integrator error only.
     """
     _check_tolerances(rel_tol, abs_tol)     # also for a leg of zero span
     fa, fb = flows
+    legs = []
 
     def run(flow, state, span):
         if span == 0:
             return state
         traj = integrate(flow, state, span, rel_tol, abs_tol, params=params)
+        legs.append(traj.step_stats())
         return traj.final_state()
 
     leg1 = run(fb, run(fa, s0, sigma), tau)
@@ -352,4 +424,14 @@ def commute_experiment(params: CurveParams, s0: SimState, sigma, tau,
         "discrepancy": disc,
         "threshold": threshold,
         "pass": disc <= threshold,
+        "steps": _leg_totals(legs),
     }
+
+
+def _leg_totals(legs):
+    """Step statistics summed over the legs; the step range spans them."""
+    total = {key: sum(leg[key] for leg in legs)
+             for key in ("accepted", "rejected", "guard_rejected", "nfev")}
+    total["h_min"] = min((leg["h_min"] for leg in legs), default=None)
+    total["h_max"] = max((leg["h_max"] for leg in legs), default=None)
+    return total

@@ -10,7 +10,8 @@ import hekdv
 import hekdv.sim
 from hekdv import cli
 from hekdv.cli import run
-from hekdv.errors import ZeroDenominatorError
+from hekdv.errors import (SingularityAbort, StepBudgetExhausted,
+                          ZeroDenominatorError)
 from hekdv.report import emit_report, report_json
 
 
@@ -101,6 +102,10 @@ class TestSimulateCommand:
         doc = json.loads(out.read_text())
         assert doc["relative_drift_H12"] <= 1e-9
         assert not doc["aborted"]
+        steps = doc["steps"]
+        assert steps["accepted"] == doc["samples"] - 1
+        assert steps["nfev"] == 2 + 6 * (steps["accepted"] + steps["rejected"])
+        assert 0 < steps["h_min"] <= steps["h_max"]
 
     def test_exact_rational_parameters(self, tmp_path):
         out = tmp_path / "sum.json"
@@ -141,6 +146,9 @@ class TestCommuteCommand:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["pass"] and doc["discrepancy"] <= 1e-8
+        assert set(doc["steps"]) == {"accepted", "rejected", "guard_rejected",
+                                     "nfev", "h_min", "h_max"}
+        assert doc["steps"]["accepted"] > 0
 
     def test_bad_flows_usage(self):
         assert run(["commute", "--sigma", "0.1", "--tau", "0.1",
@@ -186,6 +194,25 @@ class TestExitCodes:
         doc = json.loads(out.read_text())
         assert doc["aborted"] is True
         assert doc["abort_reason"] == "step budget exhausted"
+        assert doc["steps"]["accepted"] + doc["steps"]["rejected"] == 3
+
+    def test_commute_step_budget_exits_one(self, monkeypatch, capsys):
+        integrate = hekdv.sim.integrate
+        raised = []
+
+        def tight_budget(*args, **kwargs):
+            try:
+                return integrate(*args, **kwargs, max_steps=3)
+            except SingularityAbort as exc:
+                raised.append(exc)
+                raise
+        monkeypatch.setattr(hekdv.sim, "integrate", tight_budget)
+        assert run(["commute", "--sigma", "0.1", "--tau", "0.1"]) == 1
+        assert [type(exc) for exc in raised] == [StepBudgetExhausted]
+        assert issubclass(StepBudgetExhausted, SingularityAbort)
+        err = capsys.readouterr().err
+        assert "error: step budget exhausted" in err
+        assert "Traceback" not in err and "internal error" not in err
 
 
 class TestUnusableSimulatorSettings:

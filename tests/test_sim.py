@@ -1,10 +1,17 @@
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hekdv
 from hekdv.curve import CurveParams, in_Bg
-from hekdv.errors import ConfigError, SeedError, SingularityAbort
+from hekdv.errors import (ConfigError, SeedError, SingularityAbort,
+                          StepBudgetExhausted)
 from hekdv.sim import (CompiledFlow, CompiledIntegrals, commute_experiment,
                        curve_ordinate, integrate, seed_state)
 from hekdv import sim, tables
@@ -83,6 +90,12 @@ class TestSeeding:
         integrate("I", s, 0.01, params=PARAMS)
         integrate("I", s, 0.02, params=PARAMS)
         assert calls == []
+        # a directly built CompiledFlow shares the compiled table too
+        sim._flow_fn.cache_clear()
+        first = CompiledFlow("I", PARAMS)
+        second = CompiledFlow("I", PARAMS)
+        assert calls == [PARAMS]
+        assert first._fn is second._fn
 
     def test_coincident_points_rejected(self):
         with pytest.raises(SeedError):
@@ -159,13 +172,96 @@ class TestIntegration:
         assert partial is not None and len(partial.samples) >= 1
 
     def test_step_budget_abort(self, s0):
-        with pytest.raises(SingularityAbort) as exc:
+        with pytest.raises(StepBudgetExhausted) as exc:
             integrate("I", s0, 1.0, params=PARAMS, max_steps=3)
+        assert isinstance(exc.value, SingularityAbort)
+        assert hekdv.StepBudgetExhausted is StepBudgetExhausted
         partial = exc.value.trajectory
         assert partial.aborted
         assert partial.abort_reason == "step budget exhausted"
         assert str(exc.value) == "step budget exhausted"
         assert len(partial.samples) >= 1
+        stats = partial.step_stats()
+        assert stats["accepted"] + stats["rejected"] == 3
+        assert stats["nfev"] == 2 + 6 * 3
+
+
+class TestStepStatistics:
+    """nfev, rejected and guard-rejected attempts and the step range."""
+
+    @staticmethod
+    def count_calls(monkeypatch, poison=None):
+        """Count right-hand-side calls; call number `poison` returns NaN."""
+        calls = []
+        call = CompiledFlow.__call__
+
+        def counting(self, state4):
+            calls.append(None)
+            if len(calls) == poison:
+                return (complex("nan"),) * 4
+            return call(self, state4)
+        monkeypatch.setattr(CompiledFlow, "__call__", counting)
+        return calls
+
+    def test_reference_run(self, s0, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        traj = integrate("I", s0, 1.0, rel_tol=1e-12, abs_tol=1e-14,
+                         params=PARAMS)
+        stats = traj.step_stats()
+        assert stats["accepted"] == len(traj.samples) - 1 == 614
+        assert stats["nfev"] == len(calls)
+        assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+        assert stats["guard_rejected"] == 0
+        times = traj.times()
+        steps = [b - a for a, b in zip(times, times[1:])]
+        assert stats["h_min"] == pytest.approx(min(steps), rel=1e-9)
+        assert stats["h_max"] == pytest.approx(max(steps), rel=1e-9)
+
+    def test_non_finite_trial_is_a_guard_rejection(self, s0, monkeypatch):
+        # two calls choose the first step; the third is the first attempt's
+        # second stage, so that attempt's trial state is not finite
+        calls = self.count_calls(monkeypatch, poison=3)
+        traj = integrate("I", s0, 0.05, params=PARAMS)
+        stats = traj.step_stats()
+        assert stats["guard_rejected"] == 1
+        assert stats["rejected"] >= 1
+        assert stats["nfev"] == len(calls)
+        assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+
+    def test_partial_trajectory(self, monkeypatch):
+        # the singularity abort of TestIntegration: its error test rejects
+        params = CurveParams.numeric(3, [0, 0, 0, 0, 1, -1])
+        x1, x2 = F(-1, 2), F(1, 2)
+        s = seed_state(params,
+                       (x1, curve_ordinate(params, x1)),
+                       (x2, curve_ordinate(params, x2)), flow="T1")
+        calls = self.count_calls(monkeypatch)
+        with pytest.raises(SingularityAbort) as exc:
+            integrate("T1", s, 1.0, params=params)
+        stats = exc.value.trajectory.step_stats()
+        assert stats["rejected"] > 0
+        assert stats["nfev"] == len(calls)
+        assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
+        assert 0 < stats["h_min"] <= stats["h_max"]
+
+    def test_zero_span(self, s0):
+        assert integrate("I", s0, 0.0, params=PARAMS).step_stats() == {
+            "accepted": 0, "rejected": 0, "guard_rejected": 0, "nfev": 0,
+            "h_min": None, "h_max": None}
+
+    def test_commute_sums_its_legs(self, s0):
+        rep = commute_experiment(PARAMS, s0, 0.05, 0.03, flows=("T1", "T3"))
+        legs = []
+        for first, second, a, b in (("T1", "T3", 0.05, 0.03),
+                                    ("T3", "T1", 0.03, 0.05)):
+            one = integrate(first, s0, a, params=PARAMS)
+            two = integrate(second, one.final_state(), b, params=PARAMS)
+            legs += [one.step_stats(), two.step_stats()]
+        steps = rep["steps"]
+        for key in ("accepted", "rejected", "guard_rejected", "nfev"):
+            assert steps[key] == sum(leg[key] for leg in legs)
+        assert steps["h_min"] == min(leg["h_min"] for leg in legs)
+        assert steps["h_max"] == max(leg["h_max"] for leg in legs)
 
 
 class TestRejectedSettings:
@@ -246,6 +342,83 @@ class TestOracles:
             for g, rf in zip(got, entries):
                 want = float(exact(rf))
                 assert want != 0 and abs(g - want) <= 1e-12 * abs(want)
+
+
+# Dormand & Prince (1980), as tabulated in Hairer, Norsett & Wanner,
+# Solving ODEs I, Table II.5.2: the stage rows, the fifth-order weights B5
+# (also the seventh stage's row) and the embedded fourth-order weights B4
+DP_ROWS = (
+    (),
+    (F(1, 5),),
+    (F(3, 40), F(9, 40)),
+    (F(44, 45), F(-56, 15), F(32, 9)),
+    (F(19372, 6561), F(-25360, 2187), F(64448, 6561), F(-212, 729)),
+    (F(9017, 3168), F(-355, 33), F(46732, 5247), F(49, 176),
+     F(-5103, 18656)),
+)
+DP_B5 = (F(35, 384), F(0), F(500, 1113), F(125, 192), F(-2187, 6784),
+         F(11, 84))
+DP_B4 = (F(5179, 57600), F(0), F(7571, 16695), F(393, 640),
+         F(-92097, 339200), F(187, 2100), F(1, 40))
+
+
+def weighted_sum(weights, stages, j):
+    """Sum of float(w) * stage[j] over the nonzero weights, left to right."""
+    terms = [float(w) * k[j] for w, k in zip(weights, stages) if w]
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def reference_attempt(rhs, y, k1, hs, h):
+    """One Dormand-Prince attempt as a plain loop over the stages."""
+    stages = [k1]
+    for row in (*DP_ROWS[1:], DP_B5):
+        state = tuple(y[j] + hs * weighted_sum(row, stages, j)
+                      for j in range(4))
+        stages.append(rhs(state))
+    errors = [b5 - b4 for b5, b4 in zip((*DP_B5, F(0)), DP_B4)]
+    err_terms = tuple(h * weighted_sum(errors, stages, j) for j in range(4))
+    return state, stages[6], err_terms
+
+
+class TestGeneratedStep:
+    """The generated _dp_attempt against the tableau as a plain loop."""
+
+    @pytest.mark.parametrize("flow", ["I", "II", "T1", "T3"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_reference_loop(self, flow, kind):
+        rng = random.Random(f"{flow}-{kind}")
+        rhs = CompiledFlow(flow, PARAMS)
+        attempt = sim._build_dp_attempt()
+
+        def draw():
+            if kind == "real":
+                return rng.uniform(-2, 2)
+            return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+
+        for _ in range(20):
+            y = tuple(draw() for _ in range(4))
+            h = 10.0 ** rng.uniform(-6, -2)
+            for hs in (h, -h):
+                got = attempt(rhs, y, rhs(y), hs, h)
+                want = reference_attempt(rhs, y, rhs(y), hs, h)
+                assert got == want, (y, hs)
+
+    def test_built_on_first_integration_only(self):
+        src = str(Path(hekdv.__file__).resolve().parents[1])
+        code = ("import sys, hekdv.cli, hekdv.sim; "
+                "built = hekdv.sim._build_dp_attempt.cache_info().currsize; "
+                "assert hekdv.cli.run(['verify', 'integrals', '--out', "
+                "sys.argv[1]]) == 0; "
+                "assert hekdv.sim._build_dp_attempt.cache_info().currsize "
+                "== built == 0")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code, os.devnull],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
 
 
 class TestCommute:
