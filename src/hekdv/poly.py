@@ -455,12 +455,67 @@ class MPoly:
     def subst(self, mapping):
         """Substitute variables by polynomials/Fractions; returns MPoly.
 
-        Variables that ``mapping`` does not name stay as they are.
+        Variables that ``mapping`` does not name stay as they are.  The
+        substitution is simultaneous.  When every variable of self goes to
+        one term of content 1 (a monomial, or its negative), the terms are
+        rewritten in one pass without a product; the result and its term
+        order are ``eval_poly``'s.
         """
-        full = {v: MPoly.var(v) for v in self.variables_used()}
+        span = reduce(or_, self.terms, 0)
+        full = {v: MPoly.var(v) for v, _ in _exponents(span)}
         full.update((k, MPoly.const(v) if isinstance(v, (int, Fraction)) else v)
                     for k, v in mapping.items())
-        return eval_poly(self, full, one=MPoly.const(1))
+        out = self._subst_monomials(full, span)
+        if out is None:
+            out = eval_poly(self, full, one=MPoly.const(1))
+        return out
+
+    def _subst_monomials(self, full, span):
+        """``subst`` when each variable goes to +-1 times a monomial, else None.
+
+        ``span`` is the OR of self's monomials; its fields bound the
+        exponents.  None also when that bound lets an exponent of the
+        result pass ``MAX_EXPONENT``: the product path then decides, and
+        raises OverflowError where one does.  Terms that land on one
+        monomial add, and a sum of 0 is deleted, in the order in which
+        ``eval_poly`` adds them.
+        """
+        keep, moved, bound = 0, [], {}
+        for v, e in _exponents(span):
+            image = full[v]
+            if (not isinstance(image, MPoly) or len(image.terms) != 1
+                    or image._content != 1):
+                return None
+            (mono, sign), = image.terms.items()
+            shift = _SHIFT[v]
+            if mono == 1 << shift and sign == 1:
+                keep |= MAX_EXPONENT << shift
+            else:
+                moved.append((shift, mono, sign < 0))
+            for w, f in _exponents(mono):
+                bound[w] = bound.get(w, 0) + e * f
+        if any(b > MAX_EXPONENT for b in bound.values()):
+            return None
+        terms = {}
+        get = terms.get
+        for m, c in self.terms.items():
+            new = m & keep
+            for shift, image, negative in moved:
+                e = (m >> shift) & MAX_EXPONENT
+                if e:
+                    new += e * image
+                    if negative and e & 1:
+                        c = -c
+            acc = get(new)
+            if acc is None:
+                terms[new] = c
+            else:
+                acc += c
+                if acc:
+                    terms[new] = acc
+                else:
+                    del terms[new]
+        return _primitive(self._content, terms)
 
     def eval_numeric(self, point):
         """Evaluate at a dict of numbers (Fraction, float or complex)."""

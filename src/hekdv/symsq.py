@@ -14,9 +14,13 @@ function generators: substitution of
     a = (X1+X2)/2,  b = (X1-X2)^2/4,  c = (Y1-Y2)/(X1-X2),  d = (Y1+Y2)/2
 
 and its inverse through the auxiliary variable s with X1 = a+s, X2 = a-s,
-Y1 = d+s*c, Y2 = d-s*c, s^2 = b.  Only c has a denominator, so every
-evaluation on the square is one polynomial substitution over the common
-denominator (X1-X2)^k, normalized once (see ``abcd_to_xy``).
+Y1 = d+s*c, Y2 = d-s*c, s^2 = b.  Only c has a denominator, and as
+X1 - X2 = 2s, a polynomial of degree k in c has in the s chart the
+monomial denominator (2s)^k, whose common power s^j with the numerator cancels
+before anything is expanded.  Every evaluation on the square is then one
+polynomial substitution over the denominator (X1-X2)^(k-j) * 2^j,
+normalized once (see ``abcd_to_xy``); a round trip through ``xy_to_abcd``
+has j = k and divides nothing by X1 - X2.
 """
 
 from fractions import Fraction
@@ -27,7 +31,6 @@ from .poly import MPoly
 from .ratfun import RatFn, _as_mpoly, normal_form
 
 _HALF = Fraction(1, 2)
-_QUARTER = Fraction(1, 4)
 
 
 class SymSqField:
@@ -156,17 +159,25 @@ def abcd_to_xy(expr, field):
     """Evaluate a polynomial in a,b,c,d and the curve parameters on the square.
 
     With 2s = X1 - X2, c = (Y1-Y2)/(2s) is the only generator with a
-    denominator: expr * (2s)^k (k = deg_c expr) is a polynomial, and one
-    substitution turns it into the numerator over (X1-X2)^k.  The bridge
-    variable s is (X1-X2)/2; other variables stand for themselves.
+    denominator: expr * (2s)^k (k = deg_c expr) is a polynomial in the s
+    chart.  There b = s^2, so the denominator (2s)^k is a monomial and its
+    common power s^j with the numerator (j = min(k, least degree in s)) is
+    cancelled before anything is expanded.  One substitution of a, c, d, s
+    and the curve parameters then gives the numerator over
+    (X1-X2)^(k-j) * 2^j.  The bridge variable s is (X1-X2)/2; other
+    variables stand for themselves.
     """
     num, k = clear_denominator(expr, "c", MPoly.var("s") * 2)
+    num = num.subst({"b": MPoly.var("s", 2)})
+    j = min(k, num.min_degree_in("s"))
+    if j:
+        num = num.exact_div(MPoly.var("s", j))
     x1, y1, x2, y2 = (MPoly.var(n) for n in ("X1", "Y1", "X2", "Y2"))
     dx = x1 - x2
     sub = {n: field.params.coefficient(n) for n in y_symbols(field.params.genus)}
-    sub.update(a=(x1 + x2) * _HALF, b=dx ** 2 * _QUARTER, c=y1 - y2,
-               d=(y1 + y2) * _HALF, s=dx * _HALF)
-    return field.elem(num.subst(sub), dx ** k)
+    sub.update(a=(x1 + x2) * _HALF, c=y1 - y2, d=(y1 + y2) * _HALF,
+               s=dx * _HALF)
+    return field.elem(num.subst(sub), dx ** (k - j) * 2 ** j)
 
 
 def _in_s_chart(p):

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction as F
 from math import gcd, lcm
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
@@ -194,6 +195,98 @@ class TestEvalAndSubst:
     def test_subst_of_an_unused_variable_is_the_identity(self):
         p = a * b - 1
         assert p.subst({"c": X1}) == p
+
+
+def _subst_by_products(p, mapping):
+    """``subst`` as products and sums, through ``eval_poly``."""
+    full = {v: MPoly.var(v) for v in p.variables_used()}
+    full.update((k, MPoly.const(v) if isinstance(v, (int, F)) else v)
+                for k, v in mapping.items())
+    return eval_poly(p, full, one=MPoly.const(1))
+
+
+_MONO_VARS = ("X1", "X2", "a", "b", "s")
+
+
+@st.composite
+def _signed_monomials(draw):
+    """+-1 times a product of powers of up to three variables."""
+    out = MPoly.const(draw(st.sampled_from((1, -1))))
+    for v in draw(st.lists(st.sampled_from(_MONO_VARS), max_size=3,
+                           unique=True)):
+        out = out * MPoly.var(v, draw(st.integers(1, 3)))
+    return out
+
+
+class TestMonomialSubst:
+    """A map of each variable to a signed monomial rewrites exponents in one
+    pass; it must give eval_poly's polynomial with its term order."""
+
+    @staticmethod
+    def _same(p, mapping):
+        want = _subst_by_products(p, mapping)
+        with patch.object(hekdv.poly, "eval_poly") as general:
+            got = p.subst(mapping)
+        assert not general.called
+        assert got == want
+        assert list(got.monomials()) == list(want.monomials())
+
+    @given(mpoly_strategy(_MONO_VARS, max_terms=8, max_exp=3),
+           st.dictionaries(st.sampled_from(_MONO_VARS), _signed_monomials()))
+    def test_matches_products(self, p, mapping):
+        self._same(p, mapping)
+
+    def test_simultaneous_swap(self):
+        p = 3 * X1 ** 2 * X2 - X1 + F(1, 2) * X2 ** 3
+        self._same(p, {"X1": X2, "X2": X1})
+        assert p.subst({"X1": X2, "X2": X1}) == (
+            3 * X2 ** 2 * X1 - X2 + F(1, 2) * X1 ** 3)
+
+    def test_negated_monomials_flip_odd_exponents(self):
+        p = a ** 3 * b + a ** 2 * b ** 2 - 5 * a * b ** 3
+        self._same(p, {"a": -c, "b": -(c * d)})
+        assert p.subst({"a": -c}) == -c ** 3 * b + c ** 2 * b ** 2 + 5 * c * b ** 3
+
+    def test_colliding_terms_add_and_cancel(self):
+        # a - b cancels, c comes back at the end, 2d + d**1 adds up
+        p = a - b + c + 2 * d + MPoly.var("s")
+        self._same(p, {"b": a, "c": a, "s": d})
+        assert p.subst({"b": a, "c": a, "s": d}) == a + 3 * d
+        self._same(a * c - b * c, {"b": a})
+        assert (a * c - b * c).subst({"b": a}).is_zero
+        self._same(a ** 2 + b ** 2, {"b": -a})
+        assert (a ** 2 + b ** 2).subst({"b": -a}) == 2 * a ** 2
+
+    def test_unit_constants(self):
+        p = a ** 2 * b + a * b ** 2 + c
+        for mapping in ({"a": 1, "b": -1}, {"a": MPoly.const(-1)},
+                        {"a": F(1), "b": -1, "c": -1}):
+            self._same(p, mapping)
+        assert p.subst({"a": 1, "b": -1}) == c
+        self._same(MPoly.zero(), {"a": b})
+        self._same(MPoly.const(F(-3, 4)), {"a": b})
+
+    @pytest.mark.parametrize("value", [0, MPoly.zero(), 2, F(1, 2), 2 * b,
+                                       -3 * b, a + b, F(1, 3) * a])
+    def test_other_values_take_the_general_path(self, value):
+        p = a ** 2 * b - a + 1
+        with patch.object(hekdv.poly, "eval_poly",
+                          wraps=hekdv.poly.eval_poly) as general:
+            got = p.subst({"a": value})
+        assert general.called
+        assert got == _subst_by_products(p, {"a": value})
+
+    def test_exponent_past_the_maximum_raises(self):
+        with pytest.raises(OverflowError, match="c"):
+            MPoly.var("a", MAX_EXPONENT).subst({"a": c ** 2})
+        big = MPoly.var("a", 20000) * MPoly.var("b", 20000)
+        with pytest.raises(OverflowError, match="c"):
+            big.subst({"a": c, "b": c})
+        with pytest.raises(OverflowError):
+            MPoly.var("a", 2 ** 14).subst({"a": c ** 4})
+        # a bound past the range with every exponent in range is no error
+        p = MPoly.var("a", MAX_EXPONENT) + MPoly.var("b", MAX_EXPONENT)
+        assert p.subst({"a": c, "b": c}) == 2 * MPoly.var("c", MAX_EXPONENT)
 
 
 class TestMemoryCap:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -155,6 +156,75 @@ class TestBridges:
             want = eval_poly(e, {**f.abcd(), **params}, one=f.one())
             got = abcd_to_xy(e, f)
             assert got.num == want.num and got.den == want.den
+
+
+def _bridge_inputs(seed):
+    """c^k (k = 0..4), b^i c^k d^l with partial and full cancellation of
+    X1 - X2, and seeded mixed polynomials with curve parameters."""
+    rng = random.Random(seed)
+    out = [c ** k for k in range(5)]
+    out += [b * c ** 3, b ** 2 * c ** 4 * d, b * c ** 2 * d ** 2 - c * a,
+            F(3, 5) * b ** 2 * c ** 3 + y12 * c ** 4 - d, b ** 2 * c ** 2]
+    params = (MPoly.const(1), y4, y8, y12, y14)
+    for _ in range(12):
+        e = MPoly.zero()
+        for _ in range(rng.randint(1, 4)):
+            term = MPoly.const(F(rng.choice((-1, 1)) * rng.randint(1, 9),
+                                 rng.randint(1, 9))) * rng.choice(params)
+            for v, top in ((a, 2), (b, 3), (c, 4), (d, 2)):
+                term = term * v ** rng.randint(0, top)
+            e = e + term
+        out.append(e)
+    return out
+
+
+_NUMERIC3 = CurveParams.numeric(3, (0, 0, 0, 0, 1, 1))
+
+
+class TestBridgeCancellation:
+    """abcd_to_xy cancels the common power of s before expanding; the stored
+    pair must be the per-monomial evaluation's."""
+
+    @pytest.mark.parametrize("params", [CurveParams.symbolic(3), _NUMERIC3],
+                             ids=["symbolic", "numeric"])
+    def test_fixed_inputs_match_per_monomial_evaluation(self, params):
+        # the reference of test_abcd_to_xy_matches_per_monomial_evaluation,
+        # on c^k, b^i c^k d^l and seeded mixed inputs, on both curves
+        f = SymSqField(params)
+        env = {**f.abcd(), **{n: f.elem(f.params.coefficient(n))
+                              for n in y_symbols(f.params.genus)}}
+        partial = 0
+        for e in _bridge_inputs(14):
+            got = abcd_to_xy(e, f)
+            want = eval_poly(e, env, one=f.one())
+            assert got.num == want.num and got.den == want.den, e
+            partial += got.den.degree_in("X1") > 0 and e.degree_in("b") > 0
+        # some inputs keep a power of X1 - X2 that only partly cancelled
+        assert partial >= 3
+
+    def test_partial_cancellation_keeps_the_rest(self, symbolic_field3):
+        got = abcd_to_xy(b * c ** 3, symbolic_field3)
+        assert got.den == X1 - X2
+        assert got.num == symbolic_field3.reduce((Y1 - Y2) ** 3) * F(1, 4)
+        assert abcd_to_xy(b ** 2 * c ** 4, symbolic_field3).den == 1
+
+    def test_round_trip_divides_nothing(self, symbolic_field3, monkeypatch):
+        calls = []
+        divide = MPoly.divide_out_linear
+
+        def counted(self, *names):
+            calls.append(names)
+            return divide(self, *names)
+
+        monkeypatch.setattr(MPoly, "divide_out_linear", counted)
+        f = symbolic_field3
+        swap = {"X1": X2, "X2": X1, "Y1": Y2, "Y2": Y1}
+        for p in (Y1 * X2 ** 2 + X1 * Y2 ** 3, Y1 ** 3 * Y2 - X1 ** 4,
+                  F(2, 3) * X1 * Y1 * Y2 ** 2 + Y1 + 5):
+            p_sym = p + p.subst(swap)
+            r = abcd_to_xy(xy_to_abcd(p_sym), f)
+            assert r == f.elem(p_sym)
+        assert calls == []
 
 
 # Y-exponents capped at 1 so conjugate clearing stays small; reduction of
