@@ -11,16 +11,15 @@ of the two exact invariants.
 # set before the submodule imports: report reads it while being imported
 __version__ = "0.1.0"
 
-from .algnum import AlgNum, algnum_invert
+from .algnum import AlgNum
 from .curve import CurveParams, curve_Q, dr_numerator, in_Bg, sylvester_resultant
 from .derivations import Derivation, make_derivation, psi1, psi2
 from .errors import (ConfigError, HekdvError, MemoryCapExceeded, ModeError,
                      NotSymmetricError, SeedError, SingularExpansionError,
                      SingularityAbort, StepBudgetExhausted,
                      ZeroDenominatorError, ZeroDivisorError)
-from .poly import (MPoly, WeightTable, eval_poly, standard_weights, variables,
-                   weighted_degree)
-from .ratfun import RatFn, ratfn_equal
+from .poly import MPoly, eval_poly, standard_weights, variables, weighted_degree
+from .ratfun import RatFn
 from .report import VerifyReport, emit_report, report_json
 from .series import PSeries, newton_solve
 from .sim import (SimState, Trajectory, commute_experiment, curve_ordinate,

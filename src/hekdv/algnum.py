@@ -106,8 +106,3 @@ class AlgNum(Ring):
 # the slot setters, past the immutability guard
 _set_minpoly = AlgNum.minpoly.__set__
 _set_vec = AlgNum.vec.__set__
-
-
-def algnum_invert(x):
-    """Module-level spelling of AlgNum.inverse for symmetry with the tests."""
-    return x.inverse()

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .poly import MPoly, Ring, eval_poly, variables
 from .ratlimit import sigma_rational
 from .report import ReportBuilder
-from .series import PSeries, newton_solve
+from .series import PSeries, eval_at_series, newton_solve
 
 w3, w5, phi_var, t_var = variables("w3", "w5", "phi", "t")
 
@@ -323,9 +323,8 @@ def verify_example1(expected=None):
         target = want.get(k, Fraction(0))
         rb.expect(f"coefficient of t^{k} = {target}", series[k] == target)
     rel = sextic_relation().subst({"w3": t_var, "w5": MPoly.const(1)})
-    from .series import eval_at_series, PSeries as _PS
     back = eval_at_series(rel, {"phi": series,
-                                "t": _PS.identity("t", 12)}, 12)
+                                "t": PSeries.identity("t", 12)}, 12)
     rb.expect("substituted back: zero through t^12", back.is_zero)
     return rb.build()
 

@@ -12,7 +12,9 @@ content (a negative one also flips the signs); a sum brings both sides to
 one common content and divides out the gcd of the result.  An exact
 quotient of primitive polynomials is again primitive, with integer
 coefficients, so long division stops at the first quotient coefficient
-that is not an integer.
+that is not an integer.  ``exact_div`` is that long division, with
+shortcuts for a scalar and a one-term divisor; a difference u - v of two
+variables is divided by name, with ``divide_out_linear``.
 
 A monomial is one int over the fixed global symbol order: the exponent of
 ``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
@@ -68,7 +70,6 @@ MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
 _FIELD_NAME = SYMBOL_ORDER[::-1]
 _SHIFT = {name: _WIDTH * k for k, name in enumerate(_FIELD_NAME)}
 _GUARD = sum(1 << (shift + _WIDTH - 1) for shift in _SHIFT.values())
-_VARIABLE = {1 << shift: name for name, shift in _SHIFT.items()}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -537,7 +538,10 @@ class MPoly:
     def exact_div(self, divisor):
         """Exact quotient self/divisor, or None when not divisible.
 
-        A divisor u - v of two variables goes to ``divide_out_linear``.
+        A scalar divides the content, a one-term divisor shifts the
+        monomials, and any other divisor goes through long division.  The
+        symmetric square's factor X1 - X2 is divided by name, with
+        ``divide_out_linear``.
         """
         if isinstance(divisor, (int, Fraction)):
             return self / divisor
@@ -545,9 +549,6 @@ class MPoly:
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero:
             return MPoly.zero()
-        diff = divisor._variable_difference()
-        if diff is not None:
-            return self.divide_out_linear(*diff)
         if len(divisor.terms) == 1:
             # a primitive term has coefficient 1 or -1, so the quotient
             # keeps the dividend's coefficients up to sign
@@ -560,15 +561,6 @@ class MPoly:
                 terms[q] = c if dc == 1 else -c
             return MPoly(self._content / divisor._content, terms)
         return self._long_div(divisor)
-
-    def _variable_difference(self):
-        """(u, v) when self is exactly u - v for two variables, else None."""
-        if len(self.terms) != 2 or self._content != 1:
-            return None
-        signs = {c: _VARIABLE.get(m) for m, c in self.terms.items()}
-        if set(signs) != {1, -1} or None in signs.values():
-            return None
-        return signs[1], signs[-1]
 
     def _long_div(self, d):
         """Single-divisor division; returns quotient iff remainder is zero.
@@ -847,22 +839,6 @@ def eval_poly(p, mapping, one):
     return total
 
 
-class WeightTable:
-    """Map from symbols to integer weights; raises on missing symbols."""
-
-    def __init__(self, weights):
-        self.weights = dict(weights)
-
-    def __getitem__(self, name):
-        try:
-            return self.weights[name]
-        except KeyError:
-            raise ConfigError(f"no weight declared for symbol {name!r}")
-
-    def __contains__(self, name):
-        return name in self.weights
-
-
 def standard_weights(genus):
     """The grading used throughout: deg X=2, Y=2g+1, y_{2i}=2i, w/u as declared."""
     w = {
@@ -874,21 +850,25 @@ def standard_weights(genus):
     }
     for j in range(2, 8):
         w[f"y{2 * j}"] = 2 * j
-    return WeightTable(w)
+    return w
 
 
 def weighted_degree(p, table):
     """Weighted degree if `p` is weighted-homogeneous, else None.
 
-    The zero polynomial is homogeneous of every degree; returns 0.
+    ``table`` maps each symbol of `p` to its weight; a missing symbol
+    raises ConfigError.  The zero polynomial is homogeneous of every
+    degree; returns 0.
     """
-    if not isinstance(table, WeightTable):
-        table = WeightTable(table)
     if p.is_zero:
         return 0
     deg = None
     for m in p.terms:
-        d = sum(e * table[v] for v, e in _exponents(m))
+        try:
+            d = sum(e * table[v] for v, e in _exponents(m))
+        except KeyError as missing:
+            raise ConfigError(f"no weight declared for symbol "
+                              f"{missing.args[0]!r}") from None
         if deg is None:
             deg = d
         elif d != deg:

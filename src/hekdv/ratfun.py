@@ -2,15 +2,17 @@
 
 ``RatFn`` holds the one fraction arithmetic; ``symsq.SymSqElem`` inherits it
 and supplies its own normal form.  ``normal_form`` is the one routine that
-cancels or scales a fraction; its ``factors`` are declared by the ring, not
-per call.  It is deliberately lazy (no multivariate gcd), so equality is
-decided by cross-multiplication, which is representation independent.
+cancels or scales a fraction.  Besides common monomials it cancels one
+named difference u - v of two variables, which the ring passes (X1 - X2 on
+the symmetric square, nothing for a ``RatFn``).  It is deliberately lazy (no
+multivariate gcd), so equality is decided by cross-multiplication, which is
+representation independent.
 """
 
 from fractions import Fraction
 
 from .errors import ZeroDenominatorError
-from .poly import MPoly, Ring, weighted_degree
+from .poly import MPoly, Ring, eval_poly, weighted_degree
 
 
 def _as_mpoly(x):
@@ -21,18 +23,19 @@ def _as_mpoly(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to a polynomial")
 
 
-def normal_form(num, den, factors=()):
+def normal_form(num, den, linear=None):
     """The stored (num, den) pair of num/den.
 
     In order: a zero den raises (a zero num gives 0/1); the common monomial
-    is cancelled, each variable to its lower minimum degree; the common
-    power of each of ``factors`` is divided out, skipping a factor whose
-    variables den lacks; den is scaled to content 1 with a positive leading
+    is cancelled, each variable to its lower minimum degree; when
+    ``linear`` names two variables (u, v), the common power of u - v is
+    divided out with ``MPoly.divide_out_linear`` for as long as den has both
+    variables; den is scaled to content 1 with a positive leading
     coefficient (den = 1 when constant).  The scaling reads den's stored
     content and replaces the contents of both, flipping the signs of their
     integer parts when den leads negative; no coefficient is divided.  The
-    pair is canonical only when every factor num and den share is a
-    monomial or one of ``factors``.
+    pair is canonical when every factor num and den share is a monomial or
+    u - v.
     """
     if den.is_zero:
         raise ZeroDenominatorError("fraction with zero denominator")
@@ -47,13 +50,13 @@ def normal_form(num, den, factors=()):
                 mono = mono * MPoly.var(name, k)
     if mono.as_constant() is None:
         num, den = num.exact_div(mono), den.exact_div(mono)
-    for f in factors:
-        needed = f.variables_used()
-        while needed <= den.variables_used():
-            dq = den.exact_div(f)
+    if linear is not None:
+        u, v = linear
+        while den.degree_in(u) and den.degree_in(v):
+            dq = den.divide_out_linear(u, v)
             if dq is None:
                 break
-            nq = num.exact_div(f)
+            nq = num.divide_out_linear(u, v)
             if nq is None:
                 break
             num, den = nq, dq
@@ -155,7 +158,6 @@ class RatFn(Ring):
 
     def subst(self, mapping):
         """Substitute variables by RatFn/MPoly/Fraction values."""
-        from .poly import eval_poly
         lifted = {k: self._lift(v) for k, v in mapping.items()}
         one = RatFn(MPoly.const(1))
         num = eval_poly(self.num, lifted, one)
@@ -179,7 +181,3 @@ class RatFn(Ring):
         return (f"{type(self).__name__}({self.num.to_str(max_terms=6)} / "
                 f"{self.den.to_str(max_terms=6)})")
 
-
-def ratfn_equal(f, g):
-    """True iff f and g agree as rational functions (cross-multiplication)."""
-    return f == g

@@ -5,8 +5,8 @@ Y2 (the rewrites Y_i^2 -> Q(X_i) are confluent, so this normal form is
 canonical) and den free of Y variables.  Denominators arising anywhere in
 the pipeline are products of X1, X2 and (X1 - X2).  After Y-reduction and
 conjugate clearing an element goes through ``ratfun.normal_form`` with the
-one declared factor X1 - X2, which cancels exactly those factors and keeps
-expression swell linear.
+variable pair (X1, X2): it cancels the common monomial and the common power
+of X1 - X2, exactly those factors, which keeps expression swell linear.
 
 The module also provides the two coordinate bridges with the symmetric
 function generators: substitution of
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .curve import CurveParams, y_symbols
 from .errors import NotSymmetricError
-from .poly import MPoly
+from .poly import MPoly, standard_weights
 from .ratfun import RatFn, _as_mpoly, normal_form
 
 _HALF = Fraction(1, 2)
@@ -42,9 +42,6 @@ class SymSqField:
         self.Q2 = params.Q("X2")
         self.dQ1 = self.Q1.derivative("X1")
         self.dQ2 = self.Q2.derivative("X2")
-        # the one non-monomial factor a denominator on the square may share
-        # with its numerator
-        self.known_factors = (MPoly.var("X1") - MPoly.var("X2"),)
 
     # -- reduction ---------------------------------------------------------
 
@@ -83,7 +80,6 @@ class SymSqField:
         return {g: abcd_to_xy(MPoly.var(g), self) for g in "abcd"}
 
     def weights(self):
-        from .poly import standard_weights
         return standard_weights(self.params.genus)
 
 
@@ -91,7 +87,8 @@ class SymSqElem(RatFn):
     """One element of the field, normalized as described in the module doc.
 
     The arithmetic is ``RatFn``'s; an element adds its field, the
-    Y-reduction and the declared factor X1 - X2 of its normal form.
+    Y-reduction and, in its normal form, the one non-monomial factor a
+    denominator on the square shares with its numerator, X1 - X2.
     """
 
     __slots__ = ("field",)
@@ -108,7 +105,7 @@ class SymSqElem(RatFn):
                 conj = parts.get(0, zero) - MPoly.var(yvar) * parts.get(1, zero)
                 num = field.reduce(num * conj)
                 den = field.reduce(den * conj)
-        num, den = normal_form(num, den, field.known_factors)
+        num, den = normal_form(num, den, ("X1", "X2"))
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)

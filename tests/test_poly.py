@@ -89,13 +89,15 @@ class TestDivision:
     @given(mpoly_strategy(var_names=("X1", "Y1", "X2", "a", "b"), max_terms=3),
            mpoly_strategy(var_names=("X1", "Y1", "X2", "a", "b"), max_terms=2))
     def test_difference_matches_long_division(self, u, v, f, r):
-        # exact_div sends u - v to divide_out_linear; long division is the
-        # reference, on a multiple of u - v and on a perturbed one
+        # divide_out_linear(u, v) against long division by u - v, on a
+        # multiple of u - v and on a perturbed one; exact_div(u - v) runs
+        # the long division and must agree
         d = MPoly.var(u) - MPoly.var(v)
         for p in (f * d, f * d + r):
-            got = p.exact_div(d)
+            got = p.divide_out_linear(u, v)
             want = p._long_div(d)
             assert (got is None) == (want is None)
+            assert p.exact_div(d) == want
             if got is not None:
                 assert got == want and got * d == p
 

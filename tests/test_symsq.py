@@ -22,6 +22,20 @@ abcd_polys = mpoly_strategy(var_names=("a", "b", "c", "d"),
                             max_terms=4, max_exp=2)
 
 
+@pytest.fixture
+def divide_calls(monkeypatch):
+    """The (u, v) of every MPoly.divide_out_linear call made in the test."""
+    calls = []
+    divide = MPoly.divide_out_linear
+
+    def counted(self, *names):
+        calls.append(names)
+        return divide(self, *names)
+
+    monkeypatch.setattr(MPoly, "divide_out_linear", counted)
+    return calls
+
+
 class TestReduction:
     def test_basic_rewrites(self, symbolic_field3):
         f = symbolic_field3
@@ -45,6 +59,18 @@ class TestElemNormalization:
         f = symbolic_field3
         e = f.elem(X1 * X2 * (X1 - X2) * Y1, X1 ** 2 * X2 * (X1 - X2) ** 2)
         assert e.num == Y1 and e.den == X1 * (X1 - X2)
+
+    def test_x1_minus_x2_stripped_after_the_monomial(self, symbolic_field3,
+                                                     divide_calls):
+        # the monomial step runs first, so a den it makes constant is never
+        # tried for X1 - X2; a shared power of X1 - X2 is still stripped
+        f = symbolic_field3
+        e = f.elem(X1 * X2 * Y1, X1 * X2)
+        assert e.num == Y1 and e.den == 1
+        assert divide_calls == []
+        e = f.elem(Y1 * (X1 - X2), (X1 - X2) ** 2)
+        assert e.num == Y1 and e.den == X1 - X2
+        assert divide_calls
 
     def test_y_cleared_from_denominator(self, symbolic_field3):
         f = symbolic_field3
@@ -208,15 +234,7 @@ class TestBridgeCancellation:
         assert got.num == symbolic_field3.reduce((Y1 - Y2) ** 3) * F(1, 4)
         assert abcd_to_xy(b ** 2 * c ** 4, symbolic_field3).den == 1
 
-    def test_round_trip_divides_nothing(self, symbolic_field3, monkeypatch):
-        calls = []
-        divide = MPoly.divide_out_linear
-
-        def counted(self, *names):
-            calls.append(names)
-            return divide(self, *names)
-
-        monkeypatch.setattr(MPoly, "divide_out_linear", counted)
+    def test_round_trip_divides_nothing(self, symbolic_field3, divide_calls):
         f = symbolic_field3
         swap = {"X1": X2, "X2": X1, "Y1": Y2, "Y2": Y1}
         for p in (Y1 * X2 ** 2 + X1 * Y2 ** 3, Y1 ** 3 * Y2 - X1 ** 4,
@@ -224,7 +242,7 @@ class TestBridgeCancellation:
             p_sym = p + p.subst(swap)
             r = abcd_to_xy(xy_to_abcd(p_sym), f)
             assert r == f.elem(p_sym)
-        assert calls == []
+        assert divide_calls == []
 
 
 # Y-exponents capped at 1 so conjugate clearing stays small; reduction of
