@@ -18,7 +18,8 @@ from .errors import (ConfigError, HekdvError, MemoryCapExceeded, ModeError,
                      NotSymmetricError, SeedError, SingularExpansionError,
                      SingularityAbort, StepBudgetExhausted,
                      ZeroDenominatorError, ZeroDivisorError)
-from .poly import MPoly, eval_poly, standard_weights, variables, weighted_degree
+from .poly import (MPoly, eval_poly, standard_weights, sum_polys, variables,
+                   weighted_degree)
 from .ratfun import RatFn
 from .report import VerifyReport, emit_report, report_json
 from .series import PSeries, newton_solve

@@ -17,7 +17,7 @@ polynomial identity between the coefficients.
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .poly import MPoly
+from .poly import MPoly, sum_polys
 from .symsq import SymSqElem, SymSqField, clear_denominator
 
 _GEN_NAMES = ("X1", "Y1", "X2", "Y2")
@@ -55,11 +55,9 @@ class Derivation:
         if e.field is not self.field:
             raise ValueError("derivation and element live on different squares")
         n, d = e.num, e.den
-        total = MPoly.zero()
-        for v in _GEN_NAMES:
-            c = self.coeffs[v]
-            if not c.is_zero:
-                total = total + c * (d * n.derivative(v) - n * d.derivative(v))
+        coeffs = [(v, self.coeffs[v]) for v in _GEN_NAMES]
+        total = sum_polys(c * (d * n.derivative(v) - n * d.derivative(v))
+                          for v, c in coeffs if not c.is_zero)
         return self.field.elem(total, self.den * d * d)
 
     def commutator_on(self, other, e):

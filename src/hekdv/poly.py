@@ -9,12 +9,16 @@ arithmetic runs on ints.  By Gauss's lemma a product of primitive
 polynomials is primitive, so a product multiplies the contents and
 convolves the integer parts without a gcd; a scalar changes only the
 content (a negative one also flips the signs); a sum brings both sides to
-one common content and divides out the gcd of the result.  An exact
-quotient of primitive polynomials is again primitive, with integer
-coefficients, so long division stops at the first quotient coefficient
-that is not an integer.  ``exact_div`` is that long division, with
-shortcuts for a scalar and a one-term divisor; a difference u - v of two
-variables is divided by name, with ``divide_out_linear``.
+one common content and divides out the gcd of the result.  A sum of many
+parts, ``sum_polys``, merges each part into one int term dict over one
+common denominator and takes one gcd at the end; ``eval_poly`` over MPoly
+values adds its terms the same way.  Both keep the term order of the
+running sum ``total + part``: a new monomial is appended and a sum of 0
+is deleted at once.  An exact quotient of primitive polynomials is again
+primitive, with integer coefficients, so long division stops at the first
+quotient coefficient that is not an integer.  ``exact_div`` is that long
+division, with shortcuts for a scalar and a one-term divisor; a difference
+u - v of two variables is divided by name, with ``divide_out_linear``.
 
 A monomial is one int over the fixed global symbol order: the exponent of
 ``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
@@ -31,8 +35,8 @@ This representation is private to this module: other modules read a
 polynomial only through ``MPoly.coeffs_in`` (the coefficients of the powers
 of one variable), ``MPoly.monomials`` (each term as its nonzero
 (variable, exponent) pairs and its ``Fraction`` coefficient), the
-structural queries, and ``eval_poly``/``MPoly.subst``, so the storage can
-change without them.
+structural queries, ``sum_polys`` and ``eval_poly``/``MPoly.subst``, so
+the storage can change without them.
 
 The ``dense_*`` routines are the one dense univariate arithmetic: lists of
 coefficients, constant term first, over Fractions or MPolys (von zur
@@ -139,6 +143,77 @@ def _primitive(content, terms):
     if g == 1:
         return MPoly(content, terms)
     return MPoly(content * g, {m: c // g for m, c in terms.items()})
+
+
+class _Sum:
+    """A sum of polynomials kept as one int term dict over one denominator.
+
+    The value is ``terms / den``.  ``add`` merges each part into the dict
+    by ``_sum``'s rule, a new monomial appended and a sum of 0 deleted at
+    once, so the terms come out in the order of a running sum
+    ``total + part``.  A part whose denominator does not divide ``den``
+    rescales the dict in place; ``result`` takes the one gcd.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self):
+        self.terms = {}
+        self.den = 1
+
+    def add(self, num, den, part):
+        """Add num/den (ints, den > 0, not necessarily coprime) times the
+        int term dict ``part``."""
+        if not part:
+            return
+        terms = self.terms
+        k = num * self.den
+        if k % den:
+            grow = den // gcd(k, den)
+            for m in terms:
+                terms[m] *= grow
+            self.den *= grow
+            k *= grow
+        k //= den
+        get = terms.get
+        for m, c in part.items():
+            if k != 1:
+                c *= k
+            acc = get(m)
+            if acc is None:
+                terms[m] = c
+            else:
+                acc += c
+                if acc:
+                    terms[m] = acc
+                else:
+                    del terms[m]
+
+    def result(self, scale=_ONE):
+        """The MPoly scale * terms / den, for a Fraction ``scale`` > 0."""
+        terms = self.terms
+        if not terms:
+            return MPoly(_ZERO, terms)
+        g = gcd(*terms.values())
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+        return MPoly(Fraction(g * scale.numerator, self.den * scale.denominator),
+                     terms)
+
+
+def sum_polys(parts):
+    """The sum of an iterable of MPolys, added into one term dict.
+
+    Equal to ``parts[0] + parts[1] + ...`` from the left, in value and in
+    term order, but no running total is copied: each part is merged into
+    one accumulator as it arrives, and one gcd is taken at the end.  An
+    empty iterable gives the zero polynomial.
+    """
+    acc = _Sum()
+    for p in parts:
+        c = p._content
+        acc.add(c.numerator, c.denominator, p.terms)
+    return acc.result()
 
 
 def _from_fractions(terms):
@@ -814,6 +889,14 @@ def eval_poly(p, mapping, one):
     Fraction on the left or right.  `one` is the ring's multiplicative
     identity (used for empty monomials).  Variables of `p` that carry a
     nonzero exponent must all be mapped.
+
+    Each term is the product of cached powers of the mapped values, times
+    the term's coefficient.  When `one` and every mapped value are MPolys,
+    the terms are added as ``sum_polys`` adds: each scaled product is
+    merged into one int term dict, with the content of `p` applied once
+    at the end.  Other rings add a running total, term by term.  Either
+    way the terms of an MPoly result come in the order of that running
+    sum.
     """
     missing = p.variables_used() - set(mapping)
     if missing:
@@ -822,6 +905,18 @@ def eval_poly(p, mapping, one):
     @lru_cache(maxsize=None)
     def cached_power(v, e):
         return power(mapping[v], e, one)
+
+    if isinstance(one, MPoly) and all(isinstance(v, MPoly)
+                                      for v in mapping.values()):
+        acc = _Sum()
+        for m, c in p.terms.items():
+            prod = one
+            for v, e in _exponents(m):
+                pv = cached_power(v, e)
+                prod = pv if prod is one else prod * pv
+            pc = prod._content
+            acc.add(c * pc.numerator, pc.denominator, prod.terms)
+        return acc.result(p._content)
 
     total = None
     for m, c in p._items():

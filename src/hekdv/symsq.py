@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .curve import CurveParams, y_symbols
 from .errors import NotSymmetricError
-from .poly import MPoly, standard_weights
+from .poly import MPoly, standard_weights, sum_polys
 from .ratfun import RatFn, _as_mpoly, normal_form
 
 _HALF = Fraction(1, 2)
@@ -48,16 +48,8 @@ class SymSqField:
     def reduce(self, p):
         """Confluent Y-reduction: Y_i^e -> Q(X_i)^(e//2) * Y_i^(e%2)."""
         for yvar, Q in (("Y1", self.Q1), ("Y2", self.Q2)):
-            if p.degree_in(yvar) < 2:
-                continue
-            out = MPoly.zero()
-            for e, c in p.coeffs_in(yvar).items():
-                if e >= 2:
-                    c = c * Q ** (e // 2)
-                if e % 2:
-                    c = c * MPoly.var(yvar)
-                out = out + c
-            p = out
+            if p.degree_in(yvar) >= 2:
+                p = sum_polys(_y_reduced(p.coeffs_in(yvar), MPoly.var(yvar), Q))
         return p
 
     # -- element construction ----------------------------------------------
@@ -81,6 +73,16 @@ class SymSqField:
 
     def weights(self):
         return standard_weights(self.params.genus)
+
+
+def _y_reduced(parts, y, Q):
+    """Each coefficient c of y^e in ``parts`` times Q^(e//2) * y^(e%2)."""
+    for e, c in parts.items():
+        if e >= 2:
+            c = c * Q ** (e // 2)
+        if e % 2:
+            c = c * y
+        yield c
 
 
 class SymSqElem(RatFn):
@@ -146,10 +148,8 @@ def clear_denominator(p, name, factor):
     if not k:
         return p, 0
     y = MPoly.var(name)
-    q = MPoly.zero()
-    for e, c in p.coeffs_in(name).items():
-        q = q + c * (y ** e * factor ** (k - e))
-    return q, k
+    return sum_polys(c * (y ** e * factor ** (k - e))
+                     for e, c in p.coeffs_in(name).items()), k
 
 
 def abcd_to_xy(expr, field):
@@ -199,10 +199,7 @@ def _even_s_to_b(q):
             "odd power of the antisymmetric variable survives; "
             "input is not a symmetric function of the two points")
     b = MPoly.var("b")
-    out = MPoly.zero()
-    for e, c in parts.items():
-        out = out + c * b ** (e // 2)
-    return out
+    return sum_polys(c * b ** (e // 2) for e, c in parts.items())
 
 
 def build_MN(params):

@@ -16,7 +16,7 @@ from hekdv.curve import CurveParams
 from hekdv.errors import ConfigError, MemoryCapExceeded, NotSymmetricError
 from hekdv.phiring import PhiRingElem
 from hekdv.poly import (MAX_EXPONENT, MPoly, eval_poly, power, standard_weights,
-                        variables, weighted_degree)
+                        sum_polys, variables, weighted_degree)
 from hekdv.series import PSeries
 from hekdv.symsq import SymSqField, _even_s_to_b, _in_s_chart, xy_to_abcd
 
@@ -289,6 +289,87 @@ class TestMonomialSubst:
         # a bound past the range with every exponent in range is no error
         p = MPoly.var("a", MAX_EXPONENT) + MPoly.var("b", MAX_EXPONENT)
         assert p.subst({"a": c, "b": c}) == 2 * MPoly.var("c", MAX_EXPONENT)
+
+
+def _eval_by_running_sum(p, mapping, one):
+    """``eval_poly`` as a running total: each term is added to the sum of
+    the terms before it."""
+    total = None
+    for mono, cf in p.monomials():
+        prod = None
+        for v, e in mono:
+            pv = power(mapping[v], e, one)
+            prod = pv if prod is None else prod * pv
+        term = one * cf if prod is None else prod * cf
+        total = term if total is None else total + term
+    return one * F(0) if total is None else total
+
+
+_SUM_VARS = ("X1", "X2", "s")
+# values with unlike denominators, a zero, and pairs whose products cancel
+_SPECIAL_VALUES = (MPoly.zero(), X1 - X2, X1 + X2, (X1 + X2) * F(1, 2),
+                   (X1 - X2) * F(-2, 3), X2 - X1, MPoly.const(F(5, 7)),
+                   MPoly.var("s") * F(1, 6) + 1)
+_values = st.one_of(mpoly_strategy(_SUM_VARS, max_terms=3, max_exp=2),
+                    st.sampled_from(_SPECIAL_VALUES))
+
+
+def _same_poly(got, want):
+    assert got == want
+    assert got.content() == want.content()
+    assert list(got.monomials()) == list(want.monomials())
+
+
+class TestOneDictSums:
+    """``eval_poly`` over MPolys and ``sum_polys`` add into one term dict;
+    they must give the running sum's polynomial with its term order."""
+
+    @given(st.one_of(mpoly_strategy(max_terms=6, max_exp=3),
+                     mpoly_strategy(max_terms=6, max_exp=1)), small_fractions,
+           st.fixed_dictionaries({v: _values for v in "abcd"}))
+    def test_eval_poly_matches_running_sum(self, p, const, mapping):
+        one = MPoly.const(1)
+        p = p + const
+        _same_poly(eval_poly(p, mapping, one),
+                   _eval_by_running_sum(p, mapping, one))
+
+    def test_eval_poly_cancellation_and_constants(self):
+        one = MPoly.const(1)
+        p = a * b - b * a + c ** 2 - d ** 2 + F(-3, 4)
+        mapping = {"a": X1 - X2, "b": MPoly.zero(), "c": X1 + X2,
+                   "d": -(X1 + X2)}
+        got = eval_poly(p, mapping, one)
+        _same_poly(got, _eval_by_running_sum(p, mapping, one))
+        assert got == F(-3, 4)
+        # X1 cancels, then comes back after X2
+        p = a - b + c
+        mapping = {"a": X1 + X2, "b": X1, "c": X1}
+        got = eval_poly(p, mapping, one)
+        _same_poly(got, _eval_by_running_sum(p, mapping, one))
+        assert list(got.monomials()) == [((("X2", 1),), 1), ((("X1", 1),), 1)]
+        q = a * F(1, 2) - b * F(1, 3)
+        mapping = {"a": (X1 + X2) * F(1, 3), "b": (X1 + X2) * F(1, 2)}
+        assert eval_poly(q, mapping, one).is_zero
+        assert eval_poly(MPoly.zero(), mapping, one).is_zero
+
+    @given(st.lists(_values, max_size=6))
+    def test_sum_polys_matches_left_to_right(self, parts):
+        parts = parts + [-q for q in parts[:2]] + parts[:1]
+        want = MPoly.zero()
+        for q in parts:
+            want = want + q
+        _same_poly(sum_polys(parts), want)
+        _same_poly(sum_polys(iter(parts)), want)
+
+    def test_sum_polys_of_nothing_is_zero(self):
+        assert sum_polys([]) == MPoly.zero()
+        assert sum_polys(iter(())).is_zero
+
+    def test_products_keep_the_memory_cap(self, monkeypatch):
+        monkeypatch.setenv("HEKDV_MEM_CAP_MB", "0.0001")
+        big = sum_polys(a ** i * b ** (7 - i) for i in range(8))
+        with pytest.raises(MemoryCapExceeded):
+            eval_poly(c ** 2, {"c": big}, MPoly.const(1))
 
 
 class TestMemoryCap:
