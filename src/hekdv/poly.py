@@ -8,17 +8,20 @@ form is unique, so equality and hashing compare it as stored, and the
 arithmetic runs on ints.  By Gauss's lemma a product of primitive
 polynomials is primitive, so a product multiplies the contents and
 convolves the integer parts without a gcd; a scalar changes only the
-content (a negative one also flips the signs); a sum brings both sides to
-one common content and divides out the gcd of the result.  A sum of many
-parts, ``sum_polys``, merges each part into one int term dict over one
-common denominator and takes one gcd at the end; ``eval_poly`` over MPoly
-values adds its terms the same way.  Both keep the term order of the
-running sum ``total + part``: a new monomial is appended and a sum of 0
-is deleted at once.  An exact quotient of primitive polynomials is again
-primitive, with integer coefficients, so long division stops at the first
-quotient coefficient that is not an integer.  ``exact_div`` is that long
-division, with shortcuts for a scalar and a one-term divisor; a difference
-u - v of two variables is divided by name, with ``divide_out_linear``.
+content (a negative one also flips the signs).  Every sum goes through
+one accumulator, ``_Sum``: the common content gcd(numerators) /
+lcm(denominators) times one int term dict, into which ``_merge`` adds each
+part in place, with one gcd at the end.  ``+``, ``-``, ``sum_polys``,
+``from_terms`` and ``eval_poly`` over MPoly values all add this way, and
+``divide_out_linear`` merges with ``_merge``; the terms keep the order of
+the running sum ``total + part``: a new monomial is appended and a sum of 0
+is deleted at once.  Products, the monomial substitution and long division
+keep their own loops, because each merges one term at a time.  An exact
+quotient of primitive polynomials is again primitive, with integer
+coefficients, so long division stops at the first quotient coefficient
+that is not an integer.  ``exact_div`` is that long division, with
+shortcuts for a scalar and a one-term divisor; a difference u - v of two
+variables is divided by name, with ``divide_out_linear``.
 
 A monomial is one int over the fixed global symbol order: the exponent of
 ``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
@@ -49,7 +52,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import or_
 
 from .errors import ConfigError, MemoryCapExceeded
@@ -117,13 +120,17 @@ def _checked(monomials):
     return monomials
 
 
-def _sum(a, b, ka=1, kb=1):
-    """The int term dict of ka*a + kb*b: a's monomials, then b's new ones."""
-    terms = dict(a) if ka == 1 else {m: c * ka for m, c in a.items()}
-    if kb != 1:
-        b = {m: c * kb for m, c in b.items()}
-    for m, c in b.items():
-        acc = terms.get(m)
+def _merge(terms, part, k=1):
+    """Add k times the int term dict ``part`` into ``terms``, in place.
+
+    A new monomial is appended and a sum of 0 is deleted at once, so the
+    terms keep the order of the running sum ``terms + k * part``.
+    """
+    get = terms.get
+    for m, c in part.items():
+        if k != 1:
+            c *= k
+        acc = get(m)
         if acc is None:
             terms[m] = c
         else:
@@ -132,7 +139,6 @@ def _sum(a, b, ka=1, kb=1):
                 terms[m] = acc
             else:
                 del terms[m]
-    return terms
 
 
 def _primitive(content, terms):
@@ -146,59 +152,52 @@ def _primitive(content, terms):
 
 
 class _Sum:
-    """A sum of polynomials kept as one int term dict over one denominator.
+    """A sum of polynomials kept as one content times one int term dict.
 
-    The value is ``terms / den``.  ``add`` merges each part into the dict
-    by ``_sum``'s rule, a new monomial appended and a sum of 0 deleted at
-    once, so the terms come out in the order of a running sum
-    ``total + part``.  A part whose denominator does not divide ``den``
-    rescales the dict in place; ``result`` takes the one gcd.
+    ``add`` takes each part as k * content * terms.  The running content is
+    the gcd of the parts' content numerators over the lcm of their
+    denominators, so each part is an integer multiple of it.  The first
+    part is copied as it stands, with k in its terms.  A later part of the
+    same content merges without a rescale; any other content rescales the
+    dict in place when the running content changes.  Every part merges by
+    ``_merge``, so the terms come in the order of a running sum
+    ``total + part``.  ``result`` takes the one gcd.
     """
 
-    __slots__ = ("terms", "den")
+    __slots__ = ("terms", "content")
 
     def __init__(self):
         self.terms = {}
-        self.den = 1
 
-    def add(self, num, den, part):
-        """Add num/den (ints, den > 0, not necessarily coprime) times the
-        int term dict ``part``."""
-        if not part:
+    def add(self, content, terms, k=1):
+        """Add k * content * terms: a positive Fraction, an int term dict
+        and a nonzero int."""
+        if not terms:
             return
-        terms = self.terms
-        k = num * self.den
-        if k % den:
-            grow = den // gcd(k, den)
-            for m in terms:
-                terms[m] *= grow
-            self.den *= grow
-            k *= grow
-        k //= den
-        get = terms.get
-        for m, c in part.items():
-            if k != 1:
-                c *= k
-            acc = get(m)
-            if acc is None:
-                terms[m] = c
-            else:
-                acc += c
-                if acc:
-                    terms[m] = acc
-                else:
-                    del terms[m]
+        own = self.terms
+        if not own:
+            self.terms = dict(terms) if k == 1 else {m: c * k for m, c in terms.items()}
+            self.content = content
+            return
+        if content is not self.content:
+            num, den = content.numerator, content.denominator
+            cn, cd = self.content.numerator, self.content.denominator
+            if num != cn or den != cd:
+                g, common = gcd(cn, num), lcm(cd, den)
+                grow = cn // g * (common // cd)
+                if grow != 1:
+                    for m in own:
+                        own[m] *= grow
+                k *= num // g * (common // den)
+                self.content = Fraction(g, common)
+        _merge(own, terms, k)
 
     def result(self, scale=_ONE):
-        """The MPoly scale * terms / den, for a Fraction ``scale`` > 0."""
-        terms = self.terms
-        if not terms:
-            return MPoly(_ZERO, terms)
-        g = gcd(*terms.values())
-        if g != 1:
-            terms = {m: c // g for m, c in terms.items()}
-        return MPoly(Fraction(g * scale.numerator, self.den * scale.denominator),
-                     terms)
+        """The MPoly scale * content * terms, for a Fraction ``scale`` > 0."""
+        content = self.content if self.terms else _ZERO
+        if scale is not _ONE:
+            content *= scale
+        return _primitive(content, self.terms)
 
 
 def sum_polys(parts):
@@ -211,20 +210,8 @@ def sum_polys(parts):
     """
     acc = _Sum()
     for p in parts:
-        c = p._content
-        acc.add(c.numerator, c.denominator, p.terms)
+        acc.add(p._content, p.terms)
     return acc.result()
-
-
-def _from_fractions(terms):
-    """The MPoly of a term dict of nonzero Fraction coefficients."""
-    if not terms:
-        return MPoly(_ZERO, terms)
-    num = gcd(*(c.numerator for c in terms.values()))
-    den = lcm(*(c.denominator for c in terms.values()))
-    return MPoly(Fraction(num, den),
-                 {m: c.numerator * (den // c.denominator) // num
-                  for m, c in terms.items()})
 
 
 def _quotient(m, d):
@@ -258,7 +245,8 @@ def _product_term_cap(cap_mb):
     A stored term costs on the order of 200 bytes (monomial int + int
     coefficient + dict slot); the estimate is deliberately crude but
     monotone.  Unset (None) means the 1 GiB default.  Each raw string is
-    parsed once; a malformed one raises on every product.
+    parsed once; a malformed one, or one that is not a finite positive
+    number, raises on every product.
     """
     if cap_mb is None:
         cap = DEFAULT_MEM_CAP_MB
@@ -267,6 +255,9 @@ def _product_term_cap(cap_mb):
             cap = float(cap_mb)
         except ValueError:
             raise ConfigError(f"HEKDV_MEM_CAP_MB={cap_mb!r} is not a number")
+        if not 0 < cap < inf:
+            raise ConfigError(f"HEKDV_MEM_CAP_MB={cap_mb!r} is not a finite "
+                              f"positive number")
     return max(1, int(cap * 1_000_000 / 200))
 
 
@@ -315,13 +306,13 @@ class MPoly:
         vars = tuple(vars)
         for v in vars:
             _shift(v)
-        terms = {}
+        acc = _Sum()
         for expo, c in term_map.items():
             c = _as_fraction(c)
             if c:
-                m = _pack(zip(vars, expo))
-                terms[m] = terms.get(m, 0) + c
-        return _from_fractions(_checked({m: c for m, c in terms.items() if c}))
+                acc.add(abs(c), {_pack(zip(vars, expo)): 1 if c > 0 else -1})
+        _checked(acc.terms)
+        return acc.result()
 
     # -- structural queries -------------------------------------------
 
@@ -359,12 +350,6 @@ class MPoly:
             parts.setdefault(e, {})[m - (e << shift)] = c
         return {e: _primitive(self._content, terms)
                 for e, terms in parts.items()}
-
-    def _items(self):
-        """Yield (monomial, Fraction coefficient) per term."""
-        num, den = self._content.numerator, self._content.denominator
-        for m, c in self.terms.items():
-            yield m, Fraction(num * c, den)
 
     def monomials(self):
         """Yield (((var, exp), ...), coeff) per term, zero exponents left out."""
@@ -406,19 +391,10 @@ class MPoly:
             return self
         if not self.terms:
             return other
-        # the common content gcd(numerators) / lcm(denominators); both
-        # contents are integer multiples of it
-        cp, cq = self._content, other._content
-        # equal contents are often one object: every var() has the same 1,
-        # and a product with a factor of content 1 keeps the other content
-        if cp is cq:
-            return _primitive(cp, _sum(self.terms, other.terms))
-        pn, pd = cp.numerator, cp.denominator
-        qn, qd = cq.numerator, cq.denominator
-        num, den = gcd(pn, qn), lcm(pd, qd)
-        kp, kq = pn // num * (den // pd), qn // num * (den // qd)
-        common = cp if kp == 1 else cq if kq == 1 else Fraction(num, den)
-        return _primitive(common, _sum(self.terms, other.terms, kp, kq))
+        acc = _Sum()
+        acc.add(self._content, self.terms)
+        acc.add(other._content, other.terms)
+        return acc.result()
 
     __radd__ = __add__
 
@@ -430,7 +406,14 @@ class MPoly:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = MPoly.const(other)
-        return self + (-other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        acc = _Sum()
+        acc.add(self._content, self.terms)
+        acc.add(other._content, other.terms, -1)
+        return acc.result()
 
     def __rsub__(self, other):
         return (-self) + other
@@ -596,9 +579,9 @@ class MPoly:
     def eval_numeric(self, point):
         """Evaluate at a dict of numbers (Fraction, float or complex)."""
         total = None
-        for m, c in self._items():
+        for mono, c in self.monomials():
             acc = None
-            for v, e in _exponents(m):
+            for v, e in mono:
                 base = point[v]
                 acc = base ** e if acc is None else acc * base ** e
             term = c if acc is None else (
@@ -689,13 +672,14 @@ class MPoly:
         quotient = {}
         for e in range(deg, 0, -1):
             # b_{e-1} = A_e + carry ;  quotient gains b_{e-1} * name^{e-1}
-            b = _sum(carry, buckets[e])
-            for key, c in b.items():
+            _merge(carry, buckets[e])
+            for key, c in carry.items():
                 quotient[key + ((e - 1) << i)] = c
-            # carry for next lower degree: b * other_name
-            carry = _checked({key + unit: c for key, c in b.items()})
+            # carry for next lower degree: b_{e-1} * other_name
+            carry = _checked({key + unit: c for key, c in carry.items()})
         # remainder = A_0 + carry must vanish
-        if _sum(carry, buckets[0]):
+        _merge(carry, buckets[0])
+        if carry:
             return None
         return MPoly(self._content, quotient)
 
@@ -914,14 +898,13 @@ def eval_poly(p, mapping, one):
             for v, e in _exponents(m):
                 pv = cached_power(v, e)
                 prod = pv if prod is one else prod * pv
-            pc = prod._content
-            acc.add(c * pc.numerator, pc.denominator, prod.terms)
+            acc.add(prod._content, prod.terms, c)
         return acc.result(p._content)
 
     total = None
-    for m, c in p._items():
+    for mono, c in p.monomials():
         acc = None
-        for v, e in _exponents(m):
+        for v, e in mono:
             pv = cached_power(v, e)
             acc = pv if acc is None else acc * pv
         if acc is None:

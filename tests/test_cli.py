@@ -272,6 +272,18 @@ class TestMalformedMemCap:
         assert "error: HEKDV_MEM_CAP_MB='abc' is not a number" in done.stderr
         assert "Traceback" not in done.stderr
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400", "0", "-5"])
+    def test_non_finite_or_non_positive_exits_two(self, raw):
+        src = str(Path(hekdv.__file__).resolve().parents[1])
+        env = {**os.environ, "HEKDV_MEM_CAP_MB": raw, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-m", "hekdv.cli", "verify", "bm"],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 2, done.stderr
+        assert (f"error: HEKDV_MEM_CAP_MB={raw!r} is not a finite positive "
+                f"number") in done.stderr
+        assert "Traceback" not in done.stderr
+
 
 class TestReportHelpers:
     def test_empty_check_list_rejected(self):

@@ -383,6 +383,17 @@ class TestMemoryCap:
         monkeypatch.setenv("HEKDV_MEM_CAP_MB", "64")
         assert (a + b) * (a - b) == a**2 - b**2
 
+    @pytest.mark.parametrize("raw, message", [
+        ("abc", "HEKDV_MEM_CAP_MB='abc' is not a number"),
+        *((raw, f"HEKDV_MEM_CAP_MB={raw!r} is not a finite positive number")
+          for raw in ("nan", "inf", "-inf", "1e400", "0", "-5")),
+    ])
+    def test_malformed_cap_is_config_error(self, monkeypatch, raw, message):
+        monkeypatch.setenv("HEKDV_MEM_CAP_MB", raw)
+        with pytest.raises(ConfigError) as info:
+            _ = (a + b) * (a - b)
+        assert str(info.value) == message
+
 
 class TestPrinting:
     def test_serialization_forms(self):
@@ -455,6 +466,101 @@ _big_fractions = st.builds(F, st.integers(-10**6, 10**6),
 _big_polys = st.lists(
     st.tuples(st.tuples(*[st.integers(0, 2)] * 4), _big_fractions),
     max_size=4).map(lambda terms: MPoly.from_terms(_LINEAR_VARS, dict(terms)))
+
+
+# -- the two-operand sum that ``_Sum`` replaced, kept verbatim as the
+# reference for + and -; it runs on (content, {monomial: int}) pairs read
+# through the public API ----------------------------------------------------
+
+def _sum(a, b, ka=1, kb=1):
+    """The int term dict of ka*a + kb*b: a's monomials, then b's new ones."""
+    terms = dict(a) if ka == 1 else {m: c * ka for m, c in a.items()}
+    if kb != 1:
+        b = {m: c * kb for m, c in b.items()}
+    for m, c in b.items():
+        acc = terms.get(m)
+        if acc is None:
+            terms[m] = c
+        else:
+            acc += c
+            if acc:
+                terms[m] = acc
+            else:
+                del terms[m]
+    return terms
+
+
+def _int_part(p, sign=1):
+    """(content, {monomial: int coefficient}) of sign * p."""
+    content = p.content()
+    return content, {mono: sign * int(cf / content) for mono, cf in p.monomials()}
+
+
+def _add_by_gcd_lcm(p, q, sign=1):
+    """(content, list of monomials) of p + sign * q, by the old ``__add__``."""
+    cp, p_terms = _int_part(p)
+    cq, q_terms = _int_part(q, sign)
+    if not q_terms:
+        terms = p_terms
+    elif not p_terms:
+        cp, terms = cq, q_terms
+    elif cp is cq:
+        terms = _sum(p_terms, q_terms)
+    else:
+        pn, pd = cp.numerator, cp.denominator
+        qn, qd = cq.numerator, cq.denominator
+        num, den = gcd(pn, qn), lcm(pd, qd)
+        kp, kq = pn // num * (den // pd), qn // num * (den // qd)
+        cp = cp if kp == 1 else cq if kq == 1 else F(num, den)
+        terms = _sum(p_terms, q_terms, kp, kq)
+    if not terms:
+        return F(0), []
+    g = gcd(*terms.values())
+    return cp * g, [(m, cp * c) for m, c in terms.items()]
+
+
+def _exponent_tuple(mono):
+    return tuple(dict(mono).get(v, 0) for v in _LINEAR_VARS)
+
+
+_operands = st.one_of(mpoly_strategy(_LINEAR_VARS), _big_polys,
+                      small_fractions.map(MPoly.const), st.just(MPoly.zero()))
+
+
+class TestSumAgainstGcdLcmRule:
+    """``+`` and ``-`` give the old two-operand sum's content, hash and term
+    order, for unlike, large and equal contents, zero operands and
+    cancelling terms."""
+
+    @given(_operands, _operands,
+           st.sampled_from(("as drawn", "equal content", "cancel")),
+           st.integers(0, 4))
+    def test_add_and_sub(self, p, q, how, keep):
+        if how == "equal content" and p and q:
+            q = q * (p.content() / q.content())
+        elif how == "cancel":
+            # q is the drawn q minus p's first `keep` terms, so p + q
+            # cancels those terms where the drawn q has none of them
+            terms = {_exponent_tuple(mono): -cf
+                     for mono, cf in list(p.monomials())[:keep]}
+            for mono, cf in q.monomials():
+                terms[_exponent_tuple(mono)] = terms.get(
+                    _exponent_tuple(mono), 0) + cf
+            q = MPoly.from_terms(_LINEAR_VARS, terms)
+        for got, sign in ((p + q, 1), (p - q, -1)):
+            content, monomials = _add_by_gcd_lcm(p, q, sign)
+            assert got.content() == content
+            assert list(got.monomials()) == monomials
+            rebuilt = MPoly.from_terms(
+                _LINEAR_VARS, {_exponent_tuple(m): cf for m, cf in monomials})
+            assert got == rebuilt and hash(got) == hash(rebuilt)
+
+    @given(mpoly_strategy(_LINEAR_VARS), small_fractions)
+    def test_scalar_operands(self, p, k):
+        for got, want in ((p + k, p + MPoly.const(k)), (k + p, p + MPoly.const(k)),
+                          (p - k, p - MPoly.const(k)), (k - p, -p + MPoly.const(k))):
+            assert got.content() == want.content()
+            assert list(got.monomials()) == list(want.monomials())
 
 
 class TestIntegerCoefficients:
@@ -590,13 +696,13 @@ class TestAgainstExponentLoops:
 
 
 def test_representation_stays_in_poly():
-    """Only poly.py may read an MPoly's storage (its terms or vars).
+    """Only poly.py may read an MPoly's storage (its terms, vars or content).
 
     The package, the tests and the scripts are scanned.
     """
     root = Path(__file__).resolve().parents[1]
     src = Path(hekdv.poly.__file__).parent
-    pattern = re.compile(r"\.(terms|vars)\b")
+    pattern = re.compile(r"\.(terms|vars|_content)\b")
     paths = [path for folder in (src, root / "tests", root / "scripts")
              for path in sorted(folder.glob("*.py")) if path.name != "poly.py"]
     hits = [f"{path.name}:{n}: {line.strip()}"
