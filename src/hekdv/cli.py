@@ -95,7 +95,7 @@ def _cmd_simulate(ns):
     params = _build_params(ns)
     p1 = _parse_point(ns.p1, params)
     p2 = _parse_point(ns.p2, params)
-    s0 = sim.seed_state(params, p1, p2, flow=ns.flow)
+    s0 = sim.seed_state(params, p1, p2)
     aborted = False
     try:
         traj = sim.integrate(ns.flow, s0, ns.t_end, rel_tol=ns.rel_tol,
@@ -124,8 +124,6 @@ def _cmd_simulate(ns):
 
 
 def _cmd_series(ns):
-    if ns.target != "phi":
-        raise ConfigError("the only series target is 'phi'")
     series = phiring.phi_series_example1(ns.order)
     doc = {
         "series": "phi(t) branch through the origin at w5 = 1",
@@ -144,7 +142,7 @@ def _cmd_commute(ns):
         raise ConfigError("--flows takes two comma-separated flow ids")
     p1 = _parse_point(ns.p1, params)
     p2 = _parse_point(ns.p2, params)
-    s0 = sim.seed_state(params, p1, p2, flow=flows[0])
+    s0 = sim.seed_state(params, p1, p2)
     rep = sim.commute_experiment(params, s0, ns.sigma, ns.tau,
                                  rel_tol=ns.rel_tol, abs_tol=ns.abs_tol,
                                  flows=flows)
@@ -179,7 +177,8 @@ def build_parser():
     ps = sub.add_parser("simulate", help="integrate one flow")
     add_sim_args(ps)
     ps.add_argument("--flow", choices=["I", "II", "T1", "T3"], required=True)
-    ps.add_argument("--t-end", type=float, default=1.0)
+    ps.add_argument("--t-end", type=float, default=1.0,
+                    help="span of the run; a negative one runs backwards")
     ps.add_argument("--csv", default=None, help="trajectory CSV path")
     ps.set_defaults(func=_cmd_simulate)
 

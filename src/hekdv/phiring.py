@@ -312,7 +312,7 @@ def phi_series_example1(order=15):
         raise ConfigError("the seed already has order 2")
     rel = sextic_relation().subst({"w3": t_var, "w5": MPoly.const(1)})
     seed = PSeries("t", [0, 0, 1], 2)
-    return newton_solve(rel, order, seed, unknown="phi", parameter="t")
+    return newton_solve(rel, order, seed)
 
 
 def verify_example1(expected=None):
@@ -323,8 +323,7 @@ def verify_example1(expected=None):
         target = want.get(k, Fraction(0))
         rb.expect(f"coefficient of t^{k} = {target}", series[k] == target)
     rel = sextic_relation().subst({"w3": t_var, "w5": MPoly.const(1)})
-    back = eval_at_series(rel, {"phi": series,
-                                "t": PSeries.identity("t", 12)}, 12)
+    back = eval_at_series(rel, {"phi": series, "t": PSeries.identity("t", 12)})
     rb.expect("substituted back: zero through t^12", back.is_zero)
     return rb.build()
 

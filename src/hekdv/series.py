@@ -105,15 +105,20 @@ class PSeries(Ring):
     __repr__ = __str__
 
 
-def eval_at_series(p, assignments, order):
-    """Evaluate an MPoly at PSeries values for each of its variables."""
-    var = next(iter(assignments.values())).variable
+def eval_at_series(p, assignments):
+    """Evaluate an MPoly at PSeries values for each of its variables.
+
+    The values share one variable; the result is truncated at the least of
+    their orders.
+    """
+    least = min(assignments.values(), key=lambda s: s.order)
+    var, order = least.variable, least.order
     one = PSeries(var, [1], order)
     return PSeries.zero(var, order) + eval_poly(p, assignments, one)
 
 
-def newton_solve(rel, order, seed, unknown="phi", parameter="t"):
-    """Solve rel(unknown, parameter) = 0 for a series in the parameter.
+def newton_solve(rel, order, seed, unknown="phi"):
+    """Solve rel(unknown, t) = 0 for a series in the seed's variable t.
 
     ``seed`` must satisfy the relation through its own truncation order and
     have a unit partial derivative there; Newton steps then at least double
@@ -121,10 +126,11 @@ def newton_solve(rel, order, seed, unknown="phi", parameter="t"):
     """
     if order < seed.order:
         raise ValueError("target order below the seed's order")
+    parameter = seed.variable
     t_series = PSeries.identity(parameter, order)
     drel = rel.derivative(unknown)
     cur = seed.truncated(order)
-    residual = eval_at_series(rel, {unknown: cur, parameter: t_series}, order)
+    residual = eval_at_series(rel, {unknown: cur, parameter: t_series})
     # sanity on the seed before any step
     if residual.valuation() <= seed.order:
         raise SingularExpansionError(
@@ -132,12 +138,12 @@ def newton_solve(rel, order, seed, unknown="phi", parameter="t"):
     for _ in range(order.bit_length() + 3):
         if residual.is_zero:
             return cur
-        dval = eval_at_series(drel, {unknown: cur, parameter: t_series}, order)
+        dval = eval_at_series(drel, {unknown: cur, parameter: t_series})
         if not dval.coeffs[0]:
             raise SingularExpansionError(
                 "derivative is not a unit series; Newton step undefined")
         cur = cur - residual * dval.inverse()
-        residual = eval_at_series(rel, {unknown: cur, parameter: t_series}, order)
+        residual = eval_at_series(rel, {unknown: cur, parameter: t_series})
     if residual.is_zero:
         return cur
     raise SingularExpansionError("Newton iteration failed to converge")

@@ -43,6 +43,9 @@ def _poly_source(p: MPoly):
 def _bind_numeric(rfs, params: CurveParams):
     """Compile u-space rational functions into one f(u2, u4, u5, u7) that
     returns their values as a tuple, in the given order."""
+    if not (params.is_numeric and params.genus == 3):
+        raise ConfigError("simulation needs a genus-3 curve with numeric "
+                          "parameters")
     bodies = []
     for rf in rfs:
         body = _poly_source(params.sub_y(rf.num))
@@ -71,8 +74,6 @@ class CompiledFlow:
     """Vector field for one flow at fixed numeric curve parameters."""
 
     def __init__(self, flow, params: CurveParams):
-        if not params.is_numeric:
-            raise ConfigError("simulation needs numeric curve parameters")
         self.flow = flow
         self.params = params
         self._fn = _flow_fn(flow, params)
@@ -110,7 +111,6 @@ class Trajectory:
     flow: str
     rel_tol: float
     abs_tol: float
-    t0: float
     t_end: float
     samples: list = field(default_factory=list)  # (t, state4, H12, H14)
     aborted: bool = False
@@ -174,17 +174,15 @@ def curve_ordinate(params: CurveParams, xval):
     return cmath.sqrt(complex(qx))
 
 
-def seed_state(params: CurveParams, p1, p2, flow=None):
+def seed_state(params: CurveParams, p1, p2):
     """Build the symmetric-square coordinates of an unordered point pair.
 
-    Both points must satisfy the curve equation to 1e-12 relative; the
-    abscissas must differ, and for the rational flows must also be nonzero.
-    The two invariants are checked against their curve values at 1e-10.
+    Both points must satisfy the curve equation to 1e-12 relative, and the
+    abscissas must differ.  The two invariants are checked against their
+    curve values at 1e-10.  A zero abscissa is a valid seed; the rational
+    flows refuse it in ``integrate``, as u4 - u2^2 = -x1*x2 vanishes there.
     """
-    if not params.is_numeric:
-        raise ConfigError("seeding needs numeric curve parameters")
-    if params.genus != 3:
-        raise ConfigError("the simulated flows live on the genus-3 square")
+    integrals = CompiledIntegrals(params)
     x1, y1 = complex(p1[0]), complex(p1[1])
     x2, y2 = complex(p2[0]), complex(p2[1])
     Q = params.Q("X1")
@@ -195,14 +193,12 @@ def seed_state(params: CurveParams, p1, p2, flow=None):
             raise SeedError(f"{tag} is off the curve: |y^2 - Q(x)| too large")
     if x1 == x2:
         raise SeedError("coincident abscissas: the chart needs x1 != x2")
-    if flow in T_FLOWS and (x1 == 0 or x2 == 0):
-        raise SeedError("rational flows need nonzero abscissas")
     u2 = (x1 + x2) / 2
     u4 = (x1 - x2) ** 2 / 4
     u5 = (y1 - y2) / (x1 - x2)
     u7 = (y1 + y2) / 2
     state = (u2, u4, u5, u7)
-    hvals = CompiledIntegrals(params)(state)
+    hvals = integrals(state)
     targets = [float(params.coefficient(n).as_constant())
                for n in ("y12", "y14")]
     for tag, hv, want in zip(("H12", "H14"), hvals, targets):
@@ -285,29 +281,29 @@ def _check_tolerances(rel_tol, abs_tol):
         raise ConfigError("rel_tol and abs_tol are both zero")
 
 
-def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
-              params: CurveParams = None, max_steps=200_000, reverse=False):
-    """Integrate one flow from the seed state to the requested time.
+def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
+              params: CurveParams, max_steps=200_000):
+    """Integrate one flow from the seed state to the time t_end.
 
-    Samples are collected at accepted steps; the two invariants are
-    evaluated alongside each sample.  For the rational flows, steps that
-    would bring |u4 - u2^2| below 1e-8 times its initial size are rejected
-    and the run aborts with the partial trajectory once the step size
-    underflows.  With reverse=True every step is taken backwards, as -h.
-    A span or tolerances that no step control can honour raise ConfigError.
-    The trajectory, also a partial one, carries the step statistics.
+    A negative t_end runs the flow backwards: every step is taken as -h,
+    and the sample times run from 0 down to t_end.  Samples are collected
+    at accepted steps; the two invariants are evaluated alongside each
+    sample.  A rational flow refuses a seed on its singular set u4 = u2^2
+    (SeedError); steps that would bring |u4 - u2^2| below 1e-8 times its
+    initial size are rejected, and the run aborts with the partial
+    trajectory once the step size underflows.  A span or tolerances that
+    no step control can honour raise ConfigError.  The trajectory, also a
+    partial one, carries the step statistics.
     """
-    if params is None:
-        raise ConfigError("integrate needs the curve parameters")
     span = float(t_end)
     if not math.isfinite(span):
         raise ConfigError(f"t_end must be finite, got {t_end!r}")
-    if span < 0:
-        raise ConfigError("t_end must be nonnegative; use reverse=True to go back")
     _check_tolerances(rel_tol, abs_tol)
     rhs = CompiledFlow(flow, params)
     invariants = CompiledIntegrals(params)
-    sign = -1.0 if reverse else 1.0
+    # the stepper runs over the length of the span; sign orients it
+    sign = -1.0 if span < 0 else 1.0
+    length = abs(span)
     guard = flow in T_FLOWS
     y = s0.vector()
     t = 0.0
@@ -317,23 +313,23 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
     guard_floor = 1e-8 * max(v0, 1e-30)
 
     traj = Trajectory(flow=flow, rel_tol=rel_tol, abs_tol=abs_tol,
-                      t0=0.0, t_end=span)
+                      t_end=span)
     h12, h14 = invariants(y)
     traj.samples.append((0.0, y, h12, h14))
-    if span == 0.0:
+    if length == 0.0:
         return traj
 
     dp_attempt = _build_dp_attempt()
     f0 = rhs(y)
-    h = min(0.01 * span, _initial_step(rhs, y, f0, sign, rel_tol, abs_tol))
+    h = min(0.01 * length, _initial_step(rhs, y, f0, sign, rel_tol, abs_tol))
     err_prev = 1.0
     steps = guard_rejected = 0
     h_min, h_max = math.inf, 0.0
     try:
-        while t < span:
+        while t < length:
             if steps >= max_steps:
                 raise _abort(traj, "step budget exhausted", StepBudgetExhausted)
-            h = min(h, span - t)
+            h = min(h, length - t)
             if h < 1e-15 * max(1.0, t):
                 raise _abort(traj, "step size underflow near the singular set")
             y_new, k7, err_terms = dp_attempt(rhs, y, f0, sign * h, h)
@@ -351,7 +347,7 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14,
                                        "(finite-time escape)")
                 f0 = k7         # first-same-as-last
                 h12, h14 = invariants(y)
-                traj.samples.append((t, y, h12, h14))
+                traj.samples.append((sign * t, y, h12, h14))
                 if h < h_min:
                     h_min = h
                 if h > h_max:

@@ -42,6 +42,7 @@ class SymSqField:
         self.Q2 = params.Q("X2")
         self.dQ1 = self.Q1.derivative("X1")
         self.dQ2 = self.Q2.derivative("X2")
+        self._abcd = None
 
     # -- reduction ---------------------------------------------------------
 
@@ -68,8 +69,10 @@ class SymSqField:
         return {n: self.elem(MPoly.var(n)) for n in ("X1", "Y1", "X2", "Y2")}
 
     def abcd(self):
-        """Pullbacks of the four symmetric generators."""
-        return {g: abcd_to_xy(MPoly.var(g), self) for g in "abcd"}
+        """Pullbacks of the four symmetric generators, computed once."""
+        if self._abcd is None:
+            self._abcd = {g: abcd_to_xy(MPoly.var(g), self) for g in "abcd"}
+        return self._abcd
 
     def weights(self):
         return standard_weights(self.params.genus)

@@ -22,25 +22,17 @@ from .curve import CurveParams
 from .derivations import make_derivation, psi1, psi2
 from .poly import MPoly
 from .report import ReportBuilder, split_report
-from .symsq import SymSqField, abcd_to_xy
-from .verify_tables import pullback_u
+from .symsq import abcd_to_xy
+from .verify_tables import pullback_u, square
 from .ratfun import RatFn
 from .tables import u2 as u2_poly, u4 as u4_poly, y4 as y4_poly
 
 
 @lru_cache(maxsize=None)
-def _ctx(y12_zero=False, y14_zero=False):
-    """Field, deformed derivations and the u, v pullbacks, with options to
-    pin either deformation parameter to zero."""
-    params = CurveParams.symbolic(3)
-    fixed = {}
-    if y12_zero:
-        fixed["y12"] = 0
-    if y14_zero:
-        fixed["y14"] = 0
-    if fixed:
-        params = params.specialize(**fixed)
-    field = SymSqField(params)
+def _ctx(**pinned):
+    """Field, deformed derivations and the u, v pullbacks of the genus-3
+    square, with the named parameters pinned, as in ``_ctx(y12=0)``."""
+    field = square(CurveParams.symbolic(3).specialize(**pinned))
     T1 = make_derivation(field, "T1")
     T3 = make_derivation(field, "T3")
     ab = field.abcd()
@@ -67,7 +59,7 @@ def verify_seconddif(rhs_override=None):
     rb.equal("u2'' identity (symbolic parameters)", lhs, rhs)
     # specialization: with both deformation parameters zero the correction
     # terms vanish and only the polynomial part remains
-    field0, T1z, _, _, _ = _ctx(True, True)
+    field0, T1z, _, _, _ = _ctx(y12=0, y14=0)
     ab0 = field0.abcd()
     lhs0 = T1z(T1z(ab0["a"]))
     rhs0 = (ab0["b"] * 2 + ab0["a"] ** 2 * 10
@@ -159,7 +151,7 @@ def verify_kdv_reduction():
     equation (so it is provably nonzero, not merely unsimplified).
     """
     rb = ReportBuilder("prop-6.5", "reduction to the KdV hierarchy")
-    field, T1, T3, u, v = _ctx(True, True)
+    field, T1, T3, u, v = _ctx(y12=0, y14=0)
     up = T1(u)
     udot = T3(u)
     uppp = T1(T1(up))
@@ -172,7 +164,7 @@ def verify_kdv_reduction():
     rb.residual("v''' - 3(uv)' + 2 vdot", vppp - uv_p * 3 + vdot * 2)
 
     # negative control: y12 symbolic, y14 = 0
-    fieldc, T1c, T3c, uc, vc = _ctx(False, True)
+    fieldc, T1c, T3c, uc, vc = _ctx(y14=0)
     y12 = fieldc.elem(MPoly.var("y12"))
     resid = T1c(T1c(T1c(uc))) - T1c(uc * uc) * 3 - T3c(uc) * 4
     rb.expect("nonzero residual with y12 symbolic", not resid.is_zero)
@@ -194,18 +186,12 @@ def _trans2_images():
     }
 
 
-@lru_cache(maxsize=None)
-def _psi_ctx():
-    f2 = SymSqField(CurveParams.symbolic(2))
-    f32 = SymSqField(CurveParams.symbolic(3).specialize(y12=0, y14=0))
-    return f2, f32
-
-
 def verify_psi_intertwine(trans2_images=None):
     """Transfer-map suite: inverse on Y-generators, generator images, and
     the two intertwining relations on all four coordinates (14 identities)."""
     rb = ReportBuilder("psi-suite", "genus-2 transfer map identities")
-    f2, f32 = _psi_ctx()
+    f2 = square(CurveParams.symbolic(2))
+    f32, T1, T3, _, _ = _ctx(y12=0, y14=0)
     gens2 = f2.gens()
     for yv in ("Y1", "Y2"):
         rb.equal(f"psi2(psi1({yv})) = {yv}",
@@ -218,8 +204,6 @@ def verify_psi_intertwine(trans2_images=None):
         want_num = abcd_to_xy(num, f32)
         want_den = abcd_to_xy(den, f32)
         rb.equal(f"psi1({gen}) image", mapped * want_den, want_num)
-    T1 = make_derivation(f32, "T1")
-    T3 = make_derivation(f32, "T3")
     L1 = make_derivation(f2, "L1")
     L3 = make_derivation(f2, "L3")
     for Tg3, Lg2, tag in ((T1, L1, "T1/L1"), (T3, L3, "T3/L3")):

@@ -31,13 +31,14 @@ _ANCHORS = {
 
 
 @lru_cache(maxsize=None)
-def _symbolic_field():
-    return SymSqField(CurveParams.symbolic(3))
+def square(params: CurveParams):
+    """The symmetric square of a curve, one field per parameter set shared
+    by every check."""
+    return SymSqField(params)
 
 
-def pullback_u(rf: RatFn, field=None):
+def pullback_u(rf: RatFn, field):
     """Evaluate a u-space rational function on the symmetric square."""
-    field = field or _symbolic_field()
     num, den = (abcd_to_xy(_u_to_abcd(p), field) for p in (rf.num, rf.den))
     return num / den
 
@@ -51,7 +52,7 @@ def verify_flow_table(flow, table=None):
     table = table or flow_table(flow)
     check_id, anchor = _ANCHORS[flow]
     rb = ReportBuilder(check_id, anchor)
-    field = _symbolic_field()
+    field = square(CurveParams.symbolic(3))
     D = make_derivation(field, _FLOW_DERIVATION[flow])
     ab = field.abcd()
     rb.expect("entries weighted-homogeneous", table.homogeneity_ok())
@@ -104,7 +105,7 @@ def verify_t1_is_scaled_II():
     """Cross-consistency: pullback(T1 entry) * X1*X2 + pullback(II entry) = 0."""
     rb = ReportBuilder("t1-cross-consistency",
                        "T1 = -(1/(X1 X2)) L5 relation between the tables")
-    field = _symbolic_field()
+    field = square(CurveParams.symbolic(3))
     x1x2 = field.elem(MPoly.var("X1") * MPoly.var("X2"))
     tab1 = flow_table("T1")
     tab2 = flow_table("II")

@@ -115,6 +115,21 @@ class TestSimulateCommand:
                     "--out", str(out)])
         assert code == 0
 
+    def test_negative_span_runs_backwards(self, tmp_path):
+        out = tmp_path / "sum.json"
+        code = run(["simulate", "--flow", "I", "--t-end", "-0.05",
+                    "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["reached_time"] == -0.05 and not doc["aborted"]
+
+    def test_t_flow_from_a_zero_abscissa_is_a_seed_error(self, capsys):
+        # u4 - u2^2 = -x1*x2 vanishes: the seed is on T1's singular set
+        assert run(["simulate", "--flow", "T1", "--y", "0,0,0,0,1,0",
+                    "--p1", "0,0", "--p2", "1,auto"]) == 2
+        err = capsys.readouterr().err
+        assert "error: seed sits on the singular set" in err
+
     def test_singular_curve_rejected(self):
         assert run(["simulate", "--flow", "I", "--y", "0,0,0,0,0,0"]) == 2
 
@@ -149,6 +164,13 @@ class TestCommuteCommand:
         assert set(doc["steps"]) == {"accepted", "rejected", "guard_rejected",
                                      "nfev", "h_min", "h_max"}
         assert doc["steps"]["accepted"] > 0
+
+    def test_backward_legs(self, tmp_path):
+        out = tmp_path / "c.json"
+        code = run(["commute", "--sigma", "-0.05", "--tau", "0.05",
+                    "--out", str(out)])
+        assert code == 0
+        assert json.loads(out.read_text())["pass"] is True
 
     def test_bad_flows_usage(self):
         assert run(["commute", "--sigma", "0.1", "--tau", "0.1",
@@ -216,7 +238,8 @@ class TestExitCodes:
 
 
 class TestUnusableSimulatorSettings:
-    """Spans and tolerances the stepper cannot honour exit 2 with no result."""
+    """Spans and tolerances the stepper cannot honour, and series targets
+    that do not exist, exit 2 with no result."""
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--flow", "I", "--t-end=nan"],
@@ -225,6 +248,7 @@ class TestUnusableSimulatorSettings:
         ["simulate", "--flow", "I", "--abs-tol=nan"],
         ["commute", "--sigma=nan", "--tau=0.1"],
         ["commute", "--sigma=0", "--tau=0", "--rel-tol=-1"],
+        ["series", "psi"],
     ])
     def test_exits_two_without_a_document(self, argv, tmp_path, capsys):
         out = tmp_path / "doc.json"

@@ -81,7 +81,7 @@ class TestNewton:
         seed = PSeries("t", [0, 0, 1], 2)
         sol = newton_solve(SEXTIC, 15, seed)
         back = eval_at_series(SEXTIC, {"phi": sol,
-                                       "t": PSeries.identity("t", 15)}, 15)
+                                       "t": PSeries.identity("t", 15)})
         assert back.is_zero
 
     def test_bad_seed_rejected(self):

@@ -107,9 +107,22 @@ class TestSeeding:
 
     def test_zero_abscissa_rejected_for_t_flows(self):
         params = CurveParams.numeric(3, [0, 0, 0, 0, 1, 0])  # Q = X^7 + X
-        with pytest.raises(SeedError):
-            seed_state(params, (F(0), F(0)), (F(1), curve_ordinate(params, 1)),
-                       flow="T1")
+        s = seed_state(params, (F(0), F(0)), (F(1), curve_ordinate(params, 1)))
+        for flow in ("T1", "T3"):
+            with pytest.raises(SeedError, match="singular set"):
+                integrate(flow, s, 1.0, params=params)
+
+    @pytest.mark.parametrize("params", [
+        CurveParams.symbolic(3),
+        CurveParams.numeric(2, [0, 0, 1, 1]),
+    ], ids=["symbolic", "genus-2"])
+    def test_compiling_needs_numeric_genus_3_parameters(self, params):
+        with pytest.raises(ConfigError, match="simulation needs"):
+            CompiledIntegrals(params)
+        with pytest.raises(ConfigError, match="simulation needs"):
+            CompiledFlow("I", params)
+        with pytest.raises(ConfigError, match="simulation needs"):
+            seed_state(params, P1, P2)
 
 
 class TestIntegration:
@@ -133,6 +146,13 @@ class TestIntegration:
         times = traj.times()
         assert all(b > a for a, b in zip(times, times[1:]))
 
+    def test_negative_span_runs_backwards(self, s0):
+        traj = integrate("I", s0, -0.05, params=PARAMS)
+        times = traj.times()
+        assert times[0] == 0.0 and times[-1] == traj.t_end == -0.05
+        assert all(b < a for a, b in zip(times, times[1:]))
+        assert traj.step_stats()["h_min"] > 0
+
     def test_tolerance_sweep_monotone(self, s0):
         drift = {}
         for rt in (1e-8, 1e-10, 1e-12):
@@ -144,8 +164,8 @@ class TestIntegration:
     def test_time_reversal(self, s0):
         fwd = integrate("I", s0, 1.0, rel_tol=1e-12, abs_tol=1e-14,
                         params=PARAMS)
-        back = integrate("I", fwd.final_state(), 1.0, rel_tol=1e-12,
-                         abs_tol=1e-14, params=PARAMS, reverse=True)
+        back = integrate("I", fwd.final_state(), -1.0, rel_tol=1e-12,
+                         abs_tol=1e-14, params=PARAMS)
         err = np.max(np.abs(np.array(back.final_state().vector())
                             - np.array(s0.vector())))
         scale = max(1.0, float(np.max(np.abs(s0.vector()))))
@@ -165,7 +185,7 @@ class TestIntegration:
         x1, x2 = F(-1, 2), F(1, 2)
         s = seed_state(params,
                        (x1, curve_ordinate(params, x1)),
-                       (x2, curve_ordinate(params, x2)), flow="T1")
+                       (x2, curve_ordinate(params, x2)))
         with pytest.raises(SingularityAbort) as exc:
             integrate("T1", s, 1.0, params=params)
         partial = exc.value.trajectory
@@ -234,7 +254,7 @@ class TestStepStatistics:
         x1, x2 = F(-1, 2), F(1, 2)
         s = seed_state(params,
                        (x1, curve_ordinate(params, x1)),
-                       (x2, curve_ordinate(params, x2)), flow="T1")
+                       (x2, curve_ordinate(params, x2)))
         calls = self.count_calls(monkeypatch)
         with pytest.raises(SingularityAbort) as exc:
             integrate("T1", s, 1.0, params=params)
@@ -301,8 +321,8 @@ class TestRejectedSettings:
 
 # the endpoint must match scipy's DOP853 to perfbench's ORACLE_AGREEMENT
 ORACLE_AGREEMENT = 1e-8
-ORACLE_RUNS = (("I", 1.0, False), ("II", 0.02, False), ("T1", 0.1, False),
-               ("T3", 0.1, False), ("T1", 0.1, True))
+ORACLE_RUNS = (("I", 1.0), ("II", 0.02), ("T1", 0.1), ("T3", 0.1),
+               ("T1", -0.1))
 
 
 class TestOracles:
@@ -311,18 +331,17 @@ class TestOracles:
 
     def test_dop853_endpoints(self, s0):
         solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-        for flow, span, reverse in ORACLE_RUNS:
+        for flow, span in ORACLE_RUNS:
             traj = integrate(flow, s0, span, rel_tol=1e-12, abs_tol=1e-14,
-                             params=PARAMS, reverse=reverse)
+                             params=PARAMS)
             rhs = CompiledFlow(flow, PARAMS)
-            ref = solve_ivp(lambda t, y: rhs(y),
-                            (0.0, -span if reverse else span), s0.vector(),
+            ref = solve_ivp(lambda t, y: rhs(y), (0.0, span), s0.vector(),
                             method="DOP853", rtol=1e-13, atol=1e-15)
             assert ref.success, (flow, ref.message)
             want = ref.y[:, -1]
             gap = float(np.max(np.abs(traj.final_state().vector() - want)))
             scale = max(1.0, float(np.max(np.abs(want))))
-            assert gap <= ORACLE_AGREEMENT * scale, (flow, reverse, gap)
+            assert gap <= ORACLE_AGREEMENT * scale, (flow, span, gap)
 
     def test_compiled_matches_exact_evaluation(self):
         # a rational state off the singular set u4 = u2^2
