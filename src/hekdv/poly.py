@@ -15,13 +15,13 @@ part in place, with one gcd at the end.  ``+``, ``-``, ``sum_polys``,
 ``from_terms`` and ``eval_poly`` over MPoly values all add this way, and
 ``divide_out_linear`` merges with ``_merge``; the terms keep the order of
 the running sum ``total + part``: a new monomial is appended and a sum of 0
-is deleted at once.  Products, the monomial substitution and long division
-keep their own loops, because each merges one term at a time.  An exact
-quotient of primitive polynomials is again primitive, with integer
-coefficients, so long division stops at the first quotient coefficient
-that is not an integer.  ``exact_div`` is that long division, with
-shortcuts for a scalar and a one-term divisor; a difference u - v of two
-variables is divided by name, with ``divide_out_linear``.
+is deleted at once.  Products and the monomial substitution keep their own
+loops, because each merges one term at a time.  The kernel divides by the
+two denominator shapes the symmetric square has and by nothing else:
+``exact_div`` divides by a monomial, shifting the dividend's monomials, and
+``divide_out_linear`` divides by a difference u - v of two named variables,
+such as X1 - X2.  An exact quotient of primitive polynomials is again
+primitive, so neither divides a coefficient.
 
 A monomial is one int over the fixed global symbol order: the exponent of
 ``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
@@ -594,64 +594,30 @@ class MPoly:
     # -- division -------------------------------------------------------
 
     def exact_div(self, divisor):
-        """Exact quotient self/divisor, or None when not divisible.
+        """Exact quotient self/divisor by a monomial, or None when not divisible.
 
-        A scalar divides the content, a one-term divisor shifts the
-        monomials, and any other divisor goes through long division.  The
-        symmetric square's factor X1 - X2 is divided by name, with
-        ``divide_out_linear``.
+        The divisor must have one term: the quotient shifts the monomials,
+        and None means the divisor's monomial does not divide every term.
+        A difference u - v of two variables is divided by name, with
+        ``divide_out_linear``; any other divisor raises ValueError.
         """
-        if isinstance(divisor, (int, Fraction)):
-            return self / divisor
         if divisor.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
+        if len(divisor.terms) != 1:
+            raise ValueError("exact_div divides by a monomial; divide by "
+                             "u - v with divide_out_linear")
         if self.is_zero:
             return MPoly.zero()
-        if len(divisor.terms) == 1:
-            # a primitive term has coefficient 1 or -1, so the quotient
-            # keeps the dividend's coefficients up to sign
-            (de, dc), = divisor.terms.items()
-            terms = {}
-            for m, c in self.terms.items():
-                q = _quotient(m, de)
-                if q is None:
-                    return None
-                terms[q] = c if dc == 1 else -c
-            return MPoly(self._content / divisor._content, terms)
-        return self._long_div(divisor)
-
-    def _long_div(self, d):
-        """Single-divisor division; returns quotient iff remainder is zero.
-
-        It divides the integer parts.  Their exact quotient has integer
-        coefficients (Gauss's lemma), so a quotient coefficient that is not
-        an integer means the remainder cannot vanish.
-        """
-        rem = dict(self.terms)
-        de = max(d.terms)
-        dc = d.terms[de]
-        qterms = {}
-        while rem:
-            # a sum new + e past the range keeps its carry in the guard bit
-            # and so its place in the order; it is refused once it leads
-            re, = _checked((max(rem),))
-            new = _quotient(re, de)
-            if new is None:
+        # a primitive term has coefficient 1 or -1, so the quotient keeps
+        # the dividend's coefficients up to sign
+        (de, dc), = divisor.terms.items()
+        terms = {}
+        for m, c in self.terms.items():
+            q = _quotient(m, de)
+            if q is None:
                 return None
-            qc, r = divmod(rem[re], dc)
-            if r:
-                return None
-            # the leading remainder term falls at every step, so `new` is
-            # a fresh monomial each time
-            qterms[new] = qc
-            for e, c in d.terms.items():
-                key = new + e
-                acc = rem.get(key, 0) - qc * c
-                if acc:
-                    rem[key] = acc
-                else:
-                    rem.pop(key, None)
-        return MPoly(self._content / d._content, qterms)
+            terms[q] = c if dc == 1 else -c
+        return MPoly(self._content / divisor._content, terms)
 
     def divide_out_linear(self, name, other_name):
         """Exact quotient by (name - other_name), e.g. (X1 - X2); None if inexact.

@@ -21,7 +21,7 @@ from .curve import CurveParams
 from .errors import (ConfigError, SeedError, SingularityAbort,
                      StepBudgetExhausted)
 from .poly import MPoly
-from .tables import U_VARS, first_integrals, flow_table
+from .tables import U_VARS, check_flow, first_integrals, flow_table
 
 T_FLOWS = ("T1", "T3")
 
@@ -74,8 +74,6 @@ class CompiledFlow:
     """Vector field for one flow at fixed numeric curve parameters."""
 
     def __init__(self, flow, params: CurveParams):
-        self.flow = flow
-        self.params = params
         self._fn = _flow_fn(flow, params)
 
     def __call__(self, state4):
@@ -108,9 +106,6 @@ class SimState:
 
 @dataclass
 class Trajectory:
-    flow: str
-    rel_tol: float
-    abs_tol: float
     t_end: float
     samples: list = field(default_factory=list)  # (t, state4, H12, H14)
     aborted: bool = False
@@ -312,8 +307,7 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
         raise SeedError("seed sits on the singular set u4 = u2^2")
     guard_floor = 1e-8 * max(v0, 1e-30)
 
-    traj = Trajectory(flow=flow, rel_tol=rel_tol, abs_tol=abs_tol,
-                      t_end=span)
+    traj = Trajectory(t_end=span)
     h12, h14 = invariants(y)
     traj.samples.append((0.0, y, h12, h14))
     if length == 0.0:
@@ -396,7 +390,10 @@ def commute_experiment(params: CurveParams, s0: SimState, sigma, tau,
     legs; the flows commute exactly, so the discrepancy measures
     integrator error only.
     """
-    _check_tolerances(rel_tol, abs_tol)     # also for a leg of zero span
+    # checked here because a leg of zero span never reaches integrate
+    _check_tolerances(rel_tol, abs_tol)
+    for flow in flows:
+        check_flow(flow)
     fa, fb = flows
     legs = []
 

@@ -40,8 +40,7 @@ class FlowTable:
     entries: dict  # u-variable name -> RatFn
 
     def __post_init__(self):
-        if self.flow not in FLOW_IDS:
-            raise ConfigError(f"unknown flow {self.flow!r}")
+        check_flow(self.flow)
         if set(self.entries) != set(U_VARS):
             raise ConfigError("flow table must cover exactly u2,u4,u5,u7")
 
@@ -55,13 +54,18 @@ class FlowTable:
         return True
 
     def denominators_ok(self):
-        """Each denominator must be a constant times a power of u4 - u2^2."""
+        """Each denominator must be a constant times a power of u4 - u2^2.
+
+        u4 - u2^2 has degree 1 in u4, so the only power a denominator can
+        be a multiple of is P = (u4 - u2^2)^k with k its degree in u4, and
+        it is one exactly when den * lc(P) == P * lc(den), lc the leading
+        coefficient.
+        """
         for entry in self.entries.values():
             den = entry.den
-            while den.as_constant() is None:
-                den = den.exact_div(_DENOM)
-                if den is None:
-                    return False
+            power = _DENOM ** den.degree_in("u4")
+            if den * power.leading()[1] != power * den.leading()[1]:
+                return False
         return True
 
     def mutated(self, uvar, delta):
@@ -134,9 +138,14 @@ def _table_T3():
 _BUILDERS = {"I": _table_I, "II": _table_II, "T1": _table_T1, "T3": _table_T3}
 
 
-def flow_table(flow):
-    if flow not in _BUILDERS:
+def check_flow(flow):
+    """Raise ConfigError unless `flow` is one of FLOW_IDS."""
+    if flow not in FLOW_IDS:
         raise ConfigError(f"unknown flow {flow!r}; expected one of {FLOW_IDS}")
+
+
+def flow_table(flow):
+    check_flow(flow)
     return FlowTable(flow, _BUILDERS[flow]())
 
 

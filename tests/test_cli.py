@@ -176,6 +176,12 @@ class TestCommuteCommand:
         assert run(["commute", "--sigma", "0.1", "--tau", "0.1",
                     "--flows", "T1"]) == 2
 
+    def test_unknown_flows_with_zero_spans(self, capsys):
+        # no leg runs, and the flow ids are still checked
+        assert run(["commute", "--sigma", "0", "--tau", "0",
+                    "--flows", "X,Y"]) == 2
+        assert "unknown flow" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_malformed_rational_is_usage_error(self):

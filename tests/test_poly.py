@@ -74,32 +74,32 @@ class TestDivision:
         assert q * (X1 - X2) == p
         assert (X1**2 + X2).divide_out_linear("X1", "X2") is None
 
-    @given(mpoly_strategy(max_terms=3), mpoly_strategy(max_terms=3))
+    @given(mpoly_strategy(max_terms=3), mpoly_strategy(max_terms=1))
     def test_exact_div_roundtrip(self, f, g):
         if g.is_zero:
             return
         q = (f * g).exact_div(g)
         assert q is not None and q == f
 
-    def test_long_division_general(self):
-        f = (a + b + 1) * (a * b - c + 2)
-        assert f.exact_div(a + b + 1) == a * b - c + 2
+    def test_divisor_of_two_terms_raises(self):
+        with pytest.raises(ValueError, match="divide_out_linear"):
+            (X1 ** 2 - X2 ** 2).exact_div(X1 - X2)
+        with pytest.raises(ValueError, match="divide_out_linear"):
+            MPoly.zero().exact_div(a + 1)
 
     @pytest.mark.parametrize("u, v", [("X1", "X2"), ("X2", "X1"), ("a", "b")])
     @given(mpoly_strategy(var_names=("X1", "Y1", "X2", "a", "b"), max_terms=3),
            mpoly_strategy(var_names=("X1", "Y1", "X2", "a", "b"), max_terms=2))
     def test_difference_matches_long_division(self, u, v, f, r):
-        # divide_out_linear(u, v) against long division by u - v, on a
-        # multiple of u - v and on a perturbed one; exact_div(u - v) runs
-        # the long division and must agree
+        # divide_out_linear(u, v) on a multiple of u - v and on a perturbed
+        # one; by the factor theorem u - v divides p exactly when p vanishes
+        # at u = v, and an exact quotient times u - v gives p back
         d = MPoly.var(u) - MPoly.var(v)
         for p in (f * d, f * d + r):
             got = p.divide_out_linear(u, v)
-            want = p._long_div(d)
-            assert (got is None) == (want is None)
-            assert p.exact_div(d) == want
+            assert (got is None) == bool(p.subst({u: MPoly.var(v)}))
             if got is not None:
-                assert got == want and got * d == p
+                assert got * d == p
 
 
 class TestExponentRange:
@@ -142,11 +142,8 @@ class TestExponentRange:
         assert (a * b ** 3).exact_div(b ** 2 * 5) == a * b * F(1, 5)
 
     def test_division_carries_past_the_maximum_raise(self):
-        x1, x2 = MPoly.var("X1"), MPoly.var("X2")
         with pytest.raises(OverflowError, match="X2"):
-            (x1 * MPoly.var("X2", MAX_EXPONENT)).divide_out_linear("X1", "X2")
-        with pytest.raises(OverflowError, match="a"):
-            (x1 * MPoly.var("a", MAX_EXPONENT)).exact_div(x1 + a)
+            (X1 * MPoly.var("X2", MAX_EXPONENT)).divide_out_linear("X1", "X2")
 
 
 class TestWeightedDegree:
@@ -583,10 +580,9 @@ class TestIntegerCoefficients:
 
     @given(mpoly_strategy(_LINEAR_VARS), nonzero_fractions)
     def test_division_routes_agree(self, p, k):
-        for divisor in (a ** 2 * b * k,                 # monomial
-                        X1 - X2,                        # variable difference
-                        (a * 3 + b * 2 + k) * k):       # long division
-            self.assert_same((p * divisor).exact_div(divisor), p)
+        divisor = a ** 2 * b * k
+        self.assert_same((p * divisor).exact_div(divisor), p)
+        self.assert_same((p * (X1 - X2)).divide_out_linear("X1", "X2"), p)
 
     @given(_big_polys, _big_polys, _big_polys)
     def test_content_with_large_denominators(self, p, q, r):
@@ -596,8 +592,6 @@ class TestIntegerCoefficients:
         assert (p * q).content() == p.content() * q.content()
         assert (p + q) * r == p * r + q * r
         self.assert_same((p * r + q * r - q * r) * 7 / 7, p * r)
-        if r:
-            self.assert_same((p * r).exact_div(r), p)
 
     @given(mpoly_strategy(_LINEAR_VARS))
     def test_coefficients_read_as_fractions(self, p):
@@ -607,17 +601,6 @@ class TestIntegerCoefficients:
         for value in (0, 3, F(-2, 3)):
             assert type(MPoly.const(value).as_constant()) is F
         assert type(p.content()) is F
-
-    def test_long_division_stops_at_a_fractional_quotient(self):
-        assert (X1 * 2 + 1)._long_div(X1 * 3 + 1) is None
-        assert (X1 * 4 + 1)._long_div(1 - X1 * 2) is None
-        self.assert_same(((X1 * 2 + 1) * (X1 * 3 + 1))._long_div(X1 * 3 + 1),
-                         X1 * 2 + 1)
-        half = X1 * F(1, 2) + F(1, 3)
-        self.assert_same((half * (X1 * 3 - a * 2))._long_div(X1 * 3 - a * 2),
-                         half)
-        self.assert_same((half * (a * 2 - X1 * 3))._long_div(X1 * 3 - a * 2),
-                         -half)
 
     @pytest.mark.parametrize("value", [0, 3, -7, F(-5, 6)])
     def test_constant_hashes_as_its_value(self, value):

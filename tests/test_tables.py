@@ -6,7 +6,7 @@ from hypothesis import given
 from conftest import mpoly_strategy
 from hekdv.poly import MPoly, standard_weights, weighted_degree
 from hekdv.ratfun import RatFn
-from hekdv.tables import (FLOW_IDS, first_integrals, flow_table,
+from hekdv.tables import (FLOW_IDS, FlowTable, first_integrals, flow_table,
                           poisson_bracket, structure_I, structure_II,
                           u2, u4, u5, u7)
 
@@ -26,6 +26,15 @@ class TestFlowTables:
     @pytest.mark.parametrize("flow", FLOW_IDS)
     def test_denominators(self, flow):
         assert flow_table(flow).denominators_ok()
+
+    @pytest.mark.parametrize("den, ok", [
+        (7 * (u4 - u2 ** 2) ** 3, True),
+        (u4 + u2 ** 2, False),
+        ((u4 - u2 ** 2) ** 2 * u2, False),
+    ], ids=["scaled-power", "sum", "extra-factor"])
+    def test_denominators_of_one_entry(self, den, ok):
+        entries = dict(flow_table("T1").entries, u5=RatFn(u5, den))
+        assert FlowTable("T1", entries).denominators_ok() is ok
 
     def test_polynomial_flows_have_unit_denominator(self):
         for flow in ("I", "II"):
