@@ -96,13 +96,11 @@ def _cmd_simulate(ns):
     p1 = _parse_point(ns.p1, params)
     p2 = _parse_point(ns.p2, params)
     s0 = sim.seed_state(params, p1, p2)
-    aborted = False
     try:
         traj = sim.integrate(ns.flow, s0, ns.t_end, rel_tol=ns.rel_tol,
                              abs_tol=ns.abs_tol, params=params)
     except SingularityAbort as exc:
         traj = exc.trajectory
-        aborted = True
     if ns.csv:
         traj.to_csv(ns.csv)
     d12, d14 = traj.relative_drift()
@@ -115,12 +113,12 @@ def _cmd_simulate(ns):
         "reached_time": traj.samples[-1][0],
         "relative_drift_H12": d12,
         "relative_drift_H14": d14,
-        "aborted": aborted,
+        "aborted": traj.aborted,
         "abort_reason": traj.abort_reason,
         "steps": traj.step_stats(),
     }
     _write_or_print(doc, ns.out)
-    return 1 if aborted else 0
+    return 1 if traj.aborted else 0
 
 
 def _cmd_series(ns):

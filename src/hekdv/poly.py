@@ -577,19 +577,9 @@ class MPoly:
         return _primitive(self._content, terms)
 
     def eval_numeric(self, point):
-        """Evaluate at a dict of numbers (Fraction, float or complex)."""
-        total = None
-        for mono, c in self.monomials():
-            acc = None
-            for v, e in mono:
-                base = point[v]
-                acc = base ** e if acc is None else acc * base ** e
-            term = c if acc is None else (
-                float(c) * acc if isinstance(acc, (float, complex)) else c * acc)
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
+        """Evaluate at a dict of numbers (int, Fraction, float or complex):
+        ``eval_poly`` with identity 1, so exact at rational points."""
+        return eval_poly(self, point, 1)
 
     # -- division -------------------------------------------------------
 

@@ -7,7 +7,7 @@ extended-Euclid inverse modulo t^(order+1).
 
 from fractions import Fraction
 
-from .errors import SingularExpansionError
+from .errors import ConfigError, SingularExpansionError
 from .poly import Ring, dense_mul, eval_poly
 
 
@@ -117,16 +117,23 @@ def eval_at_series(p, assignments):
     return PSeries.zero(var, order) + eval_poly(p, assignments, one)
 
 
-def newton_solve(rel, order, seed, unknown="phi"):
+def newton_solve(rel, order, seed):
     """Solve rel(unknown, t) = 0 for a series in the seed's variable t.
 
-    ``seed`` must satisfy the relation through its own truncation order and
-    have a unit partial derivative there; Newton steps then at least double
-    the number of correct coefficients per iteration.
+    The unknown is the one variable of ``rel`` other than t; a relation
+    in no or several other variables raises ConfigError.  ``seed`` must
+    satisfy the relation through its own truncation order and have a unit
+    partial derivative there; Newton steps then at least double the number
+    of correct coefficients per iteration.
     """
     if order < seed.order:
         raise ValueError("target order below the seed's order")
     parameter = seed.variable
+    unknowns = rel.variables_used() - {parameter}
+    if len(unknowns) != 1:
+        raise ConfigError(f"newton_solve needs one unknown besides "
+                          f"{parameter!r}, got {sorted(unknowns)}")
+    unknown, = unknowns
     t_series = PSeries.identity(parameter, order)
     drel = rel.derivative(unknown)
     cur = seed.truncated(order)

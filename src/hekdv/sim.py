@@ -14,14 +14,13 @@ directly, and the error norm measures each component by its modulus.
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .curve import CurveParams
 from .errors import (ConfigError, SeedError, SingularityAbort,
                      StepBudgetExhausted)
 from .poly import MPoly
-from .tables import U_VARS, check_flow, first_integrals, flow_table
+from .tables import U_VARS, first_integrals, flow_table
 
 T_FLOWS = ("T1", "T3")
 
@@ -98,7 +97,6 @@ class SimState:
     u4: complex
     u5: complex
     u7: complex
-    time: float = 0.0
 
     def vector(self):
         return (self.u2, self.u4, self.u5, self.u7)
@@ -108,7 +106,6 @@ class SimState:
 class Trajectory:
     t_end: float
     samples: list = field(default_factory=list)  # (t, state4, H12, H14)
-    aborted: bool = False
     abort_reason: str = ""
     # step statistics: right-hand-side evaluations, attempted steps that
     # left no sample (of them, those the guard or a non-finite trial state
@@ -118,6 +115,10 @@ class Trajectory:
     guard_rejected: int = 0
     h_min: float = None
     h_max: float = None
+
+    @property
+    def aborted(self):
+        return bool(self.abort_reason)
 
     def step_stats(self):
         """The step statistics; accepted steps are those that left a sample."""
@@ -129,8 +130,7 @@ class Trajectory:
         return [s[0] for s in self.samples]
 
     def final_state(self):
-        t, y, _, _ = self.samples[-1]
-        return SimState(*y, time=t)
+        return SimState(*self.samples[-1][1])
 
     def h_drift(self):
         """Max absolute deviation of each integral from its initial value."""
@@ -163,9 +163,7 @@ class Trajectory:
 
 def curve_ordinate(params: CurveParams, xval):
     """Numeric Y with Y^2 = Q(x); complex when Q(x) < 0."""
-    qx = params.Q("X1").eval_numeric({"X1": Fraction(xval)
-                                      if isinstance(xval, (int, Fraction, str))
-                                      else xval})
+    qx = params.Q("X1").eval_numeric({"X1": xval})
     return cmath.sqrt(complex(qx))
 
 
@@ -200,7 +198,7 @@ def seed_state(params: CurveParams, p1, p2):
         scale = max(1.0, abs(hv), abs(want))
         if abs(hv - want) > 1e-10 * scale:
             raise SeedError(f"{tag} residual {abs(hv - want):g} above seeding tolerance")
-    return SimState(u2, u4, u5, u7, time=0.0)
+    return SimState(u2, u4, u5, u7)
 
 
 # -- the embedded 5(4) pair ---------------------------------------------------
@@ -262,18 +260,8 @@ def _rms(x, scale):
 
 def _abort(traj, reason, error=SingularityAbort):
     """Mark the trajectory aborted; the exception to raise carries it."""
-    traj.aborted = True
     traj.abort_reason = reason
     return error(reason, traj)
-
-
-def _check_tolerances(rel_tol, abs_tol):
-    """ConfigError unless both are finite and nonnegative and one is positive."""
-    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
-        if not (math.isfinite(tol) and tol >= 0):
-            raise ConfigError(f"{name} must be finite and nonnegative, got {tol!r}")
-    if rel_tol == 0 and abs_tol == 0:
-        raise ConfigError("rel_tol and abs_tol are both zero")
 
 
 def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
@@ -293,7 +281,14 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     span = float(t_end)
     if not math.isfinite(span):
         raise ConfigError(f"t_end must be finite, got {t_end!r}")
-    _check_tolerances(rel_tol, abs_tol)
+    # the first step is capped at 0.01 * |span| and must clear the 1e-15 floor
+    if span and 0.01 * abs(span) < 1e-15:
+        raise ConfigError(f"span {t_end!r} is shorter than the smallest step")
+    for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        if not (math.isfinite(tol) and tol >= 0):
+            raise ConfigError(f"{name} must be finite and nonnegative, got {tol!r}")
+    if rel_tol == 0 and abs_tol == 0:
+        raise ConfigError("rel_tol and abs_tol are both zero")
     rhs = CompiledFlow(flow, params)
     invariants = CompiledIntegrals(params)
     # the stepper runs over the length of the span; sign orients it
@@ -388,18 +383,15 @@ def commute_experiment(params: CurveParams, s0: SimState, sigma, tau,
     Returns a dict with the endpoint discrepancy and a PASS flag against
     1e-8 times the state scale, and the step statistics summed over the
     legs; the flows commute exactly, so the discrepancy measures
-    integrator error only.
+    integrator error only.  Every leg runs through ``integrate``, a leg of
+    zero span too, so each is checked as any run is: its flow id,
+    tolerances and seed (a rational flow refuses a seed on its singular
+    set).  A zero-span leg takes no step and adds nothing to the totals.
     """
-    # checked here because a leg of zero span never reaches integrate
-    _check_tolerances(rel_tol, abs_tol)
-    for flow in flows:
-        check_flow(flow)
     fa, fb = flows
     legs = []
 
     def run(flow, state, span):
-        if span == 0:
-            return state
         traj = integrate(flow, state, span, rel_tol, abs_tol, params=params)
         legs.append(traj.step_stats())
         return traj.final_state()
@@ -422,9 +414,11 @@ def commute_experiment(params: CurveParams, s0: SimState, sigma, tau,
 
 
 def _leg_totals(legs):
-    """Step statistics summed over the legs; the step range spans them."""
+    """Step statistics summed over the legs; the step range spans the legs
+    that stepped."""
     total = {key: sum(leg[key] for leg in legs)
              for key in ("accepted", "rejected", "guard_rejected", "nfev")}
-    total["h_min"] = min((leg["h_min"] for leg in legs), default=None)
-    total["h_max"] = max((leg["h_max"] for leg in legs), default=None)
+    stepped = [leg for leg in legs if leg["h_min"] is not None]
+    total["h_min"] = min((leg["h_min"] for leg in stepped), default=None)
+    total["h_max"] = max((leg["h_max"] for leg in stepped), default=None)
     return total

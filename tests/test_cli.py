@@ -182,6 +182,28 @@ class TestCommuteCommand:
                     "--flows", "X,Y"]) == 2
         assert "unknown flow" in capsys.readouterr().err
 
+    def test_zero_span_legs_add_no_steps(self, tmp_path):
+        # both nonzero legs are T3 over 0.05 from the seed, and the legs of
+        # zero span run through integrate without a step
+        out = tmp_path / "c.json"
+        assert run(["commute", "--sigma", "0", "--tau", "0.05",
+                    "--out", str(out)]) == 0
+        steps = json.loads(out.read_text())["steps"]
+        params = hekdv.CurveParams.numeric(3, [0, 0, 0, 0, 1, 1])
+        s0 = hekdv.seed_state(params, (1, 1),
+                              (2, hekdv.curve_ordinate(params, 2)))
+        one = hekdv.integrate("T3", s0, 0.05, params=params).step_stats()
+        for key in ("accepted", "rejected", "guard_rejected", "nfev"):
+            assert steps[key] == 2 * one[key]
+        assert (steps["h_min"], steps["h_max"]) == (one["h_min"], one["h_max"])
+        assert one["accepted"] > 0
+
+    def test_zero_spans_from_a_zero_abscissa_are_a_seed_error(self, capsys):
+        # a leg of zero span checks its seed as any run does
+        assert run(["commute", "--sigma", "0", "--tau", "0",
+                    "--y", "0,0,0,0,1,0", "--p1", "0,0", "--p2", "1,auto"]) == 2
+        assert "error: seed sits on the singular set" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_malformed_rational_is_usage_error(self):
@@ -255,6 +277,8 @@ class TestUnusableSimulatorSettings:
         ["commute", "--sigma=nan", "--tau=0.1"],
         ["commute", "--sigma=0", "--tau=0", "--rel-tol=-1"],
         ["series", "psi"],
+        ["simulate", "--flow", "II", "--t-end", "5e-14"],
+        ["commute", "--sigma", "5e-14", "--tau", "0.1"],
     ])
     def test_exits_two_without_a_document(self, argv, tmp_path, capsys):
         out = tmp_path / "doc.json"

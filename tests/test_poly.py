@@ -369,6 +369,48 @@ class TestOneDictSums:
             eval_poly(c ** 2, {"c": big}, MPoly.const(1))
 
 
+def _eval_numeric_loop(p, point):
+    """``MPoly.eval_numeric`` as it was before it called ``eval_poly``:
+    its own term loop, with ``**`` powers and float coefficients."""
+    total = None
+    for mono, cf in p.monomials():
+        acc = None
+        for v, e in mono:
+            base = point[v]
+            acc = base ** e if acc is None else acc * base ** e
+        term = cf if acc is None else (
+            float(cf) * acc if isinstance(acc, (float, complex)) else cf * acc)
+        total = term if total is None else total + term
+    return F(0) if total is None else total
+
+
+_complex_values = st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                     allow_infinity=False)
+_numeric_points = st.one_of(
+    st.fixed_dictionaries({v: small_fractions for v in "abcd"}),
+    st.fixed_dictionaries({v: _complex_values for v in "abcd"}),
+    st.fixed_dictionaries({v: st.floats(-4, 4).map(complex) for v in "abcd"}))
+
+
+class TestEvalNumericThroughEvalPoly:
+    """``eval_numeric`` is ``eval_poly`` with identity 1; at Fraction and
+    complex points it gives what its own term loop gave, to the bit.
+
+    The one exception is the sign of a zero part: a complex ``**`` starts
+    from 1 + 0j, which turns a -0.0 part into 0.0 where a product of the
+    same factors keeps it.  Adding 0 clears that sign on both sides and
+    leaves every other value unchanged.
+    """
+
+    @given(mpoly_strategy(max_terms=6, max_exp=5), small_fractions,
+           _numeric_points)
+    def test_matches_the_term_loop(self, p, const, point):
+        p = p + const
+        got, want = p.eval_numeric(point), _eval_numeric_loop(p, point)
+        assert type(got) is type(want)
+        assert repr(got + 0) == repr(want + 0)
+
+
 class TestMemoryCap:
     def test_cap_triggers(self, monkeypatch):
         monkeypatch.setenv("HEKDV_MEM_CAP_MB", "0.0001")

@@ -3,11 +3,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from hekdv.errors import SingularExpansionError
+from hekdv.errors import ConfigError, SingularExpansionError
 from hekdv.poly import variables
 from hekdv.series import PSeries, eval_at_series, newton_solve
 
-phi, t = variables("phi", "t")
+phi, t, x = variables("phi", "t", "x")
 
 SEXTIC = phi**6 - 15 * phi**3 * t - 45 * t**2 + 45 * phi
 
@@ -92,3 +92,11 @@ class TestNewton:
         rel = phi**2 - t**2
         with pytest.raises(SingularExpansionError):
             newton_solve(rel, 6, PSeries("t", [0], 0))
+
+    def test_unknown_is_read_off_the_relation(self):
+        sol = newton_solve(x - t, 5, PSeries("t", [0], 0))
+        assert sol == PSeries.identity("t", 5)
+        with pytest.raises(ConfigError):
+            newton_solve(phi - x * t, 5, PSeries("t", [0], 0))
+        with pytest.raises(ConfigError):
+            newton_solve(t ** 2 - t, 5, PSeries("t", [0], 0))
