@@ -5,10 +5,13 @@ symbolic engine certifies, so the measured drift of the two integrals along
 a trajectory is purely integrator error.  Each table compiles into one
 generated function, compiled once per flow and curve.  The stepper is an
 embedded Dormand-Prince 5(4) pair with PI step-size control; its tableau
-is unrolled into one generated step function, built on first use.  The
-state and each of the seven stages are 4-tuples of Python complex numbers,
-so complex seeds (curve points with negative ordinate squares) are advanced
-directly, and the error norm measures each component by its modulus.
+is unrolled into one generated step function, built on first use,
+_dp_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol), which also returns the
+error norm, whether the trial state is finite and its largest modulus;
+``_rms`` serves only the initial step.  The state and each of the seven
+stages are 4-tuples of Python complex numbers, so complex seeds (curve
+points with negative ordinate squares) are advanced directly, and the error
+norm measures each component by its modulus.
 """
 
 import cmath
@@ -25,6 +28,18 @@ from .tables import U_VARS, first_integrals, flow_table
 T_FLOWS = ("T1", "T3")
 
 
+def _number(value, error, what):
+    """value as a complex with finite parts: the one conversion of exact
+    input to numbers.  Outside the float range it raises error."""
+    try:
+        z = complex(value)
+    except OverflowError:
+        z = complex(math.inf)
+    if not cmath.isfinite(z):
+        raise error(f"{what} lies outside the float range")
+    return z
+
+
 # -- compiling exact tables into fast numeric callables ---------------------
 
 def _poly_source(p: MPoly):
@@ -32,7 +47,8 @@ def _poly_source(p: MPoly):
         return "0.0"
     parts = []
     for mono, c in p.monomials():
-        factors = [repr(float(c))]
+        c = _number(c, ConfigError, "a coefficient of the curve's tables").real
+        factors = [repr(c)]
         for v, e in mono:
             factors.append(v if e == 1 else f"{v}**{e}")
         parts.append("*".join(factors))
@@ -132,18 +148,12 @@ class Trajectory:
     def final_state(self):
         return SimState(*self.samples[-1][1])
 
-    def h_drift(self):
-        """Max absolute deviation of each integral from its initial value."""
-        h12_0 = self.samples[0][2]
-        h14_0 = self.samples[0][3]
-        d12 = max(abs(s[2] - h12_0) for s in self.samples)
-        d14 = max(abs(s[3] - h14_0) for s in self.samples)
-        return d12, d14
-
     def relative_drift(self):
-        h12_0, h14_0 = self.samples[0][2], self.samples[0][3]
-        d12, d14 = self.h_drift()
-        return (d12 / max(1.0, abs(h12_0)), d14 / max(1.0, abs(h14_0)))
+        """Max deviation of (H12, H14) from the initial values, each over
+        max(1, |initial value|)."""
+        first = self.samples[0]
+        return tuple(max(abs(s[i] - first[i]) for s in self.samples)
+                     / max(1.0, abs(first[i])) for i in (2, 3))
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -164,7 +174,7 @@ class Trajectory:
 def curve_ordinate(params: CurveParams, xval):
     """Numeric Y with Y^2 = Q(x); complex when Q(x) < 0."""
     qx = params.Q("X1").eval_numeric({"X1": xval})
-    return cmath.sqrt(complex(qx))
+    return cmath.sqrt(_number(qx, SeedError, "Q(x) at this abscissa"))
 
 
 def seed_state(params: CurveParams, p1, p2):
@@ -174,15 +184,17 @@ def seed_state(params: CurveParams, p1, p2):
     abscissas must differ.  The two invariants are checked against their
     curve values at 1e-10.  A zero abscissa is a valid seed; the rational
     flows refuse it in ``integrate``, as u4 - u2^2 = -x1*x2 vanishes there.
+    Any of these numbers outside the float range raises SeedError.
     """
     integrals = CompiledIntegrals(params)
-    x1, y1 = complex(p1[0]), complex(p1[1])
-    x2, y2 = complex(p2[0]), complex(p2[1])
+    x1, y1, x2, y2 = (_number(v, SeedError, "a point coordinate")
+                      for v in (*p1, *p2))
     Q = params.Q("X1")
     for tag, (xv, yv) in (("P1", (x1, y1)), ("P2", (x2, y2))):
-        qx = complex(Q.eval_numeric({"X1": xv}))
+        qx = _number(Q.eval_numeric({"X1": xv}), SeedError, f"Q(x) at {tag}")
+        yy = _number(yv * yv, SeedError, f"y^2 at {tag}")
         scale = max(1.0, abs(yv) ** 2, abs(qx))
-        if abs(yv * yv - qx) > 1e-12 * scale:
+        if abs(yy - qx) > 1e-12 * scale:
             raise SeedError(f"{tag} is off the curve: |y^2 - Q(x)| too large")
     if x1 == x2:
         raise SeedError("coincident abscissas: the chart needs x1 != x2")
@@ -190,15 +202,16 @@ def seed_state(params: CurveParams, p1, p2):
     u4 = (x1 - x2) ** 2 / 4
     u5 = (y1 - y2) / (x1 - x2)
     u7 = (y1 + y2) / 2
-    state = (u2, u4, u5, u7)
+    state = tuple(_number(u, SeedError, "the seed state")
+                  for u in (u2, u4, u5, u7))
     hvals = integrals(state)
-    targets = [float(params.coefficient(n).as_constant())
-               for n in ("y12", "y14")]
+    targets = [_number(params.coefficient(n).as_constant(), ConfigError,
+                       n).real for n in ("y12", "y14")]
     for tag, hv, want in zip(("H12", "H14"), hvals, targets):
         scale = max(1.0, abs(hv), abs(want))
         if abs(hv - want) > 1e-10 * scale:
             raise SeedError(f"{tag} residual {abs(hv - want):g} above seeding tolerance")
-    return SimState(u2, u4, u5, u7)
+    return SimState(*state)
 
 
 # -- the embedded 5(4) pair ---------------------------------------------------
@@ -226,29 +239,41 @@ def _stage_sum(weights, j):
 
 @lru_cache(maxsize=None)
 def _build_dp_attempt():
-    """Generate _dp_attempt(rhs, y, k1, hs, h) -> (y_new, k7, err_terms).
+    """Generate _dp_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol)
+    -> (y_new, k7, err, finite, big).
 
     The tableau is unrolled per component: stage i + 1 is evaluated at
     y_j + hs * (a1 * k1_j + a2 * k2_j + ...), the last stage at the
-    fifth-order solution, and err_terms[j] is h times the E-weighted sum
-    of the seven stages.  Each sum runs left to right over the nonzero
-    weights, the order of a loop over the stages, so unrolling leaves
-    every result unchanged to the bit.
+    fifth-order solution y_new.  err is the RMS of |e_j| / (abs_tol +
+    rel_tol * max(|y_j|, |y_new_j|)), e_j being h times the E-weighted
+    stage sum.  Every sum runs left to right, as a loop over the stages
+    and ``_rms`` add, so the results match theirs to the bit.  finite
+    and big come from the moduli |y_new_j|, as |z| is finite exactly
+    when z is; a finite z whose modulus overflows raises in ``abs``.
     """
     comps = range(4)
 
     def unpack(name):
         return "    " + ", ".join(f"{name}_{j}" for j in comps) + f", = {name}"
 
-    lines = ["def _dp_attempt(rhs, y, k1, hs, h):", unpack("y"), unpack("k1")]
+    lines = ["def _dp_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol):",
+             unpack("y"), unpack("k1")]
     for i, row in enumerate(_DP_A, start=2):
         state = ", ".join(f"y_{j} + hs * ({_stage_sum(row, j)})"
                           for j in comps)
         lines += [f"    y_new = ({state},)", f"    k{i} = rhs(y_new)",
                   unpack(f"k{i}")]
-    errs = ", ".join(f"h * ({_stage_sum(_DP_E, j)})" for j in comps)
-    lines.append(f"    return y_new, k7, ({errs},)")
-    namespace = {"__builtins__": {}}
+    lines.append(unpack("y_new"))
+    for j in comps:
+        lines += [f"    a_{j}, b_{j} = abs(y_{j}), abs(y_new_{j})",
+                  f"    r_{j} = abs(h * ({_stage_sum(_DP_E, j)})) / (abs_tol"
+                  f" + rel_tol * (b_{j} if b_{j} > a_{j} else a_{j}))"]
+    squares = " + ".join(f"r_{j} * r_{j}" for j in comps)
+    finite = " and ".join(f"b_{j} < INF" for j in comps)
+    lines.append(f"    return (y_new, k7, sqrt(({squares}) / 4), {finite}, "
+                 f"max(b_0, b_1, b_2, b_3))")
+    namespace = {"__builtins__": {}, "abs": abs, "max": max,
+                 "sqrt": math.sqrt, "INF": math.inf}
     exec(compile("\n".join(lines), "<_dp_attempt>", "exec"), namespace)
     return namespace["_dp_attempt"]
 
@@ -321,17 +346,15 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
             h = min(h, length - t)
             if h < 1e-15 * max(1.0, t):
                 raise _abort(traj, "step size underflow near the singular set")
-            y_new, k7, err_terms = dp_attempt(rhs, y, f0, sign * h, h)
+            y_new, k7, err, finite, big = dp_attempt(rhs, y, f0, sign * h, h,
+                                                     rel_tol, abs_tol)
             steps += 1
-            scale = [abs_tol + rel_tol * max(abs(a), abs(b))
-                     for a, b in zip(y, y_new)]
-            err = _rms(err_terms, scale)
-            bad = (not all(map(cmath.isfinite, y_new))
+            bad = (not finite
                    or guard and abs(y_new[1] - y_new[0] ** 2) < guard_floor)
             if err <= 1.0 and not bad:
                 t += h
                 y = y_new
-                if max(map(abs, y)) > 1e9:
+                if big > 1e9:
                     raise _abort(traj, "state magnitude overflow "
                                        "(finite-time escape)")
                 f0 = k7         # first-same-as-last

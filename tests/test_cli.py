@@ -226,11 +226,42 @@ class TestExitCodes:
         assert run(["verify", "bm"]) == 1
         assert "internal error: ZeroDenominatorError" in capsys.readouterr().err
 
-    def test_commute_abort_exits_one(self, capsys):
-        # a leg escapes to infinity before sigma = tau = 1
+    def test_commute_abort_exits_one(self, monkeypatch, capsys):
+        # a leg escapes to infinity before sigma = tau = 1: the T3 leg, at
+        # a step that the escape test must not move
+        integrate = hekdv.sim.integrate
+        raised = []
+
+        def record(flow, *args, **kwargs):
+            try:
+                return integrate(flow, *args, **kwargs)
+            except SingularityAbort as exc:
+                raised.append((flow, exc))
+                raise
+        monkeypatch.setattr(hekdv.sim, "integrate", record)
         assert run(["commute", "--sigma", "1", "--tau", "1"]) == 1
         err = capsys.readouterr().err
         assert "error: state magnitude overflow (finite-time escape)" in err
+        assert "Traceback" not in err and "internal error" not in err
+        [(flow, exc)] = raised
+        traj = exc.trajectory
+        assert flow == "T3"
+        assert traj.abort_reason == "state magnitude overflow (finite-time escape)"
+        stats = traj.step_stats()
+        assert (stats["accepted"], stats["rejected"], stats["guard_rejected"],
+                stats["nfev"]) == (34945, 1, 0, 209678)
+        assert traj.samples[-1][0] == 0.5219687944365357
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--y", "0,100,100,1e308,0.5,1", "--flow", "II",
+         "--t-end", "-1"],
+        ["simulate", "--p1", "1e308,0", "--flow", "I", "--t-end", "2"],
+        ["commute", "--p2", "7,1e308", "--sigma", "1", "--tau", "2"],
+    ], ids=["ordinate", "abscissa", "ordinate-square"])
+    def test_values_outside_the_float_range_exit_two(self, argv, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "lies outside the float range" in err
         assert "Traceback" not in err and "internal error" not in err
 
     def test_simulate_step_budget_exits_one(self, monkeypatch, tmp_path):

@@ -1,3 +1,5 @@
+import cmath
+import math
 import os
 import random
 import subprocess
@@ -111,6 +113,19 @@ class TestSeeding:
         for flow in ("T1", "T3"):
             with pytest.raises(SeedError, match="singular set"):
                 integrate(flow, s, 1.0, params=params)
+
+    def test_values_outside_the_float_range(self):
+        # a coefficient of the compiled integrals, an 'auto' ordinate's Q(x),
+        # and a seed coordinate: u5 = 2 / -1e-320 overflows
+        big = CurveParams.numeric(3, [0, 0, 0, F(10) ** 308, 0, 1])
+        with pytest.raises(ConfigError, match="outside the float range"):
+            CompiledIntegrals(big)
+        with pytest.raises(SeedError, match="outside the float range"):
+            curve_ordinate(PARAMS, F(10) ** 50)
+        params = CurveParams.numeric(3, [0, 0, 0, 0, 0, -1])  # Q = X^7 + 1
+        tiny = F(10) ** -320
+        with pytest.raises(SeedError, match="seed state"):
+            seed_state(params, (tiny, F(1)), (2 * tiny, F(-1)))
 
     @pytest.mark.parametrize("params", [
         CurveParams.symbolic(3),
@@ -390,8 +405,11 @@ def weighted_sum(weights, stages, j):
     return total
 
 
-def reference_attempt(rhs, y, k1, hs, h):
-    """One Dormand-Prince attempt as a plain loop over the stages."""
+def reference_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol):
+    """One Dormand-Prince attempt as a plain loop over the stages, followed
+    by the accept test's arithmetic as the integrate loop did it: the error
+    norm by _rms's rule over the scales abs_tol + rel_tol * max(|y_j|,
+    |y_new_j|), the finiteness of the trial state and its largest modulus."""
     stages = [k1]
     for row in (*DP_ROWS[1:], DP_B5):
         state = tuple(y[j] + hs * weighted_sum(row, stages, j)
@@ -399,7 +417,16 @@ def reference_attempt(rhs, y, k1, hs, h):
         stages.append(rhs(state))
     errors = [b5 - b4 for b5, b4 in zip((*DP_B5, F(0)), DP_B4)]
     err_terms = tuple(h * weighted_sum(errors, stages, j) for j in range(4))
-    return state, stages[6], err_terms
+    scale = [abs_tol + rel_tol * max(abs(a), abs(b))
+             for a, b in zip(y, state)]
+    ratios = [abs(v) / s for v, s in zip(err_terms, scale)]
+    # _rms's sum, written out left to right as Python 3.11's sum adds
+    total = 0
+    for r in ratios:
+        total = total + r * r
+    err = math.sqrt(total / len(ratios))
+    return (state, stages[6], err, all(map(cmath.isfinite, state)),
+            max(map(abs, state)))
 
 
 class TestGeneratedStep:
@@ -417,13 +444,50 @@ class TestGeneratedStep:
                 return rng.uniform(-2, 2)
             return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
 
-        for _ in range(20):
+        for i in range(20):
             y = tuple(draw() for _ in range(4))
             h = 10.0 ** rng.uniform(-6, -2)
+            if i < 3:
+                rel_tol, abs_tol = ((1e-12, 1e-14), (1e-6, 0.0),
+                                    (0.0, 1e-10))[i]
+            else:
+                rel_tol = 10.0 ** -rng.uniform(4, 13)
+                abs_tol = rel_tol * 10.0 ** -rng.uniform(0, 3)
             for hs in (h, -h):
-                got = attempt(rhs, y, rhs(y), hs, h)
-                want = reference_attempt(rhs, y, rhs(y), hs, h)
-                assert got == want, (y, hs)
+                args = (rhs, y, rhs(y), hs, h, rel_tol, abs_tol)
+                got = attempt(*args)
+                assert got == reference_attempt(*args), (y, hs)
+                assert got[3] is True
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf,
+                                       complex(math.inf, math.nan)],
+                             ids=["nan", "inf", "inf-nan"])
+    def test_non_finite_trial_state_flagged(self, value):
+        # a constant field carries the bad component into the trial state
+        def rhs(state):
+            return (1.0, -0.5, 0.25, 2.0)
+
+        attempt = sim._build_dp_attempt()
+        for j in range(4):
+            y = tuple(value if i == j else 0.5 + i for i in range(4))
+            args = (rhs, y, rhs(y), 1e-3, 1e-3, 1e-12, 1e-14)
+            y_new, _, err, finite, _ = attempt(*args)
+            assert not cmath.isfinite(y_new[j])
+            assert finite is False
+            assert reference_attempt(*args)[3] is False
+            if value == math.inf:
+                # the norm alone would accept it: inf scales |e_j| to 0
+                assert err == reference_attempt(*args)[2] <= 1.0
+
+    def test_overflowing_modulus_raises(self):
+        # finite parts whose modulus exceeds the float range
+        def rhs(state):
+            return (0.0, 0.0, 0.0, 0.0)
+
+        y = (complex(1.5e308, 1.5e308), 0.5, 0.5, 0.5)
+        for step in (sim._build_dp_attempt(), reference_attempt):
+            with pytest.raises(OverflowError):
+                step(rhs, y, rhs(y), 1e-3, 1e-3, 1e-12, 1e-14)
 
     def test_built_on_first_integration_only(self):
         src = str(Path(hekdv.__file__).resolve().parents[1])
