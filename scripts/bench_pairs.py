@@ -8,19 +8,21 @@
 
 Each checkout is the root of a source tree with its own BENCHMARK.json and
 perfbench/run.py; every run lasts the ``run_seconds`` of BENCHMARK.json,
-which both checkouts must agree on.  For every workload, seeds first-seed,
-first-seed + 1, ... each make one pair: the two checkouts run
-``perfbench/run.py`` on the same seed, one after the other, the parent
-first on odd seeds and the change first on even ones.  Then each workload
-named by ``--traced`` runs once per side with ``--trace 1`` on the trace
-seed.  The last line of every run is kept as printed, under ``runs`` and
-``traced``; a run that exits nonzero, prints nothing or times out is kept
-as ``{"returncode", "stderr"}`` instead.  ``summary`` holds, per workload
-and end-to-end metric, each side's median and inclusive quartiles over the
-pairs in which both sides finished, the change's median relative to the
-parent's, and the pairs the change wins.  The file is rewritten after
-every run, so an interrupted bench keeps the runs it made.  Standard
-library only.
+which both checkouts must agree on.  A checkout that holds compiled
+bytecode under ``src/`` is refused: its passes would skip the compile of
+``src/`` that every pass of a clean checkout pays in ``setup_s``.  For
+every workload, seeds first-seed, first-seed + 1, ... each make one pair:
+the two checkouts run ``perfbench/run.py`` on the same seed, one after the
+other, the parent first on odd seeds and the change first on even ones.
+Then each workload named by ``--traced`` runs once per side with
+``--trace 1`` on the trace seed.  The last line of every run is kept as printed,
+under ``runs`` and ``traced``; a run that exits nonzero, prints nothing or
+times out is kept as ``{"returncode", "stderr"}`` instead.  ``summary``
+holds, per workload and end-to-end metric, each side's median and inclusive
+quartiles over the pairs in which both sides finished, the change's median
+relative to the parent's, and the pairs the change wins.  The file is
+rewritten after every run, so an interrupted bench keeps the runs it made.
+Standard library only.
 """
 
 import argparse
@@ -47,6 +49,19 @@ def run_seconds(checkouts):
     if len(values) != 1:
         raise SystemExit(f"the checkouts disagree on run_seconds: {values}")
     return values.pop()
+
+
+def refuse_bytecode(checkouts):
+    """Exit, naming the directory, when a checkout holds a .pyc under src/.
+
+    Nothing is deleted.
+    """
+    for root in checkouts:
+        for folder, _, files in os.walk(os.path.join(root, "src")):
+            if any(name.endswith(".pyc") for name in files):
+                raise SystemExit(f"{folder} holds compiled bytecode, which "
+                                 f"would skew setup_s; bench a checkout "
+                                 f"without it")
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -149,6 +164,7 @@ def main(argv=None):
     pairs = parse_pairs(args.pairs)
     root = {"parent": args.parent, "change": args.change}
     seconds = run_seconds(root.values())
+    refuse_bytecode(root.values())
 
     host = args.host or (f"{os.cpu_count()} vCPUs, Python "
                          f"{platform.python_version()}")

@@ -3,25 +3,28 @@
 A nonzero polynomial is stored as a positive rational content times a
 primitive integer polynomial: a map from monomials to nonzero int
 coefficients whose gcd is 1, as FLINT's ``fmpq_mpoly`` is a content times
-an ``fmpz_mpoly``.  The zero polynomial has content 0 and no terms.  The
-form is unique, so equality and hashing compare it as stored, and the
-arithmetic runs on ints.  By Gauss's lemma a product of primitive
-polynomials is primitive, so a product multiplies the contents and
-convolves the integer parts without a gcd; a scalar changes only the
-content (a negative one also flips the signs).  Every sum goes through
-one accumulator, ``_Sum``: the common content gcd(numerators) /
-lcm(denominators) times one int term dict, into which ``_merge`` adds each
-part in place, with one gcd at the end.  ``+``, ``-``, ``sum_polys``,
-``from_terms`` and ``eval_poly`` over MPoly values all add this way, and
-``divide_out_linear`` merges with ``_merge``; the terms keep the order of
-the running sum ``total + part``: a new monomial is appended and a sum of 0
-is deleted at once.  Products and the monomial substitution keep their own
-loops, because each merges one term at a time.  The kernel divides by the
-two denominator shapes the symmetric square has and by nothing else:
-``exact_div`` divides by a monomial, shifting the dividend's monomials, and
-``divide_out_linear`` divides by a difference u - v of two named variables,
-such as X1 - X2.  An exact quotient of primitive polynomials is again
-primitive, so neither divides a coefficient.
+an ``fmpz_mpoly``.  The content, like FLINT's ``fmpq``, is two ints: a
+numerator and a positive denominator in lowest terms.  The zero polynomial
+has content 0/1 and no terms.  The form is unique, so equality and hashing
+compare it as stored, and the arithmetic runs on ints; a ``Fraction`` is
+built only where a coefficient or the content is read.  By Gauss's lemma a
+product of primitive polynomials is primitive, so a product multiplies the
+contents (reduced by cross gcds) and convolves the integer parts without a
+gcd; a scalar changes only the content (a negative one also flips the
+signs).  Every sum goes through one accumulator, ``_Sum``: the common
+content gcd(numerators) / lcm(denominators) times one int term dict, into
+which ``_merge`` adds each part in place, with one gcd at the end.  ``+``,
+``-``, ``sum_polys``, ``from_terms`` and ``eval_poly`` over MPoly values
+all add this way, and ``divide_out_linear`` merges with ``_merge``; the
+terms keep the order of the running sum ``total + part``: a new monomial
+is appended and a sum of 0 is deleted at once.  Products and the monomial
+substitution keep their own loops, because each merges one term at a time.
+The kernel divides by the two denominator shapes the symmetric square has
+and by nothing else: ``exact_div`` divides by a monomial, shifting the
+dividend's monomials, and ``divide_out_linear`` divides by a difference
+u - v of two named variables, such as X1 - X2.  An exact quotient of
+primitive polynomials is again primitive, so neither divides a
+coefficient.
 
 A monomial is one int over the fixed global symbol order: the exponent of
 ``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
@@ -79,7 +82,6 @@ _SHIFT = {name: _WIDTH * k for k, name in enumerate(_FIELD_NAME)}
 _GUARD = sum(1 << (shift + _WIDTH - 1) for shift in _SHIFT.values())
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _shift(name):
@@ -141,63 +143,75 @@ def _merge(terms, part, k=1):
                 del terms[m]
 
 
-def _primitive(content, terms):
-    """The MPoly content * terms (int coefficients, any gcd)."""
+def _mul_q(an, ad, bn, bd):
+    """The product (an/ad) * (bn/bd) of two reduced fractions, den > 0, as
+    a reduced (num, den) pair: the cross gcds of ``Fraction._mul``."""
+    if an == ad:        # a reduced an/ad with an == ad is 1/1
+        return bn, bd
+    if bn == bd:
+        return an, ad
+    g1, g2 = gcd(an, bd), gcd(bn, ad)
+    return an // g1 * (bn // g2), ad // g2 * (bd // g1)
+
+
+def _primitive(num, den, terms):
+    """The MPoly num/den * terms (a reduced positive content, int
+    coefficients of any gcd)."""
     if not terms:
-        return MPoly(_ZERO, terms)
+        return MPoly(0, 1, terms)
     g = gcd(*terms.values())
     if g == 1:
-        return MPoly(content, terms)
-    return MPoly(content * g, {m: c // g for m, c in terms.items()})
+        return MPoly(num, den, terms)
+    num, den = _mul_q(num, den, g, 1)
+    return MPoly(num, den, {m: c // g for m, c in terms.items()})
 
 
 class _Sum:
     """A sum of polynomials kept as one content times one int term dict.
 
-    ``add`` takes each part as k * content * terms.  The running content is
-    the gcd of the parts' content numerators over the lcm of their
-    denominators, so each part is an integer multiple of it.  The first
-    part is copied as it stands, with k in its terms.  A later part of the
-    same content merges without a rescale; any other content rescales the
-    dict in place when the running content changes.  Every part merges by
-    ``_merge``, so the terms come in the order of a running sum
-    ``total + part``.  ``result`` takes the one gcd.
+    ``add`` takes each part as k * num/den * terms, its content an int
+    pair.  The running content num/den is the gcd of the parts' content
+    numerators over the lcm of their denominators, so each part is an
+    integer multiple of it.  The first part is copied as it stands, with k
+    in its terms.  A later part of the same content merges without a
+    rescale; any other content rescales the dict in place when the running
+    content changes.  Every part merges by ``_merge``, so the terms come in
+    the order of a running sum ``total + part``.  ``result`` takes the one
+    gcd, after an optional scale by a pair.
     """
 
-    __slots__ = ("terms", "content")
+    __slots__ = ("terms", "num", "den")
 
     def __init__(self):
         self.terms = {}
 
-    def add(self, content, terms, k=1):
-        """Add k * content * terms: a positive Fraction, an int term dict
-        and a nonzero int."""
+    def add(self, num, den, terms, k=1):
+        """Add k * num/den * terms: a reduced positive content, an int term
+        dict and a nonzero int."""
         if not terms:
             return
         own = self.terms
         if not own:
             self.terms = dict(terms) if k == 1 else {m: c * k for m, c in terms.items()}
-            self.content = content
+            self.num, self.den = num, den
             return
-        if content is not self.content:
-            num, den = content.numerator, content.denominator
-            cn, cd = self.content.numerator, self.content.denominator
-            if num != cn or den != cd:
-                g, common = gcd(cn, num), lcm(cd, den)
-                grow = cn // g * (common // cd)
-                if grow != 1:
-                    for m in own:
-                        own[m] *= grow
-                k *= num // g * (common // den)
-                self.content = Fraction(g, common)
+        cn, cd = self.num, self.den
+        if num != cn or den != cd:
+            g, common = gcd(cn, num), lcm(cd, den)
+            grow = cn // g * (common // cd)
+            if grow != 1:
+                for m in own:
+                    own[m] *= grow
+            k *= num // g * (common // den)
+            self.num, self.den = g, common
         _merge(own, terms, k)
 
-    def result(self, scale=_ONE):
-        """The MPoly scale * content * terms, for a Fraction ``scale`` > 0."""
-        content = self.content if self.terms else _ZERO
-        if scale is not _ONE:
-            content *= scale
-        return _primitive(content, self.terms)
+    def result(self, num=1, den=1):
+        """The MPoly num/den * content * terms, for a reduced num/den > 0."""
+        terms = self.terms
+        if not terms:
+            return MPoly(0, 1, terms)
+        return _primitive(*_mul_q(self.num, self.den, num, den), terms)
 
 
 def sum_polys(parts):
@@ -210,7 +224,7 @@ def sum_polys(parts):
     """
     acc = _Sum()
     for p in parts:
-        acc.add(p._content, p.terms)
+        acc.add(p._num, p._den, p.terms)
     return acc.result()
 
 
@@ -220,13 +234,14 @@ def _quotient(m, d):
     return q - _GUARD if q & _GUARD == _GUARD else None
 
 
-def _as_fraction(c):
+def _as_pair(c):
+    """The reduced (numerator, denominator) of an exact scalar."""
     if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, Fraction):
-        return c
+        return c, 1
     if isinstance(c, str):
-        return Fraction(c)
+        c = Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
     raise TypeError(f"cannot use {type(c).__name__} as an exact coefficient")
 
 
@@ -264,13 +279,15 @@ def _product_term_cap(cap_mb):
 class MPoly:
     """Immutable sparse multivariate polynomial with rational coefficients."""
 
-    __slots__ = ("_content", "terms")
+    __slots__ = ("_num", "_den", "terms")
 
-    def __init__(self, content, terms):
-        # Trusted constructor: `content` is a positive Fraction and `terms`
-        # a primitive int term dict keyed by in-range monomials, or content
-        # 0 with no terms.  A term dict may be shared, so none is mutated.
-        _set_content(self, content)
+    def __init__(self, num, den, terms):
+        # Trusted constructor: the content num/den is a positive fraction
+        # in lowest terms, two ints with den > 0, and `terms` a primitive
+        # int term dict keyed by in-range monomials; or 0/1 with no terms.
+        # A term dict may be shared, so none is mutated.
+        _set_num(self, num)
+        _set_den(self, den)
         _set_terms(self, terms)
 
     def __setattr__(self, *_):
@@ -280,22 +297,20 @@ class MPoly:
 
     @staticmethod
     def zero():
-        return MPoly(_ZERO, {})
+        return MPoly(0, 1, {})
 
     @staticmethod
     def const(c):
-        c = _as_fraction(c)
-        # the sign of a Fraction is its numerator's, read without a
-        # Fraction comparison
-        if c.numerator > 0:
-            return MPoly(c, {0: 1})
-        if c.numerator < 0:
-            return MPoly(-c, {0: -1})
+        num, den = _as_pair(c)
+        if num > 0:
+            return MPoly(num, den, {0: 1})
+        if num < 0:
+            return MPoly(-num, den, {0: -1})
         return MPoly.zero()
 
     @staticmethod
     def var(name, power=1):
-        return MPoly(_ONE, {_pack([(name, power)]): 1})
+        return MPoly(1, 1, {_pack([(name, power)]): 1})
 
     @staticmethod
     def from_terms(vars, term_map):
@@ -308,9 +323,9 @@ class MPoly:
             _shift(v)
         acc = _Sum()
         for expo, c in term_map.items():
-            c = _as_fraction(c)
-            if c:
-                acc.add(abs(c), {_pack(zip(vars, expo)): 1 if c > 0 else -1})
+            num, den = _as_pair(c)
+            if num:
+                acc.add(abs(num), den, {_pack(zip(vars, expo)): 1 if num > 0 else -1})
         _checked(acc.terms)
         return acc.result()
 
@@ -348,12 +363,12 @@ class MPoly:
         for m, c in self.terms.items():
             e = (m >> shift) & MAX_EXPONENT
             parts.setdefault(e, {})[m - (e << shift)] = c
-        return {e: _primitive(self._content, terms)
+        return {e: _primitive(self._num, self._den, terms)
                 for e, terms in parts.items()}
 
     def monomials(self):
         """Yield (((var, exp), ...), coeff) per term, zero exponents left out."""
-        num, den = self._content.numerator, self._content.denominator
+        num, den = self._num, self._den
         for m, c in self.terms.items():
             yield tuple(_exponents(m)), Fraction(num * c, den)
 
@@ -366,7 +381,7 @@ class MPoly:
             c = self.terms.get(0)
             if c is None:
                 return None
-            return self._content if c == 1 else -self._content
+            return Fraction(self._num if c == 1 else -self._num, self._den)
         return None
 
     def leading(self):
@@ -374,11 +389,11 @@ class MPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         m = max(self.terms)
-        return m, self._content * self.terms[m]
+        return m, Fraction(self._num * self.terms[m], self._den)
 
     def content(self):
         """Positive rational content: gcd of numerators over lcm of denominators."""
-        return self._content
+        return Fraction(self._num, self._den)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -392,14 +407,14 @@ class MPoly:
         if not self.terms:
             return other
         acc = _Sum()
-        acc.add(self._content, self.terms)
-        acc.add(other._content, other.terms)
+        acc.add(self._num, self._den, self.terms)
+        acc.add(other._num, other._den, other.terms)
         return acc.result()
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly(self._content, {m: -c for m, c in self.terms.items()})
+        return MPoly(self._num, self._den, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MPoly):
@@ -411,8 +426,8 @@ class MPoly:
         if not self.terms:
             return -other
         acc = _Sum()
-        acc.add(self._content, self.terms)
-        acc.add(other._content, other.terms, -1)
+        acc.add(self._num, self._den, self.terms)
+        acc.add(other._num, other._den, other.terms, -1)
         return acc.result()
 
     def __rsub__(self, other):
@@ -424,14 +439,7 @@ class MPoly:
         if not isinstance(other, MPoly):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            c = _as_fraction(other)
-            if not c:
-                return MPoly.zero()
-            terms = self.terms
-            if c.numerator < 0:
-                c, terms = -c, {m: -k for m, k in terms.items()}
-            cp = self._content
-            return MPoly(c if cp == 1 else cp if c == 1 else cp * c, terms)
+            return self._scaled(*_as_pair(other))
         p, q = self, other
         if len(p.terms) < len(q.terms):
             p, q = q, p
@@ -441,20 +449,18 @@ class MPoly:
             raise MemoryCapExceeded(
                 f"product would allocate ~{projected} terms, above the "
                 f"HEKDV_MEM_CAP_MB limit; raise the cap to proceed")
-        # Fraction arithmetic is slow; skip it when one content is 1
-        cp, cq = p._content, q._content
-        content = cq if cp == 1 else cp if cq == 1 else cp * cq
+        num, den = _mul_q(p._num, p._den, q._num, q._den)
         if len(q.terms) == 1:
             # a primitive term has coefficient 1 or -1
             (qe, qc), = q.terms.items()
             if not qe:
-                return MPoly(content, p.terms if qc == 1 else
+                return MPoly(num, den, p.terms if qc == 1 else
                              {m: -c for m, c in p.terms.items()})
             if qc == 1:
-                return MPoly(content, _checked({pe + qe: pc
-                                                for pe, pc in p.terms.items()}))
-            return MPoly(content, _checked({pe + qe: -pc
-                                            for pe, pc in p.terms.items()}))
+                return MPoly(num, den, _checked({pe + qe: pc
+                                                 for pe, pc in p.terms.items()}))
+            return MPoly(num, den, _checked({pe + qe: -pc
+                                             for pe, pc in p.terms.items()}))
         # primitive times primitive is primitive (Gauss): no gcd needed
         terms = {}
         get = terms.get
@@ -470,9 +476,18 @@ class MPoly:
                         terms[key] = acc
                     else:
                         del terms[key]
-        return MPoly(content, _checked(terms))
+        return MPoly(num, den, _checked(terms))
 
     __rmul__ = __mul__
+
+    def _scaled(self, num, den):
+        """self * num/den, for a scalar in lowest terms with den > 0."""
+        if not num:
+            return MPoly.zero()
+        terms = self.terms
+        if num < 0:
+            num, terms = -num, {m: -k for m, k in terms.items()}
+        return MPoly(*_mul_q(self._num, self._den, num, den), terms)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -481,14 +496,16 @@ class MPoly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
+            num, den = _as_pair(other)
+            if not num:
                 raise ZeroDivisionError("division of polynomial by zero scalar")
-            return self * (_ONE / other)
+            return self._scaled(den, num) if num > 0 else self._scaled(-den, -num)
         return NotImplemented
 
     def __eq__(self, other):
         if isinstance(other, MPoly):
-            return self.terms == other.terms and self._content == other._content
+            return (self.terms == other.terms and self._num == other._num
+                    and self._den == other._den)
         if isinstance(other, (int, Fraction)):
             return self.as_constant() == other
         return NotImplemented
@@ -498,7 +515,8 @@ class MPoly:
         value = self.as_constant()
         if value is not None:
             return hash(value)
-        return hash((self._content, frozenset(self.terms.items())))
+        return hash((Fraction(self._num, self._den),
+                     frozenset(self.terms.items())))
 
     # -- calculus and substitution ---------------------------------------
 
@@ -509,7 +527,7 @@ class MPoly:
             e = (m >> shift) & MAX_EXPONENT
             if e:
                 terms[m - (1 << shift)] = c * e
-        return _primitive(self._content, terms)
+        return _primitive(self._num, self._den, terms)
 
     def subst(self, mapping):
         """Substitute variables by polynomials/Fractions; returns MPoly.
@@ -543,7 +561,7 @@ class MPoly:
         for v, e in _exponents(span):
             image = full[v]
             if (not isinstance(image, MPoly) or len(image.terms) != 1
-                    or image._content != 1):
+                    or image._num != 1 or image._den != 1):
                 return None
             (mono, sign), = image.terms.items()
             shift = _SHIFT[v]
@@ -574,7 +592,7 @@ class MPoly:
                     terms[new] = acc
                 else:
                     del terms[new]
-        return _primitive(self._content, terms)
+        return _primitive(self._num, self._den, terms)
 
     def eval_numeric(self, point):
         """Evaluate at a dict of numbers (int, Fraction, float or complex):
@@ -607,7 +625,9 @@ class MPoly:
             if q is None:
                 return None
             terms[q] = c if dc == 1 else -c
-        return MPoly(self._content / divisor._content, terms)
+        # dividing by the positive content bn/bd multiplies by bd/bn
+        return MPoly(*_mul_q(self._num, self._den, divisor._den, divisor._num),
+                     terms)
 
     def divide_out_linear(self, name, other_name):
         """Exact quotient by (name - other_name), e.g. (X1 - X2); None if inexact.
@@ -637,7 +657,7 @@ class MPoly:
         _merge(carry, buckets[0])
         if carry:
             return None
-        return MPoly(self._content, quotient)
+        return MPoly(self._num, self._den, quotient)
 
     # -- printing ---------------------------------------------------------
 
@@ -660,7 +680,7 @@ class MPoly:
             if max_terms is not None and n >= max_terms:
                 parts.append(f"... (+{len(self.terms) - max_terms} more terms)")
                 break
-            s = self._term_str(m, self._content * self.terms[m])
+            s = self._term_str(m, Fraction(self._num * self.terms[m], self._den))
             if parts and not s.startswith("-"):
                 s = "+" + s
             parts.append(s)
@@ -675,7 +695,8 @@ class MPoly:
 
 # the slot setters, past the immutability guard (faster than
 # object.__setattr__ on every construction)
-_set_content = MPoly._content.__set__
+_set_num = MPoly._num.__set__
+_set_den = MPoly._den.__set__
 _set_terms = MPoly.terms.__set__
 
 
@@ -854,8 +875,8 @@ def eval_poly(p, mapping, one):
             for v, e in _exponents(m):
                 pv = cached_power(v, e)
                 prod = pv if prod is one else prod * pv
-            acc.add(prod._content, prod.terms, c)
-        return acc.result(p._content)
+            acc.add(prod._num, prod._den, prod.terms, c)
+        return acc.result(p._num, p._den)
 
     total = None
     for mono, c in p.monomials():

@@ -312,8 +312,9 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     for name, tol in (("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         if not (math.isfinite(tol) and tol >= 0):
             raise ConfigError(f"{name} must be finite and nonnegative, got {tol!r}")
-    if rel_tol == 0 and abs_tol == 0:
-        raise ConfigError("rel_tol and abs_tol are both zero")
+    if abs_tol == 0:
+        # a state component at 0 would have error scale 0
+        raise ConfigError("abs_tol must be positive, got 0")
     rhs = CompiledFlow(flow, params)
     invariants = CompiledIntegrals(params)
     # the stepper runs over the length of the span; sign orients it

@@ -130,3 +130,17 @@ def test_run_seconds_come_from_both_checkouts(tmp_path):
     assert bench_pairs.run_seconds(roots[:2]) == 30
     with pytest.raises(SystemExit):
         bench_pairs.run_seconds(roots)
+
+
+def test_checkouts_with_bytecode_are_refused(tmp_path):
+    clean, cached = tmp_path / "clean", tmp_path / "cached"
+    (clean / "src" / "hekdv").mkdir(parents=True)
+    (clean / "src" / "hekdv" / "poly.py").write_text("")
+    pycache = cached / "src" / "hekdv" / "__pycache__"
+    pycache.mkdir(parents=True)
+    (pycache / "poly.cpython-311.pyc").write_bytes(b"")
+    bench_pairs.refuse_bytecode([str(clean)])
+    with pytest.raises(SystemExit, match="__pycache__"):
+        bench_pairs.refuse_bytecode([str(clean), str(cached)])
+    # the cache is named, not deleted
+    assert (pycache / "poly.cpython-311.pyc").exists()

@@ -310,6 +310,9 @@ class TestUnusableSimulatorSettings:
         ["series", "psi"],
         ["simulate", "--flow", "II", "--t-end", "5e-14"],
         ["commute", "--sigma", "5e-14", "--tau", "0.1"],
+        # u2 = 0 at this seed: with abs_tol 0 its error scale would be 0
+        ["simulate", "--abs-tol", "0", "--p1", "1,1", "--p2=-1,auto",
+         "--flow", "I"],
     ])
     def test_exits_two_without_a_document(self, argv, tmp_path, capsys):
         out = tmp_path / "doc.json"

@@ -652,6 +652,250 @@ class TestIntegerCoefficients:
         assert len({MPoly.zero(), 0}) == 1
 
 
+# -- the Fraction-content rules that the int-pair content replaced, kept
+# verbatim as the reference for every route that forms a content without
+# adding; they run on (content, {exponent tuple: int}) pairs read through
+# the public API, and _sum above is the old merge -------------------------
+
+_ONE_TERM = (0,) * len(_LINEAR_VARS)
+
+
+def _ref(p):
+    """(content, {exponent tuple: int coefficient}) of p."""
+    content = p.content()
+    return content, {_exponent_tuple(mono): int(cf / content)
+                     for mono, cf in p.monomials()}
+
+
+def _moved(m, i, by):
+    """Exponent tuple m with ``by`` added to its exponent i."""
+    return m[:i] + (m[i] + by,) + m[i + 1:]
+
+
+def _plus(m, n, times=1):
+    return tuple(x + times * y for x, y in zip(m, n))
+
+
+def _ref_primitive(content, terms):
+    if not terms:
+        return F(0), terms
+    g = gcd(*terms.values())
+    if g == 1:
+        return content, terms
+    return content * g, {m: c // g for m, c in terms.items()}
+
+
+def _ref_mul(p, q):
+    """The old ``__mul__`` of two polynomials."""
+    (cp, p_terms), (cq, q_terms) = p, q
+    if len(p_terms) < len(q_terms):
+        (cp, p_terms), (cq, q_terms) = (cq, q_terms), (cp, p_terms)
+    # Fraction arithmetic is slow; skip it when one content is 1
+    content = cq if cp == 1 else cp if cq == 1 else cp * cq
+    terms = {}
+    get = terms.get
+    for qe, qc in q_terms.items():
+        for pe, pc in p_terms.items():
+            key = _plus(pe, qe)
+            acc = get(key)
+            if acc is None:
+                terms[key] = pc * qc
+            else:
+                acc += pc * qc
+                if acc:
+                    terms[key] = acc
+                else:
+                    del terms[key]
+    return content, terms
+
+
+def _ref_scale(p, other):
+    """The old ``__mul__`` by a scalar; ``p / k`` was ``p * (1 / k)``."""
+    cp, terms = p
+    c = F(other)
+    if not c:
+        return F(0), {}
+    if c.numerator < 0:
+        c, terms = -c, {m: -k for m, k in terms.items()}
+    return c if cp == 1 else cp if c == 1 else cp * c, terms
+
+
+def _ref_exact_div(p, divisor):
+    """The old ``exact_div`` by a one-term divisor, None when inexact."""
+    content, p_terms = p
+    d_content, d_terms = divisor
+    if not p_terms:
+        return F(0), {}
+    (de, dc), = d_terms.items()
+    terms = {}
+    for m, c in p_terms.items():
+        q = _plus(m, de, -1)
+        if min(q) < 0:
+            return None
+        terms[q] = c if dc == 1 else -c
+    return content / d_content, terms
+
+
+def _ref_divide_out_linear(p, i, j):
+    """The old ``divide_out_linear`` by variable i minus variable j."""
+    content, terms = p
+    deg = max((m[i] for m in terms), default=0)
+    buckets = [dict() for _ in range(deg + 1)]
+    for m, c in terms.items():
+        buckets[m[i]][_moved(m, i, -m[i])] = c
+    carry = {}
+    quotient = {}
+    for e in range(deg, 0, -1):
+        carry = _sum(carry, buckets[e])
+        for key, c in carry.items():
+            quotient[_moved(key, i, e - 1)] = c
+        carry = {_moved(key, j, 1): c for key, c in carry.items()}
+    carry = _sum(carry, buckets[0])
+    if carry:
+        return None
+    return content, quotient
+
+
+def _ref_derivative(p, i):
+    content, p_terms = p
+    terms = {}
+    for m, c in p_terms.items():
+        e = m[i]
+        if e:
+            terms[_moved(m, i, -1)] = c * e
+    return _ref_primitive(content, terms)
+
+
+def _ref_coeffs_in(p, i):
+    content, p_terms = p
+    parts = {}
+    for m, c in p_terms.items():
+        parts.setdefault(m[i], {})[_moved(m, i, -m[i])] = c
+    return {e: _ref_primitive(content, terms) for e, terms in parts.items()}
+
+
+def _ref_subst(p, images):
+    """The old ``_subst_monomials``: variable i goes to images[i], an
+    (exponent tuple, sign) pair."""
+    content, p_terms = p
+    terms = {}
+    get = terms.get
+    for m, c in p_terms.items():
+        new = _ONE_TERM
+        for e, (mono, sign) in zip(m, images):
+            if e:
+                new = _plus(new, mono, e)
+                if sign < 0 and e & 1:
+                    c = -c
+        acc = get(new)
+        if acc is None:
+            terms[new] = c
+        else:
+            acc += c
+            if acc:
+                terms[new] = acc
+            else:
+                del terms[new]
+    return _ref_primitive(content, terms)
+
+
+def _packed(m):
+    """The stored monomial of exponent tuple m, read off ``leading()``."""
+    return MPoly.from_terms(_LINEAR_VARS, {m: 1}).leading()[0]
+
+
+def _assert_reads_as(got, want):
+    """``got`` reads as the old (content, terms) ``want`` is read: content,
+    terms in order, leading term, constant value and hash."""
+    content, terms = want
+    assert type(got.content()) is F and got.content() == content
+    assert list(got.monomials()) == [
+        (tuple((v, e) for v, e in zip(_LINEAR_VARS, m) if e), content * c)
+        for m, c in terms.items()]
+    if terms:
+        top = max(terms)
+        assert got.leading() == (_packed(top), content * terms[top])
+    value = (F(0) if not terms else content * terms[_ONE_TERM]
+             if list(terms) == [_ONE_TERM] else None)
+    got_value = got.as_constant()
+    assert got_value == value and (value is None or type(got_value) is F)
+    stored = frozenset((_packed(m), c) for m, c in terms.items())
+    assert hash(got) == hash((content, stored) if value is None else value)
+    rebuilt = MPoly.from_terms(_LINEAR_VARS,
+                               {m: content * c for m, c in terms.items()})
+    assert got == rebuilt and hash(got) == hash(rebuilt)
+
+
+_scalars = st.one_of(st.integers(-10**6, 10**6), _big_fractions,
+                     small_fractions)
+_exponents4 = st.tuples(*[st.integers(0, 2)] * len(_LINEAR_VARS))
+
+
+class TestContentPairAgainstFractionRule:
+    """Products, scalar multiples, quotients, derivatives, coefficients and
+    monomial substitutions form the content on ints and read as the old
+    Fraction-content rules give, for small, large (10^6) and equal
+    contents, zero and constant operands."""
+
+    @given(_operands, _operands, st.booleans())
+    def test_products(self, p, q, equal):
+        if equal and p and q:
+            q = q * (p.content() / q.content())
+        _assert_reads_as(p * q, _ref_mul(_ref(p), _ref(q)))
+
+    @given(_operands, _scalars)
+    def test_scalar_multiples_and_quotients(self, p, k):
+        for scalar in (k, -k) + ((p.content(), -p.content()) if p else ()):
+            want = _ref_scale(_ref(p), scalar)
+            _assert_reads_as(p * scalar, want)
+            _assert_reads_as(scalar * p, want)
+            if scalar:
+                _assert_reads_as(p / scalar, _ref_scale(_ref(p), 1 / F(scalar)))
+
+    @given(_operands, _exponents4, _scalars.filter(bool), st.booleans())
+    def test_exact_div(self, p, expo, k, multiple):
+        divisor = MPoly.from_terms(_LINEAR_VARS, {expo: k})
+        if multiple:
+            p = p * divisor
+        got = p.exact_div(divisor)
+        want = _ref_exact_div(_ref(p), _ref(divisor))
+        assert (got is None) == (want is None)
+        if want is not None:
+            _assert_reads_as(got, want)
+
+    @given(_operands, st.sampled_from(((0, 1), (1, 0), (2, 3))), st.booleans())
+    def test_divide_out_linear(self, p, pair, multiple):
+        u, v = (_LINEAR_VARS[i] for i in pair)
+        if multiple:
+            p = p * (MPoly.var(u) - MPoly.var(v))
+        got = p.divide_out_linear(u, v)
+        want = _ref_divide_out_linear(_ref(p), *pair)
+        assert (got is None) == (want is None)
+        if want is not None:
+            _assert_reads_as(got, want)
+
+    @given(_operands)
+    def test_derivative_and_coeffs_in(self, p):
+        for i, name in enumerate(_LINEAR_VARS):
+            _assert_reads_as(p.derivative(name), _ref_derivative(_ref(p), i))
+            got, want = p.coeffs_in(name), _ref_coeffs_in(_ref(p), i)
+            assert list(got) == list(want)
+            for e in want:
+                _assert_reads_as(got[e], want[e])
+
+    @given(_operands, st.lists(st.tuples(_exponents4, st.sampled_from((1, -1))),
+                               min_size=4, max_size=4),
+           st.sets(st.integers(0, 3)))
+    def test_monomial_subst(self, p, images, mapped):
+        mapping = {_LINEAR_VARS[i]: MPoly.from_terms(_LINEAR_VARS,
+                                                     {images[i][0]: images[i][1]})
+                   for i in mapped}
+        kept = [(_moved(_ONE_TERM, i, 1), 1) for i in range(len(_LINEAR_VARS))]
+        want = _ref_subst(_ref(p), [images[i] if i in mapped else kept[i]
+                                    for i in range(len(_LINEAR_VARS))])
+        _assert_reads_as(p.subst(mapping), want)
+
+
 # -- the per-module exponent loops the univariate view replaced, kept as
 # references for differential tests --------------------------------------
 
@@ -721,13 +965,14 @@ class TestAgainstExponentLoops:
 
 
 def test_representation_stays_in_poly():
-    """Only poly.py may read an MPoly's storage (its terms, vars or content).
+    """Only poly.py may read an MPoly's storage (its terms, vars or content,
+    the content's numerator and denominator included).
 
     The package, the tests and the scripts are scanned.
     """
     root = Path(__file__).resolve().parents[1]
     src = Path(hekdv.poly.__file__).parent
-    pattern = re.compile(r"\.(terms|vars|_content)\b")
+    pattern = re.compile(r"\.(terms|vars|_content|_num|_den)\b")
     paths = [path for folder in (src, root / "tests", root / "scripts")
              for path in sorted(folder.glob("*.py")) if path.name != "poly.py"]
     hits = [f"{path.name}:{n}: {line.strip()}"
