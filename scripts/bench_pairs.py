@@ -14,13 +14,16 @@ bytecode under ``src/`` is refused: its passes would skip the compile of
 every workload, seeds first-seed, first-seed + 1, ... each make one pair:
 the two checkouts run ``perfbench/run.py`` on the same seed, one after the
 other, the parent first on odd seeds and the change first on even ones.
-Then each workload named by ``--traced`` runs once per side with
-``--trace 1`` on the trace seed.  The last line of every run is kept as printed,
-under ``runs`` and ``traced``; a run that exits nonzero, prints nothing or
-times out is kept as ``{"returncode", "stderr"}`` instead.  ``summary``
-holds, per workload and end-to-end metric, each side's median and inclusive
-quartiles over the pairs in which both sides finished, the change's median
-relative to the parent's, and the pairs the change wins.  The file is
+Then each workload named by ``--traced`` runs ``TRACED_PAIRS`` alternating
+pairs with ``--trace 1``, all on the trace seed, since one traced pass per
+side does not resolve a layer's time.  The last line of every run is kept
+as printed, under ``runs`` and ``traced``; a run that exits nonzero, prints
+nothing or times out is kept as ``{"returncode", "stderr"}`` instead.
+``summary`` holds, per workload and end-to-end metric, each side's median
+and inclusive quartiles over the pairs in which both sides finished, the
+change's median relative to the parent's, and the pairs the change wins;
+``traced_summary`` holds each side's median of every metric of the traced
+pairs in which both sides finished.  The file is
 rewritten after every run, so an interrupted bench keeps the runs it made.
 Standard library only.
 """
@@ -38,6 +41,7 @@ END_TO_END = (("setup_s", "lower"), ("process_s", "lower"), ("op_s", "lower"),
               ("items_per_s", "higher"), ("peak_rss_mb", "lower"))
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 1800
+TRACED_PAIRS = 3
 
 
 def run_seconds(checkouts):
@@ -136,6 +140,32 @@ def summarize(runs):
     return summary
 
 
+def summarize_traced(traced):
+    """Per workload and metric, each side's median over the traced pairs.
+
+    ``traced`` is a list of {"workload", "pair", "side", "result"}; a pair
+    counts when both sides have a result with metrics.
+    """
+    by_key = {(r["workload"], r["pair"], r["side"]): r["result"] for r in traced}
+    summary = {}
+    for workload in dict.fromkeys(r["workload"] for r in traced):
+        pairs = sorted(i for i in {i for w, i, _ in by_key if w == workload}
+                       if all("metrics" in by_key.get((workload, i, side), {})
+                              for side in SIDES))
+        results = [by_key[workload, i, side] for i in pairs for side in SIDES]
+        names = [name for name in (results[0]["metrics"] if results else ())
+                 if all(name in r["metrics"] for r in results)]
+        summary[workload] = {
+            "pairs": len(pairs),
+            "correct": all(r["correct"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "metrics": {name: {side: _round(statistics.median(
+                by_key[workload, i, side]["metrics"][name]["value"]
+                for i in pairs)) for side in SIDES} for name in names},
+        }
+    return summary
+
+
 def parse_pairs(items):
     """["bridge=10", ...] -> {"bridge": 10, ...}, in the given order."""
     out = {}
@@ -182,8 +212,10 @@ def main(argv=None):
             "from its own checkout, alternating which side runs first (odd "
             "seeds parent first); the last line of each run is kept as "
             f"printed. Pairs per workload: {counts}. The traced runs "
-            f"(--trace 1, seed {args.trace_seed}) are one per side and "
-            "workload."),
+            f"(--trace 1, seed {args.trace_seed}) are {TRACED_PAIRS} "
+            "alternating pairs per workload, the parent first in the "
+            "first pair; traced_summary holds each side's median of every "
+            "metric over them."),
         "summary_note": (
             "summary is of the untraced runs: each side's median and "
             "quartiles (statistics.quantiles, inclusive) over the pairs in "
@@ -192,16 +224,21 @@ def main(argv=None):
             "counts the runs that failed or timed out"),
         "summary": {},
         "runs": runs,
+        "traced_summary": {},
         "traced": traced,
     }
 
-    def record(into, workload, seed, side, trace):
+    def record(into, workload, seed, side, trace, pair=None):
         result = run_once(root[side], workload, seed, seconds, trace)
-        into.append({"workload": workload, "seed": seed, "side": side,
-                     "result": result})
+        entry = {"workload": workload, "seed": seed, "side": side,
+                 "result": result}
+        if pair is not None:
+            entry["pair"] = pair
+        into.append(entry)
         print(workload, seed, side, json.dumps(result.get("metrics", result)),
               file=sys.stderr, flush=True)
         doc["summary"] = summarize(runs)
+        doc["traced_summary"] = summarize_traced(traced)
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
@@ -211,8 +248,9 @@ def main(argv=None):
             for side in pair_order(seed):
                 record(runs, workload, seed, side, 0)
     for workload in args.traced:
-        for side in SIDES:
-            record(traced, workload, args.trace_seed, side, 1)
+        for pair in range(1, TRACED_PAIRS + 1):
+            for side in pair_order(pair):
+                record(traced, workload, args.trace_seed, side, 1, pair)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,10 @@
-"""Arithmetic in a quotient ring R[q]/(m(q)) for a monic polynomial m.
+"""Arithmetic in a quotient ring Q[q]/(m(q)) for a monic polynomial m.
 
-Elements are coefficient vectors of length deg(m) over R, the rationals
-here; ``phiring.PhiRingElem`` is the same ring over Q[w3, w5].  Products,
-reduction modulo m and the extended-Euclid inverse are the dense univariate
-routines of ``poly``; an element that is not coprime to the modulus has no
-inverse and raises ``ZeroDivisorError``.
+Elements are coefficient vectors of length deg(m) over the rationals.
+Products, reduction modulo m and the extended-Euclid inverse are the dense
+univariate routines of ``poly``; an element that is not coprime to the
+modulus has no inverse and raises ``ZeroDivisorError``.  A constant hashes
+as its value, since it compares equal to it.
 """
 
 from fractions import Fraction
@@ -12,12 +12,13 @@ from fractions import Fraction
 from .errors import ZeroDivisorError
 from .poly import Ring, dense_divmod, dense_inverse, dense_mul
 
+_ZERO = Fraction(0)
+
 
 class AlgNum(Ring):
-    """Element of R[q]/(m) given by its degree-reduced coefficient vector."""
+    """Element of Q[q]/(m) given by its degree-reduced coefficient vector."""
 
     __slots__ = ("minpoly", "vec")
-    _zero = Fraction(0)     # the zero of the coefficient ring R
 
     def __init__(self, minpoly, vec):
         minpoly = tuple(Fraction(c) for c in minpoly)
@@ -26,13 +27,12 @@ class AlgNum(Ring):
         self._store(minpoly, [Fraction(c) for c in vec])
 
     def _store(self, minpoly, vec):
-        """Set the fields: the list ``vec`` over R reduced modulo ``minpoly``."""
-        zero = self._zero
+        """Set the fields: the list ``vec`` reduced modulo ``minpoly``."""
         d = len(minpoly) - 1
         if len(vec) > d:
-            _, vec = dense_divmod(vec, minpoly, zero)
+            _, vec = dense_divmod(vec, minpoly)
         _set_minpoly(self, minpoly)
-        _set_vec(self, tuple(vec) + (zero,) * (d - len(vec)))
+        _set_vec(self, tuple(vec) + (_ZERO,) * (d - len(vec)))
 
     def _make(self, vec):
         """The element of this ring with coefficient list ``vec``."""
@@ -54,9 +54,8 @@ class AlgNum(Ring):
                 raise ValueError("mixed quotient rings")
             return other
         if isinstance(other, (int, Fraction)):
-            return self._make([self._zero + other])
-        raise TypeError(f"cannot combine {type(self).__name__} with "
-                        f"{type(other).__name__}")
+            return self._make([Fraction(other)])
+        raise TypeError(f"cannot combine AlgNum with {type(other).__name__}")
 
     @property
     def is_zero(self):
@@ -73,19 +72,21 @@ class AlgNum(Ring):
         if isinstance(other, (int, Fraction)):
             return self._make([a * other for a in self.vec])
         o = self._lift(other)
-        return self._make(dense_mul(self.vec, o.vec, self._zero))
+        return self._make(dense_mul(self.vec, o.vec))
 
     def inverse(self):
         """Extended-Euclid inverse modulo the minimal polynomial."""
         if self.is_zero:
             raise ZeroDivisorError("zero has no inverse in the quotient ring")
-        inv = dense_inverse(self.vec, self.minpoly, self._zero)
+        inv = dense_inverse(self.vec, self.minpoly)
         if inv is None:
             raise ZeroDivisorError(
                 "element shares a factor with the modulus; not invertible")
         return self._make(inv)
 
     def __hash__(self):
+        if not any(self.vec[1:]):
+            return hash(self.vec[0] if self.vec else _ZERO)
         return hash((self.minpoly, self.vec))
 
     def __str__(self):

@@ -129,7 +129,7 @@ def sylvester_resultant(p, q, xvar="X1"):
     b = _univ_coeffs(q, xvar)
     res = Fraction(1)
     while len(b) > 1:
-        _, r = dense_divmod(a, b, Fraction(0))
+        _, r = dense_divmod(a, b)
         if not r:
             return Fraction(0)
         m, n, k = len(a) - 1, len(b) - 1, len(r) - 1

@@ -1,19 +1,14 @@
 """The quotient ring Q(w3,w5)[phi] modulo the monic sextic divisor relation,
 and the corrected rational-limit solution checks that live in it.
 
-The relation
-
-    phi^6 = 15 phi^3 w3 + 45 w3^2 - 45 phi w5
-
-is 45 times the rational-limit sigma polynomial evaluated at w1 = phi, so
-its phi-derivative is 45 sigma_1(phi).  Every denominator that occurs in
-the pipeline is therefore a rational multiple of a power of sigma_1(phi);
-fractions carry that power explicitly and every equality is certified
-fraction-free by cross-multiplication in the ring.
-
-The ring is ``algnum.AlgNum`` over Q[w3, w5]: products and the reduction
-modulo the monic sextic are the dense univariate routines of ``poly`` over
-MPoly coefficients.  Division by ring elements is never performed.
+The relation phi^6 = 15 phi^3 w3 + 45 w3^2 - 45 phi w5 is 45 times the
+rational-limit sigma polynomial at w1 = phi, so its phi-derivative is
+45 sigma_1(phi): every denominator in the pipeline is a rational multiple
+of a power of sigma_1(phi), which fractions carry explicitly, and every
+equality is certified fraction-free by cross-multiplication in the ring.
+An element is one MPoly of phi-degree below 6: a sum is one MPoly sum, a
+product one MPoly product and one ``MPoly.rem_monic`` by the relation.
+Division by ring elements is never performed.
 """
 
 from fractions import Fraction
@@ -21,7 +16,7 @@ from functools import lru_cache
 
 from .algnum import AlgNum
 from .errors import ConfigError
-from .poly import MPoly, Ring, eval_poly, variables
+from .poly import MPoly, Ring, eval_poly, sum_polys, variables
 from .ratlimit import sigma_rational
 from .report import ReportBuilder
 from .series import PSeries, eval_at_series, newton_solve
@@ -29,61 +24,86 @@ from .series import PSeries, eval_at_series, newton_solve
 w3, w5, phi_var, t_var = variables("w3", "w5", "phi", "t")
 
 _ZERO = MPoly.zero()
-# the sextic's coefficients in phi, constant term first
-_SEXTIC = (-45 * w3 ** 2, 45 * w5, _ZERO, -15 * w3, _ZERO, _ZERO,
-           MPoly.const(1))
+# the relation is phi^6 = _TAIL
+_TAIL = 15 * phi_var ** 3 * w3 + 45 * w3 ** 2 - 45 * phi_var * w5
 
 
-class PhiRingElem(AlgNum):
-    """``AlgNum`` over Q[w3, w5]: six coefficient polynomials, the sextic
-    as modulus."""
+class PhiRingElem(Ring):
+    """One MPoly of phi-degree below 6; ``coeffs`` are its six coefficient
+    polynomials in w3, w5, constant term first.  It refuses ``inverse``."""
 
-    __slots__ = ()
-    _zero = _ZERO
+    __slots__ = ("poly",)
 
     def __init__(self, coeffs):
-        self._store(_SEXTIC, list(coeffs))
+        _set_poly(self, sum_polys(c * MPoly.var("phi", k)
+                                  for k, c in enumerate(coeffs))
+                  .rem_monic("phi", 6, _TAIL))
+
+    @staticmethod
+    def _make(poly):    # poly is reduced
+        new = object.__new__(PhiRingElem)
+        _set_poly(new, poly)
+        return new
 
     @property
     def coeffs(self):
-        return self.vec
+        parts = self.poly.coeffs_in("phi")
+        return tuple(parts.get(k, _ZERO) for k in range(6))
 
     @staticmethod
     def from_mpoly(p):
-        """Split a polynomial in (phi, w3, w5) by phi-degree and reduce."""
-        coeffs = [_ZERO] * (p.degree_in("phi") + 1)
-        for e, c in p.coeffs_in("phi").items():
-            coeffs[e] = c
-        return PhiRingElem(coeffs)
+        """A polynomial in (phi, w3, w5), reduced by the sextic."""
+        return PhiRingElem._make(p.rem_monic("phi", 6, _TAIL))
 
     @staticmethod
     def const(c):
-        return PhiRingElem([MPoly.const(c)])
+        return PhiRingElem._make(MPoly.const(c))
 
     def _lift(self, other):
         return phi_reduce(other)
 
-    # the checks never divide here, and Euclid's inverse would need the
-    # coefficients in a field
-    inverse = Ring.inverse
+    @property
+    def is_zero(self):
+        return self.poly.is_zero
+
+    def __add__(self, other):
+        return self._make(self.poly + self._lift(other).poly)
+
+    def __sub__(self, other):
+        return self._make(self.poly - self._lift(other).poly)
+
+    def __neg__(self):
+        return self._make(-self.poly)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._make(self.poly * other)
+        product = self.poly * self._lift(other).poly
+        return self._make(product.rem_monic("phi", 6, _TAIL))
+
+    def __hash__(self):
+        return hash(self.poly)
 
     def d_w(self, name):
         """Formal partial derivative in w3 or w5 (phi held fixed)."""
-        return self._make([c.derivative(name) for c in self.vec])
+        return self._make(self.poly.derivative(name))
 
     def d_phi(self):
         """Formal partial derivative in phi of the reduced representative."""
-        return self._make([self.vec[k] * k for k in range(1, 6)])
+        return self._make(self.poly.derivative("phi"))
 
     def __str__(self):
         parts = []
-        for k, c in enumerate(self.vec):
+        for k, c in enumerate(self.coeffs):
             if not c.is_zero:
                 head = f"({c})"
                 parts.append(head if k == 0 else f"{head}*phi^{k}")
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
+
+
+_set_poly = PhiRingElem.poly.__set__
 
 
 def phi_reduce(p):
@@ -102,7 +122,7 @@ def phi_reduce(p):
 
 def sextic_relation():
     """The defining relation as a polynomial in (phi, w3, w5)."""
-    return sum((c * phi_var ** k for k, c in enumerate(_SEXTIC)), _ZERO)
+    return phi_var ** 6 - _TAIL
 
 
 @lru_cache(maxsize=None)

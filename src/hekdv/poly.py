@@ -1,30 +1,22 @@
 """Sparse multivariate polynomials over arbitrary-precision rationals.
 
-A nonzero polynomial is stored as a positive rational content times a
-primitive integer polynomial: a map from monomials to nonzero int
-coefficients whose gcd is 1, as FLINT's ``fmpq_mpoly`` is a content times
-an ``fmpz_mpoly``.  The content, like FLINT's ``fmpq``, is two ints: a
-numerator and a positive denominator in lowest terms.  The zero polynomial
-has content 0/1 and no terms.  The form is unique, so equality and hashing
-compare it as stored, and the arithmetic runs on ints; a ``Fraction`` is
-built only where a coefficient or the content is read.  By Gauss's lemma a
-product of primitive polynomials is primitive, so a product multiplies the
-contents (reduced by cross gcds) and convolves the integer parts without a
-gcd; a scalar changes only the content (a negative one also flips the
-signs).  Every sum goes through one accumulator, ``_Sum``: the common
-content gcd(numerators) / lcm(denominators) times one int term dict, into
-which ``_merge`` adds each part in place, with one gcd at the end.  ``+``,
-``-``, ``sum_polys``, ``from_terms`` and ``eval_poly`` over MPoly values
-all add this way, and ``divide_out_linear`` merges with ``_merge``; the
-terms keep the order of the running sum ``total + part``: a new monomial
-is appended and a sum of 0 is deleted at once.  Products and the monomial
-substitution keep their own loops, because each merges one term at a time.
-The kernel divides by the two denominator shapes the symmetric square has
-and by nothing else: ``exact_div`` divides by a monomial, shifting the
-dividend's monomials, and ``divide_out_linear`` divides by a difference
-u - v of two named variables, such as X1 - X2.  An exact quotient of
-primitive polynomials is again primitive, so neither divides a
-coefficient.
+A nonzero polynomial is stored as a positive rational content, two ints in
+lowest terms, times a primitive integer polynomial: a map from monomials to
+nonzero int coefficients whose gcd is 1, as FLINT's ``fmpq_mpoly`` is an
+``fmpq`` times an ``fmpz_mpoly``.  Zero has content 0/1 and no terms.  The
+form is unique, so equality and hashing compare it as stored, and the
+arithmetic runs on ints; a ``Fraction`` is built only where a coefficient
+or the content is read.  By Gauss's lemma a product of primitive
+polynomials is primitive, so a product multiplies the contents (by cross
+gcds) and convolves the integer parts without a gcd; a scalar changes only
+the content.  Every sum goes through one accumulator, ``_Sum``, which
+merges each part into one int term dict with ``_merge`` and takes one gcd
+at the end; the terms keep the order of the running sum ``total + part``.
+Products and the monomial substitution keep their own loops.  The kernel
+divides by a monomial (``exact_div``) and by a difference u - v of two
+named variables (``divide_out_linear``), and it takes one remainder: by a
+monic name^d - tail of integer content (``rem_monic``, the sextic of the
+quotient ring).  None of them divides a coefficient.
 
 A monomial is one int over the fixed global symbol order: the exponent of
 ``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
@@ -33,22 +25,16 @@ lexicographic term order, and multiplying them is one int addition.  The
 top bit of each field is a guard (Monagan & Pearce, "Sparse polynomial
 division using a heap", JSC 46(7), 2011): exponents stay at most
 ``MAX_EXPONENT``, so a sum of two monomials can reach a guard bit but
-never carry into the next field, and every sum is checked for it.  A
-monomial divides another when subtracting it from the dividend with all
-guard bits set leaves every guard bit set.
+never carry into the next field, and every sum is checked for it; d
+divides m when (m with every guard bit set) - d keeps every guard bit.
 
 This representation is private to this module: other modules read a
-polynomial only through ``MPoly.coeffs_in`` (the coefficients of the powers
-of one variable), ``MPoly.monomials`` (each term as its nonzero
-(variable, exponent) pairs and its ``Fraction`` coefficient), the
-structural queries, ``sum_polys`` and ``eval_poly``/``MPoly.subst``, so
-the storage can change without them.
-
-The ``dense_*`` routines are the one dense univariate arithmetic: lists of
-coefficients, constant term first, over Fractions or MPolys (von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 2-3 and 6).  ``Ring`` is
-the base of the other ring-element classes and writes their shared
-operators once.
+polynomial only through ``coeffs_in``, ``monomials``, the structural
+queries, ``sum_polys``, ``unit_den`` and ``eval_poly``/``subst``.  The
+``dense_*`` routines are the one dense univariate arithmetic over
+Fractions, constant term first (von zur Gathen & Gerhard, Modern Computer
+Algebra, ch. 2-3 and 6).  ``Ring`` is the base of the other ring-element
+classes and writes their shared operators once.
 """
 
 import os
@@ -155,8 +141,7 @@ def _mul_q(an, ad, bn, bd):
 
 
 def _primitive(num, den, terms):
-    """The MPoly num/den * terms (a reduced positive content, int
-    coefficients of any gcd)."""
+    """The MPoly num/den * terms: a reduced content, ints of any gcd."""
     if not terms:
         return MPoly(0, 1, terms)
     g = gcd(*terms.values())
@@ -169,15 +154,10 @@ def _primitive(num, den, terms):
 class _Sum:
     """A sum of polynomials kept as one content times one int term dict.
 
-    ``add`` takes each part as k * num/den * terms, its content an int
-    pair.  The running content num/den is the gcd of the parts' content
-    numerators over the lcm of their denominators, so each part is an
-    integer multiple of it.  The first part is copied as it stands, with k
-    in its terms.  A later part of the same content merges without a
-    rescale; any other content rescales the dict in place when the running
-    content changes.  Every part merges by ``_merge``, so the terms come in
-    the order of a running sum ``total + part``.  ``result`` takes the one
-    gcd, after an optional scale by a pair.
+    The running content is the gcd of the parts' content numerators over
+    the lcm of their denominators, so each part is an integer multiple of
+    it; the dict is rescaled in place only when it changes.  ``result``
+    takes the one gcd, after an optional scale by a pair.
     """
 
     __slots__ = ("terms", "num", "den")
@@ -255,14 +235,10 @@ def _mem_cap_product_terms():
 
 @lru_cache(maxsize=8)
 def _product_term_cap(cap_mb):
-    """Translate a raw HEKDV_MEM_CAP_MB value into a rough cap on product terms.
-
-    A stored term costs on the order of 200 bytes (monomial int + int
-    coefficient + dict slot); the estimate is deliberately crude but
-    monotone.  Unset (None) means the 1 GiB default.  Each raw string is
-    parsed once; a malformed one, or one that is not a finite positive
-    number, raises on every product.
-    """
+    """A raw HEKDV_MEM_CAP_MB value as a rough cap on product terms, at
+    about 200 bytes a stored term; unset (None) means the 1 GiB default.
+    Each raw string is parsed once; a malformed one, or one that is not a
+    finite positive number, raises on every product."""
     if cap_mb is None:
         cap = DEFAULT_MEM_CAP_MB
     else:
@@ -282,10 +258,9 @@ class MPoly:
     __slots__ = ("_num", "_den", "terms")
 
     def __init__(self, num, den, terms):
-        # Trusted constructor: the content num/den is a positive fraction
-        # in lowest terms, two ints with den > 0, and `terms` a primitive
-        # int term dict keyed by in-range monomials; or 0/1 with no terms.
-        # A term dict may be shared, so none is mutated.
+        # Trusted constructor: a positive content num/den in lowest terms
+        # and a primitive int term dict of in-range monomials, or 0/1 and
+        # no terms.  A term dict may be shared, so none is mutated.
         _set_num(self, num)
         _set_den(self, den)
         _set_terms(self, terms)
@@ -351,6 +326,9 @@ class MPoly:
     def min_degree_in(self, name):
         shift = _shift(name)
         return min(((m >> shift) & MAX_EXPONENT for m in self.terms), default=0)
+
+    def has_constant_term(self):
+        return 0 in self.terms
 
     def coeffs_in(self, name):
         """{e: coefficient of name^e}; no coefficient contains ``name``.
@@ -659,6 +637,35 @@ class MPoly:
             return None
         return MPoly(self._num, self._den, quotient)
 
+    def rem_monic(self, name, degree, tail):
+        """The remainder of self by the monic name^degree - tail, whose tail
+        has name-degree below ``degree`` and an integer content: pass after
+        pass, each int term of name-degree at least ``degree`` is popped
+        and its name^degree replaced by tail's terms; one gcd ends it."""
+        shift = _shift(name)
+        if tail._den != 1 or tail.degree_in(name) >= degree:
+            raise ValueError(f"rem_monic needs a tail of integer content and "
+                             f"degree in {name} below {degree}")
+        parts = [(tm - (degree << shift), tc * tail._num)
+                 for tm, tc in tail.terms.items()]
+        high = [m for m in self.terms if (m >> shift) & MAX_EXPONENT >= degree]
+        if not high:
+            return self
+        terms = dict(self.terms)
+        while high:
+            for m in high:
+                c = terms.pop(m, 0)     # 0: cancelled earlier in this pass
+                for dm, dc in parts if c else ():
+                    key = m + dm
+                    acc = terms.get(key, 0) + c * dc
+                    if acc:
+                        terms[key] = acc
+                    else:
+                        del terms[key]
+            high = [m for m in _checked(terms)
+                    if (m >> shift) & MAX_EXPONENT >= degree]
+        return _primitive(self._num, self._den, terms)
+
     # -- printing ---------------------------------------------------------
 
     def _term_str(self, m, c):
@@ -698,6 +705,15 @@ class MPoly:
 _set_num = MPoly._num.__set__
 _set_den = MPoly._den.__set__
 _set_terms = MPoly.terms.__set__
+
+
+def unit_den(num, den):
+    """num/den scaled by den's stored content pair and leading sign, so that
+    den has content 1 and a positive leading coefficient (1 if constant)."""
+    terms, dn, dd = den.terms, den._num, den._den
+    if terms[max(terms)] < 0:
+        return num._scaled(-dd, dn), MPoly(1, 1, {m: -c for m, c in terms.items()})
+    return num._scaled(dd, dn), MPoly(1, 1, terms)
 
 
 def variables(*names):
@@ -794,10 +810,10 @@ def dense_trim(v):
     return v
 
 
-def dense_mul(a, b, zero, n=None):
+def dense_mul(a, b, n=None):
     """Trimmed product a*b, cut to its first ``n`` coefficients if given."""
     n = len(a) + len(b) - 1 if n is None else n
-    out = [zero] * max(n, 0)
+    out = [_ZERO] * max(n, 0)
     for i, x in enumerate(a[:n]):
         if x:
             for j, y in enumerate(b[:n - i]):
@@ -806,38 +822,32 @@ def dense_mul(a, b, zero, n=None):
     return dense_trim(out)
 
 
-def dense_divmod(a, b, zero):
-    """Trimmed (q, r) with a = q*b + r and len(r) < len(b); b trimmed, b != 0.
-
-    A leading coefficient 1 is never divided by, so a monic b works over MPoly.
-    """
+def dense_divmod(a, b):
+    """Trimmed (q, r) with a = q*b + r and len(r) < len(b); b trimmed, b != 0."""
     a = list(a)
     d = len(b) - 1
-    monic = b[-1] == 1
     low = [(j, y) for j, y in enumerate(b[:d]) if y]
-    q = [zero] * max(0, len(a) - d)
+    q = [_ZERO] * max(0, len(a) - d)
     for k in range(len(a) - 1 - d, -1, -1):
         c = a[k + d]
         if c:
-            q[k] = c = c if monic else c / b[-1]
+            q[k] = c = c / b[-1]
             for j, y in low:
                 a[k + j] = a[k + j] - c * y
     return dense_trim(q), dense_trim(a[:d])
 
 
-def dense_inverse(a, m, zero):
-    """s with a*s = 1 modulo m, by extended Euclid over a field.
-
-    None when a and m have a common factor (a = 0 included).
-    """
+def dense_inverse(a, m):
+    """s with a*s = 1 modulo m, by extended Euclid over the rationals, or
+    None when a and m have a common factor (a = 0 included)."""
     r0, r1 = dense_trim(m), dense_trim(a)
-    s0, s1 = [], [zero + 1]
+    s0, s1 = [], [Fraction(1)]
     while r1:
-        q, r = dense_divmod(r0, r1, zero)
-        qs = dense_mul(q, s1, zero)
+        q, r = dense_divmod(r0, r1)
+        qs = dense_mul(q, s1)
         r0, r1 = r1, r
         s0, s1 = s1, dense_trim(
-            x - y for x, y in zip_longest(s0, qs, fillvalue=zero))
+            x - y for x, y in zip_longest(s0, qs, fillvalue=_ZERO))
     if len(r0) != 1:
         return None
     return [c / r0[0] for c in s0]
@@ -852,12 +862,10 @@ def eval_poly(p, mapping, one):
     nonzero exponent must all be mapped.
 
     Each term is the product of cached powers of the mapped values, times
-    the term's coefficient.  When `one` and every mapped value are MPolys,
-    the terms are added as ``sum_polys`` adds: each scaled product is
-    merged into one int term dict, with the content of `p` applied once
-    at the end.  Other rings add a running total, term by term.  Either
-    way the terms of an MPoly result come in the order of that running
-    sum.
+    the term's coefficient.  Over MPolys the scaled products are merged
+    into one ``_Sum`` and the content of `p` is applied once at the end;
+    other rings add a running total.  Either way an MPoly result has the
+    terms in the order of that running sum.
     """
     missing = p.variables_used() - set(mapping)
     if missing:

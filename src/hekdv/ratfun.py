@@ -12,7 +12,7 @@ representation independent.
 from fractions import Fraction
 
 from .errors import ZeroDenominatorError
-from .poly import MPoly, Ring, eval_poly, weighted_degree
+from .poly import MPoly, Ring, eval_poly, unit_den, weighted_degree
 
 
 def _as_mpoly(x):
@@ -26,30 +26,27 @@ def _as_mpoly(x):
 def normal_form(num, den, linear=None):
     """The stored (num, den) pair of num/den.
 
-    In order: a zero den raises (a zero num gives 0/1); the common monomial
-    is cancelled, each variable to its lower minimum degree; when
-    ``linear`` names two variables (u, v), the common power of u - v is
-    divided out with ``MPoly.divide_out_linear`` for as long as den has both
-    variables; den is scaled to content 1 with a positive leading
-    coefficient (den = 1 when constant).  The scaling reads den's stored
-    content and replaces the contents of both, flipping the signs of their
-    integer parts when den leads negative; no coefficient is divided.  The
-    pair is canonical when every factor num and den share is a monomial or
-    u - v.
+    In order: a zero den raises (a zero num gives 0/1); unless a side has a
+    constant term, the common monomial is cancelled; when ``linear`` names
+    two variables (u, v), the common power of u - v is divided out while
+    den has both; ``poly.unit_den`` scales den to content 1 and a positive
+    leading coefficient (den = 1 when constant).  The pair is canonical
+    when every factor num and den share is a monomial or u - v.
     """
     if den.is_zero:
         raise ZeroDenominatorError("fraction with zero denominator")
     if num.is_zero:
         return MPoly.zero(), MPoly.const(1)
-    mono = MPoly.const(1)
-    for name in den.variables_used():
-        k = den.min_degree_in(name)
-        if k:
-            k = min(k, num.min_degree_in(name))
+    if not (num.has_constant_term() or den.has_constant_term()):
+        mono = MPoly.const(1)
+        for name in den.variables_used():
+            k = den.min_degree_in(name)
             if k:
-                mono = mono * MPoly.var(name, k)
-    if mono.as_constant() is None:
-        num, den = num.exact_div(mono), den.exact_div(mono)
+                k = min(k, num.min_degree_in(name))
+                if k:
+                    mono = mono * MPoly.var(name, k)
+        if not mono.has_constant_term():
+            num, den = num.exact_div(mono), den.exact_div(mono)
     if linear is not None:
         u, v = linear
         while den.degree_in(u) and den.degree_in(v):
@@ -60,13 +57,7 @@ def normal_form(num, den, linear=None):
             if nq is None:
                 break
             num, den = nq, dq
-    dc = den.as_constant()
-    if dc is not None:
-        return num * (Fraction(1) / dc), MPoly.const(1)
-    scale = den.content()
-    if den.leading()[1] < 0:
-        scale = -scale
-    return num * (Fraction(1) / scale), den * (Fraction(1) / scale)
+    return unit_den(num, den)
 
 
 class RatFn(Ring):
@@ -74,9 +65,9 @@ class RatFn(Ring):
 
     The fraction arithmetic, equality and printing are written once, here,
     for every fraction ring; the reflected operators are ``Ring``'s.  A
-    subclass supplies its normal form in
-    ``__init__`` and two hooks: ``_lift`` brings an operand into the ring
-    (raising TypeError for a foreign one) and ``_make`` builds a result.
+    subclass supplies its normal form in ``__init__`` and two hooks:
+    ``_lift`` brings an operand into the ring (raising TypeError for a
+    foreign one) and ``_make`` builds a result.
     """
 
     __slots__ = ("num", "den")

@@ -70,7 +70,7 @@ class PSeries(Ring):
     def __mul__(self, other):
         other = self._lift(other)
         n = min(self.order, other.order)
-        out = dense_mul(self.coeffs, other.coeffs, Fraction(0), n + 1)
+        out = dense_mul(self.coeffs, other.coeffs, n + 1)
         return PSeries(self.variable, out, n)
 
     def inverse(self):

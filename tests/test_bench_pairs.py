@@ -144,3 +144,50 @@ def test_checkouts_with_bytecode_are_refused(tmp_path):
         bench_pairs.refuse_bytecode([str(clean), str(cached)])
     # the cache is named, not deleted
     assert (pycache / "poly.cpython-311.pyc").exists()
+
+
+def test_traced_pairs_keep_the_median_of_each_metric():
+    traced = []
+    layer = [(3.0, 2.0), (5.0, 1.0), (4.0, 9.0)]
+    for pair, (p, c) in enumerate(layer, start=1):
+        for side in bench_pairs.pair_order(pair):
+            run = _run("certify", 1231, side, 0.1)
+            run["result"]["metrics"]["layer.kernel.self_ms"] = {
+                "value": p if side == "parent" else c, "unit": "ms"}
+            run["pair"] = pair
+            traced.append(run)
+    traced.append({"workload": "certify", "seed": 1231, "side": "change",
+                   "pair": 4, "result": {"returncode": 1, "stderr": "boom"}})
+    row = bench_pairs.summarize_traced(traced)["certify"]
+    assert row["pairs"] == 3 and row["correct"] and row["failed"] == 0
+    assert row["metrics"]["layer.kernel.self_ms"] == {"parent": 4.0,
+                                                      "change": 2.0}
+    assert row["metrics"]["op_s"] == {"parent": 0.1, "change": 0.1}
+
+
+def test_each_traced_workload_runs_alternating_pairs(tmp_path, monkeypatch):
+    roots = []
+    for name in ("parent", "change"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": 30}))
+        roots.append(str(tmp_path / name))
+    calls = []
+
+    def fake_run_once(checkout, workload, seed, seconds, trace):
+        calls.append((checkout, workload, seed, trace))
+        return _run(workload, seed, "", 0.1)["result"]
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", roots[0], "--change", roots[1],
+                      "--out", str(out), "--pairs", "bridge=1",
+                      "--traced", "certify", "--trace-seed", "7"])
+    parent, change = roots
+    assert [(c[0], c[2]) for c in calls if c[3] == 1] == [
+        (parent, 7), (change, 7), (change, 7), (parent, 7),
+        (parent, 7), (change, 7)]
+    doc = json.loads(out.read_text())
+    assert [r["pair"] for r in doc["traced"]] == [1, 1, 2, 2, 3, 3]
+    assert doc["traced_summary"]["certify"]["pairs"] == bench_pairs.TRACED_PAIRS
+    assert "pair" not in doc["runs"][0]

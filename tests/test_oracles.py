@@ -67,21 +67,21 @@ class TestDenseAgainstSympy:
     @given(coeff_lists, coeff_lists, st.integers(0, 10))
     def test_mul_and_cut_mul(self, a, b, n):
         full = from_sympy(to_sympy(a) * to_sympy(b))
-        assert dense_mul(a, b, ZERO) == full
-        assert dense_mul(a, b, ZERO, n) == dense_trim(full[:n])
+        assert dense_mul(a, b) == full
+        assert dense_mul(a, b, n) == dense_trim(full[:n])
 
     @oracle_settings
     @given(coeff_lists, nonzero_lists)
     def test_divmod(self, a, b):
         q, r = sympy.div(to_sympy(a), to_sympy(b))
-        assert dense_divmod(a, b, ZERO) == (from_sympy(q), from_sympy(r))
+        assert dense_divmod(a, b) == (from_sympy(q), from_sympy(r))
 
     @oracle_settings
     @given(st.lists(small_fractions, max_size=6))
     def test_inverse_modulo_minpoly(self, a):
         assume(any(a))
         want = sympy.invert(to_sympy(a), to_sympy(MINPOLY_Q))
-        assert dense_inverse(a, MINPOLY_Q, ZERO) == from_sympy(want)
+        assert dense_inverse(a, MINPOLY_Q) == from_sympy(want)
 
     @oracle_settings
     @given(nonzero_lists, nonzero_lists)
@@ -92,7 +92,7 @@ class TestDenseAgainstSympy:
             want = from_sympy(sympy.invert(to_sympy(a), to_sympy(m)))
         except sympy.polys.polyerrors.NotInvertible:
             want = None
-        assert dense_inverse(a, m, ZERO) == want
+        assert dense_inverse(a, m) == want
 
     @pytest.mark.parametrize("a, m", [
         ([], [F(-1), ZERO, F(1)]),
@@ -102,7 +102,7 @@ class TestDenseAgainstSympy:
     def test_common_factor_has_no_inverse(self, a, m):
         with pytest.raises(sympy.polys.polyerrors.NotInvertible):
             sympy.invert(to_sympy(a), to_sympy(m))
-        assert dense_inverse(a, m, ZERO) is None
+        assert dense_inverse(a, m) is None
 
 
 phi_w_polys = mpoly_strategy(("w3", "w5", "phi"), max_terms=3, max_exp=5)
@@ -123,6 +123,35 @@ class TestPhiRingAgainstSympy:
                          phi)
         got = PhiRingElem.from_mpoly(f) * PhiRingElem.from_mpoly(g)
         assert sympy.expand(self.as_sympy(got) - want) == 0
+
+
+# a dividend up to phi^14, so a low monic divisor needs several passes
+rem_dividends = mpoly_strategy(("w3", "w5", "phi"), max_terms=4, max_exp=14)
+
+
+@st.composite
+def monic_divisors(draw):
+    """(degree, tail) of a monic phi^degree - tail: the tail has phi-degree
+    below degree and integer coefficients, so an integer content."""
+    degree = draw(st.integers(1, 6))
+    expo = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                     st.integers(0, degree - 1))
+    terms = draw(st.dictionaries(expo, st.integers(-20, 20).filter(bool),
+                                 max_size=3))
+    return degree, MPoly.from_terms(("w3", "w5", "phi"), terms)
+
+
+class TestRemMonicAgainstSympy:
+    @oracle_settings
+    @given(rem_dividends, monic_divisors())
+    def test_remainder_is_sympy_rem(self, f, divisor):
+        degree, tail = divisor
+        phi = sympy.Symbol("phi")
+        want = sympy.rem(mpoly_to_sympy(f),
+                         phi ** degree - mpoly_to_sympy(tail), phi)
+        got = f.rem_monic("phi", degree, tail)
+        assert got.degree_in("phi") < degree
+        assert sympy.expand(mpoly_to_sympy(got) - want) == 0
 
 
 # variables in SYMBOL_ORDER, so sympy's lex order is the kernel's term order
@@ -474,6 +503,31 @@ def _reduce_list(coeffs):
     return coeffs[:6]
 
 
+_SEXTIC = (-45 * _W3SQ, 45 * _W5, MPoly.zero(), -15 * _W3, MPoly.zero(),
+           MPoly.zero(), MPoly.const(1))
+
+
+def _dense_phi_product(a, b):
+    """The product of two coefficient lists over MPoly modulo the sextic,
+    as ``PhiRingElem`` formed it while it was ``AlgNum`` over Q[w3, w5]:
+    the dense convolution, then the remainder by the sextic's coefficient
+    tuple, its leading 1 never divided by."""
+    zero = MPoly.zero()
+    out = [zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    low = [(j, y) for j, y in enumerate(_SEXTIC[:6]) if y]
+    for k in range(len(out) - 7, -1, -1):
+        c = out[k + 6]
+        if c:
+            for j, y in low:
+                out[k + j] = out[k + j] - c * y
+    return (out + [zero] * 6)[:6]
+
+
 def _series_loop(self, other):
     n = min(self.order, other.order)
     out = [Fraction(0)] * (n + 1)
@@ -513,7 +567,7 @@ class TestAgainstReplacedCode:
         assert sylvester_resultant(p, q) == want == sylvester_det(a, b)
         # a common factor makes the resultant vanish
         if len(dense_trim(g)) > 1 and a and b:
-            pg, qg = x_poly(dense_mul(a, g, ZERO)), x_poly(dense_mul(b, g, ZERO))
+            pg, qg = x_poly(dense_mul(a, g)), x_poly(dense_mul(b, g))
             assert sylvester_resultant(pg, qg) == 0 == _sylvester_elimination(pg, qg)
 
     def test_resultant_sign_with_both_degrees_odd(self):
@@ -528,6 +582,11 @@ class TestAgainstReplacedCode:
     def test_reduction_matches_reduce_list(self, coeffs):
         got = PhiRingElem(coeffs).coeffs
         assert list(got) == _reduce_list(coeffs)
+
+    @given(phi_w_polys, phi_w_polys)
+    def test_phi_ring_product_matches_dense_path(self, f, g):
+        x, y = PhiRingElem.from_mpoly(f), PhiRingElem.from_mpoly(g)
+        assert list((x * y).coeffs) == _dense_phi_product(x.coeffs, y.coeffs)
 
     @oracle_settings
     @given(coeff_lists, coeff_lists, st.integers(0, 9), st.integers(0, 9))

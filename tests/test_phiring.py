@@ -3,6 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
+import hekdv.algnum
+import hekdv.poly
 from hekdv.algnum import AlgNum
 from hekdv.phiring import (MINPOLY_Q, PhiFrac, PhiRingElem, ThetaVal,
                            appendix_F, d_total, example3_values,
@@ -38,6 +40,17 @@ class TestRing:
         p = phi_reduce(phi ** 3)
         q = phi_reduce(phi ** 3)
         assert p * q == phi_reduce(phi ** 6)
+
+
+    def test_no_dense_routine_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense routine ran")
+        for name in ("dense_mul", "dense_divmod"):
+            monkeypatch.setattr(hekdv.poly, name, refuse)
+            monkeypatch.setattr(hekdv.algnum, name, refuse)
+        x = PhiRingElem([w3, w5, 1, 2, w3 * w5, w3 ** 2, 7])
+        assert x * x ** 3 == x ** 4 and (x - x).is_zero
+        assert verify_appendix_forms().passed and verify_ratc().passed
 
 
 class TestCoercion:

@@ -101,6 +101,21 @@ class TestDivision:
             if got is not None:
                 assert got * d == p
 
+    def test_rem_monic_refuses_a_fractional_or_high_tail(self):
+        x = MPoly.var("X1")
+        with pytest.raises(ValueError, match="integer content"):
+            (x ** 3).rem_monic("X1", 2, a * F(3, 2))
+        with pytest.raises(ValueError, match="below 2"):
+            (x ** 3).rem_monic("X1", 2, x ** 2 + a)
+        # the content 3/2 of the dividend is kept; only the tail's must be an int
+        assert (x ** 3 * F(3, 2)).rem_monic("X1", 2, a * 4) == x * a * 6
+
+    def test_rem_monic_cancels_and_repeats(self):
+        x = MPoly.var("X1")
+        # X1^2 = X1 + 1: X1^4 = 3 X1 + 2, and X1^4 - 3 X1 - 2 vanishes
+        assert (x ** 4).rem_monic("X1", 2, x + 1) == 3 * x + 2
+        assert (x ** 4 - 3 * x - 2).rem_monic("X1", 2, x + 1).is_zero
+
 
 class TestExponentRange:
     """Each exponent has a fixed range; leaving it raises, never corrupts."""

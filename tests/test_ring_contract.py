@@ -2,8 +2,8 @@
 
 Each class derives from ``poly.Ring``.  A string is a foreign operand: it
 raises TypeError under every arithmetic operator on either side, and
-compares unequal (as does None).  Elements are immutable, and a zero
-element is false.
+compares unequal (as does None).  Elements are immutable, a zero
+element is false, and a hashable element that equals 1 hashes as 1.
 """
 
 import operator
@@ -68,3 +68,25 @@ def test_zero_is_false(name):
 def test_is_a_ring(name):
     zero, _ = ELEMENTS[name]
     assert isinstance(zero, Ring)
+
+
+def _hashable(x):
+    try:
+        hash(x)
+    except TypeError:
+        return False
+    return True
+
+
+HASHABLE = [name for name, (_, one) in ELEMENTS.items() if _hashable(one)]
+
+
+def test_the_quotient_rings_are_hashable():
+    assert HASHABLE == ["AlgNum", "PhiRingElem"]
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_a_constant_hashes_as_its_value(name):
+    zero, one = ELEMENTS[name]
+    assert one == 1 and hash(one) == hash(1) and one in {1}
+    assert zero == 0 and hash(zero) == hash(0) and zero in {0}
