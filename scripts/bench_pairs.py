@@ -8,9 +8,11 @@
 
 Each checkout is the root of a source tree with its own BENCHMARK.json and
 perfbench/run.py; every run lasts the ``run_seconds`` of BENCHMARK.json,
-which both checkouts must agree on.  A checkout that holds compiled
-bytecode under ``src/`` is refused: its passes would skip the compile of
-``src/`` that every pass of a clean checkout pays in ``setup_s``.  For
+and the summary covers its ``end_to_end`` metrics, each with its better
+direction and bound; both checkouts must agree on the two.  A checkout
+that holds compiled bytecode under ``src/`` is refused: its passes would
+skip the compile of ``src/`` that every pass of a clean checkout pays in
+``setup_s``.  For
 every workload, seeds first-seed, first-seed + 1, ... each make one pair:
 the two checkouts run ``perfbench/run.py`` on the same seed, one after the
 other, the parent first on odd seeds and the change first on even ones.
@@ -21,7 +23,9 @@ as printed, under ``runs`` and ``traced``; a run that exits nonzero, prints
 nothing or times out is kept as ``{"returncode", "stderr"}`` instead.
 ``summary`` holds, per workload and end-to-end metric, each side's median
 and inclusive quartiles over the pairs in which both sides finished, the
-change's median relative to the parent's, and the pairs the change wins;
+change's median relative to the parent's, the pairs the change wins, and
+``beyond_bound``: whether the change's median is worse than the parent's by
+more than the metric's bound, a fraction of the parent's median;
 ``traced_summary`` holds each side's median of every metric of the traced
 pairs in which both sides finished.  The file is
 rewritten after every run, so an interrupted bench keeps the runs it made.
@@ -36,23 +40,20 @@ import statistics
 import subprocess
 import sys
 
-# the end-to-end metrics of perfbench/run.py, with the better direction
-END_TO_END = (("setup_s", "lower"), ("process_s", "lower"), ("op_s", "lower"),
-              ("items_per_s", "higher"), ("peak_rss_mb", "lower"))
 SIDES = ("parent", "change")
 RUN_TIMEOUT_S = 1800
 TRACED_PAIRS = 3
 
 
-def run_seconds(checkouts):
-    """The run_seconds of BENCHMARK.json, the same in every checkout."""
-    values = set()
+def benchmark_field(checkouts, key):
+    """BENCHMARK.json's ``key``, the same in every checkout."""
+    values = []
     for root in checkouts:
         with open(os.path.join(root, "BENCHMARK.json")) as fh:
-            values.add(json.load(fh)["run_seconds"])
-    if len(values) != 1:
-        raise SystemExit(f"the checkouts disagree on run_seconds: {values}")
-    return values.pop()
+            values.append(json.load(fh)[key])
+    if any(v != values[0] for v in values):
+        raise SystemExit(f"the checkouts disagree on {key}: {values}")
+    return values[0]
 
 
 def refuse_bytecode(checkouts):
@@ -96,12 +97,13 @@ def _round(x):
     return round(x, 4)
 
 
-def summarize(runs):
+def summarize(runs, end_to_end):
     """Per-workload medians, quartiles and pairs won of the untraced runs.
 
-    ``runs`` is a list of {"workload", "seed", "side", "result"}.  A pair
-    counts when both sides have a result with metrics; the runs that lack
-    one are counted under ``lost``.
+    ``runs`` is a list of {"workload", "seed", "side", "result"}, and
+    ``end_to_end`` the list of {"name", "better", "bound"} of
+    BENCHMARK.json.  A pair counts when both sides have a result with
+    metrics; the runs that lack one are counted under ``lost``.
     """
     by_key = {(r["workload"], r["seed"], r["side"]): r["result"] for r in runs}
     summary = {}
@@ -112,7 +114,8 @@ def summarize(runs):
                               for side in SIDES))
         results = [by_key[workload, s, side] for s in seeds for side in SIDES]
         metrics = {}
-        for name, better in END_TO_END if seeds else ():
+        for metric in end_to_end if seeds else ():
+            name, better = metric["name"], metric["better"]
             values = {side: [by_key[workload, s, side]["metrics"][name]["value"]
                              for s in seeds] for side in SIDES}
             row = {"better": better}
@@ -123,9 +126,11 @@ def summarize(runs):
                 row[f"{side}_median"] = _round(median)
                 row[f"{side}_q1"] = _round(q1)
                 row[f"{side}_q3"] = _round(q3)
-            row["change_vs_parent"] = _round(
-                statistics.median(values["change"])
-                / statistics.median(values["parent"]) - 1)
+            ratio = (statistics.median(values["change"])
+                     / statistics.median(values["parent"]))
+            row["change_vs_parent"] = _round(ratio - 1)
+            worse = ratio - 1 if better == "lower" else 1 - ratio
+            row["beyond_bound"] = worse > metric["bound"]
             wins = sum((c < p) if better == "lower" else (c > p)
                        for p, c in zip(values["parent"], values["change"]))
             row["change_wins"] = f"{wins}/{len(seeds)}"
@@ -193,7 +198,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     pairs = parse_pairs(args.pairs)
     root = {"parent": args.parent, "change": args.change}
-    seconds = run_seconds(root.values())
+    seconds = benchmark_field(root.values(), "run_seconds")
+    end_to_end = benchmark_field(root.values(), "end_to_end")
     refuse_bytecode(root.values())
 
     host = args.host or (f"{os.cpu_count()} vCPUs, Python "
@@ -220,8 +226,10 @@ def main(argv=None):
             "summary is of the untraced runs: each side's median and "
             "quartiles (statistics.quantiles, inclusive) over the pairs in "
             "which both sides finished, the change's median relative to the "
-            "parent's, and the pairs in which the change is better; lost "
-            "counts the runs that failed or timed out"),
+            "parent's, the pairs in which the change is better, and "
+            "beyond_bound, whether the change's median is worse than the "
+            "parent's by more than the metric's bound in BENCHMARK.json; "
+            "lost counts the runs that failed or timed out"),
         "summary": {},
         "runs": runs,
         "traced_summary": {},
@@ -237,7 +245,7 @@ def main(argv=None):
         into.append(entry)
         print(workload, seed, side, json.dumps(result.get("metrics", result)),
               file=sys.stderr, flush=True)
-        doc["summary"] = summarize(runs)
+        doc["summary"] = summarize(runs, end_to_end)
         doc["traced_summary"] = summarize_traced(traced)
         with open(args.out, "w") as fh:
             json.dump(doc, fh, indent=1)

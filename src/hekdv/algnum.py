@@ -1,44 +1,115 @@
-"""Arithmetic in a quotient ring Q[q]/(m(q)) for a monic polynomial m.
+"""Quotient rings R[name]/(name^d - tail) by a monic modulus, written once.
 
-Elements are coefficient vectors of length deg(m) over the rationals.
-Products, reduction modulo m and the extended-Euclid inverse are the dense
-univariate routines of ``poly``; an element that is not coprime to the
-modulus has no inverse and raises ``ZeroDivisorError``.  A constant hashes
-as its value, since it compares equal to it.
+A ``QuotientElem`` holds ``poly``, one MPoly of name-degree below d, and
+``modulus`` = (name, d, tail), the arguments of ``MPoly.rem_monic``; the
+tail has an integer content.  A product is one MPoly product and one
+remainder; a sum keeps the degree and is not reduced.  An element hashes
+as its polynomial, so a constant hashes as its value.  Elements of two
+moduli do not mix: ValueError.  ``AlgNum`` is Q[q]/(m) for a monic m with
+integer coefficients; its inverse is ``poly.dense_inverse`` on the
+coefficient list, and an element sharing a factor with m raises
+``ZeroDivisorError``.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ZeroDivisorError
-from .poly import Ring, dense_divmod, dense_inverse, dense_mul
+from .poly import MPoly, Ring, dense_inverse, sum_polys
 
 _ZERO = Fraction(0)
 
 
-class AlgNum(Ring):
-    """Element of Q[q]/(m) given by its degree-reduced coefficient vector."""
+def in_powers(name, coeffs):
+    """The MPoly sum of coeffs[k] * name^k."""
+    return sum_polys(c * MPoly.var(name, k) for k, c in enumerate(coeffs))
 
-    __slots__ = ("minpoly", "vec")
 
-    def __init__(self, minpoly, vec):
-        minpoly = tuple(Fraction(c) for c in minpoly)
-        if not minpoly or minpoly[-1] != 1:
-            raise ValueError("minimal polynomial must be monic")
-        self._store(minpoly, [Fraction(c) for c in vec])
+class QuotientElem(Ring):
+    """One reduced MPoly ``poly`` and the ``modulus`` it was reduced by."""
 
-    def _store(self, minpoly, vec):
-        """Set the fields: the list ``vec`` reduced modulo ``minpoly``."""
-        d = len(minpoly) - 1
-        if len(vec) > d:
-            _, vec = dense_divmod(vec, minpoly)
-        _set_minpoly(self, minpoly)
-        _set_vec(self, tuple(vec) + (_ZERO,) * (d - len(vec)))
+    __slots__ = ("poly", "modulus")
 
-    def _make(self, vec):
-        """The element of this ring with coefficient list ``vec``."""
-        new = object.__new__(type(self))
-        new._store(self.minpoly, vec)
+    @classmethod
+    def _reduced(cls, poly, modulus):
+        """The element of ``cls`` for ``poly`` reduced by ``modulus``."""
+        new = object.__new__(cls)
+        _set_poly(new, poly.rem_monic(*modulus))
+        _set_modulus(new, modulus)
         return new
+
+    def _make(self, poly):    # poly is reduced
+        new = object.__new__(type(self))
+        _set_poly(new, poly)
+        _set_modulus(new, self.modulus)
+        return new
+
+    def _lift(self, other):
+        if isinstance(other, QuotientElem):
+            if other.modulus != self.modulus:
+                raise ValueError("mixed quotient rings")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._make(MPoly.const(other))
+        raise TypeError(f"cannot combine {type(self).__name__} with "
+                        f"{type(other).__name__}")
+
+    @property
+    def is_zero(self):
+        return self.poly.is_zero
+
+    def __add__(self, other):
+        return self._make(self.poly + self._lift(other).poly)
+
+    def __sub__(self, other):
+        return self._make(self.poly - self._lift(other).poly)
+
+    def __neg__(self):
+        return self._make(-self.poly)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._make(self.poly * other)
+        product = self.poly * self._lift(other).poly
+        return self._make(product.rem_monic(*self.modulus))
+
+    def __hash__(self):
+        return hash(self.poly)
+
+    def __str__(self):
+        return str(self.poly)
+
+    def __repr__(self):
+        return str(self)
+
+
+# the slot setters, past the immutability guard
+_set_poly = QuotientElem.poly.__set__
+_set_modulus = QuotientElem.modulus.__set__
+
+
+@lru_cache(maxsize=None)
+def _modulus(minpoly):
+    """(name, degree, tail) of the monic minpoly = q^degree - tail."""
+    if not minpoly or minpoly[-1] != 1:
+        raise ValueError("minimal polynomial must be monic")
+    return "q", len(minpoly) - 1, -in_powers("q", minpoly[:-1])
+
+
+def _dense(p, name, degree):
+    """The coefficient list of ``p`` in ``name``, constant first."""
+    parts = p.coeffs_in(name)
+    return [parts[k].as_constant() if k in parts else _ZERO
+            for k in range(degree)]
+
+
+class AlgNum(QuotientElem):
+    """Element of Q[q]/(m): AlgNum(m, representative), constant first."""
+
+    __slots__ = ()
+
+    def __new__(cls, minpoly, vec):
+        return cls._reduced(in_powers("q", vec), _modulus(tuple(minpoly)))
 
     @staticmethod
     def generator(minpoly):
@@ -46,64 +117,14 @@ class AlgNum(Ring):
 
     @staticmethod
     def const(minpoly, c):
-        return AlgNum(minpoly, [Fraction(c)])
-
-    def _lift(self, other):
-        if isinstance(other, AlgNum):
-            if other.minpoly != self.minpoly:
-                raise ValueError("mixed quotient rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self._make([Fraction(other)])
-        raise TypeError(f"cannot combine AlgNum with {type(other).__name__}")
-
-    @property
-    def is_zero(self):
-        return not any(self.vec)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return self._make([a + b for a, b in zip(self.vec, o.vec)])
-
-    def __neg__(self):
-        return self._make([-a for a in self.vec])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._make([a * other for a in self.vec])
-        o = self._lift(other)
-        return self._make(dense_mul(self.vec, o.vec))
+        return AlgNum(minpoly, [c])
 
     def inverse(self):
         """Extended-Euclid inverse modulo the minimal polynomial."""
-        if self.is_zero:
-            raise ZeroDivisorError("zero has no inverse in the quotient ring")
-        inv = dense_inverse(self.vec, self.minpoly)
+        name, degree, tail = self.modulus
+        minpoly = _dense(MPoly.var(name, degree) - tail, name, degree + 1)
+        inv = dense_inverse(_dense(self.poly, name, degree), minpoly)
         if inv is None:
-            raise ZeroDivisorError(
-                "element shares a factor with the modulus; not invertible")
-        return self._make(inv)
-
-    def __hash__(self):
-        if not any(self.vec[1:]):
-            return hash(self.vec[0] if self.vec else _ZERO)
-        return hash((self.minpoly, self.vec))
-
-    def __str__(self):
-        parts = []
-        for k, c in enumerate(self.vec):
-            if not c:
-                continue
-            if k == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-                parts.append(f"{head}q" + (f"^{k}" if k > 1 else ""))
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
-
-
-# the slot setters, past the immutability guard
-_set_minpoly = AlgNum.minpoly.__set__
-_set_vec = AlgNum.vec.__set__
+            raise ZeroDivisorError("zero, or shares a factor with the "
+                                   "modulus: not invertible")
+        return self._make(in_powers(name, inv))

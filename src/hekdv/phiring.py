@@ -6,17 +6,16 @@ rational-limit sigma polynomial at w1 = phi, so its phi-derivative is
 45 sigma_1(phi): every denominator in the pipeline is a rational multiple
 of a power of sigma_1(phi), which fractions carry explicitly, and every
 equality is certified fraction-free by cross-multiplication in the ring.
-An element is one MPoly of phi-degree below 6: a sum is one MPoly sum, a
-product one MPoly product and one ``MPoly.rem_monic`` by the relation.
-Division by ring elements is never performed.
+An element is an ``algnum.QuotientElem`` by the relation; ring elements
+are never divided.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .algnum import AlgNum
+from .algnum import AlgNum, QuotientElem, in_powers
 from .errors import ConfigError
-from .poly import MPoly, Ring, eval_poly, sum_polys, variables
+from .poly import MPoly, Ring, eval_poly, variables
 from .ratlimit import sigma_rational
 from .report import ReportBuilder
 from .series import PSeries, eval_at_series, newton_solve
@@ -26,24 +25,17 @@ w3, w5, phi_var, t_var = variables("w3", "w5", "phi", "t")
 _ZERO = MPoly.zero()
 # the relation is phi^6 = _TAIL
 _TAIL = 15 * phi_var ** 3 * w3 + 45 * w3 ** 2 - 45 * phi_var * w5
+_MODULUS = ("phi", 6, _TAIL)
 
 
-class PhiRingElem(Ring):
+class PhiRingElem(QuotientElem):
     """One MPoly of phi-degree below 6; ``coeffs`` are its six coefficient
     polynomials in w3, w5, constant term first.  It refuses ``inverse``."""
 
-    __slots__ = ("poly",)
+    __slots__ = ()
 
-    def __init__(self, coeffs):
-        _set_poly(self, sum_polys(c * MPoly.var("phi", k)
-                                  for k, c in enumerate(coeffs))
-                  .rem_monic("phi", 6, _TAIL))
-
-    @staticmethod
-    def _make(poly):    # poly is reduced
-        new = object.__new__(PhiRingElem)
-        _set_poly(new, poly)
-        return new
+    def __new__(cls, coeffs):
+        return cls._reduced(in_powers("phi", coeffs), _MODULUS)
 
     @property
     def coeffs(self):
@@ -53,36 +45,14 @@ class PhiRingElem(Ring):
     @staticmethod
     def from_mpoly(p):
         """A polynomial in (phi, w3, w5), reduced by the sextic."""
-        return PhiRingElem._make(p.rem_monic("phi", 6, _TAIL))
+        return PhiRingElem._reduced(p, _MODULUS)
 
     @staticmethod
     def const(c):
-        return PhiRingElem._make(MPoly.const(c))
+        return PhiRingElem._reduced(MPoly.const(c), _MODULUS)
 
     def _lift(self, other):
         return phi_reduce(other)
-
-    @property
-    def is_zero(self):
-        return self.poly.is_zero
-
-    def __add__(self, other):
-        return self._make(self.poly + self._lift(other).poly)
-
-    def __sub__(self, other):
-        return self._make(self.poly - self._lift(other).poly)
-
-    def __neg__(self):
-        return self._make(-self.poly)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._make(self.poly * other)
-        product = self.poly * self._lift(other).poly
-        return self._make(product.rem_monic("phi", 6, _TAIL))
-
-    def __hash__(self):
-        return hash(self.poly)
 
     def d_w(self, name):
         """Formal partial derivative in w3 or w5 (phi held fixed)."""
@@ -100,11 +70,6 @@ class PhiRingElem(Ring):
                 parts.append(head if k == 0 else f"{head}*phi^{k}")
         return " + ".join(parts) if parts else "0"
 
-    __repr__ = __str__
-
-
-_set_poly = PhiRingElem.poly.__set__
-
 
 def phi_reduce(p):
     """``p`` in the ring: a polynomial in (phi, w3, w5) as its remainder by
@@ -115,7 +80,7 @@ def phi_reduce(p):
         return PhiRingElem.from_mpoly(p)
     if isinstance(p, (int, Fraction)):
         return PhiRingElem.const(p)
-    if isinstance(p, AlgNum):
+    if isinstance(p, QuotientElem):
         raise ValueError("mixed quotient rings")
     raise TypeError(f"cannot combine a ring element with {type(p).__name__}")
 
@@ -127,10 +92,8 @@ def sextic_relation():
 
 @lru_cache(maxsize=None)
 def sigma_on_ring(key):
-    """sigma partial (by multi-index string) evaluated at w1 = phi."""
-    sig = sigma_rational(3)
-    p = sig.sigma if key == "" else sig.partial(key)
-    mapped = p.subst({"w1": phi_var})
+    """sigma's partial by multi-index ("" for sigma) at w1 = phi."""
+    mapped = sigma_rational(3).partial(key).subst({"w1": phi_var})
     return PhiRingElem.from_mpoly(mapped)
 
 
@@ -424,8 +387,7 @@ class ThetaVal(Ring):
 
 def _sigma_at_point(key):
     """Evaluate a sigma partial at (w1, w3, w5) = (q*theta, theta^3, 0)."""
-    sig = sigma_rational(3)
-    p = sig.sigma if key == "" else sig.partial(key)
+    p = sigma_rational(3).partial(key)
     point = {"w1": ThetaVal(AlgNum.generator(MINPOLY_Q), 1),
              "w3": ThetaVal(1, 3), "w5": ThetaVal(0)}
     return eval_poly(p, point, ThetaVal(1))
@@ -434,7 +396,8 @@ def _sigma_at_point(key):
 def example3_values():
     """All four solution components at the algebraic point, plus sigma_1."""
     svals = {k: _sigma_at_point(k) for k in ("", "1", *_F_KEYS.values())}
-    f = {n: svals[k] / svals["1"] for n, k in _F_KEYS.items()}
+    inv_s1 = 1 / svals["1"]
+    f = {n: svals[k] * inv_s1 for n, k in _F_KEYS.items()}
     return {i: _combine(f, i) for i in (2, 4, 5, 7)}, svals
 
 
@@ -447,16 +410,16 @@ def verify_example3(expected=None):
     F, svals = example3_values()
     if expected is None:
         expected = {
-            2: ThetaVal(qgen / 6, -2),
+            2: ThetaVal(qgen * Fraction(1, 6), -2),
             4: ThetaVal((qgen ** 3 + 15) * Fraction(-5)
                         / (qgen ** 4 * 36), -4),
-            5: ThetaVal(qgen / 9, -5),
+            5: ThetaVal(qgen * Fraction(1, 9), -5),
             7: ThetaVal((qgen ** 3 * 2 + 3) * Fraction(-5)
                         / (qgen * (qgen ** 3 + 3) * 54), -7),
         }
     for i in (2, 4, 5, 7):
         rb.expect(f"F{i} equals printed value", F[i] == expected[i])
-    want_s1 = ThetaVal(qgen ** 2 * (qgen ** 3 * 2 - 15) / 15, 5)
+    want_s1 = ThetaVal(qgen ** 2 * (qgen ** 3 * 2 - 15) * Fraction(1, 15), 5)
     rb.expect("sigma_1 at the base point = q^2(2q^3-15)/15",
               svals["1"] == want_s1)
     rb.expect("sigma vanishes at the point", svals[""].is_zero)

@@ -15,8 +15,8 @@ at the end; the terms keep the order of the running sum ``total + part``.
 Products and the monomial substitution keep their own loops.  The kernel
 divides by a monomial (``exact_div``) and by a difference u - v of two
 named variables (``divide_out_linear``), and it takes one remainder: by a
-monic name^d - tail of integer content (``rem_monic``, the sextic of the
-quotient ring).  None of them divides a coefficient.
+monic name^d - tail of integer content (``rem_monic``, the product in the
+quotient rings of ``algnum``).  None of them divides a coefficient.
 
 A monomial is one int over the fixed global symbol order: the exponent of
 ``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
@@ -33,7 +33,8 @@ polynomial only through ``coeffs_in``, ``monomials``, the structural
 queries, ``sum_polys``, ``unit_den`` and ``eval_poly``/``subst``.  The
 ``dense_*`` routines are the one dense univariate arithmetic over
 Fractions, constant term first (von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 2-3 and 6).  ``Ring`` is the base of the other ring-element
+Algebra, ch. 2-3 and 6): the series product, the resultant and the inverse
+in ``algnum.AlgNum``.  ``Ring`` is the base of the other ring-element
 classes and writes their shared operators once.
 """
 

@@ -9,6 +9,8 @@ solution D, E.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import ConfigError
 from .poly import MPoly, variables
@@ -25,7 +27,7 @@ class SigmaRat:
 
     genus: int
     sigma: MPoly
-    partials: dict  # multi-index string like "1", "13", "35" -> MPoly
+    partials: MappingProxyType  # multi-index like "", "1", "13" -> MPoly
 
     def partial(self, key):
         key = "".join(sorted(key))
@@ -35,8 +37,10 @@ class SigmaRat:
             raise ConfigError(f"partial derivative {key!r} not cached")
 
 
+@lru_cache(maxsize=None)
 def sigma_rational(genus):
-    """The Schur polynomial for the staircase partition of the given genus."""
+    """The Schur polynomial of the staircase partition of the given genus,
+    built once per genus; callers share it, so its partials are read-only."""
     if genus == 1:
         sig = w1
     elif genus == 2:
@@ -46,7 +50,7 @@ def sigma_rational(genus):
                + w1 ** 6 * Fraction(1, 45))
     else:
         raise ConfigError("rational-limit sigma implemented for genus 1..3")
-    partials = {}
+    partials = {"": sig}
     names = [("1", "w1"), ("3", "w3"), ("5", "w5")][:genus]
     for key, var in names:
         partials[key] = sig.derivative(var)
@@ -54,7 +58,7 @@ def sigma_rational(genus):
         for k2, v2 in names:
             if k1 <= k2:
                 partials[k1 + k2] = partials[k1].derivative(v2)
-    return SigmaRat(genus, sig, partials)
+    return SigmaRat(genus, sig, MappingProxyType(partials))
 
 
 def xi_closed_form():

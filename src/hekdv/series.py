@@ -10,19 +10,28 @@ from fractions import Fraction
 from .errors import ConfigError, SingularExpansionError
 from .poly import Ring, dense_mul, eval_poly
 
+_ZERO = Fraction(0)
+
 
 class PSeries(Ring):
     """Coefficients c[0..order] of a series truncated at the given order."""
 
     __slots__ = ("variable", "coeffs", "order")
 
-    def __init__(self, variable, coeffs, order):
-        coeffs = [Fraction(c) for c in coeffs]
+    def __new__(cls, variable, coeffs, order):
+        return cls._make(variable, [Fraction(c) for c in coeffs], order)
+
+    @staticmethod
+    def _make(variable, coeffs, order):
+        """The series of a list of Fractions, padded or cut to order + 1;
+        arithmetic hands its lists over as they stand."""
         if len(coeffs) < order + 1:
-            coeffs = coeffs + [Fraction(0)] * (order + 1 - len(coeffs))
-        object.__setattr__(self, "variable", variable)
-        object.__setattr__(self, "coeffs", tuple(coeffs[:order + 1]))
-        object.__setattr__(self, "order", order)
+            coeffs = coeffs + [_ZERO] * (order + 1 - len(coeffs))
+        new = object.__new__(PSeries)
+        object.__setattr__(new, "variable", variable)
+        object.__setattr__(new, "coeffs", tuple(coeffs[:order + 1]))
+        object.__setattr__(new, "order", order)
+        return new
 
     @staticmethod
     def zero(variable, order):
@@ -33,7 +42,7 @@ class PSeries(Ring):
         return PSeries(variable, [0, 1], order)
 
     def truncated(self, order):
-        return PSeries(self.variable, list(self.coeffs), order)
+        return PSeries._make(self.variable, list(self.coeffs), order)
 
     def __getitem__(self, k):
         return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
@@ -61,17 +70,18 @@ class PSeries(Ring):
     def __add__(self, other):
         other = self._lift(other)
         n = min(self.order, other.order)
-        return PSeries(self.variable,
-                       [self[k] + other[k] for k in range(n + 1)], n)
+        return PSeries._make(self.variable,
+                             [self[k] + other[k] for k in range(n + 1)], n)
 
     def __neg__(self):
-        return PSeries(self.variable, [-c for c in self.coeffs], self.order)
+        return PSeries._make(self.variable, [-c for c in self.coeffs],
+                             self.order)
 
     def __mul__(self, other):
         other = self._lift(other)
         n = min(self.order, other.order)
         out = dense_mul(self.coeffs, other.coeffs, n + 1)
-        return PSeries(self.variable, out, n)
+        return PSeries._make(self.variable, out, n)
 
     def inverse(self):
         """Multiplicative inverse; requires a unit (nonzero constant term)."""
@@ -85,7 +95,7 @@ class PSeries(Ring):
             for j in range(1, k + 1):
                 s += self[j] * out[k - j]
             out[k] = -inv0 * s
-        return PSeries(self.variable, out, self.order)
+        return PSeries._make(self.variable, out, self.order)
 
     def __str__(self):
         var = self.variable

@@ -47,6 +47,12 @@ class TestBasics:
         with pytest.raises(ZeroDivisorError):
             AlgNum(m, [-1, 1]).inverse()
 
+    def test_minimal_polynomial_must_be_monic_with_integer_coefficients(self):
+        with pytest.raises(ValueError, match="monic"):
+            AlgNum((F(-1), F(0), F(2)), [1])
+        with pytest.raises(ValueError, match="integer content"):
+            AlgNum((F(-1, 2), F(0), F(1)), [1])
+
     def test_reduction_of_high_degree_input(self):
         # a length-7 vector encodes q^6, which reduces to 15 q^3 + 45
         assert alg([0, 0, 0, 0, 0, 0, 1]) == alg([45, 0, 0, 15, 0, 0])

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+
+END_TO_END = json.loads((_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
 def _run(workload, seed, side, op_s, items_per_s=100.0, failed=0,
@@ -37,7 +40,7 @@ def test_medians_quartiles_and_wins():
         for side in bench_pairs.pair_order(seed):
             runs.append(_run("bridge", seed, side, p if side == "parent" else c,
                              items_per_s=1 / (p if side == "parent" else c)))
-    summary = bench_pairs.summarize(runs)
+    summary = bench_pairs.summarize(runs, END_TO_END)
     assert list(summary) == ["bridge"]
     row = summary["bridge"]
     assert (row["pairs"], row["seeds"]) == (4, [1, 2, 3, 4])
@@ -56,6 +59,24 @@ def test_medians_quartiles_and_wins():
     assert rate["better"] == "higher" and rate["change_wins"] == "3/4"
     setup = row["metrics"]["setup_s"]
     assert setup["change_vs_parent"] == 0 and setup["change_wins"] == "0/4"
+    assert not any(m["beyond_bound"] for m in row["metrics"].values())
+
+
+def test_metrics_and_bounds_come_from_the_benchmark_file():
+    runs = [_run("certify", 1, "parent", 0.080, items_per_s=100.0),
+            _run("certify", 1, "change", 0.101, items_per_s=74.0)]
+    metrics = [{"name": "op_s", "better": "lower", "bound": 0.25},
+               {"name": "items_per_s", "better": "higher", "bound": 0.25},
+               {"name": "setup_s", "better": "lower", "bound": 0.0}]
+    row = bench_pairs.summarize(runs, metrics)["certify"]["metrics"]
+    assert list(row) == ["op_s", "items_per_s", "setup_s"]
+    # op_s 26 % slower, items_per_s 26 % lower: both past a 25 % bound
+    assert row["op_s"]["beyond_bound"] and row["items_per_s"]["beyond_bound"]
+    assert not row["setup_s"]["beyond_bound"]       # equal is not worse
+    runs[1] = _run("certify", 1, "change", 0.099, items_per_s=76.0)
+    row = bench_pairs.summarize(runs, metrics)["certify"]["metrics"]
+    assert not row["op_s"]["beyond_bound"]
+    assert not row["items_per_s"]["beyond_bound"]
 
 
 def test_workloads_kept_apart_and_failures_counted():
@@ -63,7 +84,7 @@ def test_workloads_kept_apart_and_failures_counted():
             _run("certify", 7, "change", 0.07, failed=2),
             _run("drift", 7, "change", 0.3, correct=False),
             _run("drift", 7, "parent", 0.2)]
-    summary = bench_pairs.summarize(runs)
+    summary = bench_pairs.summarize(runs, END_TO_END)
     assert list(summary) == ["certify", "drift"]
     assert summary["certify"]["failed"] == 2 and summary["certify"]["correct"]
     op = summary["certify"]["metrics"]["op_s"]
@@ -97,7 +118,7 @@ def test_lost_runs_leave_their_pair_out():
              "result": {"returncode": None, "stderr": "timed out"}},
             {"workload": "certify", "seed": 1, "side": "parent",
              "result": {"returncode": 1, "stderr": "Traceback"}}]
-    summary = bench_pairs.summarize(runs)
+    summary = bench_pairs.summarize(runs, END_TO_END)
     assert summary["bridge"]["seeds"] == [1] and summary["bridge"]["lost"] == 1
     assert summary["bridge"]["metrics"]["op_s"]["change_wins"] == "1/1"
     assert summary["certify"]["pairs"] == 0 and summary["certify"]["lost"] == 1
@@ -127,9 +148,9 @@ def test_run_seconds_come_from_both_checkouts(tmp_path):
         (tmp_path / name / "BENCHMARK.json").write_text(
             json.dumps({"run_seconds": secs}))
         roots.append(str(tmp_path / name))
-    assert bench_pairs.run_seconds(roots[:2]) == 30
-    with pytest.raises(SystemExit):
-        bench_pairs.run_seconds(roots)
+    assert bench_pairs.benchmark_field(roots[:2], "run_seconds") == 30
+    with pytest.raises(SystemExit, match="disagree on run_seconds"):
+        bench_pairs.benchmark_field(roots, "run_seconds")
 
 
 def test_checkouts_with_bytecode_are_refused(tmp_path):
@@ -170,7 +191,7 @@ def test_each_traced_workload_runs_alternating_pairs(tmp_path, monkeypatch):
     for name in ("parent", "change"):
         (tmp_path / name).mkdir()
         (tmp_path / name / "BENCHMARK.json").write_text(
-            json.dumps({"run_seconds": 30}))
+            json.dumps({"run_seconds": 30, "end_to_end": END_TO_END}))
         roots.append(str(tmp_path / name))
     calls = []
 
@@ -191,3 +212,4 @@ def test_each_traced_workload_runs_alternating_pairs(tmp_path, monkeypatch):
     assert [r["pair"] for r in doc["traced"]] == [1, 1, 2, 2, 3, 3]
     assert doc["traced_summary"]["certify"]["pairs"] == bench_pairs.TRACED_PAIRS
     assert "pair" not in doc["runs"][0]
+    assert doc["summary"]["bridge"]["metrics"]["op_s"]["beyond_bound"] is False

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import mpoly_strategy, small_fractions
+from hekdv.algnum import AlgNum
 from hekdv.curve import sylvester_resultant
+from hekdv.errors import ZeroDivisorError
 from hekdv.phiring import (MINPOLY_Q, PhiRingElem, printed_forms,
                            sextic_relation, verify_appendix_forms)
 from hekdv.poly import MPoly, dense_divmod, dense_inverse, dense_mul, dense_trim
@@ -123,6 +125,33 @@ class TestPhiRingAgainstSympy:
                          phi)
         got = PhiRingElem.from_mpoly(f) * PhiRingElem.from_mpoly(g)
         assert sympy.expand(self.as_sympy(got) - want) == 0
+
+
+# Q[q]/(q^6 - 15q^3 - 45) of ex-A.3, and q^2 - 1, which has zero divisors
+ALGNUM_MODULI = st.sampled_from([MINPOLY_Q, (F(-1), ZERO, F(1))])
+# up to q^8, so a representative may need reducing
+algnum_lists = st.lists(small_fractions, max_size=9)
+
+
+class TestAlgNumAgainstSympy:
+    @oracle_settings
+    @given(ALGNUM_MODULI, algnum_lists, algnum_lists)
+    def test_product_is_sympy_rem(self, m, a, b):
+        want = sympy.rem(to_sympy(a) * to_sympy(b), to_sympy(m))
+        got = AlgNum(m, a) * AlgNum(m, b)
+        assert got.poly.degree_in("q") < len(m) - 1
+        assert got == AlgNum(m, from_sympy(want))
+
+    @oracle_settings
+    @given(ALGNUM_MODULI, algnum_lists)
+    def test_inverse_is_sympy_invert(self, m, a):
+        try:
+            want = from_sympy(sympy.invert(to_sympy(a), to_sympy(m)))
+        except sympy.polys.polyerrors.NotInvertible:
+            with pytest.raises(ZeroDivisorError):
+                AlgNum(m, a).inverse()
+            return
+        assert AlgNum(m, a).inverse() == AlgNum(m, want)
 
 
 # a dividend up to phi^14, so a low monic divisor needs several passes

@@ -43,14 +43,35 @@ class TestRing:
 
 
     def test_no_dense_routine_runs(self, monkeypatch):
+        """Products in both quotient rings are one MPoly product and one
+        rem_monic; only AlgNum.inverse runs a dense routine."""
         def refuse(*args, **kwargs):
             raise AssertionError("a dense routine ran")
-        for name in ("dense_mul", "dense_divmod"):
+        for name in ("dense_mul", "dense_divmod", "dense_inverse"):
             monkeypatch.setattr(hekdv.poly, name, refuse)
-            monkeypatch.setattr(hekdv.algnum, name, refuse)
+        monkeypatch.setattr(hekdv.algnum, "dense_inverse", refuse)
         x = PhiRingElem([w3, w5, 1, 2, w3 * w5, w3 ** 2, 7])
         assert x * x ** 3 == x ** 4 and (x - x).is_zero
         assert verify_appendix_forms().passed and verify_ratc().passed
+        q = AlgNum.generator(MINPOLY_Q)
+        y = q ** 5 * F(1, 3) + q - 2
+        assert y * y ** 3 == y ** 4 and (y - y).is_zero
+        assert q ** 6 == q ** 3 * 15 + 45
+        with pytest.raises(AssertionError, match="dense routine"):
+            q.inverse()
+
+    @pytest.mark.parametrize("a, b", [
+        (AlgNum.generator(MINPOLY_Q), PhiRingElem.const(1)),
+        (AlgNum.const(MINPOLY_Q, 1), phi_reduce(phi)),
+        (AlgNum.generator(MINPOLY_Q), AlgNum.generator((-1, 0, 1))),
+    ])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub,
+                                    operator.mul, operator.eq])
+    def test_mixed_quotient_rings_raise_value_error(self, a, b, op):
+        with pytest.raises(ValueError, match="mixed quotient rings"):
+            op(a, b)
+        with pytest.raises(ValueError, match="mixed quotient rings"):
+            op(b, a)
 
 
 class TestCoercion:

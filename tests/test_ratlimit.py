@@ -1,5 +1,7 @@
 from fractions import Fraction as F
 
+import pytest
+
 from hekdv.poly import MPoly, standard_weights, variables
 from hekdv.ratfun import RatFn
 from hekdv.ratlimit import (genus2_DE, kdv_residuals, printed_U, printed_V,
@@ -28,6 +30,12 @@ class TestSigma:
         s2 = sigma_rational(2)
         assert s2.partial("1") == w1 ** 2
         assert s2.partial("3") == MPoly.const(-1)
+
+    def test_built_once_per_genus(self):
+        assert sigma_rational(3) is sigma_rational(3)
+        assert sigma_rational(2) is not sigma_rational(3)
+        with pytest.raises(TypeError):
+            sigma_rational(3).partials["1"] = MPoly.zero()
 
 
 class TestXi:
