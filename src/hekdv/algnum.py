@@ -6,8 +6,9 @@ tail has an integer content.  A product is one MPoly product and one
 remainder; a sum keeps the degree and is not reduced.  An element hashes
 as its polynomial, so a constant hashes as its value.  Elements of two
 moduli do not mix: ValueError.  ``AlgNum`` is Q[q]/(m) for a monic m with
-integer coefficients; its inverse is ``poly.dense_inverse`` on the
-coefficient list, and an element sharing a factor with m raises
+integer coefficients; the inverse of a constant c is the constant 1 / c,
+that of any other element ``poly.dense_inverse`` on the coefficient list,
+and zero or an element sharing a factor with m raises
 ``ZeroDivisorError``.
 """
 
@@ -120,11 +121,16 @@ class AlgNum(QuotientElem):
         return AlgNum(minpoly, [c])
 
     def inverse(self):
-        """Extended-Euclid inverse modulo the minimal polynomial."""
-        name, degree, tail = self.modulus
-        minpoly = _dense(MPoly.var(name, degree) - tail, name, degree + 1)
-        inv = dense_inverse(_dense(self.poly, name, degree), minpoly)
-        if inv is None:
-            raise ZeroDivisorError("zero, or shares a factor with the "
-                                   "modulus: not invertible")
-        return self._make(in_powers(name, inv))
+        """The inverse modulo the minimal polynomial: 1 / c for a constant
+        c, the extended-Euclid inverse for any other element."""
+        c = self.poly.as_constant()
+        if c is None:
+            name, degree, tail = self.modulus
+            minpoly = _dense(MPoly.var(name, degree) - tail, name, degree + 1)
+            inv = dense_inverse(_dense(self.poly, name, degree), minpoly)
+            if inv is not None:
+                return self._make(in_powers(name, inv))
+        elif c:
+            return self._make(MPoly.const(1 / c))
+        raise ZeroDivisorError("zero, or shares a factor with the "
+                               "modulus: not invertible")

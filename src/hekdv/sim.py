@@ -9,9 +9,16 @@ is unrolled into one generated step function, built on first use,
 _dp_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol), which also returns the
 error norm, whether the trial state is finite and its largest modulus;
 ``_rms`` serves only the initial step.  The state and each of the seven
-stages are 4-tuples of Python complex numbers, so complex seeds (curve
-points with negative ordinate squares) are advanced directly, and the error
-norm measures each component by its modulus.
+stages are 4-tuples of Python numbers whose type follows the seed: a seed
+whose four components have zero imaginary part runs on floats, any other
+(curve points with negative ordinate squares) on complex numbers, and the
+error norm measures each component by its modulus.  The tables have real
+coefficients, so a real state has a real derivative and a real run stays
+real.  The generated sources write every power as a product chain, the
+one CPython's ``complex ** int`` makes: a complex evaluation has the
+values of ``**``, and a float evaluation is the real part of the complex
+one on the same real state, bit for bit, as the same products of the
+same real numbers are rounded once each.
 """
 
 import cmath
@@ -42,6 +49,24 @@ def _number(value, error, what):
 
 # -- compiling exact tables into fast numeric callables ---------------------
 
+def _power_source(v, e):
+    """Source of v^e (e >= 1) as the product chain of CPython's complex
+    ** int: binary powering from the lowest bit, each square written
+    (p*p), so v^3 is (v*(v*v)) and v^6 is ((v*v)*((v*v)*(v*v))).  On a
+    complex v it has the value of v ** e, to the bit apart from the sign
+    of a zero part (** starts from 1 * v, which turns -0.0 into 0.0); a
+    float ** would call libm's pow instead, which may differ in the last
+    bit."""
+    result, square = None, v
+    while True:
+        if e & 1:
+            result = square if result is None else f"({result}*{square})"
+        e >>= 1
+        if not e:
+            return result
+        square = f"({square}*{square})"
+
+
 def _poly_source(p: MPoly):
     if p.is_zero:
         return "0.0"
@@ -50,14 +75,14 @@ def _poly_source(p: MPoly):
         c = _number(c, ConfigError, "a coefficient of the curve's tables").real
         factors = [repr(c)]
         for v, e in mono:
-            factors.append(v if e == 1 else f"{v}**{e}")
+            factors.append(_power_source(v, e))
         parts.append("*".join(factors))
     return "(" + "+".join(parts) + ")"
 
 
-def _bind_numeric(rfs, params: CurveParams):
-    """Compile u-space rational functions into one f(u2, u4, u5, u7) that
-    returns their values as a tuple, in the given order."""
+def _numeric_source(rfs, params: CurveParams):
+    """Source of one lambda u2, u4, u5, u7 that returns the values of the
+    u-space rational functions as a tuple, in the given order."""
     if not (params.is_numeric and params.genus == 3):
         raise ConfigError("simulation needs a genus-3 curve with numeric "
                           "parameters")
@@ -68,8 +93,12 @@ def _bind_numeric(rfs, params: CurveParams):
         if den.as_constant() != 1:
             body = f"{body} / {_poly_source(den)}"
         bodies.append(body)
-    code = f"lambda {', '.join(U_VARS)}: ({', '.join(bodies)},)"
-    return eval(code, {"__builtins__": {}})
+    return f"lambda {', '.join(U_VARS)}: ({', '.join(bodies)},)"
+
+
+def _bind_numeric(rfs, params: CurveParams):
+    """Compile u-space rational functions into one f(u2, u4, u5, u7)."""
+    return eval(_numeric_source(rfs, params), {"__builtins__": {}})
 
 
 # every CompiledFlow/CompiledIntegrals of one (flow, params) shares one
@@ -109,6 +138,11 @@ class CompiledIntegrals:
 
 @dataclass(frozen=True)
 class SimState:
+    """A point of the symmetric square in the chart (u2, u4, u5, u7).
+
+    ``seed_state`` builds the components as complex numbers; the states of
+    a trajectory hold floats when its seed was real, complex otherwise."""
+
     u2: complex
     u4: complex
     u5: complex
@@ -184,7 +218,8 @@ def seed_state(params: CurveParams, p1, p2):
     abscissas must differ.  The two invariants are checked against their
     curve values at 1e-10.  A zero abscissa is a valid seed; the rational
     flows refuse it in ``integrate``, as u4 - u2^2 = -x1*x2 vanishes there.
-    Any of these numbers outside the float range raises SeedError.
+    Any of these numbers, the two invariants at the seed too, outside the
+    float range raises SeedError.
     """
     integrals = CompiledIntegrals(params)
     x1, y1, x2, y2 = (_number(v, SeedError, "a point coordinate")
@@ -204,10 +239,10 @@ def seed_state(params: CurveParams, p1, p2):
     u7 = (y1 + y2) / 2
     state = tuple(_number(u, SeedError, "the seed state")
                   for u in (u2, u4, u5, u7))
-    hvals = integrals(state)
     targets = [_number(params.coefficient(n).as_constant(), ConfigError,
                        n).real for n in ("y12", "y14")]
-    for tag, hv, want in zip(("H12", "H14"), hvals, targets):
+    for tag, hv, want in zip(("H12", "H14"), integrals(state), targets):
+        hv = _number(hv, SeedError, f"{tag} at the seed")
         scale = max(1.0, abs(hv), abs(want))
         if abs(hv - want) > 1e-10 * scale:
             raise SeedError(f"{tag} residual {abs(hv - want):g} above seeding tolerance")
@@ -296,12 +331,16 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     A negative t_end runs the flow backwards: every step is taken as -h,
     and the sample times run from 0 down to t_end.  Samples are collected
     at accepted steps; the two invariants are evaluated alongside each
-    sample.  A rational flow refuses a seed on its singular set u4 = u2^2
-    (SeedError); steps that would bring |u4 - u2^2| below 1e-8 times its
-    initial size are rejected, and the run aborts with the partial
-    trajectory once the step size underflows.  A span or tolerances that
-    no step control can honour raise ConfigError.  The trajectory, also a
-    partial one, carries the step statistics.
+    sample.  A seed whose four components have zero imaginary part runs
+    on the floats of their real parts, so its samples hold floats; the
+    values are the real parts of the complex run from the same seed.  Any
+    other seed runs on complex numbers.  A rational flow refuses a seed on
+    its singular set u4 = u2^2 (SeedError); steps that would bring
+    |u4 - u2^2| below 1e-8 times its initial size are rejected, and the
+    run aborts with the partial trajectory once the step size underflows.
+    A span or tolerances that no step control can honour raise
+    ConfigError.  The trajectory, also a partial one, carries the step
+    statistics.
     """
     span = float(t_end)
     if not math.isfinite(span):
@@ -322,8 +361,10 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     length = abs(span)
     guard = flow in T_FLOWS
     y = s0.vector()
+    if not any(v.imag for v in y):
+        y = tuple([float(v.real) for v in y])
     t = 0.0
-    v0 = abs(y[1] - y[0] ** 2)
+    v0 = abs(y[1] - y[0] * y[0])
     if guard and v0 == 0:
         raise SeedError("seed sits on the singular set u4 = u2^2")
     guard_floor = 1e-8 * max(v0, 1e-30)
@@ -351,7 +392,8 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
                                                      rel_tol, abs_tol)
             steps += 1
             bad = (not finite
-                   or guard and abs(y_new[1] - y_new[0] ** 2) < guard_floor)
+                   or guard and abs(y_new[1] - y_new[0] * y_new[0])
+                   < guard_floor)
             if err <= 1.0 and not bad:
                 t += h
                 y = y_new

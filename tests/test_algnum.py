@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
+from hekdv import algnum
 from hekdv.algnum import AlgNum
 from hekdv.errors import ZeroDivisorError
+from hekdv.poly import dense_inverse
 
 # q^6 = 15 q^3 + 45
 M = (F(-45), F(0), F(0), F(-15), F(0), F(0), F(1))
@@ -40,6 +43,28 @@ class TestBasics:
     def test_zero_not_invertible(self):
         with pytest.raises(ZeroDivisorError):
             alg([0]).inverse()
+
+    def test_constant_inverse_skips_the_dense_path(self, monkeypatch):
+        rng = random.Random(25)
+        constants = [F(rng.randint(-10 ** 6, 10 ** 6) or 1,
+                       rng.randint(1, 10 ** 6)) for _ in range(50)]
+        calls = []
+
+        def counting(a, m):
+            calls.append(a)
+            return dense_inverse(a, m)
+
+        monkeypatch.setattr(algnum, "dense_inverse", counting)
+        for c in constants:
+            assert alg([c]).inverse() == alg(dense_inverse([c], M))
+            assert alg([3, 1]) / c == alg([3, 1]) * (1 / c)
+        assert calls == []
+        with pytest.raises(ZeroDivisorError, match="zero, or shares a factor"):
+            alg([0]).inverse()
+        assert calls == []
+        # any other element still runs the extended Euclid
+        AlgNum.generator(M).inverse()
+        assert len(calls) == 1
 
     def test_zero_divisor_detected(self):
         # modulus (q-1)(q+1): q-1 shares a factor

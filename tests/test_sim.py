@@ -1,7 +1,9 @@
 import cmath
+import hashlib
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -127,6 +129,21 @@ class TestSeeding:
         with pytest.raises(SeedError, match="seed state"):
             seed_state(params, (tiny, F(1)), (2 * tiny, F(-1)))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                     complex(1.0, math.inf)])
+    @pytest.mark.parametrize("which", [0, 1], ids=["H12", "H14"])
+    def test_non_finite_invariants_rejected(self, monkeypatch, bad, which):
+        # |inf - want| > tol * inf and |nan - want| > ... are both False
+        def integrals(self, state4):
+            values = [1.0, 1.0]
+            values[which] = bad
+            return tuple(values)
+
+        monkeypatch.setattr(CompiledIntegrals, "__call__", integrals)
+        tag = ("H12", "H14")[which]
+        with pytest.raises(SeedError, match=f"{tag} at the seed lies outside"):
+            seed_state(PARAMS, P1, P2)
+
     @pytest.mark.parametrize("params", [
         CurveParams.symbolic(3),
         CurveParams.numeric(2, [0, 0, 1, 1]),
@@ -193,6 +210,8 @@ class TestIntegration:
         s = seed_state(PARAMS, (F(0), y0), P2)
         traj = integrate("I", s, 0.2, params=PARAMS)
         assert max(traj.relative_drift()) <= 1e-8
+        for _, y, h12, h14 in traj.samples:
+            assert all(type(v) is complex for v in (*y, h12, h14))
 
     def test_t_flow_singularity_abort(self):
         # u4 - u2^2 = -x1*x2 shrinks through zero along T1 from this seed
@@ -433,14 +452,14 @@ class TestGeneratedStep:
     """The generated _dp_attempt against the tableau as a plain loop."""
 
     @pytest.mark.parametrize("flow", ["I", "II", "T1", "T3"])
-    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["real", "complex", "float"])
     def test_matches_reference_loop(self, flow, kind):
         rng = random.Random(f"{flow}-{kind}")
         rhs = CompiledFlow(flow, PARAMS)
         attempt = sim._build_dp_attempt()
 
         def draw():
-            if kind == "real":
+            if kind in ("real", "float"):
                 return rng.uniform(-2, 2)
             return complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
 
@@ -458,6 +477,15 @@ class TestGeneratedStep:
                 got = attempt(*args)
                 assert got == reference_attempt(*args), (y, hs)
                 assert got[3] is True
+                if kind == "float":
+                    # the same attempt on the state as complex numbers
+                    yc = tuple(map(complex, y))
+                    on_c = attempt(rhs, yc, rhs(yc), hs, h, rel_tol, abs_tol)
+                    assert got[2:] == on_c[2:]
+                    for mine, theirs in zip((*got[0], *got[1]),
+                                            (*on_c[0], *on_c[1])):
+                        assert type(mine) is float
+                        assert mine == theirs.real and theirs.imag == 0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf,
                                        complex(math.inf, math.nan)],
@@ -489,6 +517,16 @@ class TestGeneratedStep:
             with pytest.raises(OverflowError):
                 step(rhs, y, rhs(y), 1e-3, 1e-3, 1e-12, 1e-14)
 
+    def test_overflowing_power_is_not_finite(self):
+        # (1e200)^2 overflows: the product chain gives inf and nan where
+        # ** raised OverflowError, and the attempt flags its trial state
+        rhs = CompiledFlow("T3", PARAMS)
+        attempt = sim._build_dp_attempt()
+        for y in ((1e200, 0.5, 0.25, 1.0), (1e200 + 0j, 0.5, 0.25, 1.0)):
+            _, _, err, finite, _ = attempt(rhs, y, rhs(y), 1e-3, 1e-3,
+                                           1e-12, 1e-14)
+            assert finite is False and not err <= 1.0
+
     def test_built_on_first_integration_only(self):
         src = str(Path(hekdv.__file__).resolve().parents[1])
         code = ("import sys, hekdv.cli, hekdv.sim; "
@@ -502,6 +540,80 @@ class TestGeneratedStep:
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def table_sources():
+    """(name, generated source) of the four flows and the integrals."""
+    out = [(flow, sim._numeric_source(
+        [flow_table(flow).entries[u] for u in U_VARS], PARAMS))
+        for flow in ("I", "II", "T1", "T3")]
+    out.append(("integrals", sim._numeric_source(first_integrals(), PARAMS)))
+    return out
+
+
+class TestFloatPath:
+    """A real seed runs on floats: the generated tables write powers as
+    products, so a float evaluation is the real part of the complex one."""
+
+    def test_sources_hold_no_power_operator(self):
+        for name, source in table_sources():
+            assert "**" not in source, name
+            assert "*" in source, name
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_chain_is_complex_power(self, kind):
+        rng = random.Random(f"chain-{kind}")
+        for _ in range(300):
+            x = rng.uniform(-3, 3)
+            z = complex(x, 0.0 if kind == "real" else rng.uniform(-3, 3))
+            for e in range(1, 13):
+                chain = eval(sim._power_source("v", e), {"v": z})
+                want = z ** e
+                assert bits(chain.real) == bits(want.real), (z, e)
+                # ** starts from 1 * z, which may flip the sign of a zero
+                # part; a nonzero part agrees to the bit
+                assert chain.imag == want.imag, (z, e)
+                if want.imag:
+                    assert bits(chain.imag) == bits(want.imag), (z, e)
+                if kind == "real":
+                    on_float = eval(sim._power_source("v", e), {"v": x})
+                    assert bits(on_float) == bits(want.real), (x, e)
+
+    @pytest.mark.parametrize("table", ["I", "II", "T1", "T3", "integrals"])
+    def test_float_values_are_real_parts(self, table):
+        fn = (CompiledIntegrals(PARAMS) if table == "integrals"
+              else CompiledFlow(table, PARAMS))
+        rng = random.Random(f"real-parts-{table}")
+        for _ in range(1000):
+            y = tuple(rng.uniform(-2, 2) for _ in range(4))
+            on_floats = fn(y)
+            on_complex = fn(tuple(map(complex, y)))
+            for got, want in zip(on_floats, on_complex):
+                assert type(got) is float and type(want) is complex
+                assert got == want.real and want.imag == 0, y
+
+    def test_real_seed_runs_on_floats(self, s0, monkeypatch):
+        assert all(type(v) is complex for v in s0.vector())
+        traj = integrate("T1", s0, 0.1, params=PARAMS)
+        for _, y, h12, h14 in traj.samples:
+            assert all(type(v) is float for v in (*y, h12, h14))
+        assert all(type(v) is float for v in traj.final_state().vector())
+        # a field that returns complex numbers makes the stages, hence every
+        # state after the seed, complex: the float run is its real part
+        call = CompiledFlow.__call__
+        monkeypatch.setattr(CompiledFlow, "__call__", lambda self, state4:
+                            tuple(map(complex, call(self, state4))))
+        on_c = integrate("T1", s0, 0.1, params=PARAMS)
+        assert type(on_c.samples[-1][1][0]) is complex
+        assert on_c.step_stats() == traj.step_stats()
+        for (t, y, h12, h14), (tc, yc, h12c, h14c) in zip(traj.samples,
+                                                          on_c.samples):
+            assert t == tc and y == tuple(v.real for v in yc)
+            assert (h12, h14) == (complex(h12c).real, complex(h14c).real)
 
 
 class TestCommute:
@@ -532,3 +644,27 @@ class TestCsv:
         assert float(first[0]) == 0.0
         # 17 significant digits survive the round trip
         assert float(first[2]) == 0.25
+
+
+# sha256 of what scripts/drift_experiment.py writes, taken from the complex
+# simulator before real seeds ran on floats
+DRIFT_DIGESTS = {
+    "stdout": "892f187bb7eab74e393a883d2a1d02b1c1d13fce15e6cbf2bfdc75358a8c83a9",
+    "drift_sweep.csv":
+        "dcf437ebc2cd2e7b05c6f4ae70c14a751ffcd2f76da28b248513582acaaf6a91",
+    "trajectory_I.csv":
+        "db9c4b1076675b93bf750fdae0157a0146c8a1c8480fde3a3447b25ab9f59775",
+}
+
+
+def test_drift_experiment_outputs_are_pinned(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "drift_experiment.py")],
+        cwd=tmp_path, env=env, capture_output=True, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
+    got = {"stdout": hashlib.sha256(done.stdout).hexdigest()}
+    for name in ("drift_sweep.csv", "trajectory_I.csv"):
+        got[name] = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+    assert got == DRIFT_DIGESTS
