@@ -80,9 +80,9 @@ def _poly_source(p: MPoly):
     return "(" + "+".join(parts) + ")"
 
 
-def _numeric_source(rfs, params: CurveParams):
-    """Source of one lambda u2, u4, u5, u7 that returns the values of the
-    u-space rational functions as a tuple, in the given order."""
+def _bind_numeric(rfs, params: CurveParams):
+    """Compile u-space rational functions into one f(u2, u4, u5, u7) that
+    returns their values as a tuple, in the given order."""
     if not (params.is_numeric and params.genus == 3):
         raise ConfigError("simulation needs a genus-3 curve with numeric "
                           "parameters")
@@ -93,12 +93,8 @@ def _numeric_source(rfs, params: CurveParams):
         if den.as_constant() != 1:
             body = f"{body} / {_poly_source(den)}"
         bodies.append(body)
-    return f"lambda {', '.join(U_VARS)}: ({', '.join(bodies)},)"
-
-
-def _bind_numeric(rfs, params: CurveParams):
-    """Compile u-space rational functions into one f(u2, u4, u5, u7)."""
-    return eval(_numeric_source(rfs, params), {"__builtins__": {}})
+    code = f"lambda {', '.join(U_VARS)}: ({', '.join(bodies)},)"
+    return eval(code, {"__builtins__": {}})
 
 
 # every CompiledFlow/CompiledIntegrals of one (flow, params) shares one
