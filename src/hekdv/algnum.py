@@ -91,10 +91,15 @@ _set_modulus = QuotientElem.modulus.__set__
 
 @lru_cache(maxsize=None)
 def _modulus(minpoly):
-    """(name, degree, tail) of the monic minpoly = q^degree - tail."""
+    """(name, degree, tail) of the monic minpoly = q^degree - tail.
+
+    Reducing q^degree checks the tail once: ``rem_monic`` looks at it only
+    when it has a term to reduce."""
     if not minpoly or minpoly[-1] != 1:
         raise ValueError("minimal polynomial must be monic")
-    return "q", len(minpoly) - 1, -in_powers("q", minpoly[:-1])
+    modulus = "q", len(minpoly) - 1, -in_powers("q", minpoly[:-1])
+    MPoly.var("q", modulus[1]).rem_monic(*modulus)
+    return modulus
 
 
 def _dense(p, name, degree):

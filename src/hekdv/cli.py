@@ -8,10 +8,9 @@ configuration errors.
 import argparse
 import json
 import sys
-import traceback
 from fractions import Fraction
+from importlib import import_module
 
-from . import phiring, ratlimit, sim, verify_hierarchy, verify_tables
 from .curve import CurveParams, in_Bg
 from .errors import ConfigError, MemoryCapExceeded, SeedError, SingularityAbort
 from .report import emit_report
@@ -21,14 +20,20 @@ DEFAULT_Y = ("0", "0", "0", "0", "1", "1")          # Q = X^7 + X - 1
 DEFAULT_P1 = ("1", "1")
 DEFAULT_P2 = ("2", "auto")
 
+
+def _suite(module, name):
+    """The suite ``name`` of hekdv.<module>, which loads when the suite runs."""
+    return lambda: getattr(import_module(f"hekdv.{module}"), name)()
+
+
 SUITES = {
-    "bm": lambda: verify_tables.suite_bm(),
-    "integrals": lambda: verify_tables.suite_integrals(),
-    "hamiltonian": lambda: verify_tables.suite_hamiltonian(),
-    "dkdv": lambda: verify_hierarchy.suite_dkdv(),
-    "psi": lambda: verify_hierarchy.suite_psi(),
-    "rational": lambda: ratlimit.suite_rational(),
-    "appendix": lambda: phiring.suite_appendix(),
+    "bm": _suite("verify_tables", "suite_bm"),
+    "integrals": _suite("verify_tables", "suite_integrals"),
+    "hamiltonian": _suite("verify_tables", "suite_hamiltonian"),
+    "dkdv": _suite("verify_hierarchy", "suite_dkdv"),
+    "psi": _suite("verify_hierarchy", "suite_psi"),
+    "rational": _suite("ratlimit", "suite_rational"),
+    "appendix": _suite("phiring", "suite_appendix"),
 }
 SUITE_ORDER = ("bm", "integrals", "hamiltonian", "dkdv", "rational", "appendix")
 
@@ -61,6 +66,7 @@ def _parse_point(text, params):
         raise ConfigError("points are given as x,y (y may be 'auto')")
     x = _rational(parts[0])
     if parts[1] == "auto":
+        from . import sim
         y = sim.curve_ordinate(params, x)
     else:
         y = _rational(parts[1])
@@ -92,6 +98,7 @@ def _cmd_verify(ns):
 
 
 def _cmd_simulate(ns):
+    from . import sim
     params = _build_params(ns)
     p1 = _parse_point(ns.p1, params)
     p2 = _parse_point(ns.p2, params)
@@ -122,6 +129,7 @@ def _cmd_simulate(ns):
 
 
 def _cmd_series(ns):
+    from . import phiring
     series = phiring.phi_series_example1(ns.order)
     doc = {
         "series": "phi(t) branch through the origin at w5 = 1",
@@ -134,6 +142,7 @@ def _cmd_series(ns):
 
 
 def _cmd_commute(ns):
+    from . import sim
     params = _build_params(ns)
     flows = tuple(f.strip() for f in ns.flows.split(","))
     if len(flows) != 2:
@@ -212,6 +221,7 @@ def run(argv=None):
         return 1
     except Exception as exc:
         # a fault of the program, not of its input
+        import traceback
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,6 @@ exact rationals (numeric mode), formal symbols (symbolic mode), or a mix
 (used internally, e.g. to pin only the two deformation parameters to 0).
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError, ModeError
@@ -17,21 +16,33 @@ def y_symbols(genus):
     return tuple(f"y{2 * j}" for j in range(2, 2 * genus + 2))
 
 
-@dataclass(frozen=True)
 class CurveParams:
-    """Genus plus the 2g curve parameters; None marks a formal symbol."""
+    """Genus plus the 2g curve parameters; None marks a formal symbol.
 
-    genus: int
-    ys: tuple
+    Immutable: a curve is a key of the lru caches, and two curves with the
+    same genus and parameters compare equal and hash alike.
+    """
 
-    def __post_init__(self):
-        if self.genus not in (2, 3):
-            raise ConfigError(f"supported genera are 2 and 3, got {self.genus}")
-        if len(self.ys) != 2 * self.genus:
-            raise ConfigError(
-                f"genus {self.genus} needs {2 * self.genus} parameters")
-        object.__setattr__(self, "ys", tuple(
-            None if v is None else Fraction(v) for v in self.ys))
+    __slots__ = ("genus", "ys")
+
+    def __init__(self, genus, ys):
+        if genus not in (2, 3):
+            raise ConfigError(f"supported genera are 2 and 3, got {genus}")
+        if len(ys) != 2 * genus:
+            raise ConfigError(f"genus {genus} needs {2 * genus} parameters")
+        _set_genus(self, genus)
+        _set_ys(self, tuple(None if v is None else Fraction(v) for v in ys))
+
+    def __setattr__(self, *_):
+        raise AttributeError("CurveParams is immutable")
+
+    def __eq__(self, other):
+        if type(other) is not CurveParams:
+            return NotImplemented
+        return self.genus == other.genus and self.ys == other.ys
+
+    def __hash__(self):
+        return hash((self.genus, self.ys))
 
     @staticmethod
     def symbolic(genus):
@@ -71,6 +82,11 @@ class CurveParams:
         mapping = {name: v for name, v in zip(y_symbols(self.genus), self.ys)
                    if v is not None}
         return p.subst(mapping) if mapping else p
+
+
+# the slot setters, past the immutability guard
+_set_genus = CurveParams.genus.__set__
+_set_ys = CurveParams.ys.__set__
 
 
 def curve_Q(params, xvar="X1"):

@@ -14,8 +14,6 @@ field arithmetic would reach.  Compatibility with the curve relation is a
 polynomial identity between the coefficients.
 """
 
-from dataclasses import dataclass
-
 from .errors import ConfigError
 from .poly import MPoly, sum_polys
 from .symsq import SymSqElem, SymSqField, clear_denominator
@@ -23,17 +21,21 @@ from .symsq import SymSqElem, SymSqField, clear_denominator
 _GEN_NAMES = ("X1", "Y1", "X2", "Y2")
 
 
-@dataclass(frozen=True)
 class Derivation:
-    name: str
-    field: SymSqField
-    coeffs: dict   # generator name -> MPoly coefficient over den
-    den: MPoly
+    """The derivation ``name`` of ``field``: the coefficient of each
+    coordinate generator (``coeffs``, generator name -> MPoly) over the
+    common denominator ``den``."""
 
-    def __post_init__(self):
-        missing = set(_GEN_NAMES) - set(self.coeffs)
+    __slots__ = ("name", "field", "coeffs", "den")
+
+    def __init__(self, name, field, coeffs, den):
+        missing = set(_GEN_NAMES) - set(coeffs)
         if missing:
             raise ConfigError(f"derivation lacks coefficients for {sorted(missing)}")
+        self.name = name
+        self.field = field
+        self.coeffs = coeffs
+        self.den = den
 
     @property
     def images(self):

@@ -642,16 +642,21 @@ class MPoly:
         """The remainder of self by the monic name^degree - tail, whose tail
         has name-degree below ``degree`` and an integer content: pass after
         pass, each int term of name-degree at least ``degree`` is popped
-        and its name^degree replaced by tail's terms; one gcd ends it."""
+        and its name^degree replaced by tail's terms; one gcd ends it.  An
+        input with no such term is returned as it is, before the tail is
+        looked at."""
         shift = _shift(name)
+        field, low = MAX_EXPONENT << shift, degree << shift
+        for m in self.terms:
+            if m & field >= low:
+                break
+        else:
+            return self
         if tail._den != 1 or tail.degree_in(name) >= degree:
             raise ValueError(f"rem_monic needs a tail of integer content and "
                              f"degree in {name} below {degree}")
-        parts = [(tm - (degree << shift), tc * tail._num)
-                 for tm, tc in tail.terms.items()]
-        high = [m for m in self.terms if (m >> shift) & MAX_EXPONENT >= degree]
-        if not high:
-            return self
+        parts = [(tm - low, tc * tail._num) for tm, tc in tail.terms.items()]
+        high = [m for m in self.terms if m & field >= low]
         terms = dict(self.terms)
         while high:
             for m in high:
@@ -663,8 +668,7 @@ class MPoly:
                         terms[key] = acc
                     else:
                         del terms[key]
-            high = [m for m in _checked(terms)
-                    if (m >> shift) & MAX_EXPONENT >= degree]
+            high = [m for m in _checked(terms) if m & field >= low]
         return _primitive(self._num, self._den, terms)
 
     # -- printing ---------------------------------------------------------

@@ -7,7 +7,6 @@ residuals, and the comparison with the genus-2 logarithmic-derivative
 solution D, E.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -21,13 +20,16 @@ w1, w3, w5 = variables("w1", "w3", "w5")
 x_var, t_var = variables("x", "t")
 
 
-@dataclass(frozen=True)
 class SigmaRat:
-    """Rational-limit sigma polynomial with cached partial derivatives."""
+    """Rational-limit sigma polynomial of ``genus`` with its cached partial
+    derivatives (``partials``, multi-index like "", "1", "13" -> MPoly)."""
 
-    genus: int
-    sigma: MPoly
-    partials: MappingProxyType  # multi-index like "", "1", "13" -> MPoly
+    __slots__ = ("genus", "sigma", "partials")
+
+    def __init__(self, genus, sigma, partials):
+        self.genus = genus
+        self.sigma = sigma
+        self.partials = partials
 
     def partial(self, key):
         key = "".join(sorted(key))

@@ -2,19 +2,31 @@
 
 import json
 import time
-from dataclasses import dataclass
 
 from . import __version__
 
 RESIDUAL_TERM_CAP = 200
 
 
-@dataclass(frozen=True)
 class VerifyReport:
-    check_id: str
-    anchor: str
-    residuals: tuple            # ((label, residual string or "0"), ...)
-    row_millis: tuple           # time charged to each row, in ms
+    """One check's result: ``residuals``, ((label, residual string or
+    "0"), ...), and ``row_millis``, the time charged to each row in ms.
+    Two reports are equal when all four fields are."""
+
+    __slots__ = ("check_id", "anchor", "residuals", "row_millis")
+
+    def __init__(self, check_id, anchor, residuals, row_millis):
+        self.check_id = check_id
+        self.anchor = anchor
+        self.residuals = residuals
+        self.row_millis = row_millis
+
+    def __eq__(self, other):
+        if type(other) is not VerifyReport:
+            return NotImplemented
+        return ((self.check_id, self.anchor, self.residuals, self.row_millis)
+                == (other.check_id, other.anchor, other.residuals,
+                    other.row_millis))
 
     @property
     def status(self):

@@ -23,7 +23,6 @@ same real numbers are rounded once each.
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .curve import CurveParams
@@ -132,35 +131,47 @@ class CompiledIntegrals:
 
 # -- states and trajectories --------------------------------------------------
 
-@dataclass(frozen=True)
 class SimState:
     """A point of the symmetric square in the chart (u2, u4, u5, u7).
 
     ``seed_state`` builds the components as complex numbers; the states of
-    a trajectory hold floats when its seed was real, complex otherwise."""
+    a trajectory hold floats when its seed was real, complex otherwise.
+    Two states are equal when their four components are."""
 
-    u2: complex
-    u4: complex
-    u5: complex
-    u7: complex
+    __slots__ = ("u2", "u4", "u5", "u7")
+
+    def __init__(self, u2, u4, u5, u7):
+        self.u2 = u2
+        self.u4 = u4
+        self.u5 = u5
+        self.u7 = u7
+
+    def __eq__(self, other):
+        if type(other) is not SimState:
+            return NotImplemented
+        return self.vector() == other.vector()
 
     def vector(self):
         return (self.u2, self.u4, self.u5, self.u7)
 
 
-@dataclass
 class Trajectory:
-    t_end: float
-    samples: list = field(default_factory=list)  # (t, state4, H12, H14)
-    abort_reason: str = ""
-    # step statistics: right-hand-side evaluations, attempted steps that
-    # left no sample (of them, those the guard or a non-finite trial state
-    # rejected) and the range of accepted step sizes (None before the first)
-    nfev: int = 0
-    rejected: int = 0
-    guard_rejected: int = 0
-    h_min: float = None
-    h_max: float = None
+    """A run over the span ``t_end``: its ``samples``, (t, state4, H12,
+    H14) each, the ``abort_reason`` ("" for a run that finished) and the
+    step statistics: right-hand-side evaluations (``nfev``), attempted
+    steps that left no sample (``rejected``; of them, those the guard or a
+    non-finite trial state rejected, ``guard_rejected``) and the range of
+    accepted step sizes (``h_min``, ``h_max``; None before the first)."""
+
+    __slots__ = ("t_end", "samples", "abort_reason", "nfev", "rejected",
+                 "guard_rejected", "h_min", "h_max")
+
+    def __init__(self, t_end):
+        self.t_end = t_end
+        self.samples = []
+        self.abort_reason = ""
+        self.nfev = self.rejected = self.guard_rejected = 0
+        self.h_min = self.h_max = None
 
     @property
     def aborted(self):

@@ -12,7 +12,6 @@ the derivation engine by the verification modules; they are also the
 source of the numerical right-hand sides.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,15 +33,18 @@ y4, y6, y8, y10, y12, y14 = variables("y4", "y6", "y8", "y10", "y12", "y14")
 _DENOM = u4 - u2 ** 2
 
 
-@dataclass(frozen=True)
 class FlowTable:
-    flow: str
-    entries: dict  # u-variable name -> RatFn
+    """The right-hand side of ``flow``: ``entries``, u-variable name ->
+    RatFn, one entry for each of u2, u4, u5, u7."""
 
-    def __post_init__(self):
-        check_flow(self.flow)
-        if set(self.entries) != set(U_VARS):
+    __slots__ = ("flow", "entries")
+
+    def __init__(self, flow, entries):
+        check_flow(flow)
+        if set(entries) != set(U_VARS):
             raise ConfigError("flow table must cover exactly u2,u4,u5,u7")
+        self.flow = flow
+        self.entries = entries
 
     def homogeneity_ok(self):
         w = standard_weights(3)
@@ -162,12 +164,15 @@ def first_integrals():
     return H12, H14
 
 
-@dataclass(frozen=True)
 class PoissonStructure:
-    """Constant antisymmetric bracket table on (u2, u4, u5, u7)."""
+    """Constant antisymmetric bracket table ``name`` on (u2, u4, u5, u7):
+    ``table`` maps (ui, uj), i < j in U_VARS order, to a Fraction."""
 
-    name: str
-    table: dict  # (ui, uj) with i < j in U_VARS order -> Fraction
+    __slots__ = ("name", "table")
+
+    def __init__(self, name, table):
+        self.name = name
+        self.table = table
 
     def bracket_value(self, vi, vj):
         if vi == vj:

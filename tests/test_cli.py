@@ -215,7 +215,9 @@ class TestExitCodes:
             raise ValueError("zero polynomial has no leading term")
         monkeypatch.setitem(cli.SUITES, "bm", boom)
         assert run(["verify", "bm"]) == 1
-        assert "internal error: ValueError" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "internal error: ValueError" in err
+        assert "Traceback (most recent call last)" in err
 
     def test_package_error_from_a_suite_is_internal(self, monkeypatch, capsys):
         # a package exception that is not about the input is a program
@@ -341,6 +343,36 @@ class TestColdVerify:
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+class TestImportFootprint:
+    """A process loads only what its command runs: no module of the
+    standard library that only dataclasses or an internal error needs, and
+    no suite's module or simulator that the command does not run."""
+
+    UNUSED = ("dataclasses", "inspect", "ast", "dis", "traceback")
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["verify", "bm"], ("hekdv.sim",)),
+        (["simulate", "--flow", "I", "--t-end", "0.01"],
+         ("hekdv.phiring", "hekdv.ratlimit")),
+    ], ids=["verify", "simulate"])
+    def test_modules_loaded(self, argv, absent):
+        src = str(Path(hekdv.__file__).resolve().parents[1])
+        code = ("import json, sys, hekdv.cli; "
+                "imported = sorted(sys.modules); "
+                "code = hekdv.cli.run(sys.argv[2:] + ['--out', sys.argv[1]]); "
+                "print(json.dumps([code, imported, sorted(sys.modules)]))")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code, os.devnull, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        code, imported, ran = json.loads(done.stdout)
+        assert code == 0, done.stderr
+        assert "hekdv.cli" in imported
+        assert set(imported) & set(self.UNUSED) == set()
+        assert set(ran) & {*self.UNUSED, *absent} == set()
 
 
 class TestMalformedMemCap:
