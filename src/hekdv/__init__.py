@@ -19,8 +19,7 @@ __version__ = "0.1.0"
 # the public names, by the submodule that defines them
 _EXPORTS = {
     "algnum": ("AlgNum",),
-    "curve": ("CurveParams", "curve_Q", "dr_numerator", "in_Bg",
-              "sylvester_resultant"),
+    "curve": ("CurveParams", "curve_Q", "in_Bg", "sylvester_resultant"),
     "derivations": ("Derivation", "make_derivation", "psi1", "psi2"),
     "errors": ("ConfigError", "HekdvError", "MemoryCapExceeded", "ModeError",
                "NotSymmetricError", "SeedError", "SingularExpansionError",

@@ -16,9 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ZeroDivisorError
-from .poly import MPoly, Ring, dense_inverse, sum_polys
-
-_ZERO = Fraction(0)
+from .poly import MPoly, Ring, dense_coeffs, dense_inverse, sum_polys
 
 
 def in_powers(name, coeffs):
@@ -102,13 +100,6 @@ def _modulus(minpoly):
     return modulus
 
 
-def _dense(p, name, degree):
-    """The coefficient list of ``p`` in ``name``, constant first."""
-    parts = p.coeffs_in(name)
-    return [parts[k].as_constant() if k in parts else _ZERO
-            for k in range(degree)]
-
-
 class AlgNum(QuotientElem):
     """Element of Q[q]/(m): AlgNum(m, representative), constant first."""
 
@@ -131,8 +122,8 @@ class AlgNum(QuotientElem):
         c = self.poly.as_constant()
         if c is None:
             name, degree, tail = self.modulus
-            minpoly = _dense(MPoly.var(name, degree) - tail, name, degree + 1)
-            inv = dense_inverse(_dense(self.poly, name, degree), minpoly)
+            minpoly = dense_coeffs(MPoly.var(name, degree) - tail, name)
+            inv = dense_inverse(dense_coeffs(self.poly, name), minpoly)
             if inv is not None:
                 return self._make(in_powers(name, inv))
         elif c:

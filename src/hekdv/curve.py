@@ -1,4 +1,4 @@
-"""Hyperelliptic curve data: defining polynomial, nonsingularity, one-forms.
+"""Hyperelliptic curve data: defining polynomial and nonsingularity.
 
 A curve of genus g is Y^2 = Q(X) with Q monic of degree 2g+1 and an
 alternating sign pattern on the parameters y4, y6, ...  Parameters may be
@@ -9,7 +9,7 @@ exact rationals (numeric mode), formal symbols (symbolic mode), or a mix
 from fractions import Fraction
 
 from .errors import ConfigError, ModeError
-from .poly import MPoly, dense_divmod
+from .poly import MPoly, dense_coeffs, dense_divmod
 
 
 def y_symbols(genus):
@@ -100,49 +100,15 @@ def curve_Q(params, xvar="X1"):
     return out
 
 
-def dr_numerator(genus, i):
-    """Numerator of 2Y * (second-kind one-form)_{2i-1} / dX.
-
-    The convention y0 = 1, y2 = 0 applies; indices outside 1..g are
-    rejected.
-    """
-    if not 1 <= i <= genus:
-        raise ConfigError(f"form index {i} out of range 1..{genus}")
-    g = genus
-    out = MPoly.zero()
-    X = MPoly.var("X1")
-    for k in range(g - i + 1, g + i):
-        idx = 2 * g + 2 * i - 2 * k - 2
-        if idx == 0:
-            coeff = MPoly.const(1)
-        elif idx == 2:
-            continue
-        else:
-            coeff = MPoly.var(f"y{idx}")
-        sign = 1 if (g + i - k) % 2 == 0 else -1
-        out = out + coeff * X ** k * ((k + i - g) * sign)
-    return out
-
-
-def _univ_coeffs(p, xvar):
-    """Dense coefficient list (constant first) of a univariate polynomial."""
-    coeffs = [Fraction(0)] * (p.degree_in(xvar) + 1)
-    for e, c in p.coeffs_in(xvar).items():
-        coeffs[e] = c.as_constant()
-        if coeffs[e] is None:
-            raise ConfigError("polynomial is not univariate")
-    return coeffs
-
-
-def sylvester_resultant(p, q, xvar="X1"):
-    """Exact resultant (Sylvester determinant) of two univariate polynomials.
+def sylvester_resultant(p, q):
+    """Exact resultant (Sylvester determinant) of two polynomials in X1.
 
     Euclid's recurrence res(a, b) = (-1)^(mn) lc(b)^(m-k) res(b, a mod b),
     m, n, k the degrees of a, b, a mod b, ends at res(a, c) = c^m; the zero
     polynomial counts as degree 0, as in the Sylvester matrix.
     """
-    a = _univ_coeffs(p, xvar)
-    b = _univ_coeffs(q, xvar)
+    a = dense_coeffs(p, "X1")
+    b = dense_coeffs(q, "X1")
     res = Fraction(1)
     while len(b) > 1:
         _, r = dense_divmod(a, b)
@@ -159,4 +125,4 @@ def in_Bg(params):
     if not params.is_numeric:
         raise ModeError("nonsingularity test needs numeric parameters")
     Q = params.Q("X1")
-    return sylvester_resultant(Q, Q.derivative("X1"), "X1") != 0
+    return sylvester_resultant(Q, Q.derivative("X1")) != 0

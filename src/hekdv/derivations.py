@@ -5,50 +5,33 @@ All operators used here are combinations of the two basic vector fields
     D_k = 2*Y_k d/dX_k + Q'(X_k) d/dY_k,     k = 1, 2,
 
 of the form (p*D1 + q*D2)/den with polynomials p, q and a denominator den
-among 1, X1 - X2 and X1*X2*(X1 - X2).  A derivation is therefore stored as
-that one denominator and four polynomial coefficients, one per coordinate
-generator, and applied to n/d through the quotient rule as one polynomial
-over den*d^2, normalized once.  When d is a constant times X1^i*X2^j*
-(X1-X2)^k, so is den*d^2, and the normalized pair is the one that stepwise
-field arithmetic would reach.  Compatibility with the curve relation is a
-polynomial identity between the coefficients.
+among 1, X1 - X2 and X1*X2*(X1 - X2).  A derivation is built from that
+(p, q, den) and stored as den and four polynomial coefficients, one per
+coordinate generator, and applied to n/d through the quotient rule as one
+polynomial over den*d^2, normalized once.  When d is a constant times
+X1^i*X2^j*(X1-X2)^k, so is den*d^2, and the normalized pair is the one that
+stepwise field arithmetic would reach.  Compatibility with the curve
+relation Y_i^2 = Q(X_i) holds by construction: the coefficients of X_i and
+Y_i are 2*Y_i and Q'(X_i) times the same p or q.
 """
 
 from .errors import ConfigError
 from .poly import MPoly, sum_polys
 from .symsq import SymSqElem, SymSqField, clear_denominator
 
-_GEN_NAMES = ("X1", "Y1", "X2", "Y2")
-
 
 class Derivation:
-    """The derivation ``name`` of ``field``: the coefficient of each
-    coordinate generator (``coeffs``, generator name -> MPoly) over the
-    common denominator ``den``."""
+    """The derivation (p*D1 + q*D2)/den of ``field``, stored as the
+    coefficient of each coordinate generator (``coeffs``, generator name ->
+    MPoly) over the common denominator ``den``."""
 
-    __slots__ = ("name", "field", "coeffs", "den")
+    __slots__ = ("field", "coeffs", "den")
 
-    def __init__(self, name, field, coeffs, den):
-        missing = set(_GEN_NAMES) - set(coeffs)
-        if missing:
-            raise ConfigError(f"derivation lacks coefficients for {sorted(missing)}")
-        self.name = name
+    def __init__(self, field, p, q, den):
         self.field = field
-        self.coeffs = coeffs
+        self.coeffs = {"X1": p * MPoly.var("Y1") * 2, "Y1": p * field.dQ1,
+                       "X2": q * MPoly.var("Y2") * 2, "Y2": q * field.dQ2}
         self.den = den
-
-    @property
-    def images(self):
-        """The images of the coordinate generators, as field elements."""
-        return {v: self.field.elem(self.coeffs[v], self.den) for v in _GEN_NAMES}
-
-    def check_compatible(self):
-        """2*Y_i * coeff(Y_i) == Q'(X_i) * coeff(X_i) modulo the curve relation."""
-        f = self.field
-        c = self.coeffs
-        return all(
-            f.reduce(MPoly.var(yv) * 2 * c[yv] - dQ * c[xv]).is_zero
-            for xv, yv, dQ in (("X1", "Y1", f.dQ1), ("X2", "Y2", f.dQ2)))
 
     def __call__(self, e):
         """Apply to n/d: sum_v coeff(v)*(d*dn/dv - n*dd/dv) over den*d^2."""
@@ -57,9 +40,8 @@ class Derivation:
         if e.field is not self.field:
             raise ValueError("derivation and element live on different squares")
         n, d = e.num, e.den
-        coeffs = [(v, self.coeffs[v]) for v in _GEN_NAMES]
         total = sum_polys(c * (d * n.derivative(v) - n * d.derivative(v))
-                          for v, c in coeffs if not c.is_zero)
+                          for v, c in self.coeffs.items() if not c.is_zero)
         return self.field.elem(total, self.den * d * d)
 
     def commutator_on(self, other, e):
@@ -103,9 +85,7 @@ def make_derivation(field: SymSqField, name: str) -> Derivation:
         den = x1 * x2 * dx
     else:
         raise ConfigError(f"unknown derivation {name!r} for genus {g}")
-    coeffs = {"X1": p * MPoly.var("Y1") * 2, "Y1": p * field.dQ1,
-              "X2": q * MPoly.var("Y2") * 2, "Y2": q * field.dQ2}
-    return Derivation(name, field, coeffs, den)
+    return Derivation(field, p, q, den)
 
 
 # -- transfer between the genus-2 square and the degenerate genus-3 square --

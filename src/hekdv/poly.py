@@ -34,7 +34,8 @@ queries, ``sum_polys``, ``unit_den`` and ``eval_poly``/``subst``.  The
 ``dense_*`` routines are the one dense univariate arithmetic over
 Fractions, constant term first (von zur Gathen & Gerhard, Modern Computer
 Algebra, ch. 2-3 and 6): the series product, the resultant and the inverse
-in ``algnum.AlgNum``.  ``Ring`` is the base of the other ring-element
+in ``algnum.AlgNum``; ``dense_coeffs`` reads a polynomial in one variable
+into that form.  ``Ring`` is the base of the other ring-element
 classes and writes their shared operators once.
 """
 
@@ -805,6 +806,18 @@ class Ring:
         except TypeError:
             return NotImplemented
         return (self - o).is_zero
+
+
+def dense_coeffs(p, name):
+    """The coefficient list of ``p`` in ``name``, constant first, one entry
+    per degree up to its degree in ``name``; ConfigError when a coefficient
+    holds another variable."""
+    coeffs = [_ZERO] * (p.degree_in(name) + 1)
+    for e, c in p.coeffs_in(name).items():
+        coeffs[e] = c.as_constant()
+        if coeffs[e] is None:
+            raise ConfigError("polynomial is not univariate")
+    return coeffs
 
 
 def dense_trim(v):

@@ -21,13 +21,12 @@ x_var, t_var = variables("x", "t")
 
 
 class SigmaRat:
-    """Rational-limit sigma polynomial of ``genus`` with its cached partial
-    derivatives (``partials``, multi-index like "", "1", "13" -> MPoly)."""
+    """Rational-limit sigma polynomial with its cached partial derivatives
+    (``partials``, multi-index like "", "1", "13" -> MPoly)."""
 
-    __slots__ = ("genus", "sigma", "partials")
+    __slots__ = ("sigma", "partials")
 
-    def __init__(self, genus, sigma, partials):
-        self.genus = genus
+    def __init__(self, sigma, partials):
         self.sigma = sigma
         self.partials = partials
 
@@ -41,17 +40,15 @@ class SigmaRat:
 
 @lru_cache(maxsize=None)
 def sigma_rational(genus):
-    """The Schur polynomial of the staircase partition of the given genus,
+    """The Schur polynomial of the staircase partition of genus 2 or 3,
     built once per genus; callers share it, so its partials are read-only."""
-    if genus == 1:
-        sig = w1
-    elif genus == 2:
+    if genus == 2:
         sig = -1 * w3 + w1 ** 3 * Fraction(1, 3)
     elif genus == 3:
         sig = (w1 * w5 - w3 ** 2 - w1 ** 3 * w3 * Fraction(1, 3)
                + w1 ** 6 * Fraction(1, 45))
     else:
-        raise ConfigError("rational-limit sigma implemented for genus 1..3")
+        raise ConfigError("rational-limit sigma implemented for genus 2 and 3")
     partials = {"": sig}
     names = [("1", "w1"), ("3", "w3"), ("5", "w5")][:genus]
     for key, var in names:
@@ -60,7 +57,7 @@ def sigma_rational(genus):
         for k2, v2 in names:
             if k1 <= k2:
                 partials[k1 + k2] = partials[k1].derivative(v2)
-    return SigmaRat(genus, sig, MappingProxyType(partials))
+    return SigmaRat(sig, MappingProxyType(partials))
 
 
 def xi_closed_form():

@@ -32,6 +32,8 @@ from .poly import MPoly
 from .tables import U_VARS, first_integrals, flow_table
 
 T_FLOWS = ("T1", "T3")
+# step attempts, accepted or rejected, before a run aborts
+MAX_STEPS = 200_000
 
 
 def _number(value, error, what):
@@ -183,9 +185,6 @@ class Trajectory:
                 "guard_rejected": self.guard_rejected, "nfev": self.nfev,
                 "h_min": self.h_min, "h_max": self.h_max}
 
-    def times(self):
-        return [s[0] for s in self.samples]
-
     def final_state(self):
         return SimState(*self.samples[-1][1])
 
@@ -332,7 +331,7 @@ def _abort(traj, reason, error=SingularityAbort):
 
 
 def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
-              params: CurveParams, max_steps=200_000):
+              params: CurveParams):
     """Integrate one flow from the seed state to the time t_end.
 
     A negative t_end runs the flow backwards: every step is taken as -h,
@@ -390,7 +389,7 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     h_min, h_max = math.inf, 0.0
     try:
         while t < length:
-            if steps >= max_steps:
+            if steps >= MAX_STEPS:
                 raise _abort(traj, "step budget exhausted", StepBudgetExhausted)
             h = min(h, length - t)
             if h < 1e-15 * max(1.0, t):

@@ -174,15 +174,6 @@ class PoissonStructure:
         self.name = name
         self.table = table
 
-    def bracket_value(self, vi, vj):
-        if vi == vj:
-            return Fraction(0)
-        if (vi, vj) in self.table:
-            return self.table[(vi, vj)]
-        if (vj, vi) in self.table:
-            return -self.table[(vj, vi)]
-        return Fraction(0)
-
 
 def structure_I():
     return PoissonStructure("I", {("u2", "u7"): Fraction(-1, 2),
@@ -199,10 +190,7 @@ def poisson_bracket(f, g, structure):
     f = f if isinstance(f, RatFn) else RatFn(f)
     g = g if isinstance(g, RatFn) else RatFn(g)
     total = RatFn(0)
-    for i, vi in enumerate(U_VARS):
-        for vj in U_VARS[i + 1:]:
-            cij = structure.bracket_value(vi, vj)
-            if cij:
-                total = total + (f.derivative(vi) * g.derivative(vj)
-                                 - f.derivative(vj) * g.derivative(vi)) * cij
+    for (vi, vj), cij in structure.table.items():
+        total = total + (f.derivative(vi) * g.derivative(vj)
+                         - f.derivative(vj) * g.derivative(vi)) * cij
     return total

@@ -14,8 +14,9 @@ from .poly import MPoly
 from .ratfun import RatFn
 from .report import ReportBuilder
 from .symsq import SymSqField, abcd_to_xy
-from .tables import (U_VARS, first_integrals, flow_table, poisson_bracket,
-                     structure_I, structure_II, u2, u4, u5, u7)
+from .tables import (FLOW_IDS, U_VARS, first_integrals, flow_table,
+                     poisson_bracket, structure_I, structure_II, u2, u4, u5,
+                     u7)
 
 _U_POLY = {"u2": u2, "u4": u4, "u5": u5, "u7": u7}
 
@@ -64,20 +65,20 @@ def verify_flow_table(flow, table=None):
     return rb.build()
 
 
-def verify_first_integrals(h12=None, h14=None, tables=None):
+def verify_first_integrals(h12=None, h14=None):
     """All eight flow derivatives of H12, H14 vanish identically in (u, y)."""
     rb = ReportBuilder("first-integrals",
                        "Section 3 first integrals H12 and H14")
     default_h12, default_h14 = first_integrals()
     h12 = h12 if h12 is not None else default_h12
     h14 = h14 if h14 is not None else default_h14
-    tables = tables or {f: flow_table(f) for f in ("I", "II", "T1", "T3")}
+    tables = [flow_table(f) for f in FLOW_IDS]
     for hname, h in (("H12", h12), ("H14", h14)):
-        for fname, table in tables.items():
+        for table in tables:
             total = RatFn(0)
             for uvar in U_VARS:
                 total = total + h.derivative(uvar) * table.entries[uvar]
-            rb.residual(f"d{hname}/d(flow {fname})", total)
+            rb.residual(f"d{hname}/d(flow {table.flow})", total)
     return rb.build()
 
 
@@ -98,21 +99,6 @@ def verify_hamiltonian_form(bracket_I=None, bracket_II=None):
                  poisson_bracket(RatFn(uu), h14, s2), t2.entries[uvar])
     rb.residual("{H12, H14} under structure I", poisson_bracket(h12, h14, s1))
     rb.residual("{H12, H14} under structure II", poisson_bracket(h12, h14, s2))
-    return rb.build()
-
-
-def verify_t1_is_scaled_II():
-    """Cross-consistency: pullback(T1 entry) * X1*X2 + pullback(II entry) = 0."""
-    rb = ReportBuilder("t1-cross-consistency",
-                       "T1 = -(1/(X1 X2)) L5 relation between the tables")
-    field = square(CurveParams.symbolic(3))
-    x1x2 = field.elem(MPoly.var("X1") * MPoly.var("X2"))
-    tab1 = flow_table("T1")
-    tab2 = flow_table("II")
-    for uvar in U_VARS:
-        lhs = pullback_u(tab1.entries[uvar], field) * x1x2
-        rhs = pullback_u(tab2.entries[uvar], field)
-        rb.residual(f"{uvar}", lhs + rhs)
     return rb.build()
 
 

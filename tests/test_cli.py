@@ -12,7 +12,7 @@ from hekdv import cli
 from hekdv.cli import run
 from hekdv.errors import (SingularityAbort, StepBudgetExhausted,
                           ZeroDenominatorError)
-from hekdv.report import emit_report, report_json
+from hekdv.report import emit_report
 
 
 class TestVerifyCommand:
@@ -267,11 +267,7 @@ class TestExitCodes:
         assert "Traceback" not in err and "internal error" not in err
 
     def test_simulate_step_budget_exits_one(self, monkeypatch, tmp_path):
-        integrate = hekdv.sim.integrate
-
-        def tight_budget(*args, **kwargs):
-            return integrate(*args, **kwargs, max_steps=3)
-        monkeypatch.setattr(hekdv.sim, "integrate", tight_budget)
+        monkeypatch.setattr(hekdv.sim, "MAX_STEPS", 3)
         out = tmp_path / "sum.json"
         assert run(["simulate", "--flow", "I", "--out", str(out)]) == 1
         doc = json.loads(out.read_text())
@@ -285,10 +281,11 @@ class TestExitCodes:
 
         def tight_budget(*args, **kwargs):
             try:
-                return integrate(*args, **kwargs, max_steps=3)
+                return integrate(*args, **kwargs)
             except SingularityAbort as exc:
                 raised.append(exc)
                 raise
+        monkeypatch.setattr(hekdv.sim, "MAX_STEPS", 3)
         monkeypatch.setattr(hekdv.sim, "integrate", tight_budget)
         assert run(["commute", "--sigma", "0.1", "--tau", "0.1"]) == 1
         assert [type(exc) for exc in raised] == [StepBudgetExhausted]
@@ -409,11 +406,6 @@ class TestReportHelpers:
     def test_empty_check_list_rejected(self):
         with pytest.raises(ValueError):
             emit_report([])
-
-    def test_strip_millis(self):
-        from hekdv.verify_tables import verify_flow_table
-        text = report_json([verify_flow_table("I")], strip_millis=True)
-        assert "millis" not in text
 
     def test_failed_check_yields_overall_fail_with_residual(self):
         from hekdv.poly import MPoly

@@ -2,8 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from hekdv.curve import (CurveParams, curve_Q, dr_numerator, in_Bg,
-                         sylvester_resultant)
+from hekdv.curve import CurveParams, curve_Q, in_Bg, sylvester_resultant
 from hekdv.errors import ConfigError, ModeError
 from hekdv.poly import variables
 
@@ -95,24 +94,6 @@ class TestNonsingularity:
         # X^5 - 2X^4 + X^3 = X^3 (X-1)^2 is not of curve shape; instead use
         # resultant directly on a factored pair
         p = (X1 - 1) ** 2 * (X1 + 2)
-        assert sylvester_resultant(p, p.derivative("X1"), "X1") == 0
+        assert sylvester_resultant(p, p.derivative("X1")) == 0
         q = (X1 - 1) * (X1 + 2)
-        assert sylvester_resultant(q, q.derivative("X1"), "X1") != 0
-
-
-class TestSecondKindForms:
-    def test_genus2(self):
-        assert dr_numerator(2, 2) == -1 * y4 * X1 - 3 * X1**3
-        assert dr_numerator(2, 1) == -1 * X1**2
-
-    def test_genus3(self):
-        assert dr_numerator(3, 1) == -1 * X1**3
-        assert dr_numerator(3, 2) == -1 * (y4 * X1**2 + 3 * X1**4)
-        want = -1 * (y8 * X1 - 2 * y6 * X1**2 + 3 * y4 * X1**3 + 5 * X1**5)
-        assert dr_numerator(3, 3) == want
-
-    def test_index_range(self):
-        with pytest.raises(ConfigError):
-            dr_numerator(3, 4)
-        with pytest.raises(ConfigError):
-            dr_numerator(2, 0)
+        assert sylvester_resultant(q, q.derivative("X1")) != 0

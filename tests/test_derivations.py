@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mpoly_strategy
 from hekdv.curve import CurveParams
-from hekdv.derivations import Derivation, make_derivation, psi1, psi2
+from hekdv.derivations import make_derivation, psi1, psi2
 from hekdv.errors import ConfigError
 from hekdv.poly import MPoly, eval_poly, variables
 from hekdv.symsq import SymSqField
@@ -91,18 +91,18 @@ class TestImages:
     def test_t1_printed_images(self, f3):
         T1 = make_derivation(f3, "T1")
         dx = X1 - X2
-        assert T1.images["X1"] == f3.elem(-2 * Y1, X1 * dx)
-        assert T1.images["Y1"] == f3.elem(-1 * f3.dQ1, X1 * dx)
-        assert T1.images["X2"] == f3.elem(2 * Y2, X2 * dx)
-        assert T1.images["Y2"] == f3.elem(f3.dQ2, X2 * dx)
+        assert T1(f3.elem(X1)) == f3.elem(-2 * Y1, X1 * dx)
+        assert T1(f3.elem(Y1)) == f3.elem(-1 * f3.dQ1, X1 * dx)
+        assert T1(f3.elem(X2)) == f3.elem(2 * Y2, X2 * dx)
+        assert T1(f3.elem(Y2)) == f3.elem(f3.dQ2, X2 * dx)
 
     def test_t3_printed_images(self, f3):
         T3 = make_derivation(f3, "T3")
         dx = X1 - X2
-        assert T3.images["X1"] == f3.elem(2 * X2 * Y1, X1 * dx)
-        assert T3.images["Y1"] == f3.elem(X2 * f3.dQ1, X1 * dx)
-        assert T3.images["X2"] == f3.elem(-2 * X1 * Y2, X2 * dx)
-        assert T3.images["Y2"] == f3.elem(-1 * X1 * f3.dQ2, X2 * dx)
+        assert T3(f3.elem(X1)) == f3.elem(2 * X2 * Y1, X1 * dx)
+        assert T3(f3.elem(Y1)) == f3.elem(X2 * f3.dQ1, X1 * dx)
+        assert T3(f3.elem(X2)) == f3.elem(-2 * X1 * Y2, X2 * dx)
+        assert T3(f3.elem(Y2)) == f3.elem(-1 * X1 * f3.dQ2, X2 * dx)
 
     def test_genus2_operator_display(self, f2):
         # expanding the displayed total-differential form on the generators:
@@ -127,14 +127,10 @@ class TestImages:
 class TestStructure:
     @pytest.mark.parametrize("name", ["D1", "D2", "L3", "L5", "T1", "T3"])
     def test_curve_compatibility(self, f3, name):
-        assert make_derivation(f3, name).check_compatible()
-
-    @pytest.mark.parametrize("gen", ["X1", "Y1", "X2", "Y2"])
-    def test_changed_coefficient_is_incompatible(self, f3, gen):
-        T3 = make_derivation(f3, "T3")
-        coeffs = dict(T3.coeffs)
-        coeffs[gen] = coeffs[gen] + X1 * X2
-        assert not Derivation("T3", f3, coeffs, T3.den).check_compatible()
+        # 2*Y_i * coeff(Y_i) == Q'(X_i) * coeff(X_i) modulo the curve relation
+        c = make_derivation(f3, name).coeffs
+        assert f3.reduce(2 * Y1 * c["Y1"] - f3.dQ1 * c["X1"]).is_zero
+        assert f3.reduce(2 * Y2 * c["Y2"] - f3.dQ2 * c["X2"]).is_zero
 
     def test_commutators_vanish(self, f3):
         L3 = make_derivation(f3, "L3")

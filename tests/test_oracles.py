@@ -22,7 +22,8 @@ from hekdv.curve import sylvester_resultant
 from hekdv.errors import ZeroDivisorError
 from hekdv.phiring import (MINPOLY_Q, PhiRingElem, printed_forms,
                            sextic_relation, verify_appendix_forms)
-from hekdv.poly import MPoly, dense_divmod, dense_inverse, dense_mul, dense_trim
+from hekdv.poly import (MPoly, dense_coeffs, dense_divmod, dense_inverse,
+                        dense_mul, dense_trim)
 from hekdv.ratfun import RatFn
 from hekdv.ratlimit import (printed_U, printed_V, sigma_rational,
                             uv_closed_form, verify_uv_closed_form)
@@ -470,9 +471,8 @@ class TestAppendixFormsAgainstSympy:
 # -- the code the dense routines replaced, kept verbatim as references ------
 
 def _sylvester_elimination(p, q, xvar="X1"):
-    from hekdv.curve import _univ_coeffs
-    a = _univ_coeffs(p, xvar)
-    b = _univ_coeffs(q, xvar)
+    a = dense_coeffs(p, xvar)
+    b = dense_coeffs(q, xvar)
     m, n = len(a) - 1, len(b) - 1
     if m < 0 or n < 0:
         return Fraction(0)

@@ -13,9 +13,6 @@ w1, w3, x, t = variables("w1", "w3", "x", "t")
 
 
 class TestSigma:
-    def test_genus1(self):
-        assert sigma_rational(1).sigma == w1
-
     def test_genus3_weight(self):
         from hekdv.poly import weighted_degree
         sig = sigma_rational(3)

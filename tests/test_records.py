@@ -7,7 +7,6 @@ import pytest
 
 from hekdv import sim, verify_tables
 from hekdv.curve import CurveParams
-from hekdv.derivations import Derivation, make_derivation
 from hekdv.errors import ConfigError
 from hekdv.report import VerifyReport
 from hekdv.sim import SimState, Trajectory
@@ -94,13 +93,6 @@ class TestTrajectory:
 
 
 class TestConstructorRefusals:
-    def test_derivation_needs_every_generator(self, symbolic_field3):
-        d1 = make_derivation(symbolic_field3, "D1")
-        coeffs = {v: c for v, c in d1.coeffs.items() if v not in ("Y1", "X2")}
-        with pytest.raises(ConfigError) as exc:
-            Derivation("D1", symbolic_field3, coeffs, d1.den)
-        assert str(exc.value) == "derivation lacks coefficients for ['X2', 'Y1']"
-
     def test_flow_table_checks_flow_and_entries(self):
         entries = flow_table("I").entries
         with pytest.raises(ConfigError) as exc:

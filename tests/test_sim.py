@@ -176,12 +176,12 @@ class TestIntegration:
 
     def test_times_increase(self, s0):
         traj = integrate("I", s0, 0.5, params=PARAMS)
-        times = traj.times()
+        times = [sample[0] for sample in traj.samples]
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_negative_span_runs_backwards(self, s0):
         traj = integrate("I", s0, -0.05, params=PARAMS)
-        times = traj.times()
+        times = [sample[0] for sample in traj.samples]
         assert times[0] == 0.0 and times[-1] == traj.t_end == -0.05
         assert all(b < a for a, b in zip(times, times[1:]))
         assert traj.step_stats()["h_min"] > 0
@@ -226,9 +226,10 @@ class TestIntegration:
         partial = exc.value.trajectory
         assert partial is not None and len(partial.samples) >= 1
 
-    def test_step_budget_abort(self, s0):
+    def test_step_budget_abort(self, s0, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_STEPS", 3)
         with pytest.raises(StepBudgetExhausted) as exc:
-            integrate("I", s0, 1.0, params=PARAMS, max_steps=3)
+            integrate("I", s0, 1.0, params=PARAMS)
         assert isinstance(exc.value, SingularityAbort)
         assert hekdv.StepBudgetExhausted is StepBudgetExhausted
         partial = exc.value.trajectory
@@ -267,7 +268,7 @@ class TestStepStatistics:
         assert stats["nfev"] == len(calls)
         assert stats["nfev"] == 2 + 6 * (stats["accepted"] + stats["rejected"])
         assert stats["guard_rejected"] == 0
-        times = traj.times()
+        times = [sample[0] for sample in traj.samples]
         steps = [b - a for a, b in zip(times, times[1:])]
         assert stats["h_min"] == pytest.approx(min(steps), rel=1e-9)
         assert stats["h_max"] == pytest.approx(max(steps), rel=1e-9)

@@ -1,11 +1,12 @@
 import pytest
 
+from hekdv.curve import CurveParams
 from hekdv.poly import MPoly
 from hekdv.ratfun import RatFn
-from hekdv.tables import PoissonStructure, first_integrals, flow_table
-from hekdv.verify_tables import (verify_first_integrals, verify_flow_table,
-                                 verify_hamiltonian_form,
-                                 verify_t1_is_scaled_II)
+from hekdv.tables import (U_VARS, PoissonStructure, first_integrals,
+                          flow_table)
+from hekdv.verify_tables import (pullback_u, square, verify_first_integrals,
+                                 verify_flow_table, verify_hamiltonian_form)
 
 
 @pytest.mark.parametrize("flow", ["I", "II", "T1", "T3"])
@@ -30,7 +31,13 @@ def test_hamiltonian_form_certifies():
 
 
 def test_t1_cross_consistency():
-    assert verify_t1_is_scaled_II().passed
+    # T1 = -(1/(X1 X2)) L5: pullback(T1 entry) * X1*X2 + pullback(II entry) = 0
+    field = square(CurveParams.symbolic(3))
+    x1x2 = field.elem(MPoly.var("X1") * MPoly.var("X2"))
+    tab1, tab2 = flow_table("T1"), flow_table("II")
+    for uvar in U_VARS:
+        lhs = pullback_u(tab1.entries[uvar], field) * x1x2
+        assert (lhs + pullback_u(tab2.entries[uvar], field)).is_zero, uvar
 
 
 class TestMutationControls:
