@@ -1,15 +1,16 @@
 """Quotient rings R[name]/(name^d - tail) by a monic modulus, written once.
 
 A ``QuotientElem`` holds ``poly``, one MPoly of name-degree below d, and
-``modulus`` = (name, d, tail), the arguments of ``MPoly.rem_monic``; the
-tail has an integer content.  A product is one MPoly product and one
-remainder; a sum keeps the degree and is not reduced.  An element hashes
-as its polynomial, so a constant hashes as its value.  Elements of two
-moduli do not mix: ValueError.  ``AlgNum`` is Q[q]/(m) for a monic m with
-integer coefficients; the inverse of a constant c is the constant 1 / c,
-that of any other element ``poly.dense_inverse`` on the coefficient list,
-and zero or an element sharing a factor with m raises
-``ZeroDivisorError``.
+``modulus`` = (name, d, tail), the arguments of ``MPoly.rem_monic``.  A
+product is one MPoly product and one remainder; a sum keeps the degree and
+is not reduced.  An element hashes as its polynomial, so a constant hashes
+as its value.  Elements of two moduli do not mix: ValueError.  ``AlgNum``
+is Q[q]/(m) for a monic m with integer coefficients (any other m raises
+ValueError); the inverse of a constant c is the constant 1 / c, that of
+any other element ``poly.dense_inverse`` on the coefficient list, and zero
+or an element sharing a factor with m raises ``ZeroDivisorError``.  The
+sextic ring ``phiring.PhiRingElem`` and the truncated series
+``series.PSeries`` (modulus t^(n+1)) are the other quotient rings.
 """
 
 from fractions import Fraction
@@ -89,15 +90,14 @@ _set_modulus = QuotientElem.modulus.__set__
 
 @lru_cache(maxsize=None)
 def _modulus(minpoly):
-    """(name, degree, tail) of the monic minpoly = q^degree - tail.
-
-    Reducing q^degree checks the tail once: ``rem_monic`` looks at it only
-    when it has a term to reduce."""
+    """(name, degree, tail) of the monic minpoly = q^degree - tail, whose
+    coefficients must be integers."""
     if not minpoly or minpoly[-1] != 1:
         raise ValueError("minimal polynomial must be monic")
-    modulus = "q", len(minpoly) - 1, -in_powers("q", minpoly[:-1])
-    MPoly.var("q", modulus[1]).rem_monic(*modulus)
-    return modulus
+    tail = -in_powers("q", minpoly[:-1])
+    if tail.content().denominator != 1:
+        raise ValueError("minimal polynomial must have an integer content")
+    return "q", len(minpoly) - 1, tail
 
 
 class AlgNum(QuotientElem):

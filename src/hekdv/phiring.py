@@ -301,10 +301,11 @@ def phi_series_example1(order=15):
 def verify_example1(expected=None):
     rb = ReportBuilder("ex-A.1", "series expansion of the divisor branch")
     series = phi_series_example1(12)
+    coeffs = series.coeffs
     want = expected or {2: Fraction(1), 7: Fraction(1, 3), 12: Fraction(14, 45)}
     for k in range(13):
         target = want.get(k, Fraction(0))
-        rb.expect(f"coefficient of t^{k} = {target}", series[k] == target)
+        rb.expect(f"coefficient of t^{k} = {target}", coeffs[k] == target)
     rel = sextic_relation().subst({"w3": t_var, "w5": MPoly.const(1)})
     back = eval_at_series(rel, {"phi": series, "t": PSeries.identity("t", 12)})
     rb.expect("substituted back: zero through t^12", back.is_zero)

@@ -15,8 +15,10 @@ at the end; the terms keep the order of the running sum ``total + part``.
 Products and the monomial substitution keep their own loops.  The kernel
 divides by a monomial (``exact_div``) and by a difference u - v of two
 named variables (``divide_out_linear``), and it takes one remainder: by a
-monic name^d - tail of integer content (``rem_monic``, the product in the
-quotient rings of ``algnum``).  None of them divides a coefficient.
+monic name^d - tail (``rem_monic``).  That remainder is the Y-reduction and
+the s^2 = b chart of ``symsq`` and the product of every quotient ring of
+``algnum``, truncated series included.  None of them divides a
+coefficient: a tail of content n/d scales the kept terms by d instead.
 
 A monomial is one int over the fixed global symbol order: the exponent of
 ``SYMBOL_ORDER[i]`` sits in a field of ``_WIDTH`` bits, the first symbol in
@@ -33,8 +35,8 @@ polynomial only through ``coeffs_in``, ``monomials``, the structural
 queries, ``sum_polys``, ``unit_den`` and ``eval_poly``/``subst``.  The
 ``dense_*`` routines are the one dense univariate arithmetic over
 Fractions, constant term first (von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 2-3 and 6): the series product, the resultant and the inverse
-in ``algnum.AlgNum``; ``dense_coeffs`` reads a polynomial in one variable
+Algebra, ch. 2-3 and 6): the resultant and the inverse in
+``algnum.AlgNum``; ``dense_coeffs`` reads a polynomial in one variable
 into that form.  ``Ring`` is the base of the other ring-element
 classes and writes their shared operators once.
 """
@@ -641,11 +643,12 @@ class MPoly:
 
     def rem_monic(self, name, degree, tail):
         """The remainder of self by the monic name^degree - tail, whose tail
-        has name-degree below ``degree`` and an integer content: pass after
-        pass, each int term of name-degree at least ``degree`` is popped
-        and its name^degree replaced by tail's terms; one gcd ends it.  An
-        input with no such term is returned as it is, before the tail is
-        looked at."""
+        has name-degree below ``degree``.  Each pass pops the int terms of
+        name-degree at least ``degree``, scales the rest by the tail's
+        content denominator (and the content by its inverse), and puts the
+        tail's int terms times its content numerator in place of each
+        popped name^degree; one gcd ends it.  An input with no such term is
+        returned as it is, before the tail is looked at."""
         shift = _shift(name)
         field, low = MAX_EXPONENT << shift, degree << shift
         for m in self.terms:
@@ -653,16 +656,21 @@ class MPoly:
                 break
         else:
             return self
-        if tail._den != 1 or tail.degree_in(name) >= degree:
-            raise ValueError(f"rem_monic needs a tail of integer content and "
-                             f"degree in {name} below {degree}")
+        if tail.degree_in(name) >= degree:
+            raise ValueError(f"rem_monic needs a tail of degree in {name} "
+                             f"below {degree}")
         parts = [(tm - low, tc * tail._num) for tm, tc in tail.terms.items()]
-        high = [m for m in self.terms if m & field >= low]
+        scale, num, den = tail._den, self._num, self._den
         terms = dict(self.terms)
+        high = [m for m in terms if m & field >= low]
         while high:
-            for m in high:
-                c = terms.pop(m, 0)     # 0: cancelled earlier in this pass
-                for dm, dc in parts if c else ():
+            popped = [(m, terms.pop(m)) for m in high]
+            if scale != 1:
+                for m in terms:
+                    terms[m] *= scale
+                num, den = _mul_q(num, den, 1, scale)
+            for m, c in popped:
+                for dm, dc in parts:
                     key = m + dm
                     acc = terms.get(key, 0) + c * dc
                     if acc:
@@ -670,7 +678,7 @@ class MPoly:
                     else:
                         del terms[key]
             high = [m for m in _checked(terms) if m & field >= low]
-        return _primitive(self._num, self._den, terms)
+        return _primitive(num, den, terms)
 
     # -- printing ---------------------------------------------------------
 
@@ -828,13 +836,12 @@ def dense_trim(v):
     return v
 
 
-def dense_mul(a, b, n=None):
-    """Trimmed product a*b, cut to its first ``n`` coefficients if given."""
-    n = len(a) + len(b) - 1 if n is None else n
-    out = [_ZERO] * max(n, 0)
-    for i, x in enumerate(a[:n]):
+def dense_mul(a, b):
+    """Trimmed product a*b."""
+    out = [_ZERO] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b[:n - i]):
+            for j, y in enumerate(b):
                 if y:
                     out[i + j] = out[i + j] + x * y
     return dense_trim(out)

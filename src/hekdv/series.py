@@ -1,37 +1,38 @@
 """Truncated univariate power series over exact rationals, with Newton lifting.
 
-A product is the dense product of ``poly`` cut after the smaller order.  The
-inverse solves its coefficient recurrence, which is faster here than an
-extended-Euclid inverse modulo t^(order+1).
+A series in t truncated at order n is an element of the quotient ring
+Q[t]/(t^(n+1)) (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 9):
+an ``algnum.QuotientElem`` with the modulus (t, n + 1, 0), so a product is
+one MPoly product and one ``rem_monic``, which drops the terms past the
+order.  Series in different variables or of different orders do not mix:
+ValueError.  The inverse solves its coefficient recurrence, which is faster
+here than an extended-Euclid inverse modulo t^(n+1).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
+from .algnum import QuotientElem, in_powers
 from .errors import ConfigError, SingularExpansionError
-from .poly import Ring, dense_mul, eval_poly
+from .poly import MPoly, dense_coeffs, eval_poly
 
 _ZERO = Fraction(0)
 
 
-class PSeries(Ring):
-    """Coefficients c[0..order] of a series truncated at the given order."""
+@lru_cache(maxsize=None)
+def _modulus(variable, order):
+    """The modulus (variable, order + 1, 0) of the series truncated at order."""
+    return variable, order + 1, MPoly.zero()
 
-    __slots__ = ("variable", "coeffs", "order")
+
+class PSeries(QuotientElem):
+    """The series sum(coeffs[k] * variable^k) truncated at the given order."""
+
+    __slots__ = ()
 
     def __new__(cls, variable, coeffs, order):
-        return cls._make(variable, [Fraction(c) for c in coeffs], order)
-
-    @staticmethod
-    def _make(variable, coeffs, order):
-        """The series of a list of Fractions, padded or cut to order + 1;
-        arithmetic hands its lists over as they stand."""
-        if len(coeffs) < order + 1:
-            coeffs = coeffs + [_ZERO] * (order + 1 - len(coeffs))
-        new = object.__new__(PSeries)
-        object.__setattr__(new, "variable", variable)
-        object.__setattr__(new, "coeffs", tuple(coeffs[:order + 1]))
-        object.__setattr__(new, "order", order)
-        return new
+        return cls._reduced(in_powers(variable, [Fraction(c) for c in coeffs]),
+                            _modulus(variable, order))
 
     @staticmethod
     def zero(variable, order):
@@ -41,61 +42,46 @@ class PSeries(Ring):
     def identity(variable, order):
         return PSeries(variable, [0, 1], order)
 
-    def truncated(self, order):
-        return PSeries._make(self.variable, list(self.coeffs), order)
-
-    def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k <= self.order else Fraction(0)
+    @property
+    def variable(self):
+        return self.modulus[0]
 
     @property
-    def is_zero(self):
-        return not any(self.coeffs)
+    def order(self):
+        return self.modulus[1] - 1
+
+    @property
+    def coeffs(self):
+        """The coefficients c[0..order], constant first, as Fractions."""
+        out = dense_coeffs(self.poly, self.variable)
+        return tuple(out + [_ZERO] * (self.modulus[1] - len(out)))
+
+    def truncated(self, order):
+        return PSeries._reduced(self.poly, _modulus(self.variable, order))
+
+    def __getitem__(self, k):
+        return self.coeffs[k] if 0 <= k <= self.order else _ZERO
 
     def valuation(self):
         """Index of the first nonzero coefficient; order+1 when zero."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return self.order + 1
-
-    def _lift(self, other):
-        if isinstance(other, PSeries):
-            if other.variable != self.variable:
-                raise ValueError("series in different variables do not mix")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PSeries(self.variable, [other], self.order)
-        raise TypeError(f"cannot combine a series with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._lift(other)
-        n = min(self.order, other.order)
-        return PSeries._make(self.variable,
-                             [self[k] + other[k] for k in range(n + 1)], n)
-
-    def __neg__(self):
-        return PSeries._make(self.variable, [-c for c in self.coeffs],
-                             self.order)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        n = min(self.order, other.order)
-        out = dense_mul(self.coeffs, other.coeffs, n + 1)
-        return PSeries._make(self.variable, out, n)
+        if self.poly.is_zero:
+            return self.modulus[1]
+        return self.poly.min_degree_in(self.variable)
 
     def inverse(self):
         """Multiplicative inverse; requires a unit (nonzero constant term)."""
-        if not self.coeffs[0]:
+        c = self.coeffs
+        if not c[0]:
             raise SingularExpansionError(
                 "series is not a unit (zero constant term)")
-        inv0 = Fraction(1) / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * self.order
+        inv0 = 1 / c[0]
+        out = [inv0] + [_ZERO] * self.order
         for k in range(1, self.order + 1):
-            s = Fraction(0)
+            s = _ZERO
             for j in range(1, k + 1):
-                s += self[j] * out[k - j]
+                s += c[j] * out[k - j]
             out[k] = -inv0 * s
-        return PSeries._make(self.variable, out, self.order)
+        return self._make(in_powers(self.variable, out))
 
     def __str__(self):
         var = self.variable
@@ -112,19 +98,14 @@ class PSeries(Ring):
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O({var}^{self.order + 1})"
 
-    __repr__ = __str__
-
 
 def eval_at_series(p, assignments):
     """Evaluate an MPoly at PSeries values for each of its variables.
 
-    The values share one variable; the result is truncated at the least of
-    their orders.
+    The values share one variable and one order.
     """
-    least = min(assignments.values(), key=lambda s: s.order)
-    var, order = least.variable, least.order
-    one = PSeries(var, [1], order)
-    return PSeries.zero(var, order) + eval_poly(p, assignments, one)
+    first = next(iter(assignments.values()))
+    return eval_poly(p, assignments, PSeries(first.variable, [1], first.order))
 
 
 def newton_solve(rel, order, seed):

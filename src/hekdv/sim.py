@@ -342,8 +342,9 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     values are the real parts of the complex run from the same seed.  Any
     other seed runs on complex numbers.  A rational flow refuses a seed on
     its singular set u4 = u2^2 (SeedError); steps that would bring
-    |u4 - u2^2| below 1e-8 times its initial size are rejected, and the
-    run aborts with the partial trajectory once the step size underflows.
+    |u4 - u2^2| below 1e-8 times its initial size are rejected.  Any run
+    aborts with the partial trajectory once the step size underflows; the
+    reason names the singular set only on a rational flow.
     A span or tolerances that no step control can honour raise
     ConfigError.  The trajectory, also a partial one, carries the step
     statistics.
@@ -393,7 +394,8 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
                 raise _abort(traj, "step budget exhausted", StepBudgetExhausted)
             h = min(h, length - t)
             if h < 1e-15 * max(1.0, t):
-                raise _abort(traj, "step size underflow near the singular set")
+                raise _abort(traj, "step size underflow near the singular set"
+                             if guard else "step size underflow")
             y_new, k7, err, finite, big = dp_attempt(rhs, y, f0, sign * h, h,
                                                      rel_tol, abs_tol)
             steps += 1

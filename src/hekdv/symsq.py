@@ -2,7 +2,8 @@
 
 Every element is stored as num/den with num of degree <= 1 in each of Y1,
 Y2 (the rewrites Y_i^2 -> Q(X_i) are confluent, so this normal form is
-canonical) and den free of Y variables.  Denominators arising anywhere in
+canonical) and den free of Y variables.  The Y-reduction is the remainder
+by Y1^2 - Q(X1), then by Y2^2 - Q(X2), one ``MPoly.rem_monic`` each.  Denominators arising anywhere in
 the pipeline are products of X1, X2 and (X1 - X2).  After Y-reduction and
 conjugate clearing an element goes through ``ratfun.normal_form`` with the
 variable pair (X1, X2): it cancels the common monomial and the common power
@@ -14,7 +15,7 @@ function generators: substitution of
     a = (X1+X2)/2,  b = (X1-X2)^2/4,  c = (Y1-Y2)/(X1-X2),  d = (Y1+Y2)/2
 
 and its inverse through the auxiliary variable s with X1 = a+s, X2 = a-s,
-Y1 = d+s*c, Y2 = d-s*c, s^2 = b.  Only c has a denominator, and as
+Y1 = d+s*c, Y2 = d-s*c, s^2 = b: the last is the remainder by s^2 - b.  Only c has a denominator, and as
 X1 - X2 = 2s, a polynomial of degree k in c has in the s chart the
 monomial denominator (2s)^k, whose common power s^j with the numerator cancels
 before anything is expanded.  Every evaluation on the square is then one
@@ -47,11 +48,9 @@ class SymSqField:
     # -- reduction ---------------------------------------------------------
 
     def reduce(self, p):
-        """Confluent Y-reduction: Y_i^e -> Q(X_i)^(e//2) * Y_i^(e%2)."""
-        for yvar, Q in (("Y1", self.Q1), ("Y2", self.Q2)):
-            if p.degree_in(yvar) >= 2:
-                p = sum_polys(_y_reduced(p.coeffs_in(yvar), MPoly.var(yvar), Q))
-        return p
+        """Confluent Y-reduction: the remainder by Y1^2 - Q(X1), then by
+        Y2^2 - Q(X2)."""
+        return p.rem_monic("Y1", 2, self.Q1).rem_monic("Y2", 2, self.Q2)
 
     # -- element construction ----------------------------------------------
 
@@ -76,16 +75,6 @@ class SymSqField:
 
     def weights(self):
         return standard_weights(self.params.genus)
-
-
-def _y_reduced(parts, y, Q):
-    """Each coefficient c of y^e in ``parts`` times Q^(e//2) * y^(e%2)."""
-    for e, c in parts.items():
-        if e >= 2:
-            c = c * Q ** (e // 2)
-        if e % 2:
-            c = c * y
-        yield c
 
 
 class SymSqElem(RatFn):
@@ -196,13 +185,13 @@ def xy_to_abcd(p):
 
 
 def _even_s_to_b(q):
-    parts = q.coeffs_in("s")
-    if any(e % 2 for e in parts):
+    """The remainder of q by s^2 - b; NotSymmetricError when s survives."""
+    q = q.rem_monic("s", 2, MPoly.var("b"))
+    if q.degree_in("s"):
         raise NotSymmetricError(
             "odd power of the antisymmetric variable survives; "
             "input is not a symmetric function of the two points")
-    b = MPoly.var("b")
-    return sum_polys(c * b ** (e // 2) for e, c in parts.items())
+    return q
 
 
 def build_MN(params):

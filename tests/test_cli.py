@@ -434,3 +434,13 @@ class TestAbortExitCode:
         doc = json.loads(out.read_text())
         assert doc["aborted"] and doc["reached_time"] < 1.0
         assert csv.read_text().startswith("time,")
+
+    def test_polynomial_flow_underflow_names_no_singular_set(self, tmp_path):
+        # flow I has no singular set: a tolerance no float step can honour
+        # aborts for the step size alone
+        out = tmp_path / "sum.json"
+        code = run(["simulate", "--rel-tol=0", "--abs-tol=1e-30", "--flow",
+                    "I", "--t-end=0.05", "--out", str(out)])
+        assert code == 1
+        doc = json.loads(out.read_text())
+        assert doc["aborted"] and doc["abort_reason"] == "step size underflow"

@@ -12,6 +12,7 @@ from hekdv.phiring import (MINPOLY_Q, PhiFrac, PhiRingElem, ThetaVal,
                            sigma_on_ring, suite_appendix, verify_appendix_forms,
                            verify_example1, verify_example3, verify_ratc)
 from hekdv.poly import MPoly, variables
+from hekdv.series import PSeries
 
 phi, w3, w5 = variables("phi", "w3", "w5")
 
@@ -43,8 +44,9 @@ class TestRing:
 
 
     def test_no_dense_routine_runs(self, monkeypatch):
-        """Products in both quotient rings are one MPoly product and one
-        rem_monic; only AlgNum.inverse runs a dense routine."""
+        """Products in the quotient rings, series included, are one MPoly
+        product and one rem_monic; only AlgNum.inverse runs a dense
+        routine."""
         def refuse(*args, **kwargs):
             raise AssertionError("a dense routine ran")
         for name in ("dense_mul", "dense_divmod", "dense_inverse"):
@@ -57,6 +59,8 @@ class TestRing:
         y = q ** 5 * F(1, 3) + q - 2
         assert y * y ** 3 == y ** 4 and (y - y).is_zero
         assert q ** 6 == q ** 3 * 15 + 45
+        s = PSeries("t", [1, 2, F(1, 3)], 6)
+        assert s * s ** 2 == s ** 3 and (s * s)[4] == F(1, 9)
         with pytest.raises(AssertionError, match="dense routine"):
             q.inverse()
 

@@ -103,11 +103,13 @@ class TestDivision:
 
     def test_rem_monic_refuses_a_fractional_or_high_tail(self):
         x = MPoly.var("X1")
-        with pytest.raises(ValueError, match="integer content"):
-            (x ** 3).rem_monic("X1", 2, a * F(3, 2))
+        # a tail of content 3/2: X1^3 = X1 * X1^2 = (3/2) a X1, and a term
+        # kept beside it is scaled with the content
+        assert (x ** 3).rem_monic("X1", 2, a * F(3, 2)) == a * x * F(3, 2)
+        assert (x ** 3 + 1).rem_monic("X1", 2, a * F(3, 2)) == a * x * F(3, 2) + 1
         with pytest.raises(ValueError, match="below 2"):
             (x ** 3).rem_monic("X1", 2, x ** 2 + a)
-        # the content 3/2 of the dividend is kept; only the tail's must be an int
+        # the content 3/2 of the dividend is kept
         assert (x ** 3 * F(3, 2)).rem_monic("X1", 2, a * 4) == x * a * 6
 
     def test_rem_monic_cancels_and_repeats(self):
@@ -949,14 +951,18 @@ def _from_mpoly_by_exponent_loop(p):
 
 
 _FIELD2 = SymSqField(CurveParams.symbolic(2))
+# rational parameters give Q(X) a content that is not an integer
+_FIELD_RATIONAL = SymSqField(CurveParams.numeric(
+    3, (F(1, 2), F(-3, 7), 0, F(5, 3), 1, F(-1, 4))))
 _SWAP = {"X1": MPoly.var("X2"), "Y1": MPoly.var("Y2"),
          "X2": MPoly.var("X1"), "Y2": MPoly.var("Y1")}
 
 
 class TestAgainstExponentLoops:
-    @given(mpoly_strategy(("X1", "Y1", "X2", "Y2"), max_terms=4, max_exp=5))
-    def test_reduce(self, p):
-        assert _FIELD2.reduce(p) == _reduce_by_exponent_loop(_FIELD2, p)
+    @given(st.sampled_from((_FIELD2, _FIELD_RATIONAL)),
+           mpoly_strategy(("X1", "Y1", "X2", "Y2"), max_terms=4, max_exp=5))
+    def test_reduce(self, field, p):
+        assert field.reduce(p) == _reduce_by_exponent_loop(field, p)
 
     @given(mpoly_strategy(("a", "b", "c", "d", "s"), max_terms=4, max_exp=3))
     def test_even_s_to_b(self, p):

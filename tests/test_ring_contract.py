@@ -82,7 +82,7 @@ HASHABLE = [name for name, (_, one) in ELEMENTS.items() if _hashable(one)]
 
 
 def test_the_quotient_rings_are_hashable():
-    assert HASHABLE == ["AlgNum", "PhiRingElem"]
+    assert HASHABLE == ["AlgNum", "PhiRingElem", "PSeries"]
 
 
 @pytest.mark.parametrize("name", HASHABLE)

@@ -50,6 +50,13 @@ class TestCoercion:
             with pytest.raises(ValueError):
                 op()
 
+    def test_different_orders_do_not_mix(self):
+        s, u = PSeries("t", [1, 1], 3), PSeries("t", [1, 1], 4)
+        for op in (lambda: s + u, lambda: s - u, lambda: s * u,
+                   lambda: s / u, lambda: s == u):
+            with pytest.raises(ValueError):
+                op()
+
     def test_foreign_operands(self):
         s = PSeries("t", [1], 2)
         assert (s == None) is False  # noqa: E711
