@@ -12,10 +12,12 @@ gcds) and convolves the integer parts without a gcd; a scalar changes only
 the content.  Every sum goes through one accumulator, ``_Sum``, which
 merges each part into one int term dict with ``_merge`` and takes one gcd
 at the end; the terms keep the order of the running sum ``total + part``.
-Products and the monomial substitution keep their own loops.  The kernel
-divides by a monomial (``exact_div``) and by a difference u - v of two
-named variables (``divide_out_linear``), and it takes one remainder: by a
-monic name^d - tail (``rem_monic``).  That remainder is the Y-reduction and
+Products and the monomial substitution keep their own loops.  Every other
+substitution of MPolys is a ``Substitution``, which keeps the powers it
+forms for as long as it lives.  The kernel divides by a monomial
+(``exact_div``) and by a difference u - v of two named variables
+(``divide_out_linear``), and it takes one remainder: by a monic
+name^d - tail (``rem_monic``).  That remainder is the Y-reduction and
 the s^2 = b chart of ``symsq`` and the product of every quotient ring of
 ``algnum``, truncated series included.  None of them divides a
 coefficient: a tail of content n/d scales the kept terms by d instead.
@@ -31,13 +33,13 @@ never carry into the next field, and every sum is checked for it; d
 divides m when (m with every guard bit set) - d keeps every guard bit.
 
 This representation is private to this module: other modules read a
-polynomial only through ``coeffs_in``, ``monomials``, the structural
-queries, ``sum_polys``, ``unit_den`` and ``eval_poly``/``subst``.  The
-``dense_*`` routines are the one dense univariate arithmetic over
-Fractions, constant term first (von zur Gathen & Gerhard, Modern Computer
-Algebra, ch. 2-3 and 6): the resultant and the inverse in
-``algnum.AlgNum``; ``dense_coeffs`` reads a polynomial in one variable
-into that form.  ``Ring`` is the base of the other ring-element
+polynomial only through ``coeffs_in``, ``coefficient``, ``monomials``,
+the structural queries, ``sum_polys``, ``unit_den``, ``Substitution`` and
+``eval_poly``/``subst``.  The ``dense_*`` routines are the one dense
+univariate arithmetic over Fractions, constant term first (von zur Gathen
+& Gerhard, Modern Computer Algebra, ch. 2-3 and 6): the resultant and the
+inverse in ``algnum.AlgNum``; ``dense_coeffs`` reads a polynomial in one
+variable into that form.  ``Ring`` is the base of the other ring-element
 classes and writes their shared operators once.
 """
 
@@ -231,21 +233,28 @@ def _as_pair(c):
 
 DEFAULT_MEM_CAP_MB = 1024.0
 
+# os.environ's own store and the cap's key in it, encoded once: a read of
+# an unset variable is then one dict miss, where os.environ.get encodes the
+# key and catches a KeyError on every product
+_ENVIRON = os.environ._data
+_MEM_CAP_KEY = os.environ.encodekey("HEKDV_MEM_CAP_MB")
+
 
 def _mem_cap_product_terms():
     """The product-term cap that HEKDV_MEM_CAP_MB sets at this moment."""
-    return _product_term_cap(os.environ.get("HEKDV_MEM_CAP_MB"))
+    return _product_term_cap(_ENVIRON.get(_MEM_CAP_KEY))
 
 
 @lru_cache(maxsize=8)
-def _product_term_cap(cap_mb):
-    """A raw HEKDV_MEM_CAP_MB value as a rough cap on product terms, at
-    about 200 bytes a stored term; unset (None) means the 1 GiB default.
-    Each raw string is parsed once; a malformed one, or one that is not a
-    finite positive number, raises on every product."""
-    if cap_mb is None:
+def _product_term_cap(raw):
+    """An encoded HEKDV_MEM_CAP_MB value as a rough cap on product terms,
+    at about 200 bytes a stored term; unset (None) means the 1 GiB default.
+    Each raw value is decoded and parsed once; a malformed one, or one that
+    is not a finite positive number, raises on every product."""
+    if raw is None:
         cap = DEFAULT_MEM_CAP_MB
     else:
+        cap_mb = os.environ.decodevalue(raw)
         try:
             cap = float(cap_mb)
         except ValueError:
@@ -353,6 +362,12 @@ class MPoly:
         num, den = self._num, self._den
         for m, c in self.terms.items():
             yield tuple(_exponents(m)), Fraction(num * c, den)
+
+    def coefficient(self, monomial):
+        """The Fraction coefficient of the monomial given as (name,
+        exponent) pairs; 0 when self has no such term."""
+        c = self.terms.get(_pack(monomial))
+        return _ZERO if c is None else Fraction(self._num * c, self._den)
 
     def as_constant(self):
         """Return the Fraction value if constant, else None."""
@@ -517,36 +532,35 @@ class MPoly:
         Variables that ``mapping`` does not name stay as they are.  The
         substitution is simultaneous.  When every variable of self goes to
         one term of content 1 (a monomial, or its negative), the terms are
-        rewritten in one pass without a product; the result and its term
+        rewritten in one pass without a product; otherwise a throwaway
+        ``Substitution`` forms them.  Either way the result and its term
         order are ``eval_poly``'s.
         """
-        span = reduce(or_, self.terms, 0)
-        full = {v: MPoly.var(v) for v, _ in _exponents(span)}
-        full.update((k, MPoly.const(v) if isinstance(v, (int, Fraction)) else v)
-                    for k, v in mapping.items())
-        out = self._subst_monomials(full, span)
-        if out is None:
-            out = eval_poly(self, full, one=MPoly.const(1))
-        return out
+        sub = Substitution(mapping)
+        out = self._subst_monomials(sub.mapping)
+        return sub(self) if out is None else out
 
-    def _subst_monomials(self, full, span):
+    def _subst_monomials(self, mapping):
         """``subst`` when each variable goes to +-1 times a monomial, else None.
 
-        ``span`` is the OR of self's monomials; its fields bound the
-        exponents.  None also when that bound lets an exponent of the
-        result pass ``MAX_EXPONENT``: the product path then decides, and
-        raises OverflowError where one does.  Terms that land on one
-        monomial add, and a sum of 0 is deleted, in the order in which
-        ``eval_poly`` adds them.
+        ``mapping`` holds MPolys; a variable it does not name stays.  The
+        OR of self's monomials bounds the exponents.  None also when that
+        bound lets an exponent of the result pass ``MAX_EXPONENT``: the
+        product path then decides, and raises OverflowError where one
+        does.  Terms that land on one monomial add, and a sum of 0 is
+        deleted, in the order in which ``eval_poly`` adds them.
         """
         keep, moved, bound = 0, [], {}
-        for v, e in _exponents(span):
-            image = full[v]
-            if (not isinstance(image, MPoly) or len(image.terms) != 1
-                    or image._num != 1 or image._den != 1):
-                return None
-            (mono, sign), = image.terms.items()
+        for v, e in _exponents(reduce(or_, self.terms, 0)):
+            image = mapping.get(v)
             shift = _SHIFT[v]
+            if image is None:
+                mono, sign = 1 << shift, 1
+            elif (len(image.terms) != 1 or image._num != 1
+                    or image._den != 1):
+                return None
+            else:
+                (mono, sign), = image.terms.items()
             if mono == 1 << shift and sign == 1:
                 keep |= MAX_EXPONENT << shift
             else:
@@ -878,6 +892,55 @@ def dense_inverse(a, m):
     return [c / r0[0] for c in s0]
 
 
+class Substitution:
+    """A simultaneous substitution of MPolys for variables that keeps the
+    powers it forms.
+
+    ``mapping`` sends names to MPolys, ints or Fractions; a variable it
+    does not name stands for itself.  Calling the substitution on an MPoly
+    forms each term as the left-to-right product, in symbol order, of the
+    powers of the images, and merges the scaled products into one ``_Sum``
+    with the content applied once at the end, so the result and its term
+    order are the running sum's.  Each power is formed once by ``power``
+    and kept, keyed by (name, exponent), for as long as the substitution
+    lives: one that outlives a call serves every later call too.
+    """
+
+    __slots__ = ("mapping", "_powers")
+
+    def __init__(self, mapping):
+        self.mapping = {v: MPoly.const(image)
+                        if isinstance(image, (int, Fraction)) else image
+                        for v, image in mapping.items()}
+        self._powers = {}
+
+    def power(self, name, e):
+        """The image of name^e, formed on first use and kept."""
+        key = name, e
+        pv = self._powers.get(key)
+        if pv is None:
+            image = self.mapping.get(name)
+            pv = self._powers[key] = power(
+                MPoly.var(name) if image is None else image, e, _ONE)
+        return pv
+
+    def __call__(self, p):
+        powers = self._powers
+        acc = _Sum()
+        for m, c in p.terms.items():
+            prod = _ONE
+            for key in _exponents(m):
+                pv = powers.get(key)
+                if pv is None:
+                    pv = self.power(*key)
+                prod = pv if prod is _ONE else prod * pv
+            acc.add(prod._num, prod._den, prod.terms, c)
+        return acc.result(p._num, p._den)
+
+
+_ONE = MPoly(1, 1, {0: 1})
+
+
 def eval_poly(p, mapping, one):
     """Evaluate polynomial `p` in any commutative ring.
 
@@ -886,36 +949,27 @@ def eval_poly(p, mapping, one):
     identity (used for empty monomials).  Variables of `p` that carry a
     nonzero exponent must all be mapped.
 
-    Each term is the product of cached powers of the mapped values, times
-    the term's coefficient.  Over MPolys the scaled products are merged
-    into one ``_Sum`` and the content of `p` is applied once at the end;
-    other rings add a running total.  Either way an MPoly result has the
-    terms in the order of that running sum.
+    Each term is the product of the powers of the mapped values, each
+    power formed once per call, times the term's coefficient.  Over MPolys
+    a throwaway ``Substitution`` does it; other rings add a running total.
+    Either way an MPoly result has the terms in the order of that running
+    sum.
     """
-    missing = p.variables_used() - set(mapping)
+    missing = p.variables_used() - mapping.keys()
     if missing:
         raise ConfigError(f"eval_poly: unmapped variables {sorted(missing)}")
-
-    @lru_cache(maxsize=None)
-    def cached_power(v, e):
-        return power(mapping[v], e, one)
-
     if isinstance(one, MPoly) and all(isinstance(v, MPoly)
                                       for v in mapping.values()):
-        acc = _Sum()
-        for m, c in p.terms.items():
-            prod = one
-            for v, e in _exponents(m):
-                pv = cached_power(v, e)
-                prod = pv if prod is one else prod * pv
-            acc.add(prod._num, prod._den, prod.terms, c)
-        return acc.result(p._num, p._den)
+        return Substitution(mapping)(p)
 
+    powers = {}
     total = None
     for mono, c in p.monomials():
         acc = None
-        for v, e in mono:
-            pv = cached_power(v, e)
+        for key in mono:
+            pv = powers.get(key)
+            if pv is None:
+                pv = powers[key] = power(mapping[key[0]], key[1], one)
             acc = pv if acc is None else acc * pv
         if acc is None:
             term = one * c

@@ -60,7 +60,10 @@ class PSeries(QuotientElem):
         return PSeries._reduced(self.poly, _modulus(self.variable, order))
 
     def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k <= self.order else _ZERO
+        """The coefficient of variable^k, read alone; 0 past the order."""
+        if 0 <= k <= self.order:
+            return self.poly.coefficient(((self.variable, k),))
+        return _ZERO
 
     def valuation(self):
         """Index of the first nonzero coefficient; order+1 when zero."""
@@ -137,7 +140,7 @@ def newton_solve(rel, order, seed):
         if residual.is_zero:
             return cur
         dval = eval_at_series(drel, {unknown: cur, parameter: t_series})
-        if not dval.coeffs[0]:
+        if dval.valuation():
             raise SingularExpansionError(
                 "derivative is not a unit series; Newton step undefined")
         cur = cur - residual * dval.inverse()

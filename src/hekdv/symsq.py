@@ -21,17 +21,23 @@ monomial denominator (2s)^k, whose common power s^j with the numerator cancels
 before anything is expanded.  Every evaluation on the square is then one
 polynomial substitution over the denominator (X1-X2)^(k-j) * 2^j,
 normalized once (see ``abcd_to_xy``); a round trip through ``xy_to_abcd``
-has j = k and divides nothing by X1 - X2.
+has j = k and divides nothing by X1 - X2.  Both substitutions are kept as
+``poly.Substitution``s: one per field for ``abcd_to_xy``, whose curve
+parameters belong to the field (``SymSqField.to_xy``), and one for the s
+chart.  Each keeps the powers it forms, of (X1+X2)/2, Y1-Y2, a+s, d-s*c
+and the rest, so a later call does not raise them again.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .curve import CurveParams, y_symbols
 from .errors import NotSymmetricError
-from .poly import MPoly, standard_weights, sum_polys
+from .poly import MPoly, Substitution, standard_weights, sum_polys
 from .ratfun import RatFn, _as_mpoly, normal_form
 
 _HALF = Fraction(1, 2)
+_DX = MPoly.var("X1") - MPoly.var("X2")
 
 
 class SymSqField:
@@ -44,6 +50,7 @@ class SymSqField:
         self.dQ1 = self.Q1.derivative("X1")
         self.dQ2 = self.Q2.derivative("X2")
         self._abcd = None
+        self._to_xy = None
 
     # -- reduction ---------------------------------------------------------
 
@@ -72,6 +79,18 @@ class SymSqField:
         if self._abcd is None:
             self._abcd = {g: abcd_to_xy(MPoly.var(g), self) for g in "abcd"}
         return self._abcd
+
+    def to_xy(self):
+        """The substitution of ``abcd_to_xy``, built once: a, c, d and s in
+        X1, Y1, X2, Y2, and each curve parameter by its value or symbol."""
+        if self._to_xy is None:
+            x1, y1, x2, y2 = (MPoly.var(n) for n in ("X1", "Y1", "X2", "Y2"))
+            sub = {n: self.params.coefficient(n)
+                   for n in y_symbols(self.params.genus)}
+            sub.update(a=(x1 + x2) * _HALF, c=y1 - y2, d=(y1 + y2) * _HALF,
+                       s=_DX * _HALF)
+            self._to_xy = Substitution(sub)
+        return self._to_xy
 
     def weights(self):
         return standard_weights(self.params.genus)
@@ -151,8 +170,8 @@ def abcd_to_xy(expr, field):
     denominator: expr * (2s)^k (k = deg_c expr) is a polynomial in the s
     chart.  There b = s^2, so the denominator (2s)^k is a monomial and its
     common power s^j with the numerator (j = min(k, least degree in s)) is
-    cancelled before anything is expanded.  One substitution of a, c, d, s
-    and the curve parameters then gives the numerator over
+    cancelled before anything is expanded.  The field's kept substitution
+    of a, c, d, s and the curve parameters then gives the numerator over
     (X1-X2)^(k-j) * 2^j.  The bridge variable s is (X1-X2)/2; other
     variables stand for themselves.
     """
@@ -161,18 +180,20 @@ def abcd_to_xy(expr, field):
     j = min(k, num.min_degree_in("s"))
     if j:
         num = num.exact_div(MPoly.var("s", j))
-    x1, y1, x2, y2 = (MPoly.var(n) for n in ("X1", "Y1", "X2", "Y2"))
-    dx = x1 - x2
-    sub = {n: field.params.coefficient(n) for n in y_symbols(field.params.genus)}
-    sub.update(a=(x1 + x2) * _HALF, c=y1 - y2, d=(y1 + y2) * _HALF,
-               s=dx * _HALF)
-    return field.elem(num.subst(sub), dx ** (k - j) * 2 ** j)
+    return field.elem(field.to_xy()(num), _DX ** (k - j) * 2 ** j)
+
+
+@lru_cache(maxsize=None)
+def _s_chart():
+    """The substitution X1=a+s, X2=a-s, Y1=d+s*c, Y2=d-s*c, built once."""
+    a, c, d, s = (MPoly.var(n) for n in ("a", "c", "d", "s"))
+    return Substitution({"X1": a + s, "X2": a - s,
+                         "Y1": d + s * c, "Y2": d - s * c})
 
 
 def _in_s_chart(p):
     """p rewritten through X1=a+s, X2=a-s, Y1=d+s*c, Y2=d-s*c."""
-    a, c, d, s = (MPoly.var(n) for n in ("a", "c", "d", "s"))
-    return p.subst({"X1": a + s, "X2": a - s, "Y1": d + s * c, "Y2": d - s * c})
+    return _s_chart()(p)
 
 
 def xy_to_abcd(p):

@@ -15,8 +15,9 @@ from conftest import mpoly_strategy, nonzero_fractions, small_fractions
 from hekdv.curve import CurveParams
 from hekdv.errors import ConfigError, MemoryCapExceeded, NotSymmetricError
 from hekdv.phiring import PhiRingElem
-from hekdv.poly import (MAX_EXPONENT, MPoly, eval_poly, power, standard_weights,
-                        sum_polys, variables, weighted_degree)
+from hekdv.poly import (MAX_EXPONENT, MPoly, Substitution, eval_poly, power,
+                        standard_weights, sum_polys, variables,
+                        weighted_degree)
 from hekdv.series import PSeries
 from hekdv.symsq import SymSqField, _even_s_to_b, _in_s_chart, xy_to_abcd
 
@@ -241,7 +242,7 @@ class TestMonomialSubst:
     @staticmethod
     def _same(p, mapping):
         want = _subst_by_products(p, mapping)
-        with patch.object(hekdv.poly, "eval_poly") as general:
+        with patch.object(Substitution, "__call__") as general:
             got = p.subst(mapping)
         assert not general.called
         assert got == want
@@ -286,8 +287,8 @@ class TestMonomialSubst:
                                        -3 * b, a + b, F(1, 3) * a])
     def test_other_values_take_the_general_path(self, value):
         p = a ** 2 * b - a + 1
-        with patch.object(hekdv.poly, "eval_poly",
-                          wraps=hekdv.poly.eval_poly) as general:
+        with patch.object(Substitution, "__call__", autospec=True,
+                          side_effect=Substitution.__call__) as general:
             got = p.subst({"a": value})
         assert general.called
         assert got == _subst_by_products(p, {"a": value})
@@ -426,6 +427,34 @@ class TestEvalNumericThroughEvalPoly:
         got, want = p.eval_numeric(point), _eval_numeric_loop(p, point)
         assert type(got) is type(want)
         assert repr(got + 0) == repr(want + 0)
+
+
+class TestSubstitution:
+    """A ``Substitution`` keeps the powers it forms across calls."""
+
+    def test_unmapped_variable_stands_for_itself(self):
+        sub = Substitution({"a": X1 + X2, "c": F(2, 3)})
+        p = a ** 2 * b - 3 * c * d + F(1, 2)
+        want = (X1 + X2) ** 2 * b - 2 * d + F(1, 2)
+        for _ in range(2):
+            got = sub(p)
+            assert got == want == p.subst(sub.mapping)
+            assert list(got.monomials()) == list(
+                p.subst(sub.mapping).monomials())
+        assert sub.power("b", 3) == b ** 3
+        assert sub(MPoly.zero()).is_zero and sub(MPoly.const(7)) == 7
+
+    def test_kept_power_equals_power(self):
+        image = X1 - F(1, 2) * X2 + 3
+        sub = Substitution({"a": image, "c": F(2, 3)})
+        for e in (1, 2, 5, 3, 5, 2):
+            got = sub.power("a", e)
+            want = power(image, e, MPoly.const(1))
+            assert got == want
+            assert list(got.monomials()) == list(want.monomials())
+        assert sub.power("a", 5) is sub.power("a", 5)
+        assert sub.power("c", 2) == F(4, 9)
+        assert sub(a ** 5 * c ** 2) == image ** 5 * F(4, 9)
 
 
 class TestMemoryCap:

@@ -31,6 +31,15 @@ class TestPSeries:
             PSeries("t", [0, 1], 3).inverse()
 
     @given(st.lists(st.fractions(min_value=F(-5), max_value=F(5),
+                                 max_denominator=6), max_size=8),
+           st.integers(0, 6))
+    def test_index_reads_one_coefficient(self, coeffs, order):
+        s = PSeries("t", coeffs, order)
+        for k in range(-2, order + 3):
+            want = s.coeffs[k] if 0 <= k <= order else 0
+            assert type(s[k]) is F and s[k] == want
+
+    @given(st.lists(st.fractions(min_value=F(-5), max_value=F(5),
                                  max_denominator=6), min_size=1, max_size=5))
     def test_add_neg(self, coeffs):
         s = PSeries("t", coeffs, 6)

@@ -1,14 +1,15 @@
 import random
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings, strategies as st
 
 from conftest import mpoly_strategy
 from hekdv.curve import CurveParams, y_symbols
 from hekdv.errors import NotSymmetricError, ZeroDenominatorError
-from hekdv.poly import (MPoly, eval_poly, standard_weights, variables,
-                        weighted_degree)
+from hekdv.poly import (MPoly, Substitution, eval_poly, standard_weights,
+                        variables, weighted_degree)
 from hekdv.ratfun import RatFn
 from hekdv.symsq import SymSqField, abcd_to_xy, build_MN, xy_to_abcd
 
@@ -243,6 +244,66 @@ class TestBridgeCancellation:
             r = abcd_to_xy(xy_to_abcd(p_sym), f)
             assert r == f.elem(p_sym)
         assert divide_calls == []
+
+
+# the parameters are not integers, so the numeric square's parameter images
+# are constants unlike the symbolic square's symbols
+_FRACTIONAL3 = CurveParams.numeric(
+    3, (F(1, 3), F(-2, 5), F(3, 7), F(-1, 2), F(5, 4), F(2, 9)))
+
+# two squares that outlive the examples, so their kept powers stay warm
+_WARM_SQUARES = (SymSqField(CurveParams.symbolic(3)), SymSqField(_FRACTIONAL3))
+
+_SWAP = {"X1": X2, "X2": X1, "Y1": Y2, "Y2": Y1}
+
+
+def _with_substitutions(run):
+    """run() and the (mapping, input, result) of each Substitution call in it."""
+    calls = []
+    call = Substitution.__call__
+
+    def recorded(self, p):
+        out = call(self, p)
+        calls.append((self.mapping, p, out))
+        return out
+
+    with patch.object(Substitution, "__call__", recorded):
+        return run(), calls
+
+
+class TestKeptPowers:
+    """The bridges keep their powers across calls and across the squares:
+    every warm result is the result of a fresh substitution."""
+
+    @seed(29)
+    @settings(max_examples=12)
+    @given(st.lists(st.tuples(mpoly_strategy(("X1", "Y1", "X2", "Y2"),
+                                             max_terms=3, max_exp=2),
+                              st.sampled_from(y_symbols(3)),
+                              st.integers(1, 2)),
+                    min_size=1, max_size=3))
+    def test_warm_bridges_match_fresh_substitutions(self, inputs):
+        def round_trips():
+            out = []
+            for p, y, k in inputs:
+                p_sym = p + p.subst(_SWAP)
+                e = xy_to_abcd(p_sym)
+                for f in _WARM_SQUARES:
+                    r = abcd_to_xy(e, f)
+                    assert r == f.elem(p_sym)
+                    ry = abcd_to_xy(e * MPoly.var(y, k), f)
+                    assert ry == r * f.elem(f.params.coefficient(y) ** k)
+                    out.append([list(q.monomials())
+                                for q in (e, r.num, r.den, ry.num, ry.den)])
+            return out
+
+        cold, calls = _with_substitutions(round_trips)
+        warm, more = _with_substitutions(round_trips)
+        assert warm == cold
+        for mapping, p, got in calls + more:
+            want = p.subst(mapping)
+            assert got == want
+            assert list(got.monomials()) == list(want.monomials())
 
 
 # Y-exponents capped at 1 so conjugate clearing stays small; reduction of
