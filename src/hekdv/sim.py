@@ -3,12 +3,16 @@
 The right-hand sides are compiled from the same transcribed tables that the
 symbolic engine certifies, so the measured drift of the two integrals along
 a trajectory is purely integrator error.  Each table compiles into one
-generated function, compiled once per flow and curve.  The stepper is an
-embedded Dormand-Prince 5(4) pair with PI step-size control; its tableau
-is unrolled into one generated step function, built on first use,
-_dp_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol), which also returns the
-error norm, whether the trial state is finite and its largest modulus;
-``_rms`` serves only the initial step.  The state and each of the seven
+generated function f(u2, u4, u5, u7), compiled once per flow and curve,
+which names each node of its power chains, and any other product or sum
+its entries share, once as a local.  The stepper is an embedded
+Dormand-Prince 5(4) pair with PI step-size control; its tableau is
+unrolled into one generated step function, built on first use,
+_dp_attempt(f, y, k1, hs, h, rel_tol, abs_tol), which calls the table f
+directly and also returns the error norm, whether the trial state is
+finite and its largest modulus; ``_rms`` serves only the initial step.
+``CompiledFlow`` and ``CompiledIntegrals`` wrap the same functions for
+callers that hold a state tuple.  The state and each of the seven
 stages are 4-tuples of Python numbers whose type follows the seed: a seed
 whose four components have zero imaginary part runs on floats, any other
 (curve points with negative ordinate squares) on complex numbers, and the
@@ -50,56 +54,125 @@ def _number(value, error, what):
 
 # -- compiling exact tables into fast numeric callables ---------------------
 
-def _power_source(v, e):
-    """Source of v^e (e >= 1) as the product chain of CPython's complex
-    ** int: binary powering from the lowest bit, each square written
-    (p*p), so v^3 is (v*(v*v)) and v^6 is ((v*v)*((v*v)*(v*v))).  On a
-    complex v it has the value of v ** e, to the bit apart from the sign
-    of a zero part (** starts from 1 * v, which turns -0.0 into 0.0); a
-    float ** would call libm's pow instead, which may differ in the last
-    bit."""
-    result, square = None, v
-    while True:
-        if e & 1:
-            result = square if result is None else f"({result}*{square})"
-        e >>= 1
-        if not e:
-            return result
-        square = f"({square}*{square})"
+def _power_name(v, e):
+    """The name of v^e in a generated table: v itself, or the local v_e."""
+    return v if e == 1 else f"{v}_{e}"
 
 
-def _poly_source(p: MPoly):
+def _power_chain(v, exponents):
+    """Source lines that name each node of the product chains of v^e, e in
+    exponents, once, in increasing e.  The chains are those of CPython's
+    complex ** int, binary powering from the lowest bit: a power of two
+    is the square of its half, any other e the product of the chain of e
+    without its top bit and the square at that bit, in this order, so
+    v^3 is v*v_2 and v^6 is v_2*v_4.  On a complex v each node has the
+    value of v ** e, to the bit apart from the sign of a zero part (**
+    starts from 1 * v, which turns -0.0 into 0.0); a float ** would call
+    libm's pow instead, which may differ in the last bit."""
+    operands = {}
+
+    def need(e):
+        if e == 1 or e in operands:
+            return
+        top = 1 << (e.bit_length() - 1)
+        operands[e] = (e // 2, e // 2) if e == top else (e - top, top)
+        for factor in operands[e]:
+            need(factor)
+
+    for e in exponents:
+        need(e)
+    return [f"    {_power_name(v, e)} = {_power_name(v, left)}"
+            f"*{_power_name(v, right)}"
+            for e, (left, right) in sorted(operands.items())]
+
+
+def _poly_tree(p: MPoly, exponents):
+    """p as an expression tree over the power names: each term its
+    coefficient times its powers, multiplied left to right, and the terms
+    added left to right.  A node is (op, left, right), a leaf its source
+    text.  Adds each power it names to exponents[v]."""
     if p.is_zero:
         return "0.0"
-    parts = []
+    total = None
     for mono, c in p.monomials():
         c = _number(c, ConfigError, "a coefficient of the curve's tables").real
-        factors = [repr(c)]
+        term = repr(c)
         for v, e in mono:
-            factors.append(_power_source(v, e))
-        parts.append("*".join(factors))
-    return "(" + "+".join(parts) + ")"
+            exponents[v].add(e)
+            term = ("*", term, _power_name(v, e))
+        total = term if total is None else ("+", total, term)
+    return total
 
 
-def _bind_numeric(rfs, params: CurveParams):
-    """Compile u-space rational functions into one f(u2, u4, u5, u7) that
-    returns their values as a tuple, in the given order."""
+def _table_source(rfs, params: CurveParams):
+    """Source of f(u2, u4, u5, u7), which returns the values of the u-space
+    rational functions rfs as a tuple, in the given order: each the sum of
+    its terms, over the sum of its denominator's where that is not 1.
+    Each node of the power chains is one local, and so is every other
+    node that the entries use twice or more (a denominator they share, a
+    product a numerator and a denominator share), so no product or sum is
+    computed twice; each is the same operation on the same operands as
+    written out in full, hence the same value to the bit."""
     if not (params.is_numeric and params.genus == 3):
         raise ConfigError("simulation needs a genus-3 curve with numeric "
                           "parameters")
-    bodies = []
+    exponents = {v: set() for v in U_VARS}
+    entries = []
     for rf in rfs:
-        body = _poly_source(params.sub_y(rf.num))
+        entry = _poly_tree(params.sub_y(rf.num), exponents)
         den = params.sub_y(rf.den)
         if den.as_constant() != 1:
-            body = f"{body} / {_poly_source(den)}"
-        bodies.append(body)
-    code = f"lambda {', '.join(U_VARS)}: ({', '.join(bodies)},)"
-    return eval(code, {"__builtins__": {}})
+            entry = ("/", entry, _poly_tree(den, exponents))
+        entries.append(entry)
+
+    # the uses of each node; a node used twice is computed once, so its
+    # operands are counted once
+    uses = {}
+
+    def count(node):
+        if isinstance(node, tuple):
+            uses[node] = uses.get(node, 0) + 1
+            if uses[node] == 1:
+                count(node[1])
+                count(node[2])
+
+    for entry in entries:
+        count(entry)
+    lines = [f"def f({', '.join(U_VARS)}):"]
+    for v in U_VARS:
+        lines += _power_chain(v, exponents[v])
+    names = {}
+
+    def source(node):
+        if not isinstance(node, tuple):
+            return node
+        if node not in names:
+            op, left, right = node
+            # a sum or a product is a left fold whose right operand is a
+            # term or a leaf, so only a quotient needs parentheses
+            text = (f"({source(left)})/({source(right)})" if op == "/"
+                    else f"{source(left)}{op}{source(right)}")
+            if uses[node] == 1:
+                return text
+            names[node] = f"s{len(names)}"
+            lines.append(f"    {names[node]} = {text}")
+        return names[node]
+
+    returned = [source(entry) for entry in entries]
+    lines.append(f"    return ({', '.join(returned)},)")
+    return "\n".join(lines)
 
 
-# every CompiledFlow/CompiledIntegrals of one (flow, params) shares one
-# generated function
+def _bind_numeric(rfs, params: CurveParams):
+    """Compile u-space rational functions into the function that
+    ``_table_source`` writes for them."""
+    namespace = {"__builtins__": {}}
+    exec(compile(_table_source(rfs, params), "<table>", "exec"), namespace)
+    return namespace["f"]
+
+
+# integrate and every CompiledFlow/CompiledIntegrals of one (flow, params)
+# share one generated function
 @lru_cache(maxsize=None)
 def _flow_fn(flow, params: CurveParams):
     table = flow_table(flow)
@@ -280,39 +353,43 @@ def _stage_sum(weights, j):
 
 @lru_cache(maxsize=None)
 def _build_dp_attempt():
-    """Generate _dp_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol)
-    -> (y_new, k7, err, finite, big).
+    """Generate _dp_attempt(f, y, k1, hs, h, rel_tol, abs_tol)
+    -> (y_new, k7, err, finite, big) for a generated table f(u2, u4, u5,
+    u7).
 
-    The tableau is unrolled per component: stage i + 1 is evaluated at
-    y_j + hs * (a1 * k1_j + a2 * k2_j + ...), the last stage at the
-    fifth-order solution y_new.  err is the RMS of |e_j| / (abs_tol +
-    rel_tol * max(|y_j|, |y_new_j|)), e_j being h times the E-weighted
-    stage sum.  Every sum runs left to right, as a loop over the stages
-    and ``_rms`` add, so the results match theirs to the bit.  finite
-    and big come from the moduli |y_new_j|, as |z| is finite exactly
-    when z is; a finite z whose modulus overflows raises in ``abs``.
+    The tableau is unrolled per component: stage i + 1 is f of the four
+    sums y_j + hs * (a1 * k1_j + a2 * k2_j + ...), unpacked straight into
+    the locals ki_j, and the last stage is f of the fifth-order solution
+    y_new.  Only y_new and k7 are returned as tuples.  err is the RMS of
+    |e_j| / (abs_tol + rel_tol * max(|y_j|, |y_new_j|)), e_j being h
+    times the E-weighted stage sum.  Every sum runs left to right, as a
+    loop over the stages and ``_rms`` add, so the results match theirs to
+    the bit.  finite and big come from the moduli |y_new_j|, as |z| is
+    finite exactly when z is; a finite z whose modulus overflows raises
+    in ``abs``.
     """
     comps = range(4)
 
-    def unpack(name):
-        return "    " + ", ".join(f"{name}_{j}" for j in comps) + f", = {name}"
+    def names(name):
+        return ", ".join(f"{name}_{j}" for j in comps)
 
-    lines = ["def _dp_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol):",
-             unpack("y"), unpack("k1")]
-    for i, row in enumerate(_DP_A, start=2):
+    lines = ["def _dp_attempt(f, y, k1, hs, h, rel_tol, abs_tol):",
+             f"    {names('y')}, = y", f"    {names('k1')}, = k1"]
+    for i, row in enumerate(_DP_A[:-1], start=2):
         state = ", ".join(f"y_{j} + hs * ({_stage_sum(row, j)})"
                           for j in comps)
-        lines += [f"    y_new = ({state},)", f"    k{i} = rhs(y_new)",
-                  unpack(f"k{i}")]
-    lines.append(unpack("y_new"))
+        lines.append(f"    {names(f'k{i}')}, = f({state})")
+    lines += [f"    y_new_{j} = y_{j} + hs * ({_stage_sum(_DP_A[-1], j)})"
+              for j in comps]
+    lines += [f"    k7 = f({names('y_new')})", f"    {names('k7')}, = k7"]
     for j in comps:
         lines += [f"    a_{j}, b_{j} = abs(y_{j}), abs(y_new_{j})",
                   f"    r_{j} = abs(h * ({_stage_sum(_DP_E, j)})) / (abs_tol"
                   f" + rel_tol * (b_{j} if b_{j} > a_{j} else a_{j}))"]
     squares = " + ".join(f"r_{j} * r_{j}" for j in comps)
     finite = " and ".join(f"b_{j} < INF" for j in comps)
-    lines.append(f"    return (y_new, k7, sqrt(({squares}) / 4), {finite}, "
-                 f"max(b_0, b_1, b_2, b_3))")
+    lines.append(f"    return (({names('y_new')}), k7, "
+                 f"sqrt(({squares}) / 4), {finite}, max(b_0, b_1, b_2, b_3))")
     namespace = {"__builtins__": {}, "abs": abs, "max": max,
                  "sqrt": math.sqrt, "INF": math.inf}
     exec(compile("\n".join(lines), "<_dp_attempt>", "exec"), namespace)
@@ -361,8 +438,8 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     if abs_tol == 0:
         # a state component at 0 would have error scale 0
         raise ConfigError("abs_tol must be positive, got 0")
-    rhs = CompiledFlow(flow, params)
-    invariants = CompiledIntegrals(params)
+    f = _flow_fn(flow, params)
+    invariants = _integrals_fn(params)
     # the stepper runs over the length of the span; sign orients it
     sign = -1.0 if span < 0 else 1.0
     length = abs(span)
@@ -377,14 +454,14 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     guard_floor = 1e-8 * max(v0, 1e-30)
 
     traj = Trajectory(t_end=span)
-    h12, h14 = invariants(y)
+    h12, h14 = invariants(*y)
     traj.samples.append((0.0, y, h12, h14))
     if length == 0.0:
         return traj
 
     dp_attempt = _build_dp_attempt()
-    f0 = rhs(y)
-    h = min(0.01 * length, _initial_step(rhs, y, f0, sign, rel_tol, abs_tol))
+    f0 = f(*y)
+    h = min(0.01 * length, _initial_step(f, y, f0, sign, rel_tol, abs_tol))
     err_prev = 1.0
     steps = guard_rejected = 0
     h_min, h_max = math.inf, 0.0
@@ -396,7 +473,7 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
             if h < 1e-15 * max(1.0, t):
                 raise _abort(traj, "step size underflow near the singular set"
                              if guard else "step size underflow")
-            y_new, k7, err, finite, big = dp_attempt(rhs, y, f0, sign * h, h,
+            y_new, k7, err, finite, big = dp_attempt(f, y, f0, sign * h, h,
                                                      rel_tol, abs_tol)
             steps += 1
             bad = (not finite
@@ -409,7 +486,7 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
                     raise _abort(traj, "state magnitude overflow "
                                        "(finite-time escape)")
                 f0 = k7         # first-same-as-last
-                h12, h14 = invariants(y)
+                h12, h14 = invariants(*y)
                 traj.samples.append((sign * t, y, h12, h14))
                 if h < h_min:
                     h_min = h
@@ -434,12 +511,12 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     return traj
 
 
-def _initial_step(rhs, y, f0, sign, rel_tol, abs_tol):
+def _initial_step(f, y, f0, sign, rel_tol, abs_tol):
     scale = [abs_tol + rel_tol * abs(v) for v in y]
     d0 = _rms(y, scale)
     d1 = _rms(f0, scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    f1 = rhs(tuple([v + sign * h0 * f for v, f in zip(y, f0)]))
+    f1 = f(*[v + sign * h0 * d for v, d in zip(y, f0)])
     d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
     d = max(d1, d2)
     h1 = (0.01 / d) ** (1 / 5) if d > 1e-15 else max(1e-6, h0 * 1e-3)

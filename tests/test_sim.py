@@ -247,16 +247,22 @@ class TestStepStatistics:
 
     @staticmethod
     def count_calls(monkeypatch, poison=None):
-        """Count right-hand-side calls; call number `poison` returns NaN."""
+        """Count right-hand-side calls at the generated function that
+        integrate takes from sim._flow_fn; call number `poison` returns
+        NaN."""
         calls = []
-        call = CompiledFlow.__call__
+        flow_fn = sim._flow_fn
 
-        def counting(self, state4):
-            calls.append(None)
-            if len(calls) == poison:
-                return (complex("nan"),) * 4
-            return call(self, state4)
-        monkeypatch.setattr(CompiledFlow, "__call__", counting)
+        def counting_flow_fn(flow, params):
+            fn = flow_fn(flow, params)
+
+            def counting(*state):
+                calls.append(None)
+                if len(calls) == poison:
+                    return (complex("nan"),) * 4
+                return fn(*state)
+            return counting
+        monkeypatch.setattr(sim, "_flow_fn", counting_flow_fn)
         return calls
 
     def test_reference_run(self, s0, monkeypatch):
@@ -426,7 +432,7 @@ def weighted_sum(weights, stages, j):
     return total
 
 
-def reference_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol):
+def reference_attempt(f, y, k1, hs, h, rel_tol, abs_tol):
     """One Dormand-Prince attempt as a plain loop over the stages, followed
     by the accept test's arithmetic as the integrate loop did it: the error
     norm by _rms's rule over the scales abs_tol + rel_tol * max(|y_j|,
@@ -435,7 +441,7 @@ def reference_attempt(rhs, y, k1, hs, h, rel_tol, abs_tol):
     for row in (*DP_ROWS[1:], DP_B5):
         state = tuple(y[j] + hs * weighted_sum(row, stages, j)
                       for j in range(4))
-        stages.append(rhs(state))
+        stages.append(f(*state))
     errors = [b5 - b4 for b5, b4 in zip((*DP_B5, F(0)), DP_B4)]
     err_terms = tuple(h * weighted_sum(errors, stages, j) for j in range(4))
     scale = [abs_tol + rel_tol * max(abs(a), abs(b))
@@ -457,7 +463,7 @@ class TestGeneratedStep:
     @pytest.mark.parametrize("kind", ["real", "complex", "float"])
     def test_matches_reference_loop(self, flow, kind):
         rng = random.Random(f"{flow}-{kind}")
-        rhs = CompiledFlow(flow, PARAMS)
+        f = sim._flow_fn(flow, PARAMS)
         attempt = sim._build_dp_attempt()
 
         def draw():
@@ -475,14 +481,14 @@ class TestGeneratedStep:
                 rel_tol = 10.0 ** -rng.uniform(4, 13)
                 abs_tol = rel_tol * 10.0 ** -rng.uniform(0, 3)
             for hs in (h, -h):
-                args = (rhs, y, rhs(y), hs, h, rel_tol, abs_tol)
+                args = (f, y, f(*y), hs, h, rel_tol, abs_tol)
                 got = attempt(*args)
                 assert got == reference_attempt(*args), (y, hs)
                 assert got[3] is True
                 if kind == "float":
                     # the same attempt on the state as complex numbers
                     yc = tuple(map(complex, y))
-                    on_c = attempt(rhs, yc, rhs(yc), hs, h, rel_tol, abs_tol)
+                    on_c = attempt(f, yc, f(*yc), hs, h, rel_tol, abs_tol)
                     assert got[2:] == on_c[2:]
                     for mine, theirs in zip((*got[0], *got[1]),
                                             (*on_c[0], *on_c[1])):
@@ -494,13 +500,13 @@ class TestGeneratedStep:
                              ids=["nan", "inf", "inf-nan"])
     def test_non_finite_trial_state_flagged(self, value):
         # a constant field carries the bad component into the trial state
-        def rhs(state):
+        def f(u2, u4, u5, u7):
             return (1.0, -0.5, 0.25, 2.0)
 
         attempt = sim._build_dp_attempt()
         for j in range(4):
             y = tuple(value if i == j else 0.5 + i for i in range(4))
-            args = (rhs, y, rhs(y), 1e-3, 1e-3, 1e-12, 1e-14)
+            args = (f, y, f(*y), 1e-3, 1e-3, 1e-12, 1e-14)
             y_new, _, err, finite, _ = attempt(*args)
             assert not cmath.isfinite(y_new[j])
             assert finite is False
@@ -511,21 +517,21 @@ class TestGeneratedStep:
 
     def test_overflowing_modulus_raises(self):
         # finite parts whose modulus exceeds the float range
-        def rhs(state):
+        def f(u2, u4, u5, u7):
             return (0.0, 0.0, 0.0, 0.0)
 
         y = (complex(1.5e308, 1.5e308), 0.5, 0.5, 0.5)
         for step in (sim._build_dp_attempt(), reference_attempt):
             with pytest.raises(OverflowError):
-                step(rhs, y, rhs(y), 1e-3, 1e-3, 1e-12, 1e-14)
+                step(f, y, f(*y), 1e-3, 1e-3, 1e-12, 1e-14)
 
     def test_overflowing_power_is_not_finite(self):
         # (1e200)^2 overflows: the product chain gives inf and nan where
         # ** raised OverflowError, and the attempt flags its trial state
-        rhs = CompiledFlow("T3", PARAMS)
+        f = sim._flow_fn("T3", PARAMS)
         attempt = sim._build_dp_attempt()
         for y in ((1e200, 0.5, 0.25, 1.0), (1e200 + 0j, 0.5, 0.25, 1.0)):
-            _, _, err, finite, _ = attempt(rhs, y, rhs(y), 1e-3, 1e-3,
+            _, _, err, finite, _ = attempt(f, y, f(*y), 1e-3, 1e-3,
                                            1e-12, 1e-14)
             assert finite is False and not err <= 1.0
 
@@ -554,6 +560,14 @@ def operators(fn):
             if i.opname.startswith("BINARY")}
 
 
+def power_chain(v, e):
+    """v^e through the chain nodes a generated table computes."""
+    lines = sim._power_chain("v", [e])
+    namespace = {"v": v}
+    exec("\n".join(line.strip() for line in lines), namespace)
+    return namespace[sim._power_name("v", e)]
+
+
 class TestFloatPath:
     """A real seed runs on floats: the generated tables write powers as
     products, so a float evaluation is the real part of the complex one."""
@@ -571,7 +585,7 @@ class TestFloatPath:
             x = rng.uniform(-3, 3)
             z = complex(x, 0.0 if kind == "real" else rng.uniform(-3, 3))
             for e in range(1, 13):
-                chain = eval(sim._power_source("v", e), {"v": z})
+                chain = power_chain(z, e)
                 want = z ** e
                 assert bits(chain.real) == bits(want.real), (z, e)
                 # ** starts from 1 * z, which may flip the sign of a zero
@@ -580,7 +594,7 @@ class TestFloatPath:
                 if want.imag:
                     assert bits(chain.imag) == bits(want.imag), (z, e)
                 if kind == "real":
-                    on_float = eval(sim._power_source("v", e), {"v": x})
+                    on_float = power_chain(x, e)
                     assert bits(on_float) == bits(want.real), (x, e)
 
     @pytest.mark.parametrize("table", ["I", "II", "T1", "T3", "integrals"])
@@ -604,9 +618,9 @@ class TestFloatPath:
         assert all(type(v) is float for v in traj.final_state().vector())
         # a field that returns complex numbers makes the stages, hence every
         # state after the seed, complex: the float run is its real part
-        call = CompiledFlow.__call__
-        monkeypatch.setattr(CompiledFlow, "__call__", lambda self, state4:
-                            tuple(map(complex, call(self, state4))))
+        flow_fn = sim._flow_fn
+        monkeypatch.setattr(sim, "_flow_fn", lambda flow, params: (
+            lambda *state: tuple(map(complex, flow_fn(flow, params)(*state)))))
         on_c = integrate("T1", s0, 0.1, params=PARAMS)
         assert type(on_c.samples[-1][1][0]) is complex
         assert on_c.step_stats() == traj.step_stats()
