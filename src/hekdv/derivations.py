@@ -17,7 +17,7 @@ Y_i are 2*Y_i and Q'(X_i) times the same p or q.
 
 from .errors import ConfigError
 from .poly import MPoly, sum_polys
-from .symsq import SymSqElem, SymSqField, clear_denominator
+from .symsq import SymSqElem, SymSqField
 
 
 class Derivation:
@@ -92,8 +92,8 @@ def make_derivation(field: SymSqField, name: str) -> Derivation:
 
 def psi1(e: SymSqElem, target: SymSqField) -> SymSqElem:
     """Field map X_i -> X_i, Y_i -> Y_i/X_i into the degenerate genus-3 square."""
-    num, k1 = clear_denominator(e.num, "Y1", MPoly.var("X1"))
-    num, k2 = clear_denominator(num, "Y2", MPoly.var("X2"))
+    num, k1 = e.num.clear_denominator("Y1", MPoly.var("X1"))
+    num, k2 = num.clear_denominator("Y2", MPoly.var("X2"))
     return target.elem(num, e.den * MPoly.var("X1", k1) * MPoly.var("X2", k2))
 
 

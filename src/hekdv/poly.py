@@ -13,8 +13,10 @@ the content.  Every sum goes through one accumulator, ``_Sum``, which
 merges each part into one int term dict with ``_merge`` and takes one gcd
 at the end; the terms keep the order of the running sum ``total + part``.
 Products and the monomial substitution keep their own loops.  Every other
-substitution of MPolys is a ``Substitution``, which keeps the powers it
-forms for as long as it lives.  The kernel divides by a monomial
+substitution of MPolys is a ``Substitution``, which keeps the image of
+every monomial prefix it forms for as long as it lives; a denominator
+carried by one variable is cleared by ``clear_denominator``, an exponent
+shift and an int scale per term.  The kernel divides by a monomial
 (``exact_div``) and by a difference u - v of two named variables
 (``divide_out_linear``), and it takes one remainder: by a monic
 name^d - tail (``rem_monic``).  That remainder is the Y-reduction and
@@ -590,6 +592,47 @@ class MPoly:
                     del terms[new]
         return _primitive(self._num, self._den, terms)
 
+    def clear_denominator(self, name, factor):
+        """Clear a denominator carried by one variable: ``(q, k)``.
+
+        In self the variable ``name`` stands for name/factor, for a
+        one-term ``factor`` without ``name``.  Then k = deg_name(self) and
+        q = self * factor^k, in which ``name`` is kept: each term with
+        name^e gains factor^(k - e), an exponent shift and an integer
+        scale, in one pass.  The terms come grouped by e, each e where it
+        first occurs, as in the sum of the coefficients of the powers of
+        ``name``.  A factor of two or more terms, or none, or one that
+        holds ``name``, raises ValueError.
+        """
+        shift = _shift(name)
+        if len(factor.terms) != 1:
+            raise ValueError("clear_denominator needs a one-term factor")
+        (fm, sign), = factor.terms.items()
+        if (fm >> shift) & MAX_EXPONENT:
+            raise ValueError(f"clear_denominator needs a factor without {name}")
+        field = MAX_EXPONENT << shift
+        k = max((m & field for m in self.terms), default=0) >> shift
+        if not k:
+            return self, 0
+        fn, fd = factor._num * sign, factor._den
+        # per e: the shift by factor^(k-e), the scale fn^(k-e) * fd^e of an
+        # int coefficient (over the content's fd^k) and the shifted terms
+        groups = {}
+        for m, c in self.terms.items():
+            e = (m & field) >> shift
+            group = groups.get(e)
+            if group is None:
+                group = groups[e] = (
+                    _pack((v, f * (k - e)) for v, f in _exponents(fm)),
+                    fn ** (k - e) * fd ** e, {})
+            step, scale, part = group
+            part[m + step] = c * scale
+        terms = {}
+        for _, _, part in groups.values():
+            terms.update(part)
+        return _primitive(*_mul_q(self._num, self._den, 1, fd ** k),
+                          _checked(terms)), k
+
     def eval_numeric(self, point):
         """Evaluate at a dict of numbers (int, Fraction, float or complex):
         ``eval_poly`` with identity 1, so exact at rational points."""
@@ -894,46 +937,74 @@ def dense_inverse(a, m):
 
 class Substitution:
     """A simultaneous substitution of MPolys for variables that keeps the
-    powers it forms.
+    image of every monomial prefix it forms.
 
     ``mapping`` sends names to MPolys, ints or Fractions; a variable it
     does not name stands for itself.  Calling the substitution on an MPoly
     forms each term as the left-to-right product, in symbol order, of the
     powers of the images, and merges the scaled products into one ``_Sum``
     with the content applied once at the end, so the result and its term
-    order are the running sum's.  Each power is formed once by ``power``
-    and kept, keyed by (name, exponent), for as long as the substitution
-    lives: one that outlives a call serves every later call too.
+    order are the running sum's.  The image of each prefix of that chain,
+    a^i, a^i*c^j, a^i*c^j*d^k, ..., is kept, keyed by its packed monomial,
+    as the kept image of the shorter prefix times the kept power: each
+    distinct prefix costs one product for as long as the substitution
+    lives, and one that outlives a call serves every later call too (the
+    tree-structured evaluation of Carnicer & Gasca, "Evaluation of
+    multivariate polynomials and their derivatives", Math. Comp. 54(189),
+    1990).  The kept terms count against the product-term cap that
+    HEKDV_MEM_CAP_MB sets; past it, images are still formed and returned
+    but no new one is kept.
     """
 
-    __slots__ = ("mapping", "_powers")
+    __slots__ = ("mapping", "_images", "_kept_terms")
 
     def __init__(self, mapping):
         self.mapping = {v: MPoly.const(image)
                         if isinstance(image, (int, Fraction)) else image
                         for v, image in mapping.items()}
-        self._powers = {}
+        self._images = {0: _ONE}
+        self._kept_terms = 0
+
+    def _keep(self, m, image):
+        """Keep ``image`` as the image of monomial m, within the cap."""
+        kept = self._kept_terms + len(image.terms)
+        if kept <= _mem_cap_product_terms():
+            self._images[m] = image
+            self._kept_terms = kept
+        return image
 
     def power(self, name, e):
         """The image of name^e, formed on first use and kept."""
-        key = name, e
-        pv = self._powers.get(key)
+        m = e << _shift(name)
+        pv = self._images.get(m)
         if pv is None:
             image = self.mapping.get(name)
-            pv = self._powers[key] = power(
-                MPoly.var(name) if image is None else image, e, _ONE)
+            pv = self._keep(m, power(
+                MPoly.var(name) if image is None else image, e, _ONE))
         return pv
 
+    def _image(self, m):
+        """The image of monomial m, prefix by prefix: a prefix not kept yet
+        is the image of the one before it times the kept power."""
+        images = self._images
+        prefix, prod = 0, _ONE
+        for name, e in _exponents(m):
+            prefix += e << _SHIFT[name]
+            pv = images.get(prefix)
+            if pv is None:
+                pv = self.power(name, e)
+                if prod is not _ONE:
+                    pv = self._keep(prefix, prod * pv)
+            prod = pv
+        return prod
+
     def __call__(self, p):
-        powers = self._powers
+        images = self._images
         acc = _Sum()
         for m, c in p.terms.items():
-            prod = _ONE
-            for key in _exponents(m):
-                pv = powers.get(key)
-                if pv is None:
-                    pv = self.power(*key)
-                prod = pv if prod is _ONE else prod * pv
+            prod = images.get(m)
+            if prod is None:
+                prod = self._image(m)
             acc.add(prod._num, prod._den, prod.terms, c)
         return acc.result(p._num, p._den)
 
@@ -951,7 +1022,8 @@ def eval_poly(p, mapping, one):
 
     Each term is the product of the powers of the mapped values, each
     power formed once per call, times the term's coefficient.  Over MPolys
-    a throwaway ``Substitution`` does it; other rings add a running total.
+    a throwaway ``Substitution`` does it, which forms each monomial prefix
+    once per call too; other rings add a running total.
     Either way an MPoly result has the terms in the order of that running
     sum.
     """

@@ -163,11 +163,13 @@ def _table_source(rfs, params: CurveParams):
     return "\n".join(lines)
 
 
-def _bind_numeric(rfs, params: CurveParams):
+def _bind_numeric(rfs, params: CurveParams, filename):
     """Compile u-space rational functions into the function that
-    ``_table_source`` writes for them."""
+    ``_table_source`` writes for them, under the file name ``filename``
+    (a profile keys its stats by file, line and name, so each table gets
+    its own)."""
     namespace = {"__builtins__": {}}
-    exec(compile(_table_source(rfs, params), "<table>", "exec"), namespace)
+    exec(compile(_table_source(rfs, params), filename, "exec"), namespace)
     return namespace["f"]
 
 
@@ -176,12 +178,13 @@ def _bind_numeric(rfs, params: CurveParams):
 @lru_cache(maxsize=None)
 def _flow_fn(flow, params: CurveParams):
     table = flow_table(flow)
-    return _bind_numeric([table.entries[u] for u in U_VARS], params)
+    return _bind_numeric([table.entries[u] for u in U_VARS], params,
+                         f"<table {flow}>")
 
 
 @lru_cache(maxsize=None)
 def _integrals_fn(params: CurveParams):
-    return _bind_numeric(first_integrals(), params)
+    return _bind_numeric(first_integrals(), params, "<integrals>")
 
 
 class CompiledFlow:
@@ -515,7 +518,10 @@ def _initial_step(f, y, f0, sign, rel_tol, abs_tol):
     scale = [abs_tol + rel_tol * abs(v) for v in y]
     d0 = _rms(y, scale)
     d1 = _rms(f0, scale)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    # an overflowed d1 (an error scale near 0) would make h0 0, and d2
+    # divides by h0
+    h0 = (1e-6 if d0 < 1e-5 or d1 < 1e-5 or not math.isfinite(d1)
+          else 0.01 * d0 / d1)
     f1 = f(*[v + sign * h0 * d for v, d in zip(y, f0)])
     d2 = _rms([a - b for a, b in zip(f1, f0)], scale) / h0
     d = max(d1, d2)

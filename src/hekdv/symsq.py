@@ -24,8 +24,9 @@ normalized once (see ``abcd_to_xy``); a round trip through ``xy_to_abcd``
 has j = k and divides nothing by X1 - X2.  Both substitutions are kept as
 ``poly.Substitution``s: one per field for ``abcd_to_xy``, whose curve
 parameters belong to the field (``SymSqField.to_xy``), and one for the s
-chart.  Each keeps the powers it forms, of (X1+X2)/2, Y1-Y2, a+s, d-s*c
-and the rest, so a later call does not raise them again.
+chart.  Each keeps the image of every monomial prefix it forms, the
+powers of (X1+X2)/2, Y1-Y2, a+s, d-s*c and the rest among them, so a
+later call forms no product that an earlier one formed.
 """
 
 from fractions import Fraction
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 from .curve import CurveParams, y_symbols
 from .errors import NotSymmetricError
-from .poly import MPoly, Substitution, standard_weights, sum_polys
+from .poly import MPoly, Substitution, standard_weights
 from .ratfun import RatFn, _as_mpoly, normal_form
 
 _HALF = Fraction(1, 2)
@@ -148,34 +149,20 @@ class SymSqElem(RatFn):
 
 # -- coordinate bridges ------------------------------------------------------
 
-def clear_denominator(p, name, factor):
-    """Clear a denominator carried by one variable of ``p``.
-
-    In ``p`` the variable ``name`` stands for ``name / factor``.  Returns
-    ``(q, k)`` with k = deg_name(p) and q = p * factor^k as a polynomial in
-    which ``name`` is kept: its e-th power gains ``factor^(k - e)``.
-    """
-    k = p.degree_in(name)
-    if not k:
-        return p, 0
-    y = MPoly.var(name)
-    return sum_polys(c * (y ** e * factor ** (k - e))
-                     for e, c in p.coeffs_in(name).items()), k
-
-
 def abcd_to_xy(expr, field):
     """Evaluate a polynomial in a,b,c,d and the curve parameters on the square.
 
     With 2s = X1 - X2, c = (Y1-Y2)/(2s) is the only generator with a
     denominator: expr * (2s)^k (k = deg_c expr) is a polynomial in the s
-    chart.  There b = s^2, so the denominator (2s)^k is a monomial and its
-    common power s^j with the numerator (j = min(k, least degree in s)) is
-    cancelled before anything is expanded.  The field's kept substitution
+    chart, formed in one pass by ``MPoly.clear_denominator``.  There
+    b = s^2, so the denominator (2s)^k is a monomial and its common power
+    s^j with the numerator (j = min(k, least degree in s)) is cancelled
+    before anything is expanded.  The field's kept substitution
     of a, c, d, s and the curve parameters then gives the numerator over
     (X1-X2)^(k-j) * 2^j.  The bridge variable s is (X1-X2)/2; other
     variables stand for themselves.
     """
-    num, k = clear_denominator(expr, "c", MPoly.var("s") * 2)
+    num, k = expr.clear_denominator("c", MPoly.var("s") * 2)
     num = num.subst({"b": MPoly.var("s", 2)})
     j = min(k, num.min_degree_in("s"))
     if j:

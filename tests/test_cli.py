@@ -444,3 +444,16 @@ class TestAbortExitCode:
         assert code == 1
         doc = json.loads(out.read_text())
         assert doc["aborted"] and doc["abort_reason"] == "step size underflow"
+
+    def test_overflowed_first_derivative_norm_aborts(self, tmp_path, capsys):
+        # u2 = 0 at this seed, so u2's error scale is abs_tol = 1e-300 and
+        # the norm of the first derivative overflows to inf; the first step
+        # guess falls back to 1e-6 instead of dividing by a zero guess
+        out = tmp_path / "sum.json"
+        code = run(["simulate", "--flow", "II", "--p2=-1,auto",
+                    "--abs-tol=1e-300", "--t-end=3.5", "--out", str(out)])
+        assert code == 1
+        doc = json.loads(out.read_text())
+        assert doc["aborted"] and doc["abort_reason"] == "step size underflow"
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "Traceback" not in err

@@ -198,5 +198,14 @@ def test_each_operation_is_computed_once(table):
     assert products(compiled(table, PARAMS)) == PRODUCTS[table]
 
 
+@pytest.mark.parametrize("table", TABLES)
+def test_each_table_compiles_under_its_own_name(table):
+    # a profile keys its stats by (file, line, name), and every table is
+    # an f on line 1: only distinct file names keep the tables apart
+    code = compiled(table, PARAMS).__code__
+    name = "<integrals>" if table == "integrals" else f"<table {table}>"
+    assert code.co_filename == name
+
+
 if __name__ == "__main__":
     print({table: products(compiled(table, PARAMS)) for table in TABLES})

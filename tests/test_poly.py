@@ -429,8 +429,15 @@ class TestEvalNumericThroughEvalPoly:
         assert repr(got + 0) == repr(want + 0)
 
 
+def _counting_products():
+    """A patch of ``MPoly.__mul__`` that counts the products it forms."""
+    return patch.object(MPoly, "__mul__", autospec=True,
+                        side_effect=MPoly.__mul__)
+
+
 class TestSubstitution:
-    """A ``Substitution`` keeps the powers it forms across calls."""
+    """A ``Substitution`` keeps the images of the powers and of the
+    monomial prefixes it forms across calls."""
 
     def test_unmapped_variable_stands_for_itself(self):
         sub = Substitution({"a": X1 + X2, "c": F(2, 3)})
@@ -455,6 +462,121 @@ class TestSubstitution:
         assert sub.power("a", 5) is sub.power("a", 5)
         assert sub.power("c", 2) == F(4, 9)
         assert sub(a ** 5 * c ** 2) == image ** 5 * F(4, 9)
+
+    def test_second_call_forms_no_product(self):
+        sub = Substitution({"a": X1 + X2, "c": X1 - F(1, 2) * X2,
+                            "d": X2 + 3})
+        p = a ** 3 * c ** 2 * d + a ** 3 * c - 2 * c ** 2 * d ** 2 + F(1, 3)
+        with _counting_products() as mul:
+            first = sub(p)
+        assert mul.call_count > 0
+        with _counting_products() as mul:
+            second = sub(p)
+        assert mul.call_count == 0
+        assert second == first == p.subst(sub.mapping)
+        assert list(second.monomials()) == list(first.monomials())
+
+    def test_shared_prefix_is_formed_once(self):
+        # a^2*c*d and a^2*c*s share the prefix a^2*c: the products are
+        # a*a, a^2*c, a^2*c*d and a^2*c*s, one each
+        s = MPoly.var("s")
+        sub = Substitution({"a": X1 + X2, "c": X1 - X2, "d": X2 - 1,
+                            "s": X1 + 2})
+        p = a ** 2 * c * d - 3 * a ** 2 * c * s
+        with _counting_products() as mul:
+            got = sub(p)
+        assert mul.call_count == 4
+        formed = [(x.to_str(), y.to_str()) for (x, y), _ in mul.call_args_list]
+        assert len(set(formed)) == len(formed)
+        want = sum_polys(sub.mapping["a"] ** 2 * sub.mapping["c"]
+                         * sub.mapping[v] * k for v, k in (("d", 1), ("s", -3)))
+        assert got == want == p.subst(sub.mapping)
+
+    def test_past_the_cap_images_are_not_kept(self, monkeypatch):
+        # 0.001 MB caps the kept terms at 5: the images of a and c (two
+        # terms each) are kept, a*c and a^2 are formed on every call
+        sub_map = {"a": X1 + X2, "c": X1 - X2}
+        p = a * c + a ** 2
+        want = Substitution(sub_map)(p)
+        monkeypatch.setenv("HEKDV_MEM_CAP_MB", "0.001")
+        sub = Substitution(sub_map)
+        counts = []
+        for _ in range(3):
+            with _counting_products() as mul:
+                got = sub(p)
+            counts.append(mul.call_count)
+            assert got == want
+            assert list(got.monomials()) == list(want.monomials())
+        assert counts == [2, 2, 2]
+        assert sub.power("a", 1) is sub.power("a", 1)
+        assert sub.power("a", 2) is not sub.power("a", 2)
+
+
+def _cleared_by_sum(p, name, factor):
+    """The reference clearing: each coefficient of name^e in p times
+    name^e * factor^(k - e), summed, with k = deg_name(p)."""
+    k = p.degree_in(name)
+    if not k:
+        return p, 0
+    y = MPoly.var(name)
+    return sum_polys(cf * (y ** e * factor ** (k - e))
+                     for e, cf in p.coeffs_in(name).items()), k
+
+
+def _same_clearing(p, name, factor):
+    got, k = p.clear_denominator(name, factor)
+    want, k_want = _cleared_by_sum(p, name, factor)
+    assert k == k_want
+    assert got == want
+    assert list(got.monomials()) == list(want.monomials())
+    return got, k
+
+
+# one-term factors without c or Y1: constants, monomials, products
+_FACTOR_MONOMIALS = (MPoly.const(1), MPoly.var("s"), MPoly.var("X1"),
+                     MPoly.var("a") * MPoly.var("s", 2),
+                     MPoly.var("X2", 3) * MPoly.var("d"))
+
+
+class TestClearDenominator:
+    """``MPoly.clear_denominator`` is the sum of the coefficients of the
+    powers of the name, each times its power of the factor, in value and
+    in term order."""
+
+    @given(mpoly_strategy(("a", "c", "s", "X1", "Y1"), max_terms=6),
+           st.sampled_from(("c", "Y1")), nonzero_fractions,
+           st.sampled_from(_FACTOR_MONOMIALS))
+    def test_matches_the_sum_of_coefficients(self, p, name, scale, mono):
+        _same_clearing(p, name, mono * scale)
+
+    @given(mpoly_strategy(("X1", "Y1", "X2", "Y2"), max_terms=6))
+    def test_psi1_factors(self, p):
+        num, _ = _same_clearing(p, "Y1", X1)
+        _same_clearing(num, "Y2", X2)
+
+    def test_rational_and_negative_content(self):
+        p = F(3, 4) * a * c ** 2 - F(5, 6) * c + b
+        for factor in (F(-2, 3) * MPoly.var("s"), -2 * MPoly.var("s"),
+                       MPoly.const(F(-7, 5))):
+            got, k = _same_clearing(p, "c", factor)
+            assert k == 2
+            y = MPoly.var("c")
+            want = (F(3, 4) * a * y ** 2 - F(5, 6) * y * factor
+                    + b * factor ** 2)
+            assert got == want
+
+    def test_without_the_name_k_is_zero(self):
+        p = F(2, 3) * a ** 2 * b - d
+        assert p.clear_denominator("c", 2 * MPoly.var("s")) == (p, 0)
+        assert MPoly.zero().clear_denominator("c", MPoly.var("s")) == (
+            MPoly.zero(), 0)
+
+    @pytest.mark.parametrize("factor", [
+        2 * MPoly.var("s") + 1, X1 - X2, MPoly.zero(), a * c],
+        ids=["two-terms", "difference", "zero", "holds-the-name"])
+    def test_refuses_all_but_a_monomial_factor(self, factor):
+        with pytest.raises(ValueError):
+            (a * c ** 2 + c).clear_denominator("c", factor)
 
 
 class TestMemoryCap:

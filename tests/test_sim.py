@@ -85,9 +85,9 @@ class TestSeeding:
         integrate("I", seed_state(PARAMS, P1, P2), 0.01, params=PARAMS)
         calls = []
 
-        def counting_bind_numeric(rfs, params):
+        def counting_bind_numeric(rfs, params, filename):
             calls.append(params)
-            return bind_numeric(rfs, params)
+            return bind_numeric(rfs, params, filename)
 
         bind_numeric = sim._bind_numeric
         monkeypatch.setattr(sim, "_bind_numeric", counting_bind_numeric)
