@@ -974,7 +974,8 @@ class Substitution:
         return image
 
     def power(self, name, e):
-        """The image of name^e, formed on first use and kept."""
+        """The image of name^e, formed on first use and kept, within the
+        cap."""
         m = e << _shift(name)
         pv = self._images.get(m)
         if pv is None:
