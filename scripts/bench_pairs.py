@@ -26,8 +26,8 @@ and inclusive quartiles over the pairs in which both sides finished, the
 change's median relative to the parent's, the pairs the change wins, and
 ``beyond_bound``: whether the change's median is worse than the parent's by
 more than the metric's bound, a fraction of the parent's median;
-``traced_summary`` holds each side's median of every metric of the traced
-pairs in which both sides finished.  The file is
+``traced_summary`` holds each side's median, min and max of every metric
+of the traced pairs in which both sides finished.  The file is
 rewritten after every run, so an interrupted bench keeps the runs it made.
 Standard library only.
 """
@@ -146,7 +146,9 @@ def summarize(runs, end_to_end):
 
 
 def summarize_traced(traced):
-    """Per workload and metric, each side's median over the traced pairs.
+    """Per workload and metric, each side's median, min and max over the
+    traced pairs, so a layer time that moves can be held against each
+    side's own spread.
 
     ``traced`` is a list of {"workload", "pair", "side", "result"}; a pair
     counts when both sides have a result with metrics.
@@ -160,13 +162,20 @@ def summarize_traced(traced):
         results = [by_key[workload, i, side] for i in pairs for side in SIDES]
         names = [name for name in (results[0]["metrics"] if results else ())
                  if all(name in r["metrics"] for r in results)]
+        metrics = {}
+        for name in names:
+            row = metrics[name] = {}
+            for side in SIDES:
+                values = [by_key[workload, i, side]["metrics"][name]["value"]
+                          for i in pairs]
+                row[side] = _round(statistics.median(values))
+                row[f"{side}_min"] = _round(min(values))
+                row[f"{side}_max"] = _round(max(values))
         summary[workload] = {
             "pairs": len(pairs),
             "correct": all(r["correct"] for r in results),
             "failed": sum(r["failed"] for r in results),
-            "metrics": {name: {side: _round(statistics.median(
-                by_key[workload, i, side]["metrics"][name]["value"]
-                for i in pairs)) for side in SIDES} for name in names},
+            "metrics": metrics,
         }
     return summary
 
@@ -220,8 +229,8 @@ def main(argv=None):
             f"printed. Pairs per workload: {counts}. The traced runs "
             f"(--trace 1, seed {args.trace_seed}) are {TRACED_PAIRS} "
             "alternating pairs per workload, the parent first in the "
-            "first pair; traced_summary holds each side's median of every "
-            "metric over them."),
+            "first pair; traced_summary holds each side's median, min and max "
+            "of every metric over them."),
         "summary_note": (
             "summary is of the untraced runs: each side's median and "
             "quartiles (statistics.quantiles, inclusive) over the pairs in "

@@ -1,12 +1,12 @@
 """Rational functions as fractions of sparse polynomials, and their normal form.
 
 ``RatFn`` holds the one fraction arithmetic; ``symsq.SymSqElem`` inherits it
-and supplies its own normal form.  ``normal_form`` is the one routine that
-cancels or scales a fraction.  Besides common monomials it cancels one
-named difference u - v of two variables, which the ring passes (X1 - X2 on
-the symmetric square, nothing for a ``RatFn``).  It is deliberately lazy (no
-multivariate gcd), so equality is decided by cross-multiplication, which is
-representation independent.
+for the elements whose denominator it does not keep factored, and supplies
+its own normal form.  ``normal_form`` cancels the common monomial and
+scales the denominator; the symmetric square also cancels X1 - X2, from
+its stored exponents.  It is deliberately lazy (no multivariate gcd), so
+equality is decided by cross-multiplication, which is representation
+independent.
 """
 
 from fractions import Fraction
@@ -23,15 +23,14 @@ def _as_mpoly(x):
     raise TypeError(f"cannot coerce {type(x).__name__} to a polynomial")
 
 
-def normal_form(num, den, linear=None):
+def normal_form(num, den):
     """The stored (num, den) pair of num/den.
 
     In order: a zero den raises (a zero num gives 0/1); unless a side has a
-    constant term, the common monomial is cancelled; when ``linear`` names
-    two variables (u, v), the common power of u - v is divided out while
-    den has both; ``poly.unit_den`` scales den to content 1 and a positive
-    leading coefficient (den = 1 when constant).  The pair is canonical
-    when every factor num and den share is a monomial or u - v.
+    constant term, the common monomial is cancelled; ``poly.unit_den``
+    scales den to content 1 and a positive leading coefficient (den = 1
+    when constant).  The pair is canonical when every factor num and den
+    share is a monomial.
     """
     if den.is_zero:
         raise ZeroDenominatorError("fraction with zero denominator")
@@ -47,16 +46,6 @@ def normal_form(num, den, linear=None):
                     mono = mono * MPoly.var(name, k)
         if not mono.has_constant_term():
             num, den = num.exact_div(mono), den.exact_div(mono)
-    if linear is not None:
-        u, v = linear
-        while den.degree_in(u) and den.degree_in(v):
-            dq = den.divide_out_linear(u, v)
-            if dq is None:
-                break
-            nq = num.divide_out_linear(u, v)
-            if nq is None:
-                break
-            num, den = nq, dq
     return unit_den(num, den)
 
 

@@ -3,11 +3,22 @@
 Every element is stored as num/den with num of degree <= 1 in each of Y1,
 Y2 (the rewrites Y_i^2 -> Q(X_i) are confluent, so this normal form is
 canonical) and den free of Y variables.  The Y-reduction is the remainder
-by Y1^2 - Q(X1), then by Y2^2 - Q(X2), one ``MPoly.rem_monic`` each.  Denominators arising anywhere in
-the pipeline are products of X1, X2 and (X1 - X2).  After Y-reduction and
-conjugate clearing an element goes through ``ratfun.normal_form`` with the
-variable pair (X1, X2): it cancels the common monomial and the common power
-of X1 - X2, exactly those factors, which keeps expression swell linear.
+by Y1^2 - Q(X1), then by Y2^2 - Q(X2), one ``MPoly.rem_monic`` each.  The
+denominator is kept factored: the exponents (i, j, k) of X1, X2 and
+X1 - X2 (``den_exps``) times a cofactor R (``den_rest``, None for 1) that
+has none of those factors, content 1 and a positive leading coefficient.
+R is 1 on every path of the checks and the bridges; only ``elem(num,
+den)`` with an arbitrary den, conjugate clearing of a Y-denominator
+included, factors a denominator polynomial, once, by trial division.
+Everything else passes exponents (``SymSqField.over``): a product adds
+them, and a sum scales each numerator by the rest of its denominator up to
+the componentwise maximum, the addition over the lcm of the denominators
+(Knuth, TAOCP vol. 2, 4.5.1), which needs no Y-reduction.  The normal form
+cancels X1, X2 and X1 - X2 against the numerator only: its least degrees
+in X1 and X2, then at most k divisions by X1 - X2.  With R = 1 the stored
+form is canonical, so equality compares it, and ``den`` is expanded on
+first read and kept.  An element with R != 1 takes ``RatFn``'s arithmetic
+on the expanded pair.
 
 The module also provides the two coordinate bridges with the symmetric
 function generators: substitution of
@@ -31,14 +42,60 @@ later call forms no product that an earlier one formed.
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from .curve import CurveParams, y_symbols
-from .errors import NotSymmetricError
+from .errors import NotSymmetricError, ZeroDenominatorError
 from .poly import MPoly, Substitution, standard_weights
 from .ratfun import RatFn, _as_mpoly, normal_form
 
 _HALF = Fraction(1, 2)
 _DX = MPoly.var("X1") - MPoly.var("X2")
+_NO_EXPS = (0, 0, 0)
+
+
+@lru_cache(maxsize=None)
+def x_part(i, j, k):
+    """X1^i * X2^j * (X1 - X2)^k, expanded once."""
+    return MPoly.var("X1", i) * MPoly.var("X2", j) * _DX ** k
+
+
+def _split(den):
+    """((i, j, k), R) with den = X1^i * X2^j * (X1 - X2)^k * R and R free
+    of those factors: the least degrees, then trial division by X1 - X2."""
+    i, j = den.min_degree_in("X1"), den.min_degree_in("X2")
+    if i or j:
+        den = den.exact_div(x_part(i, j, 0))
+    k = 0
+    while den.degree_in("X1") and den.degree_in("X2"):
+        q = den.divide_out_linear("X1", "X2")
+        if q is None:
+            break
+        den, k = q, k + 1
+    return (i, j, k), den
+
+
+def _cancel(num, exps, rest=None):
+    """The normal form of num / (x_part(*exps) * rest), num Y-reduced and
+    rest None or free of X1, X2 and X1 - X2: (num, exps, rest)."""
+    if num.is_zero:
+        return num, _NO_EXPS, None
+    i, j, k = exps
+    a = i and min(i, num.min_degree_in("X1"))
+    b = j and min(j, num.min_degree_in("X2"))
+    if a or b:
+        num = num.exact_div(x_part(a, b, 0))
+    c = 0
+    while c < k:
+        q = num.divide_out_linear("X1", "X2")
+        if q is None:
+            break
+        num, c = q, c + 1
+    if rest is not None:
+        num, rest = normal_form(num, rest)
+        if rest.as_constant() is not None:
+            rest = None
+    return num, (i - a, j - b, k - c), rest
 
 
 class SymSqField:
@@ -64,6 +121,11 @@ class SymSqField:
 
     def elem(self, num, den=1):
         return SymSqElem(self, num, den)
+
+    def over(self, num, exps):
+        """num / (X1^i * X2^j * (X1 - X2)^k) for exps = (i, j, k), num a
+        polynomial; that denominator is never formed."""
+        return _element(self, *_cancel(self.reduce(num), exps))
 
     def zero(self):
         return self.elem(0)
@@ -100,16 +162,23 @@ class SymSqField:
 class SymSqElem(RatFn):
     """One element of the field, normalized as described in the module doc.
 
-    The arithmetic is ``RatFn``'s; an element adds its field, the
-    Y-reduction and, in its normal form, the one non-monomial factor a
-    denominator on the square shares with its numerator, X1 - X2.
+    It adds its field, the Y-reduction and the factored denominator to
+    ``RatFn``, whose arithmetic on the expanded pair it takes when either
+    operand has a cofactor R != 1.
     """
 
-    __slots__ = ("field",)
+    __slots__ = ("field", "den_exps", "den_rest")
 
     def __init__(self, field, num, den=1):
         num = field.reduce(_as_mpoly(num))
-        den = field.reduce(_as_mpoly(den))
+        den = _as_mpoly(den)
+        c = den.as_constant()
+        if c is not None:
+            if not c:
+                raise ZeroDenominatorError("fraction with zero denominator")
+            _fill(self, field, num if c == 1 else num / c, _NO_EXPS, None)
+            return
+        den = field.reduce(den)
         # clear Y from the denominator by conjugate multiplication
         for yvar in ("Y1", "Y2"):
             if den.degree_in(yvar):
@@ -119,10 +188,21 @@ class SymSqElem(RatFn):
                 conj = parts.get(0, zero) - MPoly.var(yvar) * parts.get(1, zero)
                 num = field.reduce(num * conj)
                 den = field.reduce(den * conj)
-        num, den = normal_form(num, den, ("X1", "X2"))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        if den.is_zero:
+            raise ZeroDenominatorError("fraction with zero denominator")
+        _fill(self, field, *_cancel(num, *_split(den)))
+
+    @property
+    def den(self):
+        """The expanded denominator, formed on first read and kept."""
+        try:
+            return _get_den(self)
+        except AttributeError:
+            den = x_part(*self.den_exps)
+            if self.den_rest is not None:
+                den = den * self.den_rest
+            _set_den(self, den)
+            return den
 
     def _lift(self, other):
         """``other`` in this field: an element of it, an MPoly or a scalar.
@@ -138,6 +218,61 @@ class SymSqElem(RatFn):
     def _make(self, num, den):
         return SymSqElem(self.field, num, den)
 
+    def _factored(self, o):
+        """Whether both operands have the cofactor 1."""
+        return self.den_rest is None and o.den_rest is None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return _sum(self, o, 1) if self._factored(o) else super().__add__(o)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        return _sum(self, o, -1) if self._factored(o) else super().__sub__(o)
+
+    def __neg__(self):
+        return _element(self.field, -self.num, self.den_exps, self.den_rest)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return _element(self.field, MPoly.zero(), _NO_EXPS, None)
+            return _element(self.field, self.num * other, self.den_exps,
+                            self.den_rest)
+        o = self._lift(other)
+        if not self._factored(o):
+            return super().__mul__(o)
+        return self.field.over(self.num * o.num,
+                               tuple(map(add, self.den_exps, o.den_exps)))
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o.is_zero:
+            raise ZeroDenominatorError("division by the zero fraction")
+        if (not self._factored(o) or o.num.degree_in("Y1")
+                or o.num.degree_in("Y2")):
+            return super().__truediv__(o)
+        # a Y-free divisor is factored once, as elem(num, den) would
+        exps, rest = _split(o.num)
+        return _element(self.field, *_cancel(
+            self.num * x_part(*o.den_exps),
+            tuple(map(add, self.den_exps, exps)), rest))
+
+    def __pow__(self, n):
+        if n < 0 or self.den_rest is not None:
+            return super().__pow__(n)
+        return self.field.over(self.num ** n,
+                               tuple(e * n for e in self.den_exps))
+
+    def __eq__(self, other):
+        try:
+            o = self._lift(other)
+        except TypeError:
+            return NotImplemented
+        if self._factored(o):
+            return self.den_exps == o.den_exps and self.num == o.num
+        return super().__eq__(o)
+
     def derivative(self, name):
         raise TypeError("a partial derivative ignores Y^2 = Q(X); "
                         "apply a derivations.Derivation instead")
@@ -145,6 +280,44 @@ class SymSqElem(RatFn):
     def subst(self, mapping):
         raise TypeError("a substitution ignores Y^2 = Q(X); "
                         "map the numerator and build a field element instead")
+
+
+# the slot setters, past the immutability guard; RatFn's den slot keeps the
+# expanded denominator once it is read
+_get_den, _set_den = RatFn.den.__get__, RatFn.den.__set__
+_SETTERS = (SymSqElem.field.__set__, RatFn.num.__set__,
+            SymSqElem.den_exps.__set__, SymSqElem.den_rest.__set__)
+
+
+def _fill(e, *parts):
+    """Set the field, num, den_exps and den_rest of ``e``."""
+    for setter, value in zip(_SETTERS, parts):
+        setter(e, value)
+    return e
+
+
+def _element(field, num, exps, rest):
+    """An element from its normal form, past ``SymSqElem.__init__``."""
+    return _fill(object.__new__(SymSqElem), field, num, exps, rest)
+
+
+def _sum(x, y, sign):
+    """x + sign * y, both with cofactor 1: each numerator scaled by the rest
+    of the componentwise maximum of the exponents, then one normal form."""
+    if y.is_zero:
+        return x
+    if x.is_zero:
+        return y if sign > 0 else -y
+    ex, ey = x.den_exps, y.den_exps
+    nx, ny = x.num, y.num
+    if ex != ey:
+        top = tuple(map(max, ex, ey))
+        if ex != top:
+            nx = nx * x_part(*(t - e for t, e in zip(top, ex)))
+        if ey != top:
+            ny = ny * x_part(*(t - e for t, e in zip(top, ey)))
+        ex = top
+    return _element(x.field, *_cancel(nx + ny if sign > 0 else nx - ny, ex))
 
 
 # -- coordinate bridges ------------------------------------------------------
@@ -159,15 +332,15 @@ def abcd_to_xy(expr, field):
     s^j with the numerator (j = min(k, least degree in s)) is cancelled
     before anything is expanded.  The field's kept substitution
     of a, c, d, s and the curve parameters then gives the numerator over
-    (X1-X2)^(k-j) * 2^j.  The bridge variable s is (X1-X2)/2; other
-    variables stand for themselves.
+    (X1-X2)^(k-j) * 2^j, passed to the field as the exponent k - j.  The
+    bridge variable s is (X1-X2)/2; other variables stand for themselves.
     """
     num, k = expr.clear_denominator("c", MPoly.var("s") * 2)
     num = num.subst({"b": MPoly.var("s", 2)})
     j = min(k, num.min_degree_in("s"))
     if j:
         num = num.exact_div(MPoly.var("s", j))
-    return field.elem(field.to_xy()(num), _DX ** (k - j) * 2 ** j)
+    return field.over(field.to_xy()(num) * Fraction(1, 2 ** j), (0, 0, k - j))
 
 
 @lru_cache(maxsize=None)

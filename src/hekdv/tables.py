@@ -14,6 +14,7 @@ source of the numerical right-hand sides.
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import ConfigError
 from .poly import standard_weights, variables
@@ -34,8 +35,8 @@ _DENOM = u4 - u2 ** 2
 
 
 class FlowTable:
-    """The right-hand side of ``flow``: ``entries``, u-variable name ->
-    RatFn, one entry for each of u2, u4, u5, u7."""
+    """The right-hand side of ``flow``: ``entries``, a read-only map from
+    u-variable name to RatFn, one entry for each of u2, u4, u5, u7."""
 
     __slots__ = ("flow", "entries")
 
@@ -44,7 +45,7 @@ class FlowTable:
         if set(entries) != set(U_VARS):
             raise ConfigError("flow table must cover exactly u2,u4,u5,u7")
         self.flow = flow
-        self.entries = entries
+        self.entries = MappingProxyType(dict(entries))
 
     def homogeneity_ok(self):
         w = standard_weights(3)
@@ -147,7 +148,14 @@ def check_flow(flow):
 
 
 def flow_table(flow):
+    """The transcribed table of ``flow``, built once per process: its
+    entries are read-only and ``FlowTable.mutated`` copies them."""
     check_flow(flow)
+    return _flow_table(flow)
+
+
+@lru_cache(maxsize=None)
+def _flow_table(flow):
     return FlowTable(flow, _BUILDERS[flow]())
 
 

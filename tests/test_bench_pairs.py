@@ -181,9 +181,12 @@ def test_traced_pairs_keep_the_median_of_each_metric():
                    "pair": 4, "result": {"returncode": 1, "stderr": "boom"}})
     row = bench_pairs.summarize_traced(traced)["certify"]
     assert row["pairs"] == 3 and row["correct"] and row["failed"] == 0
-    assert row["metrics"]["layer.kernel.self_ms"] == {"parent": 4.0,
-                                                      "change": 2.0}
-    assert row["metrics"]["op_s"] == {"parent": 0.1, "change": 0.1}
+    assert row["metrics"]["layer.kernel.self_ms"] == {
+        "parent": 4.0, "parent_min": 3.0, "parent_max": 5.0,
+        "change": 2.0, "change_min": 1.0, "change_max": 9.0}
+    assert row["metrics"]["op_s"] == {
+        "parent": 0.1, "parent_min": 0.1, "parent_max": 0.1,
+        "change": 0.1, "change_min": 0.1, "change_max": 0.1}
 
 
 def test_each_traced_workload_runs_alternating_pairs(tmp_path, monkeypatch):

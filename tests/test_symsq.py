@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction as F
 from unittest.mock import patch
@@ -9,9 +10,11 @@ from conftest import mpoly_strategy
 from hekdv.curve import CurveParams, y_symbols
 from hekdv.errors import NotSymmetricError, ZeroDenominatorError
 from hekdv.poly import (MPoly, Substitution, eval_poly, standard_weights,
-                        variables, weighted_degree)
+                        sum_polys, variables, weighted_degree)
 from hekdv.ratfun import RatFn
-from hekdv.symsq import SymSqField, abcd_to_xy, build_MN, xy_to_abcd
+from hekdv.derivations import make_derivation, psi1, psi2
+from hekdv.symsq import (SymSqField, abcd_to_xy, build_MN, x_part,
+                         xy_to_abcd)
 
 X1, Y1, X2, Y2 = variables("X1", "Y1", "X2", "Y2")
 a, b, c, d = variables("a", "b", "c", "d")
@@ -25,12 +28,13 @@ abcd_polys = mpoly_strategy(var_names=("a", "b", "c", "d"),
 
 @pytest.fixture
 def divide_calls(monkeypatch):
-    """The (u, v) of every MPoly.divide_out_linear call made in the test."""
+    """The (u, v) and the dividend of every MPoly.divide_out_linear call
+    made in the test."""
     calls = []
     divide = MPoly.divide_out_linear
 
     def counted(self, *names):
-        calls.append(names)
+        calls.append((names, self))
         return divide(self, *names)
 
     monkeypatch.setattr(MPoly, "divide_out_linear", counted)
@@ -382,3 +386,215 @@ class TestRelations:
         M3, N3t = build_MN(CurveParams.symbolic(3))
         assert abcd_to_xy(M3, symbolic_field3).is_zero
         assert abcd_to_xy(N3t, symbolic_field3).is_zero
+
+
+# The pair a square element was stored as before its denominator was kept
+# factored, kept as the reference: Y-reduction, conjugate clearing of a
+# Y-denominator, then the common powers of X1, X2 and X1 - X2 stripped and
+# the denominator scaled to content 1 and a positive leading coefficient.
+def _strip_known_factors(num, den):
+    """Cancel common powers of X1, X2 and (X1 - X2); cheap and exact."""
+    for name in ("X1", "X2"):
+        kd = den.min_degree_in(name)
+        if kd:
+            kn = num.min_degree_in(name)
+            k = min(kd, kn)
+            if k:
+                mono = MPoly.var(name, k)
+                num = num.exact_div(mono)
+                den = den.exact_div(mono)
+    while den.degree_in("X1") or den.degree_in("X2"):
+        dq = den.divide_out_linear("X1", "X2")
+        if dq is None:
+            break
+        nq = num.divide_out_linear("X1", "X2")
+        if nq is None:
+            break
+        num, den = nq, dq
+    return num, den
+
+
+def _strip_and_scale(num, den):
+    if num.is_zero:
+        num, den = MPoly.zero(), MPoly.const(1)
+    else:
+        num, den = _strip_known_factors(num, den)
+        dc = den.as_constant()
+        if dc is not None:
+            num = num * (F(1) / dc)
+            den = MPoly.const(1)
+        else:
+            scale = den.content()
+            if den.leading()[1] < 0:
+                scale = -scale
+            num = num * (F(1) / scale)
+            den = den * (F(1) / scale)
+    return num, den
+
+
+def _old_pair(field, num, den):
+    """The stored pair of num/den before the factored denominators."""
+    num, den = field.reduce(num), field.reduce(den)
+    for yvar in ("Y1", "Y2"):
+        if den.degree_in(yvar):
+            parts = den.coeffs_in(yvar)
+            zero = MPoly.zero()
+            conj = parts.get(0, zero) - MPoly.var(yvar) * parts.get(1, zero)
+            num, den = field.reduce(num * conj), field.reduce(den * conj)
+    return _strip_and_scale(num, den)
+
+
+_powers = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
+
+
+def _on_square_shape(p, powers):
+    i, j, k = powers
+    return p * X1**i * X2**j * (X1 - X2)**k
+
+
+class TestNormalForm:
+    @given(mpoly_strategy(var_names=("X1", "Y1", "X2", "Y2"), max_terms=3, max_exp=2),
+           _powers,
+           mpoly_strategy(var_names=("X1", "X2"), max_terms=3, max_exp=2)
+           .filter(bool),
+           _powers)
+    def test_matches_strip_and_scale(self, symbolic_field3, n, n_powers, d,
+                                     d_powers):
+        # numerators and Y-free denominators c*X1^i*X2^j*(X1-X2)^k times a
+        # cofactor in X1 and X2, factored once by elem(num, den)
+        f = symbolic_field3
+        num = _on_square_shape(n, n_powers)
+        den = _on_square_shape(d, d_powers)
+        e = f.elem(num, den)
+        want_num, want_den = _strip_and_scale(f.reduce(num), den)
+        assert e.num == want_num and e.den == want_den
+        rest = MPoly.const(1) if e.den_rest is None else e.den_rest
+        assert e.den == x_part(*e.den_exps) * rest
+
+
+# numeric squares keep the products of cleared conjugates small: Q is
+# X^5 + X + 1 and X^7 + X^3 + X^2, the second of the degenerate shape
+# (y12 = y14 = 0) the transfer maps go to
+_SMALL2 = SymSqField(CurveParams.numeric(2, (0, 0, 1, -1)))
+_SMALL3 = SymSqField(CurveParams.numeric(3, (0, 0, 1, -1, 0, 0)))
+
+# denominators of every shape: a scaled X1^i*X2^j*(X1-X2)^k, that times a
+# cofactor in X1 and X2, and one with Y1 or Y2, cleared by its conjugate
+_xdens = st.one_of(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+              st.sampled_from((1, -2, F(3, 5)))).map(
+        lambda t: x_part(*t[:3]) * t[3]),
+    st.tuples(mpoly_strategy(("X1", "X2"), max_terms=2, max_exp=2).filter(bool),
+              st.tuples(*[st.integers(0, 1)] * 3)).map(
+        lambda t: t[0] * x_part(*t[1])))
+_ydens = mpoly_strategy(("X1", "Y1", "X2", "Y2"), max_terms=2, max_exp=1).filter(
+    lambda p: p.degree_in("Y1") or p.degree_in("Y2"))
+_nums = mpoly_strategy(("X1", "Y1", "X2", "Y2"), max_terms=3, max_exp=2)
+_fractions = st.tuples(_nums, st.one_of(_xdens, _ydens))
+# Y-free numerators too, whose elements divide without conjugates
+_xfractions = st.tuples(
+    st.one_of(_nums, mpoly_strategy(("X1", "X2"), max_terms=3, max_exp=2)),
+    _xdens)
+
+
+def _old_apply(D, num, den):
+    """The old derivation: one sum over den(D)*d^2, normalized once."""
+    total = sum_polys(c * (den * num.derivative(v) - num * den.derivative(v))
+                      for v, c in D.coeffs.items() if not c.is_zero)
+    return x_part(*D.den) * den * den, total
+
+
+class TestFactoredDenominators:
+    """Every operation gives the pair the expanded denominators gave: the
+    operands' pairs cross-multiplied, then reduced, cleared and stripped."""
+
+    @settings(max_examples=30)
+    @given(_fractions, _xfractions, st.integers(-2, 3))
+    def test_arithmetic_matches_the_expanded_pairs(self, x, y, n):
+        # x may have a Y-denominator; y, whose powers are taken too, not
+        f = _SMALL2
+        ex, ey = f.elem(*x), f.elem(*y)
+        (a, b), (c, d) = _old_pair(f, *x), _old_pair(f, *y)
+        assert (ex.num, ex.den) == (a, b) and (ey.num, ey.den) == (c, d)
+        assert (ex == ey) is (a * d - c * b).is_zero
+        cases = [(operator.add, (a * d + c * b, b * d)),
+                 (operator.sub, (a * d - c * b, b * d)),
+                 (operator.mul, (a * c, b * d))]
+        if c:
+            cases.append((operator.truediv, (a * d, b * c)))
+        for op, want in cases:
+            got = op(ex, ey)
+            assert (got.num, got.den) == _old_pair(f, *want), op
+        if n >= 0 or c:
+            got = ey ** n
+            want = (c ** n, d ** n) if n >= 0 else (d ** -n, c ** -n)
+            assert (got.num, got.den) == _old_pair(f, *want)
+
+    @settings(max_examples=20)
+    @given(_fractions)
+    def test_derivations_match_the_expanded_quotient_rule(self, x):
+        for f, names in ((_SMALL3, ("D1", "L3", "L5", "T1", "T3")),
+                         (_SMALL2, ("D2", "L1", "L3"))):
+            e = f.elem(*x)
+            for name in names:
+                D = make_derivation(f, name)
+                got = D(e)
+                den, total = _old_apply(D, e.num, e.den)
+                assert (got.num, got.den) == _old_pair(f, total, den), name
+
+    @settings(max_examples=20)
+    @given(_fractions)
+    def test_transfers_match_the_expanded_maps(self, x):
+        f2, f32 = _SMALL2, _SMALL3
+        e = f2.elem(*x)
+        num, k1 = e.num.clear_denominator("Y1", X1)
+        num, k2 = num.clear_denominator("Y2", X2)
+        got = psi1(e, f32)
+        assert (got.num, got.den) == _old_pair(f32, num, e.den * X1 ** k1
+                                               * X2 ** k2)
+        e = f32.elem(*x)
+        got = psi2(e, f2)
+        want = _old_pair(f2, e.num.subst({"Y1": X1 * Y1, "Y2": X2 * Y2}),
+                         e.den)
+        assert (got.num, got.den) == want
+
+    @settings(max_examples=20)
+    @given(abcd_polys)
+    def test_abcd_to_xy_matches_the_expanded_denominator(self, p):
+        f = _WARM_SQUARES[0]
+        num, k = p.clear_denominator("c", MPoly.var("s") * 2)
+        num = num.subst({"b": MPoly.var("s", 2)})
+        j = min(k, num.min_degree_in("s"))
+        if j:
+            num = num.exact_div(MPoly.var("s", j))
+        want = _old_pair(f, f.to_xy()(num), (X1 - X2) ** (k - j) * 2 ** j)
+        got = abcd_to_xy(p, f)
+        assert (got.num, got.den) == want
+
+    def test_equality_compares_the_stored_form(self, symbolic_field3):
+        f = symbolic_field3
+        x = f.elem(Y1, X1 - X2)
+        assert x == f.elem(X2 * Y1, X2 * (X1 - X2)) and x * (X1 - X2) == Y1
+        assert x != f.elem(Y1, X1) and x != f.elem(Y1) and x != 0
+        # a cofactor other than 1 is compared by cross-multiplication
+        y = f.elem(Y1, X1 + 1)
+        assert y.den_rest == X1 + 1 and y == f.elem(X2 * Y1, X2 * (X1 + 1))
+        assert y != x and y != f.elem(Y1, X1 + 2)
+
+    def test_product_divides_only_numerators(self, symbolic_field3,
+                                             divide_calls):
+        # (Y1 - Y2)(Y1 + Y2) reduces to Q(X1) - Q(X2), a multiple of
+        # X1 - X2: the product cancels one of its k = 2 powers, and its
+        # denominator, never formed, is never divided
+        f = symbolic_field3
+        x = f.elem(Y1 - Y2, X1 - X2)
+        y = f.elem(Y1 + Y2, X1 - X2)
+        divide_calls.clear()
+        got = x * y
+        dividends = [p for _, p in divide_calls]
+        q = f.Q1 - f.Q2
+        assert dividends[0] == q and len(dividends) <= 2
+        assert all(p.degree_in("Y1") == 0 and p != (X1 - X2) ** 2
+                   for p in dividends)
+        assert got.den_exps == (0, 0, 1) and got.den == X1 - X2
+        assert got.num == q.divide_out_linear("X1", "X2")

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given
 
 from conftest import mpoly_strategy
+from hekdv import tables
+from hekdv.errors import ConfigError
 from hekdv.poly import MPoly, standard_weights, weighted_degree
 from hekdv.ratfun import RatFn
 from hekdv.tables import (FLOW_IDS, FlowTable, first_integrals, flow_table,
@@ -40,6 +42,23 @@ class TestFlowTables:
         for flow in ("I", "II"):
             for entry in flow_table(flow).entries.values():
                 assert entry.is_polynomial()
+
+    def test_each_table_is_built_once(self):
+        table = flow_table("T1")
+        assert flow_table("T1") is table
+        with pytest.raises(TypeError):
+            table.entries["u2"] = RatFn(u2)
+        before = dict(table.entries)
+        mutated = table.mutated("u5", u2 ** 2)
+        assert mutated.entries["u5"] == before["u5"] + RatFn(u2 ** 2)
+        assert flow_table("T1") is table
+        assert all(table.entries[u] is before[u] for u in before)
+
+    def test_unknown_flow_refused_before_the_cache(self):
+        misses = tables._flow_table.cache_info().misses
+        with pytest.raises(ConfigError):
+            flow_table("III")
+        assert tables._flow_table.cache_info().misses == misses
 
     def test_spot_entries(self):
         tI = flow_table("I")
