@@ -388,10 +388,10 @@ class TestRelations:
         assert abcd_to_xy(N3t, symbolic_field3).is_zero
 
 
-# The pair a square element was stored as before its denominator was kept
-# factored, kept as the reference: Y-reduction, conjugate clearing of a
-# Y-denominator, then the common powers of X1, X2 and X1 - X2 stripped and
-# the denominator scaled to content 1 and a positive leading coefficient.
+# The reference normal form on expanded polynomials: Y-reduction, conjugate
+# clearing of a Y-denominator, then the common powers of X1, X2 and X1 - X2
+# stripped and the denominator scaled to content 1 and a positive leading
+# coefficient.
 def _strip_known_factors(num, den):
     """Cancel common powers of X1, X2 and (X1 - X2); cheap and exact."""
     for name in ("X1", "X2"):
@@ -432,8 +432,8 @@ def _strip_and_scale(num, den):
     return num, den
 
 
-def _old_pair(field, num, den):
-    """The stored pair of num/den before the factored denominators."""
+def _reference_pair(field, num, den):
+    """The reference (num, den) pair of num/den."""
     num, den = field.reduce(num), field.reduce(den)
     for yvar in ("Y1", "Y2"):
         if den.degree_in(yvar):
@@ -497,16 +497,16 @@ _xfractions = st.tuples(
     _xdens)
 
 
-def _old_apply(D, num, den):
-    """The old derivation: one sum over den(D)*d^2, normalized once."""
+def _reference_apply(D, num, den):
+    """The quotient rule on expanded polynomials: (den(D)*d^2, numerator)."""
     total = sum_polys(c * (den * num.derivative(v) - num * den.derivative(v))
                       for v, c in D.coeffs.items() if not c.is_zero)
     return x_part(*D.den) * den * den, total
 
 
 class TestFactoredDenominators:
-    """Every operation gives the pair the expanded denominators gave: the
-    operands' pairs cross-multiplied, then reduced, cleared and stripped."""
+    """Every operation gives the reference pair of the expanded operands:
+    their pairs cross-multiplied, then reduced, cleared and stripped."""
 
     @settings(max_examples=30)
     @given(_fractions, _xfractions, st.integers(-2, 3))
@@ -514,7 +514,7 @@ class TestFactoredDenominators:
         # x may have a Y-denominator; y, whose powers are taken too, not
         f = _SMALL2
         ex, ey = f.elem(*x), f.elem(*y)
-        (a, b), (c, d) = _old_pair(f, *x), _old_pair(f, *y)
+        (a, b), (c, d) = _reference_pair(f, *x), _reference_pair(f, *y)
         assert (ex.num, ex.den) == (a, b) and (ey.num, ey.den) == (c, d)
         assert (ex == ey) is (a * d - c * b).is_zero
         cases = [(operator.add, (a * d + c * b, b * d)),
@@ -524,11 +524,11 @@ class TestFactoredDenominators:
             cases.append((operator.truediv, (a * d, b * c)))
         for op, want in cases:
             got = op(ex, ey)
-            assert (got.num, got.den) == _old_pair(f, *want), op
+            assert (got.num, got.den) == _reference_pair(f, *want), op
         if n >= 0 or c:
             got = ey ** n
             want = (c ** n, d ** n) if n >= 0 else (d ** -n, c ** -n)
-            assert (got.num, got.den) == _old_pair(f, *want)
+            assert (got.num, got.den) == _reference_pair(f, *want)
 
     @settings(max_examples=20)
     @given(_fractions)
@@ -539,8 +539,8 @@ class TestFactoredDenominators:
             for name in names:
                 D = make_derivation(f, name)
                 got = D(e)
-                den, total = _old_apply(D, e.num, e.den)
-                assert (got.num, got.den) == _old_pair(f, total, den), name
+                den, total = _reference_apply(D, e.num, e.den)
+                assert (got.num, got.den) == _reference_pair(f, total, den), name
 
     @settings(max_examples=20)
     @given(_fractions)
@@ -550,11 +550,11 @@ class TestFactoredDenominators:
         num, k1 = e.num.clear_denominator("Y1", X1)
         num, k2 = num.clear_denominator("Y2", X2)
         got = psi1(e, f32)
-        assert (got.num, got.den) == _old_pair(f32, num, e.den * X1 ** k1
+        assert (got.num, got.den) == _reference_pair(f32, num, e.den * X1 ** k1
                                                * X2 ** k2)
         e = f32.elem(*x)
         got = psi2(e, f2)
-        want = _old_pair(f2, e.num.subst({"Y1": X1 * Y1, "Y2": X2 * Y2}),
+        want = _reference_pair(f2, e.num.subst({"Y1": X1 * Y1, "Y2": X2 * Y2}),
                          e.den)
         assert (got.num, got.den) == want
 
@@ -567,7 +567,7 @@ class TestFactoredDenominators:
         j = min(k, num.min_degree_in("s"))
         if j:
             num = num.exact_div(MPoly.var("s", j))
-        want = _old_pair(f, f.to_xy()(num), (X1 - X2) ** (k - j) * 2 ** j)
+        want = _reference_pair(f, f.to_xy()(num), (X1 - X2) ** (k - j) * 2 ** j)
         got = abcd_to_xy(p, f)
         assert (got.num, got.den) == want
 
