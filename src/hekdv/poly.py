@@ -16,11 +16,13 @@ Products and the monomial substitution keep their own loops.  Every other
 substitution of MPolys is a ``Substitution``, which keeps the image of
 every monomial prefix it forms for as long as it lives; a denominator
 carried by one variable is cleared by ``clear_denominator``, an exponent
-shift and an int scale per term.  The kernel divides by a monomial
-(``exact_div``) and by a difference u - v of two named variables
-(``divide_out_linear``), and it takes one remainder: by a monic
-name^d - tail (``rem_monic``).  That remainder is the Y-reduction and
-the s^2 = b chart of ``symsq`` and the product of every quotient ring of
+shift and an int scale per term, or by ``chart_groups``, which in the same
+pass changes the chart and groups the terms by a block of variables whose
+monomials a ``Substitution`` maps apart (``image``).  The kernel divides
+by a monomial (``exact_div``) and by a difference u - v of two named
+variables (``divide_out_linear``), and it takes one remainder: by a monic
+name^d - tail (``rem_monic``).  That remainder is the Y-reduction and the
+s^2 = b chart of ``symsq`` and the product of every quotient ring of
 ``algnum``, truncated series included.  None of them divides a
 coefficient: a tail of content n/d scales the kept terms by d instead.
 
@@ -633,6 +635,31 @@ class MPoly:
         return _primitive(*_mul_q(self._num, self._den, 1, fd ** k),
                           _checked(terms)), k
 
+    def chart_groups(self, name, var, scale, square, block):
+        """``clear_denominator`` by scale * var (an int scale > 0), with
+        ``square`` put to var^2 and the largest (scale * var)^j, j <= k,
+        that divides every term divided out, in one pass that groups the
+        terms by their monomial in ``block``: (groups, k - j), each group a
+        (coefficient, monomial of content 1) pair, summing to the quotient."""
+        sn, sv, sq = _shift(name), _shift(var), _shift(square)
+        k = self.degree_in(name)
+        # the exponent of var that each term gains, before the division
+        lifts = [(m >> sv & MAX_EXPONENT) + 2 * (m >> sq & MAX_EXPONENT)
+                 - (m >> sn & MAX_EXPONENT) + k for m in self.terms]
+        j = min(k, *lifts) if lifts else 0
+        if lifts and max(lifts) - j > MAX_EXPONENT:
+            raise OverflowError(f"exponent of {var} exceeds {MAX_EXPONENT}")
+        mask = sum(MAX_EXPONENT << _shift(v) for v in block)
+        rest = ~(mask | MAX_EXPONENT << sv | MAX_EXPONENT << sq)
+        groups = {}
+        for (m, c), e in zip(self.terms.items(), lifts):
+            part = groups.setdefault(m & mask, {})
+            new = (m & rest) + (e - j << sv)
+            part[new] = part.get(new, 0) + c * scale ** (k - (m >> sn & MAX_EXPONENT))
+        num, den = _mul_q(self._num, self._den, 1, scale ** j)
+        return [(_primitive(num, den, {m: c for m, c in part.items() if c}),
+                 MPoly(1, 1, {key: 1})) for key, part in groups.items()], k - j
+
     def eval_numeric(self, point):
         """Evaluate at a dict of numbers (int, Fraction, float or complex):
         ``eval_poly`` with identity 1, so exact at rational points."""
@@ -998,6 +1025,11 @@ class Substitution:
                     pv = self._keep(prefix, prod * pv)
             prod = pv
         return prod
+
+    def image(self, monomial):
+        """The kept image of a one-term MPoly of content 1."""
+        (m, _), = monomial.terms.items()
+        return self._images.get(m) or self._image(m)
 
     def __call__(self, p):
         images = self._images

@@ -81,6 +81,7 @@ def _to_xt(rf):
     return rf.subst({"w1": RatFn(x_var), "w3": RatFn(t_var)})
 
 
+@lru_cache(maxsize=None)
 def uv_closed_form():
     """U = -2 sigma_3/sigma_1 and V = -2 sigma_5/sigma_1 composed with xi."""
     sig = sigma_rational(3)

@@ -26,18 +26,21 @@ function generators: substitution of
     a = (X1+X2)/2,  b = (X1-X2)^2/4,  c = (Y1-Y2)/(X1-X2),  d = (Y1+Y2)/2
 
 and its inverse through the auxiliary variable s with X1 = a+s, X2 = a-s,
-Y1 = d+s*c, Y2 = d-s*c, s^2 = b: the last is the remainder by s^2 - b.  Only c has a denominator, and as
-X1 - X2 = 2s, a polynomial of degree k in c has in the s chart the
-monomial denominator (2s)^k, whose common power s^j with the numerator cancels
-before anything is expanded.  Every evaluation on the square is then one
-polynomial substitution over the denominator (X1-X2)^(k-j) * 2^j,
-normalized once (see ``abcd_to_xy``); a round trip through ``xy_to_abcd``
-has j = k and divides nothing by X1 - X2.  Both substitutions are kept as
-``poly.Substitution``s: one per field for ``abcd_to_xy``, whose curve
-parameters belong to the field (``SymSqField.to_xy``), and one for the s
-chart.  Each keeps the image of every monomial prefix it forms, the
-powers of (X1+X2)/2, Y1-Y2, a+s, d-s*c and the rest among them, so a
-later call forms no product that an earlier one formed.
+Y1 = d+s*c, Y2 = d-s*c, s^2 = b: the last is the remainder by s^2 - b.
+Only c has a denominator, and as X1 - X2 = 2s, a polynomial of degree k in
+c has in the s chart the monomial denominator (2s)^k, whose common power
+s^j with the numerator cancels before anything is expanded.  Evaluation on
+the square goes by blocks, the two-level Horner scheme (Pena & Sauer, SIAM
+J. Numer. Anal. 37(4), 2000): one pass carries a polynomial into the s
+chart and groups its terms by their monomial m in c and d; the X-image of
+each group's coefficient, in a, s and the curve parameters, times the
+Y-image of m, summed, is the numerator over (X1-X2)^(k-j).  Terms cancel
+within a group before any product with Y, and a round trip through
+``xy_to_abcd`` has j = k and divides nothing by X1 - X2.  ``xy_to_abcd``
+stays one block: grouped by its Y part it measured flat, and through
+``build_MN`` the simulator's output digest pins its term order.  Each
+bridge keeps the images of the monomial prefixes it forms in one
+``poly.Substitution``: ``SymSqField.to_xy``, for both blocks, and ``_s_chart``.
 """
 
 from fractions import Fraction
@@ -46,7 +49,7 @@ from operator import add
 
 from .curve import CurveParams, y_symbols
 from .errors import NotSymmetricError, ZeroDenominatorError
-from .poly import MPoly, Substitution, standard_weights
+from .poly import MPoly, Substitution, standard_weights, sum_polys
 from .ratfun import RatFn, _as_mpoly, normal_form
 
 _HALF = Fraction(1, 2)
@@ -325,22 +328,16 @@ def _sum(x, y, sign):
 def abcd_to_xy(expr, field):
     """Evaluate a polynomial in a,b,c,d and the curve parameters on the square.
 
-    With 2s = X1 - X2, c = (Y1-Y2)/(2s) is the only generator with a
-    denominator: expr * (2s)^k (k = deg_c expr) is a polynomial in the s
-    chart, formed in one pass by ``MPoly.clear_denominator``.  There
-    b = s^2, so the denominator (2s)^k is a monomial and its common power
-    s^j with the numerator (j = min(k, least degree in s)) is cancelled
-    before anything is expanded.  The field's kept substitution
-    of a, c, d, s and the curve parameters then gives the numerator over
-    (X1-X2)^(k-j) * 2^j, passed to the field as the exponent k - j.  The
-    bridge variable s is (X1-X2)/2; other variables stand for themselves.
+    ``MPoly.chart_groups`` carries expr into the s chart, expr * (2s)^k
+    with b = s^2 divided by its common (2s)^j, grouped by the monomials in
+    c and d.  The field's kept substitution maps each group's coefficient
+    (the X block) and its monomial (the Y block) apart; the sum of their
+    products is the numerator over (X1-X2)^(k-j).  The bridge variable s
+    is (X1-X2)/2; other variables stand for themselves.
     """
-    num, k = expr.clear_denominator("c", MPoly.var("s") * 2)
-    num = num.subst({"b": MPoly.var("s", 2)})
-    j = min(k, num.min_degree_in("s"))
-    if j:
-        num = num.exact_div(MPoly.var("s", j))
-    return field.over(field.to_xy()(num) * Fraction(1, 2 ** j), (0, 0, k - j))
+    groups, k = expr.chart_groups("c", "s", 2, "b", ("c", "d"))
+    sub = field.to_xy()
+    return field.over(sum_polys(sub(x) * sub.image(y) for x, y in groups), (0, 0, k))
 
 
 @lru_cache(maxsize=None)

@@ -37,3 +37,16 @@ def symbolic_field2():
     from hekdv.curve import CurveParams
     from hekdv.symsq import SymSqField
     return SymSqField(CurveParams.symbolic(2))
+
+
+def cleared_in_chart(p, name, var, scale, square):
+    """The reference of ``MPoly.chart_groups`` in three passes: p cleared of
+    the denominator scale * var of ``name``, ``square`` put to var^2 and
+    the common var^j, j <= k, divided out; (numerator, k, j), the
+    numerator still carrying the factor scale^j."""
+    num, k = p.clear_denominator(name, MPoly.var(var) * scale)
+    num = num.subst({square: MPoly.var(var, 2)})
+    j = min(k, num.min_degree_in(var))
+    if j:
+        num = num.exact_div(MPoly.var(var, j))
+    return num, k, j

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 import hekdv.poly
-from conftest import mpoly_strategy, nonzero_fractions, small_fractions
+from conftest import (cleared_in_chart, mpoly_strategy, nonzero_fractions,
+                      small_fractions)
 from hekdv.curve import CurveParams
 from hekdv.errors import ConfigError, MemoryCapExceeded, NotSymmetricError
 from hekdv.phiring import PhiRingElem
@@ -577,6 +578,57 @@ class TestClearDenominator:
     def test_refuses_all_but_a_monomial_factor(self, factor):
         with pytest.raises(ValueError):
             (a * c ** 2 + c).clear_denominator("c", factor)
+
+
+class TestChartGroups:
+    """``MPoly.chart_groups`` is the clearing, the rewrite of the square and
+    the division by the common power in three passes, split by block."""
+
+    @given(mpoly_strategy(("a", "b", "c", "d", "s", "y12"), max_terms=6,
+                          max_exp=2),
+           st.sampled_from((1, 2, 3)),
+           st.sampled_from((("c", "d"), ("c",), ("d", "y12"), ())))
+    def test_groups_sum_to_the_three_passes(self, p, scale, block):
+        groups, e = p.chart_groups("c", "s", scale, "b", block)
+        num, k, j = cleared_in_chart(p, "c", "s", scale, "b")
+        assert e == k - j
+        assert sum_polys(x * y for x, y in groups) == num * F(1, scale ** j)
+        monos = [y for _, y in groups]
+        assert len(set(monos)) == len(monos)
+        for x, y in groups:
+            assert y.term_count() == 1 and y.content() == 1
+            assert y.variables_used() <= set(block)
+            assert not x.variables_used() & (set(block) | {"b"})
+
+    def test_zero_and_constant(self):
+        assert MPoly.zero().chart_groups("c", "s", 2, "b", ("c", "d")) == (
+            [], 0)
+        groups, e = MPoly.const(F(-3, 4)).chart_groups("c", "s", 2, "b",
+                                                       ("c", "d"))
+        assert e == 0 and groups == [(MPoly.const(F(-3, 4)), MPoly.const(1))]
+
+    def test_common_power_is_cancelled(self):
+        # b*c^3 is s^2 * (c/2s)^3 = c^3 / (8s) and b^2*c/3 is s^3 * c / 6,
+        # so over (2s)^3 the common power is (2s)^2: k = 3, j = 2
+        s = MPoly.var("s")
+        groups, e = (b * c ** 3 + F(1, 3) * b ** 2 * c).chart_groups(
+            "c", "s", 2, "b", ("c", "d"))
+        assert e == 1
+        assert groups == [(MPoly.const(F(1, 4)), c ** 3),
+                          (s ** 4 * F(1, 3), c)]
+
+    def test_exponent_past_the_range_raises(self):
+        s = MPoly.var("s")
+        top = MPoly.var("b", MAX_EXPONENT // 2) * s
+        groups, _ = top.chart_groups("c", "s", 2, "b", ())
+        assert groups == [(MPoly.var("s", MAX_EXPONENT), MPoly.const(1))]
+        # s^32767 * c/(2s) is c * s^32766 / 2, over (2s)^0: in range
+        groups, e = (top * c).chart_groups("c", "s", 2, "b", ())
+        assert e == 0 and groups == [
+            (MPoly.var("s", MAX_EXPONENT - 1) * c * F(1, 2), MPoly.const(1))]
+        for p in (top * s, MPoly.var("b", MAX_EXPONENT), top * s * d):
+            with pytest.raises(OverflowError):
+                p.chart_groups("c", "s", 2, "b", ())
 
 
 class TestMemoryCap:

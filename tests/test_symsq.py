@@ -4,11 +4,12 @@ from fractions import Fraction as F
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
-from conftest import mpoly_strategy
+from conftest import cleared_in_chart, mpoly_strategy
 from hekdv.curve import CurveParams, y_symbols
-from hekdv.errors import NotSymmetricError, ZeroDenominatorError
+from hekdv.errors import (MemoryCapExceeded, NotSymmetricError,
+                          ZeroDenominatorError)
 from hekdv.poly import (MPoly, Substitution, eval_poly, standard_weights,
                         sum_polys, variables, weighted_degree)
 from hekdv.ratfun import RatFn
@@ -310,6 +311,75 @@ class TestKeptPowers:
             assert list(got.monomials()) == list(want.monomials())
 
 
+def _one_block(field):
+    """One substitution of a, c, d, s and the curve parameters together,
+    as abcd_to_xy evaluated before it grouped by the (c, d) monomial."""
+    mapping = {n: field.params.coefficient(n)
+               for n in y_symbols(field.params.genus)}
+    mapping.update(a=(X1 + X2) * F(1, 2), c=Y1 - Y2, d=(Y1 + Y2) * F(1, 2),
+                   s=(X1 - X2) * F(1, 2))
+    return Substitution(mapping)
+
+
+# a numeric square whose zero parameters make some images the constant 0
+_ZEROS3 = SymSqField(_NUMERIC3)
+_chart_polys = mpoly_strategy(("a", "b", "c", "d", "s"), max_terms=4,
+                              max_exp=2)
+_block_inputs = st.one_of(
+    st.tuples(_chart_polys,
+              mpoly_strategy(y_symbols(3), max_terms=2, max_exp=1)).map(
+        lambda t: t[0] * t[1]),
+    mpoly_strategy(("c", "d"), max_terms=3, max_exp=3),
+    mpoly_strategy(("a", "b", "s", "y4", "y12"), max_terms=4, max_exp=2))
+
+
+class TestBlockEvaluation:
+    """abcd_to_xy evaluates the X block of each (c, d) monomial's group and
+    multiplies it by the Y block image of the monomial: the value of one
+    substitution of every variable at once."""
+
+    @seed(33)
+    @settings(max_examples=40)
+    @given(_block_inputs, st.sampled_from((1, F(-6, 35), 12)))
+    @example(MPoly.zero(), 1)
+    @example(c ** 3 * d - F(2, 3) * d ** 2 + c, F(5, 4))
+    @example(a ** 2 * b - F(7, 2) * y12 * MPoly.var("s") + 3, 1)
+    def test_blocks_equal_one_substitution(self, p, scale):
+        p = p * scale
+        num, k, j = cleared_in_chart(p, "c", "s", 2, "b")
+        for f in (_WARM_SQUARES[0], _ZEROS3):
+            want = _one_block(f)(num) * F(1, 2 ** j)
+            groups, e = p.chart_groups("c", "s", 2, "b", ("c", "d"))
+            sub = f.to_xy()
+            got = sum_polys(sub(x) * sub.image(y) for x, y in groups)
+            assert e == k - j and got == want
+            r, w = abcd_to_xy(p, f), f.over(want, (0, 0, e))
+            assert (r.num, r.den) == (w.num, w.den)
+
+    def test_images_of_the_y_block_are_kept(self):
+        f = SymSqField(CurveParams.symbolic(3))
+        sub = f.to_xy()
+        for _ in range(2):
+            image = sub.image(c ** 2 * d)
+            assert image == (Y1 - Y2) ** 2 * (Y1 + Y2) * F(1, 2)
+        assert sub.image(c ** 2 * d) is image and sub.image(MPoly.const(1)) == 1
+
+    def test_cap_still_bounds_the_products(self, monkeypatch):
+        # 0.002 MB caps a product at 10 terms: the small input evaluates,
+        # the large one raises in both evaluations, as before the grouping
+        f = SymSqField(CurveParams.symbolic(3))
+        small = F(2, 3) * a * c + d
+        large = (a + b + c + d + y12) ** 3
+        num, _, _ = cleared_in_chart(large, "c", "s", 2, "b")
+        monkeypatch.setenv("HEKDV_MEM_CAP_MB", "0.002")
+        got, want = abcd_to_xy(small, f), abcd_to_xy(small, _WARM_SQUARES[0])
+        assert (got.num, got.den) == (want.num, want.den)
+        with pytest.raises(MemoryCapExceeded):
+            abcd_to_xy(large, f)
+        with pytest.raises(MemoryCapExceeded):
+            _one_block(f)(num)
+
+
 # Y-exponents capped at 1 so conjugate clearing stays small; reduction of
 # higher Y powers is covered separately by TestReduction
 def _flat_xy_polys():
@@ -562,12 +632,9 @@ class TestFactoredDenominators:
     @given(abcd_polys)
     def test_abcd_to_xy_matches_the_expanded_denominator(self, p):
         f = _WARM_SQUARES[0]
-        num, k = p.clear_denominator("c", MPoly.var("s") * 2)
-        num = num.subst({"b": MPoly.var("s", 2)})
-        j = min(k, num.min_degree_in("s"))
-        if j:
-            num = num.exact_div(MPoly.var("s", j))
-        want = _reference_pair(f, f.to_xy()(num), (X1 - X2) ** (k - j) * 2 ** j)
+        num, k, j = cleared_in_chart(p, "c", "s", 2, "b")
+        want = _reference_pair(f, _one_block(f)(num),
+                               (X1 - X2) ** (k - j) * 2 ** j)
         got = abcd_to_xy(p, f)
         assert (got.num, got.den) == want
 
