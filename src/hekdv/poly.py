@@ -636,11 +636,11 @@ class MPoly:
                           _checked(terms)), k
 
     def chart_groups(self, name, var, scale, square, block):
-        """``clear_denominator`` by scale * var (an int scale > 0), with
-        ``square`` put to var^2 and the largest (scale * var)^j, j <= k,
-        that divides every term divided out, in one pass that groups the
-        terms by their monomial in ``block``: (groups, k - j), each group a
-        (coefficient, monomial of content 1) pair, summing to the quotient."""
+        """(groups, k - j): ``clear_denominator`` by scale * var, an int
+        scale > 0, with ``square`` put to var^2, divided by the largest
+        (scale * var)^j, j <= k, dividing every term.  One pass does it and
+        groups the terms by their monomial in ``block``, as (coefficient,
+        monomial of content 1) pairs whose products sum to the result."""
         sn, sv, sq = _shift(name), _shift(var), _shift(square)
         k = self.degree_in(name)
         # the exponent of var that each term gains, before the division
