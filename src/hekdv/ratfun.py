@@ -6,7 +6,13 @@ its own normal form.  ``normal_form`` cancels the common monomial and
 scales the denominator; the symmetric square also cancels X1 - X2, from
 its stored exponents.  It is deliberately lazy (no multivariate gcd), so
 equality is decided by cross-multiplication, which is representation
-independent.
+independent.  A RatFn is num / base^k: normal_form's pair with k = 1 when
+built, k = 0 over 1 for a polynomial.  Over a *stable* base, one with no
+monomial factor, a result needs no normal form: a sum is over the lcm of
+the denominators (Knuth, TAOCP vol. 2, 4.5.1), the larger power, a product
+adds the powers, and d(num/base^k) = (num' base - k num base') /
+base^(k+1).  A polynomial keeps the other operand's base; any other pair
+of bases, xi's w1 included, multiplies out into a new base of power 1.
 """
 
 from fractions import Fraction
@@ -14,6 +20,7 @@ from fractions import Fraction
 from .errors import ZeroDenominatorError
 from .poly import MPoly, Ring, eval_poly, unit_den, weighted_degree
 
+_ONE = MPoly.const(1)
 
 def _as_mpoly(x):
     if isinstance(x, MPoly):
@@ -50,7 +57,7 @@ def normal_form(num, den):
 
 
 class RatFn(Ring):
-    """A fraction num/den of multivariate polynomials, den != 0.
+    """A fraction num / base^k, ``stable`` when base has no monomial factor.
 
     The fraction arithmetic, equality and printing are written once, here,
     for every fraction ring; the reflected operators are ``Ring``'s.  A
@@ -59,12 +66,27 @@ class RatFn(Ring):
     foreign one) and ``_make`` builds a result.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "base", "k", "stable", "_expanded")
 
-    def __init__(self, num, den=1):
+    def __init__(self, num, den=None):
+        if den is None:
+            _fill(self, _as_mpoly(num), _ONE, 0, True)
+            return
         num, den = normal_form(_as_mpoly(num), _as_mpoly(den))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        _fill(self, num, den, 0 if den.as_constant() else 1,
+              not any(den.min_degree_in(v) for v in den.variables_used()))
+
+    @property
+    def den(self):
+        """The expanded denominator, formed on first read and kept."""
+        try:
+            return _get_expanded(self)
+        except AttributeError:
+            _set_expanded(self, self._expand())
+            return _get_expanded(self)
+
+    def _expand(self):
+        return self.base ** self.k
 
     def _lift(self, other):
         """``other`` as an element of this ring: a RatFn, MPoly or scalar."""
@@ -74,6 +96,14 @@ class RatFn(Ring):
 
     def _make(self, num, den):
         return RatFn(num, den)
+
+    def _build(self, num, base, k, stable):
+        """num / base^k, as it stands over a stable base, else normalized."""
+        if not stable:
+            return self._make(num, base ** k)
+        if not k or num.is_zero:
+            base, k = _ONE, 0
+        return _fill(object.__new__(RatFn), num, base, k, True)
 
     # -- predicates -----------------------------------------------------
 
@@ -86,24 +116,42 @@ class RatFn(Ring):
 
     # -- arithmetic -------------------------------------------------------
 
+    def _plus(self, o, sign):
+        """self + sign * o over the lcm of the denominators."""
+        j, k, b = self.k, o.k, self.base
+        m, n = self.num, o.num
+        if not k:
+            n = n * self.den if j else n
+        elif not j:
+            m, j, b = m * o.den, k, o.base
+        elif self.stable and o.stable and (b is o.base or b == o.base):
+            if j < k:
+                m, j = m * b ** (k - j), k
+            elif k < j:
+                n = n * b ** (j - k)
+        else:
+            m, n, j, b = m * o.den, n * self.den, 1, self.den * o.den
+        return self._build(m + n if sign > 0 else m - n, b, j,
+                           self.stable and o.stable)
+
     def __add__(self, other):
-        o = self._lift(other)
-        return self._make(self.num * o.den + o.num * self.den,
-                          self.den * o.den)
+        return self._plus(self._lift(other), 1)
 
     def __neg__(self):
-        return self._make(-self.num, self.den)
+        return self._build(-self.num, self.base, self.k, self.stable)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return self._make(self.num * o.den - o.num * self.den,
-                          self.den * o.den)
+        return self._plus(self._lift(other), -1)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._make(self.num * other, self.den)
         o = self._lift(other)
-        return self._make(self.num * o.num, self.den * o.den)
+        num, j, k, b = self.num * o.num, self.k, o.k, self.base
+        if not j:
+            return self._build(num, o.base, k, o.stable)
+        if not k or (self.stable and o.stable
+                     and (b is o.base or b == o.base)):
+            return self._build(num, b, j + k, self.stable)
+        return self._build(num, self.den * o.den, 1, self.stable and o.stable)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -116,14 +164,7 @@ class RatFn(Ring):
             if self.is_zero:
                 raise ZeroDenominatorError("inverting the zero fraction")
             return self._make(self.den ** (-n), self.num ** (-n))
-        return self._make(self.num ** n, self.den ** n)
-
-    def __eq__(self, other):
-        try:
-            o = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        return (self.num * o.den - o.num * self.den).is_zero
+        return self._build(self.num ** n, self.base, self.k * n, self.stable)
 
     def __hash__(self):
         raise TypeError(f"{type(self).__name__} is unhashable; "
@@ -132,25 +173,27 @@ class RatFn(Ring):
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, name):
-        return RatFn(self.num.derivative(name) * self.den
-                     - self.num * self.den.derivative(name),
-                     self.den * self.den)
+        num, base, k = self.num, self.base, self.k
+        db = base.derivative(name)
+        if db.is_zero:
+            return self._build(num.derivative(name), base, k, self.stable)
+        return self._build(num.derivative(name) * base - num * (db * k),
+                           base, k + 1, self.stable)
 
     def subst(self, mapping):
         """Substitute variables by RatFn/MPoly/Fraction values."""
         lifted = {k: self._lift(v) for k, v in mapping.items()}
-        one = RatFn(MPoly.const(1))
+        one = RatFn(1)
         num = eval_poly(self.num, lifted, one)
-        den = eval_poly(self.den, lifted, one)
-        return num / den
+        return num * (one / eval_poly(self.base, lifted, one)) ** self.k
 
     def fraction_weight(self, table):
         """Weighted degree num minus den if both homogeneous, else None."""
         wn = weighted_degree(self.num, table)
-        wd = weighted_degree(self.den, table)
-        if wn is None or wd is None:
+        wb = weighted_degree(self.base, table)
+        if wn is None or wb is None:
             return None
-        return wn - wd
+        return wn - wb * self.k
 
     def __str__(self):
         if self.is_polynomial():
@@ -161,3 +204,19 @@ class RatFn(Ring):
         return (f"{type(self).__name__}({self.num.to_str(max_terms=6)} / "
                 f"{self.den.to_str(max_terms=6)})")
 
+
+# the slot setters, past the immutability guard
+_set_num, _set_base, _set_k, _set_stable, _set_expanded = (
+    getattr(RatFn, name).__set__ for name in RatFn.__slots__)
+_get_expanded = RatFn._expanded.__get__
+
+
+def _fill(r, num, base, k, stable):
+    """Set the slots of ``r``, its den too when k < 2 (base^k is base)."""
+    _set_num(r, num)
+    _set_base(r, base)
+    _set_k(r, k)
+    _set_stable(r, stable)
+    if k < 2:
+        _set_expanded(r, base)
+    return r

@@ -172,6 +172,10 @@ class SymSqElem(RatFn):
 
     __slots__ = ("field", "den_exps", "den_rest")
 
+    # to RatFn an element is den over an unstable base of power 1, so the
+    # cofactor path is the cross-multiplication of the expanded pairs
+    base, k, stable = RatFn.den, 1, False
+
     def __init__(self, field, num, den=1):
         num = field.reduce(_as_mpoly(num))
         den = _as_mpoly(den)
@@ -195,17 +199,9 @@ class SymSqElem(RatFn):
             raise ZeroDenominatorError("fraction with zero denominator")
         _fill(self, field, *_cancel(num, *_split(den)))
 
-    @property
-    def den(self):
-        """The expanded denominator, formed on first read and kept."""
-        try:
-            return _get_den(self)
-        except AttributeError:
-            den = x_part(*self.den_exps)
-            if self.den_rest is not None:
-                den = den * self.den_rest
-            _set_den(self, den)
-            return den
+    def _expand(self):
+        den = x_part(*self.den_exps)
+        return den if self.den_rest is None else den * self.den_rest
 
     def _lift(self, other):
         """``other`` in this field: an element of it, an MPoly or a scalar.
@@ -285,9 +281,7 @@ class SymSqElem(RatFn):
                         "map the numerator and build a field element instead")
 
 
-# the slot setters, past the immutability guard; RatFn's den slot keeps the
-# expanded denominator once it is read
-_get_den, _set_den = RatFn.den.__get__, RatFn.den.__set__
+# the slot setters, past the immutability guard
 _SETTERS = (SymSqElem.field.__set__, RatFn.num.__set__,
             SymSqElem.den_exps.__set__, SymSqElem.den_rest.__set__)
 

@@ -194,11 +194,14 @@ def structure_II():
 
 
 def poisson_bracket(f, g, structure):
-    """{f, g} = sum over pairs of the constant bracket times the Jacobian part."""
+    """{f, g} = sum over pairs of the constant bracket times the Jacobian
+    part; each partial of f and g is taken once."""
     f = f if isinstance(f, RatFn) else RatFn(f)
     g = g if isinstance(g, RatFn) else RatFn(g)
+    names = dict.fromkeys(v for pair in structure.table for v in pair)
+    df = {v: f.derivative(v) for v in names}
+    dg = {v: g.derivative(v) for v in names}
     total = RatFn(0)
     for (vi, vj), cij in structure.table.items():
-        total = total + (f.derivative(vi) * g.derivative(vj)
-                         - f.derivative(vj) * g.derivative(vi)) * cij
+        total = total + (df[vi] * dg[vj] - df[vj] * dg[vi]) * cij
     return total

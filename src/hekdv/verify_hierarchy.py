@@ -49,10 +49,11 @@ def verify_seconddif(rhs_override=None):
     ab = field.abcd()
     lhs = T1(T1(ab["a"]))
     if rhs_override is None:
-        den = u4_poly - u2_poly ** 2
+        # over powers of one base, so the sum is over den^3
+        inv = RatFn(1, u4_poly - u2_poly ** 2)
         rhs_u = (RatFn(2 * u4_poly + 10 * u2_poly ** 2 + y4_poly)
-                 - RatFn(MPoly.var("y12"), den ** 2)
-                 - RatFn(4 * MPoly.var("y14") * u2_poly, den ** 3))
+                 - RatFn(MPoly.var("y12")) * inv ** 2
+                 - RatFn(4 * MPoly.var("y14") * u2_poly) * inv ** 3)
     else:
         rhs_u = rhs_override
     rhs = pullback_u(rhs_u, field)

@@ -39,9 +39,13 @@ def square(params: CurveParams):
 
 
 def pullback_u(rf: RatFn, field):
-    """Evaluate a u-space rational function on the symmetric square."""
-    num, den = (abcd_to_xy(_u_to_abcd(p), field) for p in (rf.num, rf.den))
-    return num / den
+    """Evaluate a u-space rational function on the symmetric square: its
+    numerator over the power of its pulled-back base (u2^2 - u4 pulls back
+    to X1*X2), so no expanded power goes through ``abcd_to_xy``."""
+    num = abcd_to_xy(_u_to_abcd(rf.num), field)
+    if not rf.k:
+        return num
+    return num / abcd_to_xy(_u_to_abcd(rf.base), field) ** rf.k
 
 
 def _u_to_abcd(p):
@@ -74,10 +78,11 @@ def verify_first_integrals(h12=None, h14=None):
     h14 = h14 if h14 is not None else default_h14
     tables = [flow_table(f) for f in FLOW_IDS]
     for hname, h in (("H12", h12), ("H14", h14)):
+        grad = {uvar: h.derivative(uvar) for uvar in U_VARS}
         for table in tables:
             total = RatFn(0)
             for uvar in U_VARS:
-                total = total + h.derivative(uvar) * table.entries[uvar]
+                total = total + grad[uvar] * table.entries[uvar]
             rb.residual(f"d{hname}/d(flow {table.flow})", total)
     return rb.build()
 

@@ -14,6 +14,22 @@ def test_seconddif_passes():
     assert report.passed, report.summary()
 
 
+def test_seconddif_right_hand_side_is_over_one_base():
+    from unittest.mock import patch
+    import hekdv.verify_hierarchy as vh
+    from hekdv.tables import u2, u4
+    seen, pullback = [], vh.pullback_u
+
+    def recorded(rf, field):
+        seen.append(rf)
+        return pullback(rf, field)
+
+    with patch.object(vh, "pullback_u", recorded):
+        assert verify_seconddif().passed
+    rhs, = seen
+    assert rhs.base == u2 ** 2 - u4 and rhs.k == 3
+
+
 def test_uv_pullbacks():
     from hekdv.poly import MPoly
     from hekdv.verify_hierarchy import _ctx

@@ -1,10 +1,13 @@
+from unittest.mock import patch
+
 import pytest
 
+import hekdv.verify_tables
 from hekdv.curve import CurveParams
 from hekdv.poly import MPoly
 from hekdv.ratfun import RatFn
 from hekdv.tables import (U_VARS, PoissonStructure, first_integrals,
-                          flow_table)
+                          flow_table, poisson_bracket, structure_I, u2, u4)
 from hekdv.verify_tables import (pullback_u, square, verify_first_integrals,
                                  verify_flow_table, verify_hamiltonian_form)
 
@@ -38,6 +41,48 @@ def test_t1_cross_consistency():
     for uvar in U_VARS:
         lhs = pullback_u(tab1.entries[uvar], field) * x1x2
         assert (lhs + pullback_u(tab2.entries[uvar], field)).is_zero, uvar
+
+
+def _derivative_calls(run):
+    """run() and the variables RatFn.derivative was called with."""
+    calls, derivative = [], RatFn.derivative
+
+    def recorded(self, name):
+        calls.append(name)
+        return derivative(self, name)
+
+    with patch.object(RatFn, "derivative", recorded):
+        return run(), calls
+
+
+class TestFormedOnce:
+    def test_first_integrals_take_each_partial_once(self):
+        report, calls = _derivative_calls(verify_first_integrals)
+        assert report.passed and sorted(calls) == sorted(U_VARS * 2)
+
+    def test_poisson_bracket_takes_each_partial_once(self):
+        h12, h14 = first_integrals()
+        _, calls = _derivative_calls(
+            lambda: poisson_bracket(h12, h14, structure_I()))
+        assert sorted(calls) == sorted(["u2", "u4", "u5", "u7"] * 2)
+
+    def test_pullback_maps_the_base_and_not_its_power(self):
+        field = square(CurveParams.symbolic(3))
+        x1x2 = MPoly.var("X1") * MPoly.var("X2")
+        inputs, bridge = [], hekdv.verify_tables.abcd_to_xy
+
+        def recorded(p, f):
+            inputs.append(p)
+            return bridge(p, f)
+
+        rf = RatFn(u2) * RatFn(1, u4 - u2 ** 2) ** 3
+        with patch.object(hekdv.verify_tables, "abcd_to_xy", recorded):
+            got = pullback_u(rf, field)
+        a, b = MPoly.var("a"), MPoly.var("b")
+        assert inputs == [-a, a ** 2 - b]
+        assert got.den_exps == (3, 3, 0)
+        assert got == field.elem(-(MPoly.var("X1") + MPoly.var("X2")) / 2,
+                                 x1x2 ** 3)
 
 
 class TestMutationControls:
