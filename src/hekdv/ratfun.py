@@ -5,14 +5,11 @@ for the elements whose denominator it does not keep factored, and supplies
 its own normal form.  ``normal_form`` cancels the common monomial and
 scales the denominator; the symmetric square also cancels X1 - X2, from
 its stored exponents.  It is deliberately lazy (no multivariate gcd), so
-equality is decided by cross-multiplication, which is representation
-independent.  A RatFn is num / base^k: normal_form's pair with k = 1 when
-built, k = 0 over 1 for a polynomial.  Over a *stable* base, one with no
-monomial factor, a result needs no normal form: a sum is over the lcm of
-the denominators (Knuth, TAOCP vol. 2, 4.5.1), the larger power, a product
-adds the powers, and d(num/base^k) = (num' base - k num base') /
-base^(k+1).  A polynomial keeps the other operand's base; any other pair
-of bases, xi's w1 included, multiplies out into a new base of power 1.
+equality is decided over a common denominator.  A RatFn is num / base^k,
+built as normal_form's pair.  Over a *stable* base (no monomial factor)
+results stay in normal form: a sum is over the lcm (Knuth, TAOCP vol. 2,
+4.5.1), a product adds the powers and d(num/base^k) = (num' base - k num
+base') / base^(k+1).  Other pairs of bases multiply out into a new base.
 """
 
 from fractions import Fraction
@@ -21,6 +18,7 @@ from .errors import ZeroDenominatorError
 from .poly import MPoly, Ring, eval_poly, unit_den, weighted_degree
 
 _ONE = MPoly.const(1)
+
 
 def _as_mpoly(x):
     if isinstance(x, MPoly):
@@ -69,30 +67,23 @@ class RatFn(Ring):
     __slots__ = ("num", "base", "k", "stable", "_expanded")
 
     def __init__(self, num, den=None):
-        if den is None:
-            _fill(self, _as_mpoly(num), _ONE, 0, True)
-            return
-        num, den = normal_form(_as_mpoly(num), _as_mpoly(den))
+        num, den = ((_as_mpoly(num), _ONE) if den is None else
+                    normal_form(_as_mpoly(num), _as_mpoly(den)))
         _fill(self, num, den, 0 if den.as_constant() else 1,
               not any(den.min_degree_in(v) for v in den.variables_used()))
 
     @property
     def den(self):
-        """The expanded denominator, formed on first read and kept."""
+        """The expanded denominator base^k, formed on first read and kept."""
         try:
-            return _get_expanded(self)
+            return self._expanded
         except AttributeError:
-            _set_expanded(self, self._expand())
-            return _get_expanded(self)
-
-    def _expand(self):
-        return self.base ** self.k
+            RatFn._expanded.__set__(self, self.base ** self.k)
+            return self._expanded
 
     def _lift(self, other):
         """``other`` as an element of this ring: a RatFn, MPoly or scalar."""
-        if type(other) is RatFn:
-            return other
-        return RatFn(other)
+        return other if type(other) is RatFn else RatFn(other)
 
     def _make(self, num, den):
         return RatFn(num, den)
@@ -104,6 +95,13 @@ class RatFn(Ring):
         if not k or num.is_zero:
             base, k = _ONE, 0
         return _fill(object.__new__(RatFn), num, base, k, True)
+
+    def _common_base(self, o):
+        """The base both denominators are powers of, or None."""
+        if not (self.k and o.k):
+            return self.base if self.k else o.base
+        shared = self.stable and (self.base is o.base or self.base == o.base)
+        return self.base if shared else None
 
     # -- predicates -----------------------------------------------------
 
@@ -118,19 +116,13 @@ class RatFn(Ring):
 
     def _plus(self, o, sign):
         """self + sign * o over the lcm of the denominators."""
-        j, k, b = self.k, o.k, self.base
-        m, n = self.num, o.num
-        if not k:
-            n = n * self.den if j else n
-        elif not j:
-            m, j, b = m * o.den, k, o.base
-        elif self.stable and o.stable and (b is o.base or b == o.base):
-            if j < k:
-                m, j = m * b ** (k - j), k
-            elif k < j:
-                n = n * b ** (j - k)
-        else:
-            m, n, j, b = m * o.den, n * self.den, 1, self.den * o.den
+        m, n, j, k, b = self.num, o.num, self.k, o.k, self._common_base(o)
+        if b is None:
+            m, n, b, j = m * o.den, n * self.den, self.den * o.den, 1
+        elif j < k:
+            m, j = m * b ** (k - j), k
+        elif k < j:
+            n = n * b ** (j - k)
         return self._build(m + n if sign > 0 else m - n, b, j,
                            self.stable and o.stable)
 
@@ -145,13 +137,9 @@ class RatFn(Ring):
 
     def __mul__(self, other):
         o = self._lift(other)
-        num, j, k, b = self.num * o.num, self.k, o.k, self.base
-        if not j:
-            return self._build(num, o.base, k, o.stable)
-        if not k or (self.stable and o.stable
-                     and (b is o.base or b == o.base)):
-            return self._build(num, b, j + k, self.stable)
-        return self._build(num, self.den * o.den, 1, self.stable and o.stable)
+        b = self._common_base(o)
+        b, k = (self.den * o.den, 1) if b is None else (b, self.k + o.k)
+        return self._build(self.num * o.num, b, k, self.stable and o.stable)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -173,12 +161,11 @@ class RatFn(Ring):
     # -- calculus ----------------------------------------------------------
 
     def derivative(self, name):
-        num, base, k = self.num, self.base, self.k
+        num, base, k = self.num.derivative(name), self.base, self.k
         db = base.derivative(name)
-        if db.is_zero:
-            return self._build(num.derivative(name), base, k, self.stable)
-        return self._build(num.derivative(name) * base - num * (db * k),
-                           base, k + 1, self.stable)
+        if not db.is_zero:
+            num, k = num * base - self.num * (db * k), k + 1
+        return self._build(num, base, k, self.stable)
 
     def subst(self, mapping):
         """Substitute variables by RatFn/MPoly/Fraction values."""
@@ -206,17 +193,11 @@ class RatFn(Ring):
 
 
 # the slot setters, past the immutability guard
-_set_num, _set_base, _set_k, _set_stable, _set_expanded = (
-    getattr(RatFn, name).__set__ for name in RatFn.__slots__)
-_get_expanded = RatFn._expanded.__get__
+_SETTERS = tuple(getattr(RatFn, name).__set__ for name in RatFn.__slots__)
 
 
-def _fill(r, num, base, k, stable):
-    """Set the slots of ``r``, its den too when k < 2 (base^k is base)."""
-    _set_num(r, num)
-    _set_base(r, base)
-    _set_k(r, k)
-    _set_stable(r, stable)
-    if k < 2:
-        _set_expanded(r, base)
+def _fill(r, *parts):
+    """Set num, base, k and stable of ``r``."""
+    for setter, value in zip(_SETTERS, parts):
+        setter(r, value)
     return r

@@ -174,7 +174,7 @@ class SymSqElem(RatFn):
 
     # to RatFn an element is den over an unstable base of power 1, so the
     # cofactor path is the cross-multiplication of the expanded pairs
-    base, k, stable = RatFn.den, 1, False
+    k, stable = 1, False
 
     def __init__(self, field, num, den=1):
         num = field.reduce(_as_mpoly(num))
@@ -199,7 +199,9 @@ class SymSqElem(RatFn):
             raise ZeroDenominatorError("fraction with zero denominator")
         _fill(self, field, *_cancel(num, *_split(den)))
 
-    def _expand(self):
+    @property
+    def base(self):
+        """The expanded denominator; ``den`` keeps it once read."""
         den = x_part(*self.den_exps)
         return den if self.den_rest is None else den * self.den_rest
 
