@@ -5,11 +5,10 @@ for the elements whose denominator it does not keep factored, and supplies
 its own normal form.  ``normal_form`` cancels the common monomial and
 scales the denominator; the symmetric square also cancels X1 - X2, from
 its stored exponents.  It is deliberately lazy (no multivariate gcd), so
-equality is decided over a common denominator.  A RatFn is num / base^k,
-built as normal_form's pair.  Over a *stable* base (no monomial factor)
-results stay in normal form: a sum is over the lcm (Knuth, TAOCP vol. 2,
-4.5.1), a product adds the powers and d(num/base^k) = (num' base - k num
-base') / base^(k+1).  Other pairs of bases multiply out into a new base.
+equality is decided over a common denominator.  A RatFn is num / base^k.
+Over a *stable* base (no monomial factor) results need no normal form: a
+sum is over the lcm (Knuth, TAOCP vol. 2, 4.5.1), a product adds the
+powers; other pairs of bases multiply out into a new base.
 """
 
 from fractions import Fraction
@@ -67,8 +66,10 @@ class RatFn(Ring):
     __slots__ = ("num", "base", "k", "stable", "_expanded")
 
     def __init__(self, num, den=None):
-        num, den = ((_as_mpoly(num), _ONE) if den is None else
-                    normal_form(_as_mpoly(num), _as_mpoly(den)))
+        if den is None:
+            _fill(self, _as_mpoly(num), _ONE, 0, True)
+            return
+        num, den = normal_form(_as_mpoly(num), _as_mpoly(den))
         _fill(self, num, den, 0 if den.as_constant() else 1,
               not any(den.min_degree_in(v) for v in den.variables_used()))
 
@@ -176,11 +177,8 @@ class RatFn(Ring):
 
     def fraction_weight(self, table):
         """Weighted degree num minus den if both homogeneous, else None."""
-        wn = weighted_degree(self.num, table)
-        wb = weighted_degree(self.base, table)
-        if wn is None or wb is None:
-            return None
-        return wn - wb * self.k
+        wn, wb = (weighted_degree(p, table) for p in (self.num, self.base))
+        return None if wn is None or wb is None else wn - wb * self.k
 
     def __str__(self):
         if self.is_polynomial():
@@ -192,12 +190,14 @@ class RatFn(Ring):
                 f"{self.den.to_str(max_terms=6)})")
 
 
-# the slot setters, past the immutability guard
-_SETTERS = tuple(getattr(RatFn, name).__set__ for name in RatFn.__slots__)
+_set_num, _set_base, _set_k, _set_stable = (
+    getattr(RatFn, name).__set__ for name in ("num", "base", "k", "stable"))
 
 
-def _fill(r, *parts):
-    """Set num, base, k and stable of ``r``."""
-    for setter, value in zip(_SETTERS, parts):
-        setter(r, value)
+def _fill(r, num, base, k, stable):
+    """Set num, base, k and stable of ``r``, past the immutability guard."""
+    _set_num(r, num)
+    _set_base(r, base)
+    _set_k(r, k)
+    _set_stable(r, stable)
     return r
