@@ -493,6 +493,12 @@ class MPoly:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        if len(self.terms) == 1:
+            # one step: the monomial's exponents times n, c^n and the
+            # content num^n/den^n, which stays in lowest terms
+            (m, c), = self.terms.items()
+            return MPoly(self._num ** n, self._den ** n,
+                         {_pack((v, e * n) for v, e in _exponents(m)): c ** n})
         return power(self, n, MPoly.const(1))
 
     def __truediv__(self, other):
@@ -698,12 +704,22 @@ class MPoly:
     def divide_out_linear(self, name, other_name):
         """Exact quotient by (name - other_name), e.g. (X1 - X2); None if inexact.
 
-        Horner-style division treating the polynomial as univariate in
-        ``name`` with coefficients in the remaining variables; linear cost
-        in the term count times the degree.  It runs on the integer part
-        and never divides, and an exact quotient is again primitive.
+        By the factor theorem u - v divides p exactly when p(u = v) is
+        zero, so that fold, one pass over the terms, refuses a non-multiple.
+        A multiple is divided Horner-style, treating the polynomial as
+        univariate in ``name`` with coefficients in the remaining variables;
+        linear cost in the term count times the degree.  It runs on the
+        integer part and never divides, and an exact quotient is again
+        primitive.
         """
         i, unit = _shift(name), 1 << _shift(other_name)
+        fold = {}
+        for m, c in self.terms.items():
+            e = (m >> i) & MAX_EXPONENT
+            key = m + e * (unit - (1 << i))
+            fold[key] = fold.get(key, 0) + c
+        if any(_checked(fold).values()):
+            return None
         deg = self.degree_in(name)
         # bucket by exponent of `name`
         buckets = [dict() for _ in range(deg + 1)]
@@ -717,12 +733,10 @@ class MPoly:
             _merge(carry, buckets[e])
             for key, c in carry.items():
                 quotient[key + ((e - 1) << i)] = c
-            # carry for next lower degree: b_{e-1} * other_name
-            carry = _checked({key + unit: c for key, c in carry.items()})
-        # remainder = A_0 + carry must vanish
-        _merge(carry, buckets[0])
-        if carry:
-            return None
+            # carry for next lower degree: b_{e-1} * other_name; the fold
+            # checked every exponent it reaches
+            carry = {key + unit: c for key, c in carry.items()}
+        # the remainder A_0 + carry is the fold, which vanished
         return MPoly(self._num, self._den, quotient)
 
     def rem_monic(self, name, degree, tail):

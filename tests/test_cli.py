@@ -347,7 +347,8 @@ class TestImportFootprint:
     standard library that only dataclasses or an internal error needs, and
     no suite's module or simulator that the command does not run."""
 
-    UNUSED = ("dataclasses", "inspect", "ast", "dis", "traceback")
+    UNUSED = ("dataclasses", "inspect", "ast", "dis", "traceback",
+              "argparse", "gettext", "locale")
 
     @pytest.mark.parametrize("argv, absent", [
         (["verify", "bm"], ("hekdv.sim",)),
@@ -370,6 +371,31 @@ class TestImportFootprint:
         assert "hekdv.cli" in imported
         assert set(imported) & set(self.UNUSED) == set()
         assert set(ran) & {*self.UNUSED, *absent} == set()
+
+
+class TestHelp:
+    """Help comes from the command table: exit 0, every flag named."""
+
+    def test_top_level_help_names_every_command(self, capsys):
+        assert run(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: hekdv")
+        for name in cli.COMMANDS:
+            assert name in out
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_command_help_names_every_flag(self, name, capsys):
+        assert run([name, "-h"]) == 0
+        out = capsys.readouterr().out
+        for flag in (*cli.COMMANDS[name].options, "help"):
+            assert f"--{flag}" in out
+        for choice in cli.COMMANDS[name].choices:
+            assert choice in out
+
+    def test_no_command_is_a_usage_error(self, capsys):
+        assert run([]) == 2
+        err = capsys.readouterr().err
+        assert "error: missing command" in err and "usage: hekdv" in err
 
 
 class TestMalformedMemCap:

@@ -8,7 +8,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import hekdv.poly
 from conftest import (cleared_in_chart, mpoly_strategy, nonzero_fractions,
@@ -59,6 +59,15 @@ class TestArithmetic:
     def test_pow(self):
         assert (a + b) ** 3 == a**3 + 3*a**2*b + 3*a*b**2 + b**3
         assert (a + b) ** 0 == MPoly.const(1)
+
+    @given(st.fractions().filter(bool),
+           st.tuples(*[st.integers(0, 5)] * 4), st.integers(0, 7))
+    @example(F(-3, 2), (1, 0, 2, 0), 0)
+    def test_one_term_power_matches_repeated_products(self, cf, expo, n):
+        p = MPoly.from_terms(("X1", "a", "c", "theta"), {expo: cf})
+        got, want = p ** n, power(p, n, MPoly.const(1))
+        assert got == want
+        assert list(got.monomials()) == list(want.monomials())
 
     def test_alignment_across_var_sets(self):
         assert a + X1 == X1 + a
@@ -159,6 +168,12 @@ class TestExponentRange:
         assert (a ** 2 * c).exact_div(a * b) is None
         assert MPoly.var("X1").exact_div(MPoly.var("theta")) is None
         assert (a * b ** 3).exact_div(b ** 2 * 5) == a * b * F(1, 5)
+
+    def test_one_term_power_past_the_maximum_raises(self):
+        p = MPoly.var("b", 2) * MPoly.var("X1") * F(-2, 3)
+        assert (p ** (MAX_EXPONENT // 2)).degree_in("b") == MAX_EXPONENT - 1
+        with pytest.raises(OverflowError, match="b"):
+            _ = p ** (MAX_EXPONENT // 2 + 1)
 
     def test_division_carries_past_the_maximum_raise(self):
         with pytest.raises(OverflowError, match="X2"):
