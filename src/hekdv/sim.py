@@ -6,14 +6,15 @@ a trajectory is purely integrator error.  Each table compiles into one
 generated function f(u2, u4, u5, u7), compiled once per flow and curve,
 which names each node of its power chains, and any other product or sum
 its entries share, once as a local.  The stepper is an embedded
-Dormand-Prince 5(4) pair with PI step-size control; its tableau is
-unrolled into one generated step function, built on first use,
-_dp_attempt(f, y, k1, hs, h, rel_tol, abs_tol), which calls the table f
-directly and also returns the error norm, whether the trial state is
-finite and its largest modulus; ``_rms`` serves only the initial step.
-``CompiledFlow`` and ``CompiledIntegrals`` wrap the same functions for
-callers that hold a state tuple.  The state and each of the seven
-stages are 4-tuples of Python numbers whose type follows the seed: a seed
+Dormand-Prince 5(4) pair with PI step-size control; its whole step loop
+is one generated function, built once per process on first use and
+shared by every flow: run(f, inv, ...), which calls the table f and the
+integrals inv it is given, holds the state and the stages as locals, one
+per component, and returns the reason it stopped with the step counts;
+``_rms`` serves only the initial step.  ``CompiledFlow`` and
+``CompiledIntegrals`` wrap the same functions for callers that hold a
+state tuple.  The state and each of the seven stages are four Python
+numbers (a sample's state a 4-tuple) whose type follows the seed: a seed
 whose four components have zero imaginary part runs on floats, any other
 (curve points with negative ordinate squares) on complex numbers, and the
 error norm measures each component by its modulus.  The tables have real
@@ -355,59 +356,105 @@ def _stage_sum(weights, j):
 
 
 @lru_cache(maxsize=None)
-def _build_dp_attempt():
-    """Generate _dp_attempt(f, y, k1, hs, h, rel_tol, abs_tol)
-    -> (y_new, k7, err, finite, big) for a generated table f(u2, u4, u5,
-    u7).
+def _build_run():
+    """Generate the step loop of ``integrate``:
+    run(f, inv, y_0, .., y_3, k1_0, .., k1_3, h, sign, length, rel_tol,
+    abs_tol, guard, guard_floor, samples, max_steps) -> (reason, steps,
+    guard_rejected, h_min, h_max), for a generated table f, its values
+    k1 at y and the integrals inv.  It steps from time 0 over length,
+    each step taken as hs = sign * h, and appends each accepted step's
+    sample to samples, until the span is done (reason "") or the run
+    aborts (reason the abort's message).  A span of exactly h with
+    max_steps=1 is one attempt at h.
 
-    The tableau is unrolled per component: stage i + 1 is f of the four
-    sums y_j + hs * (a1 * k1_j + a2 * k2_j + ...), unpacked straight into
-    the locals ki_j, and the last stage is f of the fifth-order solution
-    y_new.  Only y_new and k7 are returned as tuples.  err is the RMS of
-    |e_j| / (abs_tol + rel_tol * max(|y_j|, |y_new_j|)), e_j being h
-    times the E-weighted stage sum.  Every sum runs left to right, as a
-    loop over the stages and ``_rms`` add, so the results match theirs to
-    the bit.  finite and big come from the moduli |y_new_j|, as |z| is
-    finite exactly when z is; a finite z whose modulus overflows raises
-    in ``abs``.
+    Each attempt unrolls the tableau per component: stage i + 1 is f of
+    the four sums y_j + hs * (a1 * k1_j + a2 * k2_j + ...), unpacked
+    straight into the locals ki_j, and the last stage is f of the
+    fifth-order solution y_new, the next step's first (first-same-as-
+    last).  err is the RMS of |e_j| / (abs_tol + rel_tol * max(|y_j|,
+    |y_new_j|)), e_j being h times the E-weighted stage sum, as DOPRI5
+    computes its ERR inside the step (Hairer, Norsett & Wanner, Solving
+    ODE I, II.4).  A trial state that is not finite, or with guard set
+    has |u4 - u2^2| below guard_floor, is a guard rejection; otherwise
+    err <= 1 accepts it, and an accepted state with a modulus above 1e9
+    aborts the run.  Every sum runs left to right, as a loop over the
+    stages and ``_rms`` add, and each min and max of the PI controller
+    is the comparison the builtin makes, so a run matches such a loop's
+    to the bit.  The trial state is finite when its moduli are, as |z|
+    is finite exactly when z is; a finite z whose modulus overflows
+    raises in ``abs``.
     """
     comps = range(4)
 
     def names(name):
         return ", ".join(f"{name}_{j}" for j in comps)
 
-    lines = ["def _dp_attempt(f, y, k1, hs, h, rel_tol, abs_tol):",
-             f"    {names('y')}, = y", f"    {names('k1')}, = k1"]
-    for i, row in enumerate(_DP_A[:-1], start=2):
-        state = ", ".join(f"y_{j} + hs * ({_stage_sum(row, j)})"
-                          for j in comps)
-        lines.append(f"    {names(f'k{i}')}, = f({state})")
-    lines += [f"    y_new_{j} = y_{j} + hs * ({_stage_sum(_DP_A[-1], j)})"
-              for j in comps]
-    lines += [f"    k7 = f({names('y_new')})", f"    {names('k7')}, = k7"]
+    def clamp(low, high):
+        # h *= min(high, max(low, factor)), as the builtins compare
+        return [f"factor = factor if factor > {low} else {low}",
+                f"h *= factor if factor < {high} else {high}"]
+
+    attempt = [f"{names(f'k{i}')} = f(" + ", ".join(
+        f"y_{j} + hs * ({_stage_sum(row, j)})" for j in comps) + ")"
+        for i, row in enumerate(_DP_A[:-1], start=2)]
+    attempt += [f"y_new_{j} = y_{j} + hs * ({_stage_sum(_DP_A[-1], j)})"
+                for j in comps]
+    attempt.append(f"{names('k7')} = f({names('y_new')})")
     for j in comps:
-        lines += [f"    a_{j}, b_{j} = abs(y_{j}), abs(y_new_{j})",
-                  f"    r_{j} = abs(h * ({_stage_sum(_DP_E, j)})) / (abs_tol"
-                  f" + rel_tol * (b_{j} if b_{j} > a_{j} else a_{j}))"]
+        attempt += [f"a_{j}, b_{j} = abs(y_{j}), abs(y_new_{j})",
+                    f"r_{j} = abs(h * ({_stage_sum(_DP_E, j)})) / (abs_tol"
+                    f" + rel_tol * (b_{j} if b_{j} > a_{j} else a_{j}))"]
     squares = " + ".join(f"r_{j} * r_{j}" for j in comps)
-    finite = " and ".join(f"b_{j} < INF" for j in comps)
-    lines.append(f"    return (({names('y_new')}), k7, "
-                 f"sqrt(({squares}) / 4), {finite}, max(b_0, b_1, b_2, b_3))")
-    namespace = {"__builtins__": {}, "abs": abs, "max": max,
-                 "sqrt": math.sqrt, "INF": math.inf}
-    exec(compile("\n".join(lines), "<_dp_attempt>", "exec"), namespace)
-    return namespace["_dp_attempt"]
+    stats = "steps, guard_rejected, h_min, h_max"
+    lines = [
+        f"def run(f, inv, {names('y')}, {names('k1')}, h, sign, length,",
+        "        rel_tol, abs_tol, guard, guard_floor, samples, max_steps):",
+        "    t, err_prev, steps, guard_rejected = 0.0, 1.0, 0, 0",
+        "    h_min, h_max = INF, 0.0",
+        "    while t < length:",
+        "        if steps >= max_steps:",
+        f"            return 'step budget exhausted', {stats}",
+        "        if length - t < h:",
+        "            h = length - t",
+        "        if h < 1e-15 * (t if t > 1.0 else 1.0):",
+        f"            return 'step size underflow', {stats}",
+        "        hs = sign * h",
+        *(f"        {line}" for line in attempt),
+        f"        err = sqrt(({squares}) / 4)",
+        "        steps += 1",
+        "        if not (" + " and ".join(f"b_{j} < INF" for j in comps)
+        + ") or guard and abs(y_new_1 - y_new_0 * y_new_0) < guard_floor:",
+        "            guard_rejected += 1",
+        "            h *= 0.25",
+        "        elif err <= 1.0:",
+        "            t += h",
+        "            if " + " or ".join(f"b_{j} > 1e9" for j in comps) + ":",
+        "                return ('state magnitude overflow (finite-time "
+        f"escape)', {stats})",
+        f"            {names('y')} = {names('y_new')}",
+        f"            {names('k1')} = {names('k7')}",
+        f"            h12, h14 = inv({names('y')})",
+        f"            samples.append((sign * t, ({names('y')}), h12, h14))",
+        "            h_min = h if h < h_min else h_min",
+        "            h_max = h if h > h_max else h_max",
+        "            # PI controller (orders 5/4)",
+        "            factor = (0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0",
+        "                      else 5.0)",
+        "            err_prev = 1e-16 if 1e-16 > err else err",
+        *(f"            {line}" for line in clamp(0.2, 5.0)),
+        "        else:",
+        "            factor = 0.9 * err ** -0.2",
+        *(f"            {line}" for line in clamp(0.2, 1.0)),
+        f"    return '', {stats}"]
+    namespace = {"__builtins__": {}, "abs": abs, "sqrt": math.sqrt,
+                 "INF": math.inf}
+    exec(compile("\n".join(lines), "<run>", "exec"), namespace)
+    return namespace["run"]
 
 
 def _rms(x, scale):
     ratios = [abs(v) / s for v, s in zip(x, scale)]
     return math.sqrt(sum([r * r for r in ratios]) / len(ratios))
-
-
-def _abort(traj, reason, error=SingularityAbort):
-    """Mark the trajectory aborted; the exception to raise carries it."""
-    traj.abort_reason = reason
-    return error(reason, traj)
 
 
 def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
@@ -450,7 +497,6 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     y = s0.vector()
     if not any(v.imag for v in y):
         y = tuple([float(v.real) for v in y])
-    t = 0.0
     v0 = abs(y[1] - y[0] * y[0])
     if guard and v0 == 0:
         raise SeedError("seed sits on the singular set u4 = u2^2")
@@ -462,55 +508,22 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     if length == 0.0:
         return traj
 
-    dp_attempt = _build_dp_attempt()
     f0 = f(*y)
     h = min(0.01 * length, _initial_step(f, y, f0, sign, rel_tol, abs_tol))
-    err_prev = 1.0
-    steps = guard_rejected = 0
-    h_min, h_max = math.inf, 0.0
-    try:
-        while t < length:
-            if steps >= MAX_STEPS:
-                raise _abort(traj, "step budget exhausted", StepBudgetExhausted)
-            h = min(h, length - t)
-            if h < 1e-15 * max(1.0, t):
-                raise _abort(traj, "step size underflow near the singular set"
-                             if guard else "step size underflow")
-            y_new, k7, err, finite, big = dp_attempt(f, y, f0, sign * h, h,
-                                                     rel_tol, abs_tol)
-            steps += 1
-            bad = (not finite
-                   or guard and abs(y_new[1] - y_new[0] * y_new[0])
-                   < guard_floor)
-            if err <= 1.0 and not bad:
-                t += h
-                y = y_new
-                if big > 1e9:
-                    raise _abort(traj, "state magnitude overflow "
-                                       "(finite-time escape)")
-                f0 = k7         # first-same-as-last
-                h12, h14 = invariants(*y)
-                traj.samples.append((sign * t, y, h12, h14))
-                if h < h_min:
-                    h_min = h
-                if h > h_max:
-                    h_max = h
-                # PI controller (orders 5/4)
-                factor = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
-                err_prev = max(err, 1e-16)
-                h *= min(5.0, max(0.2, factor))
-            elif bad:
-                guard_rejected += 1
-                h *= 0.25
-            else:
-                h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
-    finally:
-        # two evaluations choose the first step, then six per attempt (FSAL)
-        traj.nfev = 2 + 6 * steps
-        traj.rejected = steps - (len(traj.samples) - 1)
-        traj.guard_rejected = guard_rejected
-        if h_max:
-            traj.h_min, traj.h_max = h_min, h_max
+    reason, steps, traj.guard_rejected, h_min, h_max = _build_run()(
+        f, invariants, *y, *f0, h, sign, length, rel_tol, abs_tol, guard,
+        guard_floor, traj.samples, MAX_STEPS)
+    # two evaluations choose the first step, then six per attempt (FSAL)
+    traj.nfev = 2 + 6 * steps
+    traj.rejected = steps - (len(traj.samples) - 1)
+    if h_max:
+        traj.h_min, traj.h_max = h_min, h_max
+    if reason:
+        if guard and reason == "step size underflow":
+            reason += " near the singular set"
+        traj.abort_reason = reason
+        raise (StepBudgetExhausted if reason == "step budget exhausted"
+               else SingularityAbort)(reason, traj)
     return traj
 
 

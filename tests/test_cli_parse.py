@@ -1,8 +1,9 @@
 """The table parser of ``hekdv.cli`` against the argparse tree it replaced.
 
 ``build_parser`` is the reference: the argparse parser the command line
-used to be read with.  The parity test runs both parsers in process on
-drawn command lines and runs no command.  The ``--`` separator is left
+used to be read with, built once as ``REFERENCE`` (parsing leaves an
+argparse tree as it was).  The parity test runs both parsers in process
+on drawn command lines and runs no command.  The ``--`` separator is left
 out, since its handling by argparse differs across Python versions.
 """
 
@@ -63,12 +64,15 @@ def build_parser():
     return parser
 
 
+REFERENCE = build_parser()
+
+
 def reference(argv):
     """"help", "error", or the handler and the repr of the values."""
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            ns = build_parser().parse_args(argv)
+            ns = REFERENCE.parse_args(argv)
         except SystemExit as exc:
             return "help" if exc.code == 0 else "error"
     values = vars(ns)

@@ -456,15 +456,63 @@ def reference_attempt(f, y, k1, hs, h, rel_tol, abs_tol):
             max(map(abs, state)))
 
 
+def recording(f):
+    """f, calling which appends (state, values) to the list returned
+    with it."""
+    calls = []
+
+    def call(*state):
+        values = f(*state)
+        calls.append((state, values))
+        return values
+    return call, calls
+
+
+def one_attempt(f, y, hs, h, rel_tol, abs_tol):
+    """One attempt of the generated step loop: a span of exactly h with
+    max_steps=1, so the loop takes one attempt at h and stops, after the
+    span or at the budget.  Returns the loop's result, its samples and
+    the calls of f the attempt made."""
+    call, calls = recording(f)
+    samples = []
+    result = sim._build_run()(
+        call, sim._integrals_fn(PARAMS), *y, *f(*y), h,
+        math.copysign(1.0, hs), h, rel_tol, abs_tol, False, 0.0, samples, 1)
+    return result, samples, calls
+
+
+def reference_calls(f, y, hs, h, rel_tol, abs_tol):
+    """reference_attempt's result and the calls of f it made."""
+    call, calls = recording(f)
+    return reference_attempt(call, y, f(*y), hs, h, rel_tol, abs_tol), calls
+
+
+def attempt_outcome(attempt, hs, h, inv):
+    """What the step loop makes of one attempt, reference_attempt's result,
+    over a span of exactly h with max_steps=1 and no guard: (result,
+    samples) as ``one_attempt`` returns them."""
+    y_new, _, err, finite, big = attempt
+    budget = ("step budget exhausted", 1, int(not finite), math.inf, 0.0)
+    if not (finite and err <= 1.0):
+        return budget, []
+    if big > 1e9:
+        return ("state magnitude overflow (finite-time escape)",
+                *budget[1:]), []
+    return ("", 1, 0, h, h), [(hs, y_new, *inv(*y_new))]
+
+
 class TestGeneratedStep:
-    """The generated _dp_attempt against the tableau as a plain loop."""
+    """One attempt of the generated step loop against the tableau as a
+    plain loop.  An attempt shows its stage sums and trial state in the
+    calls of f, and its error norm only by the decision it makes, which
+    the whole-run reference (TestGeneratedLoop) pins bit for bit."""
 
     @pytest.mark.parametrize("flow", ["I", "II", "T1", "T3"])
     @pytest.mark.parametrize("kind", ["real", "complex", "float"])
     def test_matches_reference_loop(self, flow, kind):
         rng = random.Random(f"{flow}-{kind}")
         f = sim._flow_fn(flow, PARAMS)
-        attempt = sim._build_dp_attempt()
+        inv = sim._integrals_fn(PARAMS)
 
         def draw():
             if kind in ("real", "float"):
@@ -481,19 +529,31 @@ class TestGeneratedStep:
                 rel_tol = 10.0 ** -rng.uniform(4, 13)
                 abs_tol = rel_tol * 10.0 ** -rng.uniform(0, 3)
             for hs in (h, -h):
-                args = (f, y, f(*y), hs, h, rel_tol, abs_tol)
-                got = attempt(*args)
-                assert got == reference_attempt(*args), (y, hs)
-                assert got[3] is True
+                result, samples, calls = one_attempt(f, y, hs, h, rel_tol,
+                                                     abs_tol)
+                want, want_calls = reference_calls(f, y, hs, h, rel_tol,
+                                                   abs_tol)
+                assert calls == want_calls, (y, hs)
+                assert want[3] is True
+                assert (result, samples) == attempt_outcome(want, hs, h,
+                                                            inv), (y, hs)
                 if kind == "float":
                     # the same attempt on the state as complex numbers
                     yc = tuple(map(complex, y))
-                    on_c = attempt(f, yc, f(*yc), hs, h, rel_tol, abs_tol)
-                    assert got[2:] == on_c[2:]
-                    for mine, theirs in zip((*got[0], *got[1]),
-                                            (*on_c[0], *on_c[1])):
-                        assert type(mine) is float
-                        assert mine == theirs.real and theirs.imag == 0
+                    on_c = one_attempt(f, yc, hs, h, rel_tol, abs_tol)
+                    assert result == on_c[0]
+                    assert len(calls) == len(on_c[2]) == 6
+                    for (state, values), (state_c, values_c) in zip(
+                            calls, on_c[2]):
+                        for mine, theirs in zip((*state, *values),
+                                                (*state_c, *values_c)):
+                            assert type(mine) is float
+                            assert mine == theirs.real and theirs.imag == 0
+                    for (t, y_new, h12, h14), (tc, yc_new, h12c, h14c) in zip(
+                            samples, on_c[1]):
+                        assert t == tc
+                        assert y_new == tuple(v.real for v in yc_new)
+                        assert (h12, h14) == (h12c.real, h14c.real)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf,
                                        complex(math.inf, math.nan)],
@@ -503,17 +563,22 @@ class TestGeneratedStep:
         def f(u2, u4, u5, u7):
             return (1.0, -0.5, 0.25, 2.0)
 
-        attempt = sim._build_dp_attempt()
         for j in range(4):
             y = tuple(value if i == j else 0.5 + i for i in range(4))
-            args = (f, y, f(*y), 1e-3, 1e-3, 1e-12, 1e-14)
-            y_new, _, err, finite, _ = attempt(*args)
+            args = (f, y, 1e-3, 1e-3, 1e-12, 1e-14)
+            result, samples, calls = one_attempt(*args)
+            want, want_calls = reference_calls(*args)
+            # repr tells nan from nan, which == does not
+            assert repr(calls) == repr(want_calls)
+            y_new = calls[-1][0]
             assert not cmath.isfinite(y_new[j])
-            assert finite is False
-            assert reference_attempt(*args)[3] is False
+            assert want[3] is False
+            # a guard rejection, which the budget then stops
+            assert result == ("step budget exhausted", 1, 1, math.inf, 0.0)
+            assert samples == []
             if value == math.inf:
                 # the norm alone would accept it: inf scales |e_j| to 0
-                assert err == reference_attempt(*args)[2] <= 1.0
+                assert want[2] <= 1.0
 
     def test_overflowing_modulus_raises(self):
         # finite parts whose modulus exceeds the float range
@@ -521,33 +586,177 @@ class TestGeneratedStep:
             return (0.0, 0.0, 0.0, 0.0)
 
         y = (complex(1.5e308, 1.5e308), 0.5, 0.5, 0.5)
-        for step in (sim._build_dp_attempt(), reference_attempt):
+        for step in (one_attempt, reference_calls):
             with pytest.raises(OverflowError):
-                step(f, y, f(*y), 1e-3, 1e-3, 1e-12, 1e-14)
+                step(f, y, 1e-3, 1e-3, 1e-12, 1e-14)
 
     def test_overflowing_power_is_not_finite(self):
         # (1e200)^2 overflows: the product chain gives inf and nan where
         # ** raised OverflowError, and the attempt flags its trial state
         f = sim._flow_fn("T3", PARAMS)
-        attempt = sim._build_dp_attempt()
         for y in ((1e200, 0.5, 0.25, 1.0), (1e200 + 0j, 0.5, 0.25, 1.0)):
-            _, _, err, finite, _ = attempt(f, y, f(*y), 1e-3, 1e-3,
-                                           1e-12, 1e-14)
-            assert finite is False and not err <= 1.0
+            args = (f, y, 1e-3, 1e-3, 1e-12, 1e-14)
+            result, samples, _ = one_attempt(*args)
+            assert result == ("step budget exhausted", 1, 1, math.inf, 0.0)
+            assert samples == []
+            want, _ = reference_calls(*args)
+            assert want[3] is False and not want[2] <= 1.0
 
     def test_built_on_first_integration_only(self):
         src = str(Path(hekdv.__file__).resolve().parents[1])
         code = ("import sys, hekdv.cli, hekdv.sim; "
-                "built = hekdv.sim._build_dp_attempt.cache_info().currsize; "
+                "built = hekdv.sim._build_run.cache_info().currsize; "
                 "assert hekdv.cli.run(['verify', 'integrals', '--out', "
                 "sys.argv[1]]) == 0; "
-                "assert hekdv.sim._build_dp_attempt.cache_info().currsize "
+                "assert hekdv.sim._build_run.cache_info().currsize "
                 "== built == 0")
         env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run([sys.executable, "-c", code, os.devnull],
                               env=env, capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
+
+
+def reference_integrate(flow, s0, t_end, rel_tol, abs_tol, params):
+    """integrate as a plain loop around reference_attempt, the loop that
+    integrate ran before its step loop was generated: (samples,
+    step_stats(), abort_reason) of the run.  The argument checks, the
+    seed's conversion and the initial step are integrate's own."""
+    f = sim._flow_fn(flow, params)
+    invariants = sim._integrals_fn(params)
+    span = float(t_end)
+    sign = -1.0 if span < 0 else 1.0
+    length = abs(span)
+    guard = flow in sim.T_FLOWS
+    y = s0.vector()
+    if not any(v.imag for v in y):
+        y = tuple([float(v.real) for v in y])
+    guard_floor = 1e-8 * max(abs(y[1] - y[0] * y[0]), 1e-30)
+    samples = [(0.0, y, *invariants(*y))]
+    f0 = f(*y)
+    h = min(0.01 * length,
+            sim._initial_step(f, y, f0, sign, rel_tol, abs_tol))
+    t, err_prev, steps, guard_rejected = 0.0, 1.0, 0, 0
+    h_min, h_max = math.inf, 0.0
+    reason = ""
+    while t < length:
+        if steps >= sim.MAX_STEPS:
+            reason = "step budget exhausted"
+            break
+        h = min(h, length - t)
+        if h < 1e-15 * max(1.0, t):
+            reason = ("step size underflow near the singular set" if guard
+                      else "step size underflow")
+            break
+        y_new, k7, err, finite, big = reference_attempt(
+            f, y, f0, sign * h, h, rel_tol, abs_tol)
+        steps += 1
+        bad = (not finite
+               or guard and abs(y_new[1] - y_new[0] * y_new[0]) < guard_floor)
+        if err <= 1.0 and not bad:
+            t += h
+            y = y_new
+            if big > 1e9:
+                reason = "state magnitude overflow (finite-time escape)"
+                break
+            f0 = k7
+            samples.append((sign * t, y, *invariants(*y)))
+            h_min, h_max = min(h_min, h), max(h_max, h)
+            factor = 0.9 * err ** -0.14 * err_prev ** 0.08 if err > 0 else 5.0
+            err_prev = max(err, 1e-16)
+            h *= min(5.0, max(0.2, factor))
+        elif bad:
+            guard_rejected += 1
+            h *= 0.25
+        else:
+            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+    stats = {"accepted": len(samples) - 1,
+             "rejected": steps - (len(samples) - 1),
+             "guard_rejected": guard_rejected, "nfev": 2 + 6 * steps,
+             "h_min": h_min if h_max else None,
+             "h_max": h_max if h_max else None}
+    return samples, stats, reason
+
+
+def pair_seed(params, x1, x2):
+    return seed_state(params, (x1, curve_ordinate(params, x1)),
+                      (x2, curve_ordinate(params, x2)))
+
+
+# Q(1/2) < 0 on X^7 + X - 1: a complex seed off the singular set
+COMPLEX_SEED = pair_seed(PARAMS, F(1, 2), F(2))
+# on X^7 + X + 1, T3 nears u4 = u2^2 from this pair
+NEAR_PARAMS = CurveParams.numeric(3, [0, 0, 0, 0, 1, -1])
+NEAR_SEED = pair_seed(NEAR_PARAMS, F(-1, 4), F(1, 2))
+REAL_SEED = pair_seed(PARAMS, P1[0], P2[0])
+
+LOOP_CASES = {
+    f"{flow}-{kind}-{'fwd' if span > 0 else 'back'}":
+        (flow, seed, span, 1e-9, 1e-11, PARAMS)
+    for flow in ("I", "II", "T1", "T3")
+    for kind, seed in (("float", REAL_SEED), ("complex", COMPLEX_SEED))
+    for span in (0.05, -0.05)}
+LOOP_CASES.update({
+    # 32 accepted, 9 rejected by the error test
+    "rejections-float": ("II", REAL_SEED, 0.1, 1e-3, 1e-5, PARAMS),
+    # 15 accepted, 6 rejected
+    "rejections-complex": ("I", COMPLEX_SEED, -0.1, 1e-2, 1e-4, PARAMS),
+    # one guard rejection, then the step size underflows
+    "guard": ("T3", NEAR_SEED, 1.0, 1e-9, 1e-11, NEAR_PARAMS),
+    "underflow": ("I", REAL_SEED, 0.05, 0.0, 1e-30, PARAMS),
+    "escape": ("I", REAL_SEED, -0.3, 1e-6, 1e-8, PARAMS),
+    # the first attempt's second stage is NaN: a guard rejection, then
+    # the run goes on from a quarter of the step
+    "non-finite": ("I", REAL_SEED, 0.05, 1e-9, 1e-11, PARAMS),
+    "budget": ("II", REAL_SEED, 0.1, 1e-3, 1e-5, PARAMS),
+})
+
+
+class TestGeneratedLoop:
+    """integrate against reference_integrate, bit for bit: every sample,
+    the step statistics and the abort reason."""
+
+    @pytest.mark.parametrize("case", list(LOOP_CASES))
+    def test_matches_reference_integrate(self, case, monkeypatch):
+        flow, seed, span, rel_tol, abs_tol, params = LOOP_CASES[case]
+        if case == "budget":
+            # the budget runs out among the rejections of the loose run
+            monkeypatch.setattr(sim, "MAX_STEPS", 12)
+        if case == "non-finite":
+            # each run gets its own count of the calls of its table
+            flow_fn = sim._flow_fn
+
+            def poisoned_flow_fn(flow, params):
+                fn, calls = flow_fn(flow, params), []
+
+                def poisoned(*state):
+                    calls.append(None)
+                    return (math.nan,) * 4 if len(calls) == 3 else fn(*state)
+                return poisoned
+            monkeypatch.setattr(sim, "_flow_fn", poisoned_flow_fn)
+        samples, stats, reason = reference_integrate(flow, seed, span,
+                                                     rel_tol, abs_tol, params)
+        try:
+            traj = integrate(flow, seed, span, rel_tol, abs_tol, params=params)
+        except SingularityAbort as exc:
+            traj = exc.trajectory
+            assert type(exc) is (StepBudgetExhausted if case == "budget"
+                                 else SingularityAbort)
+            assert str(exc) == traj.abort_reason
+        assert (traj.abort_reason, traj.step_stats()) == (reason, stats)
+        assert len(traj.samples) == len(samples)
+        for got, want in zip(traj.samples, samples):
+            # repr holds every bit of a float, and tells float from complex
+            assert repr(got) == repr(want)
+        kinds = {"guard": "near the singular set", "underflow": "underflow",
+                 "escape": "escape", "budget": "budget"}
+        assert (kinds[case] in reason) if case in kinds else not reason
+        if case.startswith("rejections"):
+            assert stats["rejected"] > 0 and stats["guard_rejected"] == 0
+        if case in ("guard", "non-finite"):
+            assert stats["guard_rejected"] == 1
+        if case == "non-finite":
+            assert stats["accepted"] > 0
 
 
 def bits(x):
