@@ -3,7 +3,8 @@ deformation of the KdV hierarchy living on the symmetric square of a
 genus-3 hyperelliptic curve.
 
 The symbolic layer certifies every identity as an exact statement in the
-function field of the square (or in the rational-limit quotient rings);
+coordinate ring of the square localized at X1, X2 and X1 - X2 (or in the
+rational-limit quotient rings);
 the numerical layer integrates the certified flows and monitors the drift
 of the two exact invariants.
 

@@ -1,4 +1,4 @@
-"""Derivations of the symmetric-square field and the genus-2/3 transfer maps.
+"""Derivations of the symmetric square's ring and the genus-2/3 transfer maps.
 
 All operators used here are combinations of the two basic vector fields
 
@@ -15,18 +15,17 @@ of the factors present in d,
     D(n/d) = (L*D(n) - n*sum_p e_p*(L/p)*D(p)) / (den*d*L),
 
 one numerator over exponents, normalized once; neither den*d^2 nor d
-itself is formed.  An element with a cofactor R != 1 in its denominator
-takes the quotient rule over den*d^2 on the expanded polynomials.  The
-transfer maps pass exponents too.  Compatibility with the curve relation
-Y_i^2 = Q(X_i) holds by construction: the coefficients of X_i and Y_i are
-2*Y_i and Q'(X_i) times the same p or q.
+itself is formed.  Every element's denominator has that form, so this is
+the only rule.  The transfer maps pass exponents too.  Compatibility with
+the curve relation Y_i^2 = Q(X_i) holds by construction: the coefficients
+of X_i and Y_i are 2*Y_i and Q'(X_i) times the same p or q.
 """
 
 from math import prod
 
 from .errors import ConfigError
 from .poly import MPoly, sum_polys
-from .symsq import SymSqElem, SymSqField, x_part
+from .symsq import SymSqElem, SymSqField
 
 _X1, _X2, _ONE = MPoly.var("X1"), MPoly.var("X2"), MPoly.const(1)
 _DX = _X1 - _X2
@@ -57,10 +56,6 @@ class Derivation:
         if e.field is not self.field:
             raise ValueError("derivation and element live on different squares")
         n = e.num
-        if e.den_rest is not None:
-            d = e.den
-            return self.field.elem(self._on_poly(n) * d - n * self._on_poly(d),
-                                   x_part(*self.den) * d * d)
         # each factor p of d present in it, its exponent and its image D(p)
         i, j, k = e.den_exps
         cx1, cx2 = self.coeffs["X1"], self.coeffs["X2"]
@@ -121,11 +116,9 @@ def make_derivation(field: SymSqField, name: str) -> Derivation:
 # -- transfer between the genus-2 square and the degenerate genus-3 square --
 
 def psi1(e: SymSqElem, target: SymSqField) -> SymSqElem:
-    """Field map X_i -> X_i, Y_i -> Y_i/X_i into the degenerate genus-3 square."""
+    """Map X_i -> X_i, Y_i -> Y_i/X_i into the degenerate genus-3 square."""
     num, k1 = e.num.clear_denominator("Y1", _X1)
     num, k2 = num.clear_denominator("Y2", _X2)
-    if e.den_rest is not None:
-        return target.elem(num, e.den * MPoly.var("X1", k1) * MPoly.var("X2", k2))
     i, j, k = e.den_exps
     return target.over(num, (i + k1, j + k2, k))
 
@@ -133,6 +126,4 @@ def psi1(e: SymSqElem, target: SymSqField) -> SymSqElem:
 def psi2(e: SymSqElem, target: SymSqField) -> SymSqElem:
     """Inverse map X_i -> X_i, Y_i -> X_i*Y_i back to the genus-2 square."""
     num = e.num.subst({"Y1": _X1 * MPoly.var("Y1"), "Y2": _X2 * MPoly.var("Y2")})
-    if e.den_rest is not None:
-        return target.elem(num, e.den)
     return target.over(num, e.den_exps)

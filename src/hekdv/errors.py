@@ -22,7 +22,9 @@ class SingularExpansionError(HekdvError):
 
 
 class ZeroDivisorError(HekdvError):
-    """Inversion of a non-invertible element of a quotient ring."""
+    """Inversion of an element that is not a unit of its ring: a quotient
+    ring's zero divisor, or on the symmetric square a denominator other
+    than c * X1^i * X2^j * (X1 - X2)^k."""
 
 
 class ModeError(HekdvError):

@@ -1,14 +1,15 @@
 """Rational functions as fractions of sparse polynomials, and their normal form.
 
-``RatFn`` holds the one fraction arithmetic; ``symsq.SymSqElem`` inherits it
-for the elements whose denominator it does not keep factored, and supplies
-its own normal form.  ``normal_form`` cancels the common monomial and
-scales the denominator; the symmetric square also cancels X1 - X2, from
-its stored exponents.  It is deliberately lazy (no multivariate gcd), so
-equality is decided over a common denominator.  A RatFn is num / base^k.
-Over a *stable* base (no monomial factor) results need no normal form: a
-sum is over the lcm (Knuth, TAOCP vol. 2, 4.5.1), a product adds the
-powers; other pairs of bases multiply out into a new base.
+``RatFn`` holds the one fraction arithmetic; ``symsq.SymSqElem`` inherits
+its division, printing and weights, and supplies its own normal form and
+the rest of the arithmetic over products of X1, X2 and X1 - X2.
+``normal_form`` cancels the common monomial and scales the denominator;
+the symmetric square also cancels X1 - X2, from its stored exponents.  It
+is deliberately lazy (no multivariate gcd), so equality is decided over a
+common denominator.  A RatFn is num / base^k.  Over a *stable* base (no
+monomial factor) results need no normal form: a sum is over the lcm
+(Knuth, TAOCP vol. 2, 4.5.1), a product adds the powers; other pairs of
+bases multiply out into a new base.
 """
 
 from fractions import Fraction

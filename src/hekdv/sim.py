@@ -472,8 +472,12 @@ def integrate(flow, s0: SimState, t_end, rel_tol=1e-12, abs_tol=1e-14, *,
     |u4 - u2^2| below 1e-8 times its initial size are rejected.  Any run
     aborts with the partial trajectory once the step size underflows; the
     reason names the singular set only on a rational flow.
-    A span or tolerances that no step control can honour raise
-    ConfigError.  The trajectory, also a partial one, carries the step
+    ConfigError refuses a t_end that is not finite, a nonzero span whose
+    first step (at most 0.01 * |span|) would fall below 1e-15, a rel_tol
+    or abs_tol that is not finite or is negative, and abs_tol = 0.  A
+    finite tolerance finer than float steps can meet is not refused: the
+    run spends MAX_STEPS attempts and raises StepBudgetExhausted (ROADMAP
+    item 2).  The trajectory, also a partial one, carries the step
     statistics.
     """
     span = float(t_end)

@@ -1,24 +1,24 @@
-"""Function field of the square of a hyperelliptic curve, in Y-reduced form.
+"""The coordinate ring of the square of a hyperelliptic curve, localized
+at X1, X2 and X1 - X2, in Y-reduced form.
 
-Every element is stored as num/den with num of degree <= 1 in each of Y1,
-Y2 (the rewrites Y_i^2 -> Q(X_i) are confluent, so this normal form is
-canonical) and den free of Y variables.  The Y-reduction is the remainder
-by Y1^2 - Q(X1), then by Y2^2 - Q(X2), one ``MPoly.rem_monic`` each.  The
-denominator is kept factored: the exponents (i, j, k) of X1, X2 and
-X1 - X2 (``den_exps``) times a cofactor R (``den_rest``, None for 1) that
-has none of those factors, content 1 and a positive leading coefficient.
-R is 1 on every path of the checks and the bridges; only ``elem(num,
-den)`` with an arbitrary den, conjugate clearing of a Y-denominator
-included, factors a denominator polynomial, once, by trial division.
-Everything else passes exponents (``SymSqField.over``): a product adds
-them, and a sum scales each numerator by the rest of its denominator up to
-the componentwise maximum, the addition over the lcm of the denominators
-(Knuth, TAOCP vol. 2, 4.5.1), which needs no Y-reduction.  The normal form
-cancels X1, X2 and X1 - X2 against the numerator only: its least degrees
-in X1 and X2, then at most k divisions by X1 - X2.  With R = 1 the stored
-form is canonical, so equality compares it, and ``den`` is expanded on
-first read and kept.  An element with R != 1 takes ``RatFn``'s arithmetic
-on the expanded pair.
+Every element is stored as num / (X1^i * X2^j * (X1 - X2)^k) with num of
+degree <= 1 in each of Y1, Y2 (the rewrites Y_i^2 -> Q(X_i) are
+confluent, so this normal form is canonical) and the exponents (i, j, k)
+in ``den_exps``.  Every derivation of the flows and the hierarchy has its
+denominator among these: L3 and L5 over X1 - X2, T1 and T3 over
+X1 * X2 * (X1 - X2).  The Y-reduction is the remainder by Y1^2 - Q(X1),
+then by Y2^2 - Q(X2), one ``MPoly.rem_monic`` each.  A denominator is
+passed as exponents (``SymSqField.over``): a product adds them, and a sum
+scales each numerator by the rest of its denominator up to the
+componentwise maximum, the addition over the lcm of the denominators
+(Knuth, TAOCP vol. 2, 4.5.1), which needs no Y-reduction.  Only
+``elem(num, den)``, ``/`` and a negative power split a polynomial,
+c * X1^i * X2^j * (X1 - X2)^k, by its least degrees and trial division
+by X1 - X2; any other polynomial is not a unit of the ring and raises
+``ZeroDivisorError``.  The normal form cancels X1, X2 and X1 - X2 against
+the numerator only: its least degrees in X1 and X2, then at most k
+divisions by X1 - X2.  The stored form is canonical, so equality compares
+it; ``den`` is expanded once per exponent triple.
 
 The module also provides the two coordinate bridges with the symmetric
 function generators: substitution of
@@ -48,9 +48,9 @@ from functools import lru_cache
 from operator import add
 
 from .curve import CurveParams, y_symbols
-from .errors import NotSymmetricError, ZeroDenominatorError
+from .errors import NotSymmetricError, ZeroDenominatorError, ZeroDivisorError
 from .poly import MPoly, Substitution, standard_weights, sum_polys
-from .ratfun import RatFn, _as_mpoly, normal_form
+from .ratfun import RatFn, _as_mpoly
 
 _HALF = Fraction(1, 2)
 _DX = MPoly.var("X1") - MPoly.var("X2")
@@ -64,8 +64,9 @@ def x_part(i, j, k):
 
 
 def _split(den):
-    """((i, j, k), R) with den = X1^i * X2^j * (X1 - X2)^k * R and R free
-    of those factors: the least degrees, then trial division by X1 - X2."""
+    """((i, j, k), c) with den = c * X1^i * X2^j * (X1 - X2)^k: the least
+    degrees, then division by X1 - X2 while it divides.  Any other den is
+    not a unit of the ring: ZeroDivisorError."""
     i, j = den.min_degree_in("X1"), den.min_degree_in("X2")
     if i or j:
         den = den.exact_div(x_part(i, j, 0))
@@ -75,14 +76,18 @@ def _split(den):
         if q is None:
             break
         den, k = q, k + 1
-    return (i, j, k), den
+    c = den.as_constant()
+    if c is None:
+        raise ZeroDivisorError("not a unit of the square's ring: a "
+                               "denominator must be c * X1^i * X2^j * "
+                               "(X1 - X2)^k")
+    return (i, j, k), c
 
 
-def _cancel(num, exps, rest=None):
-    """The normal form of num / (x_part(*exps) * rest), num Y-reduced and
-    rest None or free of X1, X2 and X1 - X2: (num, exps, rest)."""
+def _cancel(num, exps):
+    """The normal form of num / x_part(*exps), num Y-reduced: (num, exps)."""
     if num.is_zero:
-        return num, _NO_EXPS, None
+        return num, _NO_EXPS
     i, j, k = exps
     a = i and min(i, num.min_degree_in("X1"))
     b = j and min(j, num.min_degree_in("X2"))
@@ -94,15 +99,12 @@ def _cancel(num, exps, rest=None):
         if q is None:
             break
         num, c = q, c + 1
-    if rest is not None:
-        num, rest = normal_form(num, rest)
-        if rest.as_constant() is not None:
-            rest = None
-    return num, (i - a, j - b, k - c), rest
+    return num, (i - a, j - b, k - c)
 
 
 class SymSqField:
-    """Context holding the curve relations for one symmetric square."""
+    """Context holding the curve relations for one symmetric square; its
+    elements are ``SymSqElem``s."""
 
     def __init__(self, params: CurveParams):
         self.params = params
@@ -137,7 +139,7 @@ class SymSqField:
         return self.elem(1)
 
     def gens(self):
-        """The coordinate functions X1, Y1, X2, Y2 as field elements."""
+        """The coordinate functions X1, Y1, X2, Y2 as elements."""
         return {n: self.elem(MPoly.var(n)) for n in ("X1", "Y1", "X2", "Y2")}
 
     def abcd(self):
@@ -163,50 +165,34 @@ class SymSqField:
 
 
 class SymSqElem(RatFn):
-    """One element of the field, normalized as described in the module doc.
+    """num / (X1^i * X2^j * (X1 - X2)^k), ``den_exps`` = (i, j, k), in the
+    normal form of the module doc.
 
-    It adds its field, the Y-reduction and the factored denominator to
-    ``RatFn``, whose arithmetic on the expanded pair it takes when either
-    operand has a cofactor R != 1.
+    It adds its field, the Y-reduction and the exponents to ``RatFn``, whose
+    ``/`` builds num * o.den / (den * o.num) through ``__init__``.
     """
 
-    __slots__ = ("field", "den_exps", "den_rest")
+    __slots__ = ("field", "den_exps")
 
-    # to RatFn an element is den over an unstable base of power 1, so the
-    # cofactor path is the cross-multiplication of the expanded pairs
+    # to RatFn an element is den over an unstable base of power 1
     k, stable = 1, False
 
     def __init__(self, field, num, den=1):
-        num = field.reduce(_as_mpoly(num))
         den = _as_mpoly(den)
-        c = den.as_constant()
-        if c is not None:
-            if not c:
-                raise ZeroDenominatorError("fraction with zero denominator")
-            _fill(self, field, num if c == 1 else num / c, _NO_EXPS, None)
-            return
-        den = field.reduce(den)
-        # clear Y from the denominator by conjugate multiplication
-        for yvar in ("Y1", "Y2"):
-            if den.degree_in(yvar):
-                # den = C0 + Y*C1 after reduction; its conjugate is C0 - Y*C1
-                parts = den.coeffs_in(yvar)
-                zero = MPoly.zero()
-                conj = parts.get(0, zero) - MPoly.var(yvar) * parts.get(1, zero)
-                num = field.reduce(num * conj)
-                den = field.reduce(den * conj)
-        if den.is_zero:
+        c, exps = den.as_constant(), _NO_EXPS
+        if c is None:
+            exps, c = _split(den)
+        elif not c:
             raise ZeroDenominatorError("fraction with zero denominator")
-        _fill(self, field, *_cancel(num, *_split(den)))
+        _fill(self, field, *_cancel(field.reduce(_as_mpoly(num)) / c, exps))
 
     @property
     def base(self):
         """The expanded denominator; ``den`` keeps it once read."""
-        den = x_part(*self.den_exps)
-        return den if self.den_rest is None else den * self.den_rest
+        return x_part(*self.den_exps)
 
     def _lift(self, other):
-        """``other`` in this field: an element of it, an MPoly or a scalar.
+        """``other`` in this ring: an element of it, an MPoly or a scalar.
 
         A plain RatFn is foreign (TypeError): it knows nothing of Y^2 = Q(X).
         """
@@ -219,49 +205,28 @@ class SymSqElem(RatFn):
     def _make(self, num, den):
         return SymSqElem(self.field, num, den)
 
-    def _factored(self, o):
-        """Whether both operands have the cofactor 1."""
-        return self.den_rest is None and o.den_rest is None
-
     def __add__(self, other):
-        o = self._lift(other)
-        return _sum(self, o, 1) if self._factored(o) else super().__add__(o)
+        return _sum(self, self._lift(other), 1)
 
     def __sub__(self, other):
-        o = self._lift(other)
-        return _sum(self, o, -1) if self._factored(o) else super().__sub__(o)
+        return _sum(self, self._lift(other), -1)
 
     def __neg__(self):
-        return _element(self.field, -self.num, self.den_exps, self.den_rest)
+        return _element(self.field, -self.num, self.den_exps)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return _element(self.field, MPoly.zero(), _NO_EXPS, None)
-            return _element(self.field, self.num * other, self.den_exps,
-                            self.den_rest)
+                return _element(self.field, MPoly.zero(), _NO_EXPS)
+            return _element(self.field, self.num * other, self.den_exps)
         o = self._lift(other)
-        if not self._factored(o):
-            return super().__mul__(o)
         return self.field.over(self.num * o.num,
                                tuple(map(add, self.den_exps, o.den_exps)))
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o.is_zero:
-            raise ZeroDenominatorError("division by the zero fraction")
-        if (not self._factored(o) or o.num.degree_in("Y1")
-                or o.num.degree_in("Y2")):
-            return super().__truediv__(o)
-        # a Y-free divisor is factored once, as elem(num, den) would
-        exps, rest = _split(o.num)
-        return _element(self.field, *_cancel(
-            self.num * x_part(*o.den_exps),
-            tuple(map(add, self.den_exps, exps)), rest))
-
     def __pow__(self, n):
-        if n < 0 or self.den_rest is not None:
-            return super().__pow__(n)
+        if n < 0:
+            # the inverse first, so a non-unit is refused before any power
+            return (1 / self) ** -n
         return self.field.over(self.num ** n,
                                tuple(e * n for e in self.den_exps))
 
@@ -270,9 +235,7 @@ class SymSqElem(RatFn):
             o = self._lift(other)
         except TypeError:
             return NotImplemented
-        if self._factored(o):
-            return self.den_exps == o.den_exps and self.num == o.num
-        return super().__eq__(o)
+        return self.den_exps == o.den_exps and self.num == o.num
 
     def derivative(self, name):
         raise TypeError("a partial derivative ignores Y^2 = Q(X); "
@@ -280,29 +243,29 @@ class SymSqElem(RatFn):
 
     def subst(self, mapping):
         raise TypeError("a substitution ignores Y^2 = Q(X); "
-                        "map the numerator and build a field element instead")
+                        "map the numerator and build an element instead")
 
 
 # the slot setters, past the immutability guard
 _SETTERS = (SymSqElem.field.__set__, RatFn.num.__set__,
-            SymSqElem.den_exps.__set__, SymSqElem.den_rest.__set__)
+            SymSqElem.den_exps.__set__)
 
 
 def _fill(e, *parts):
-    """Set the field, num, den_exps and den_rest of ``e``."""
+    """Set the field, num and den_exps of ``e``."""
     for setter, value in zip(_SETTERS, parts):
         setter(e, value)
     return e
 
 
-def _element(field, num, exps, rest):
+def _element(field, num, exps):
     """An element from its normal form, past ``SymSqElem.__init__``."""
-    return _fill(object.__new__(SymSqElem), field, num, exps, rest)
+    return _fill(object.__new__(SymSqElem), field, num, exps)
 
 
 def _sum(x, y, sign):
-    """x + sign * y, both with cofactor 1: each numerator scaled by the rest
-    of the componentwise maximum of the exponents, then one normal form."""
+    """x + sign * y: each numerator scaled by the rest of the componentwise
+    maximum of the exponents, then one normal form."""
     if y.is_zero:
         return x
     if x.is_zero:

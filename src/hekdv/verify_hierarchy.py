@@ -1,7 +1,7 @@
 """Certification of the deformed hierarchy and its KdV reduction.
 
-The verified statements, all as exact identities of the symmetric-square
-field after pullback (u4 - u2^2 pulls back to -X1*X2, so nothing here is
+The verified statements, all as exact identities of the symmetric square's
+ring after pullback (u4 - u2^2 pulls back to -X1*X2, so nothing here is
 sampled or approximated):
 
   * the second-derivative formula for u2 along the deformed flow,
@@ -81,7 +81,7 @@ DEFAULT_EQ_COEFFS = {
 
 
 def _hierarchy_terms(coeffs):
-    """The four left-hand sides as lists of (label, field element) summands."""
+    """The four left-hand sides as lists of (label, element) summands."""
     field, T1, T3, u, v = _ctx()
     y12 = field.elem(MPoly.var("y12"))
     y14 = field.elem(MPoly.var("y14"))
