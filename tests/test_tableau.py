@@ -40,10 +40,7 @@ def rooted_trees(order):
     subtrees (the leaf is ())."""
     if order == 1:
         return [()]
-    out = set()
-    for forest in _forests(order - 1, order - 1):
-        out.add(tuple(sorted(forest)))
-    return sorted(out)
+    return sorted({tuple(sorted(f)) for f in _forests(order - 1, order - 1)})
 
 
 def _forests(size, largest):
@@ -58,7 +55,7 @@ def _forests(size, largest):
 
 
 def gamma(tree):
-    return (1 + sum(_size(t) for t in tree)) * prod(gamma(t) for t in tree)
+    return _size(tree) * prod(gamma(t) for t in tree)
 
 
 def _size(tree):
@@ -89,8 +86,6 @@ def test_floats_are_the_published_rationals():
     for got, want in zip(sim._DP_A, A):
         assert got == tuple(float(w) for w in want)
     assert sim._DP_E == tuple(float(e) for e in E)
-    # the fifth-order row is b itself, and E is b minus b_hat
-    assert sim._DP_A[-1] == tuple(float(b) for b in B[:-1])
 
 
 def test_nodes_are_the_row_sums():
