@@ -8,6 +8,11 @@ of a power of sigma_1(phi), which fractions carry explicitly, and every
 equality is certified fraction-free by cross-multiplication in the ring.
 An element is an ``algnum.QuotientElem`` by the relation; ring elements
 are never divided.
+
+Example 3 reads each F_i at phi = q*theta, w3 = theta^3, w5 = 0 off its
+certified component: the sextic has one weight, so a reduced element of
+weighted degree d is theta^(-d) times its ``AlgNum`` value at theta = 1; an
+inhomogeneous element has no theta-exponent, and its row fails.
 """
 
 from fractions import Fraction
@@ -15,7 +20,8 @@ from functools import lru_cache
 
 from .algnum import AlgNum, QuotientElem, in_powers
 from .errors import ConfigError
-from .poly import MPoly, Ring, eval_poly, variables
+from .poly import (MPoly, Ring, eval_poly, standard_weights, variables,
+                   weighted_degree)
 from .ratlimit import sigma_rational
 from .report import ReportBuilder
 from .series import PSeries, eval_at_series, newton_solve
@@ -318,88 +324,28 @@ MINPOLY_Q = (Fraction(-45), Fraction(0), Fraction(0),
              Fraction(-15), Fraction(0), Fraction(0), Fraction(1))
 
 
-class ThetaVal(Ring):
-    """AlgNum coefficient times an integer power of theta (theta^3 = t)."""
-
-    __slots__ = ("coeff", "exp")
-
-    def __init__(self, coeff, exp=0):
-        if not isinstance(coeff, AlgNum):
-            coeff = AlgNum.const(MINPOLY_Q, coeff)
-        if coeff.is_zero:
-            exp = 0
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "exp", exp)
-
-    @property
-    def is_zero(self):
-        return self.coeff.is_zero
-
-    def _lift(self, other):
-        """A ThetaVal, or an int/Fraction as a theta-degree-0 value."""
-        if isinstance(other, ThetaVal):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ThetaVal(other)
-        raise TypeError(f"cannot combine a ThetaVal with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other.is_zero:
-            return self
-        if self.is_zero:
-            return other
-        if self.exp != other.exp:
-            raise ArithmeticError(
-                "mixing theta-degrees; inputs were not weighted-homogeneous")
-        return ThetaVal(self.coeff + other.coeff, self.exp)
-
-    def __neg__(self):
-        return ThetaVal(-self.coeff, self.exp)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ThetaVal(self.coeff * other, self.exp)
-        other = self._lift(other)
-        return ThetaVal(self.coeff * other.coeff, self.exp + other.exp)
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        return ThetaVal(self.coeff / other.coeff, self.exp - other.exp)
-
-    def __pow__(self, n):
-        return ThetaVal(self.coeff ** n, self.exp * n)
-
-    def __eq__(self, other):
-        # values of different theta-degrees are unequal, not an error
-        try:
-            other = self._lift(other)
-        except TypeError:
-            return NotImplemented
-        if self.is_zero and other.is_zero:
-            return True
-        return self.coeff == other.coeff and self.exp == other.exp
-
-    def __str__(self):
-        return f"({self.coeff}) * theta^{self.exp}"
-
-    __repr__ = __str__
-
-
-def _sigma_at_point(key):
-    """Evaluate a sigma partial at (w1, w3, w5) = (q*theta, theta^3, 0)."""
-    p = sigma_rational(3).partial(key)
-    point = {"w1": ThetaVal(AlgNum.generator(MINPOLY_Q), 1),
-             "w3": ThetaVal(1, 3), "w5": ThetaVal(0)}
-    return eval_poly(p, point, ThetaVal(1))
+def _at_point(p):
+    """p(q*theta, theta^3, 0) for p in (phi or w1, w3, w5): its value at
+    theta = 1 and minus its weighted degree (None if inhomogeneous)."""
+    q = AlgNum.generator(MINPOLY_Q)
+    one = AlgNum.const(MINPOLY_Q, 1)
+    value = eval_poly(p, {"phi": q, "w1": q, "w3": one, "w5": one * 0}, one)
+    degree = weighted_degree(p, standard_weights(3))
+    return value, None if degree is None else -degree
 
 
 def example3_values():
-    """All four solution components at the algebraic point, plus sigma_1."""
-    svals = {k: _sigma_at_point(k) for k in ("", "1", *_F_KEYS.values())}
-    inv_s1 = 1 / svals["1"]
-    f = {n: svals[k] * inv_s1 for n, k in _F_KEYS.items()}
-    return {i: _combine(f, i) for i in (2, 4, 5, 7)}, svals
+    """F_i and sigma_1 at the point as (coefficient, theta-exponent) pairs."""
+    s1, s1_exp = _at_point(sigma_on_ring("1").poly)
+    inv_s1 = s1.inverse()
+    F = {}
+    for i in (2, 4, 5, 7):
+        comp = solution_component(i)
+        value, exp = _at_point(comp.num.poly)
+        if exp is not None:
+            exp -= comp.k * s1_exp
+        F[i] = (value * inv_s1 ** comp.k, exp)
+    return F, (s1, s1_exp)
 
 
 def verify_example3(expected=None):
@@ -408,22 +354,21 @@ def verify_example3(expected=None):
     # the point satisfies the relation: theta^6 * (q^6 - 15 q^3 - 45) = 0
     rb.expect("relation holds for phi = q*theta",
               (qgen ** 6 - qgen ** 3 * 15 - 45).is_zero)
-    F, svals = example3_values()
+    F, s1 = example3_values()
     if expected is None:
         expected = {
-            2: ThetaVal(qgen * Fraction(1, 6), -2),
-            4: ThetaVal((qgen ** 3 + 15) * Fraction(-5)
-                        / (qgen ** 4 * 36), -4),
-            5: ThetaVal(qgen * Fraction(1, 9), -5),
-            7: ThetaVal((qgen ** 3 * 2 + 3) * Fraction(-5)
-                        / (qgen * (qgen ** 3 + 3) * 54), -7),
+            2: (qgen * Fraction(1, 6), -2),
+            4: ((qgen ** 3 + 15) * Fraction(-5) / (qgen ** 4 * 36), -4),
+            5: (qgen * Fraction(1, 9), -5),
+            7: ((qgen ** 3 * 2 + 3) * Fraction(-5)
+                / (qgen * (qgen ** 3 + 3) * 54), -7),
         }
     for i in (2, 4, 5, 7):
         rb.expect(f"F{i} equals printed value", F[i] == expected[i])
-    want_s1 = ThetaVal(qgen ** 2 * (qgen ** 3 * 2 - 15) * Fraction(1, 15), 5)
-    rb.expect("sigma_1 at the base point = q^2(2q^3-15)/15",
-              svals["1"] == want_s1)
-    rb.expect("sigma vanishes at the point", svals[""].is_zero)
+    want_s1 = (qgen ** 2 * (qgen ** 3 * 2 - 15) * Fraction(1, 15), 5)
+    rb.expect("sigma_1 at the base point = q^2(2q^3-15)/15", s1 == want_s1)
+    rb.expect("sigma vanishes at the point",
+              _at_point(sigma_rational(3).sigma)[0].is_zero)
     return rb.build()
 
 

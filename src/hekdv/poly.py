@@ -58,8 +58,8 @@ from .errors import ConfigError, MemoryCapExceeded
 
 # Fixed global symbol order.  Lower index = more significant in the
 # lexicographic term order.  "s" is the internal bridge variable for the
-# symmetric-square coordinate change (s^2 = b); "theta" is the formal cube
-# root of t used by the quotient-ring examples.
+# symmetric-square coordinate change (s^2 = b).  No module builds a
+# polynomial in "theta"; the tests use it as the lowest field.
 SYMBOL_ORDER = (
     "X1", "Y1", "X2", "Y2",
     "a", "b", "c", "d", "s",

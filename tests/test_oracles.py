@@ -21,7 +21,8 @@ from hekdv.algnum import AlgNum
 from hekdv.curve import sylvester_resultant
 from hekdv.errors import ZeroDivisorError
 from hekdv.phiring import (MINPOLY_Q, PhiRingElem, printed_forms,
-                           sextic_relation, verify_appendix_forms)
+                           sextic_relation, verify_appendix_forms,
+                           verify_example3)
 from hekdv.poly import (MPoly, dense_coeffs, dense_divmod, dense_inverse,
                         dense_mul, dense_trim)
 from hekdv.ratfun import RatFn
@@ -421,32 +422,34 @@ def f_combinations():
     }
 
 
+@pytest.fixture(scope="module")
+def derived():
+    """The sextic, sigma_1, and each F_i as (numerator, sigma_1^k), all at
+    w1 = phi; neither the ring of ``phiring`` nor ``AlgNum`` takes part."""
+    sigma = mpoly_to_sympy(sigma_rational(3).sigma)
+    sextic = sympy.expand(45 * sigma.subs(W1, PHI))
+    assert sympy.Poly(sextic, PHI).LC() == 1
+    assert sympy.expand(sextic - mpoly_to_sympy(sextic_relation())) == 0
+    s1 = sympy.diff(sigma, W1).subs(W1, PHI)
+    partial = {f: sympy.diff(sigma, *ws).subs(W1, PHI)
+               for f, ws in F_PARTIALS.items()}
+    forms = {}
+    for i, comb in f_combinations().items():
+        poly = sympy.Poly(comb, *FS)
+        k = poly.total_degree()
+        num = sum(c * s1 ** (k - sum(e)) * sympy.prod(
+                      partial[f] ** n for f, n in zip(FS, e))
+                  for e, c in poly.as_dict().items())
+        forms[i] = (num, s1 ** k)
+    return sextic, s1, forms
+
+
 class TestAppendixFormsAgainstSympy:
     """app-F-forms: F_i * K_i = N_i * den modulo the sextic, decided by sympy."""
 
-    @pytest.fixture(scope="class")
-    def derived(self):
-        """The sextic, and each F_i as (numerator, sigma_1^k) at w1 = phi."""
-        sigma = mpoly_to_sympy(sigma_rational(3).sigma)
-        sextic = sympy.expand(45 * sigma.subs(W1, PHI))
-        assert sympy.Poly(sextic, PHI).LC() == 1
-        assert sympy.expand(sextic - mpoly_to_sympy(sextic_relation())) == 0
-        s1 = sympy.diff(sigma, W1).subs(W1, PHI)
-        partial = {f: sympy.diff(sigma, *ws).subs(W1, PHI)
-                   for f, ws in F_PARTIALS.items()}
-        forms = {}
-        for i, comb in f_combinations().items():
-            poly = sympy.Poly(comb, *FS)
-            k = poly.total_degree()
-            num = sum(c * s1 ** (k - sum(e)) * sympy.prod(
-                          partial[f] ** n for f, n in zip(FS, e))
-                      for e, c in poly.as_dict().items())
-            forms[i] = (num, s1 ** k)
-        return sextic, forms
-
     @staticmethod
     def remainder(derived, i, N, K):
-        sextic, forms = derived
+        sextic, _, forms = derived
         num, den = forms[i]
         as_sympy = TestPhiRingAgainstSympy.as_sympy
         return sympy.rem(sympy.expand(num * as_sympy(K[i])
@@ -464,6 +467,70 @@ class TestAppendixFormsAgainstSympy:
                                                    * MPoly.var("w5"))}
         assert self.remainder(derived, 4, N, K) != 0
         assert not verify_appendix_forms(printed=(N, K)).passed
+
+
+# -- Example 3: the same derivation at the algebraic point -----------------
+
+Q, THETA = sympy.symbols("q theta")
+MINPOLY = Q ** 6 - 15 * Q ** 3 - 45
+# as printed: F_i and sigma_1 at phi = q*theta, w3 = theta^3, w5 = 0, each a
+# (coefficient, theta-exponent) pair
+EXAMPLE3 = {
+    2: (Q / 6, -2),
+    4: (-5 * (Q ** 3 + 15) / (36 * Q ** 4), -4),
+    5: (Q / 9, -5),
+    7: (-5 * (2 * Q ** 3 + 3) / (54 * Q * (Q ** 3 + 3)), -7),
+    "sigma1": (Q ** 2 * (2 * Q ** 3 - 15) / 15, 5),
+}
+
+
+def mod_minpoly(expr):
+    """A rational function of q as its remainder in Q[q]/(MINPOLY)."""
+    num, den = sympy.fraction(sympy.together(expr))
+    inv = sympy.invert(den, MINPOLY, Q)
+    return sympy.rem(sympy.expand(num * inv), MINPOLY, Q)
+
+
+def theta_monomial(expr):
+    """``expr`` at phi = q*theta, w3 = theta^3, w5 = 0, which must be one
+    theta-monomial, as (coefficient in q, theta-exponent)."""
+    at = sympy.expand(expr.subs({PHI: Q * THETA, W3: THETA ** 3, W5: 0}))
+    (monomial, coeff), = sympy.Poly(at, THETA).as_dict().items()
+    return coeff, monomial[0]
+
+
+class TestExample3AgainstSympy:
+    """ex-A.3: sympy's F_i and sigma_1 at the algebraic point against the
+    printed values, reduced modulo q^6 - 15 q^3 - 45 with ``sympy.invert``."""
+
+    @pytest.fixture(scope="class")
+    def values(self, derived):
+        _, s1, forms = derived
+        out = {}
+        for i, (num, den) in forms.items():
+            (a, e), (b, d) = theta_monomial(num), theta_monomial(den)
+            assert e - d == -i
+            out[i] = (mod_minpoly(a / b), e - d)
+        c, e = theta_monomial(s1)
+        out["sigma1"] = (mod_minpoly(c), e)
+        return out
+
+    @staticmethod
+    def printed(table):
+        return {key: (mod_minpoly(c), e) for key, (c, e) in table.items()}
+
+    def test_printed_values(self, values):
+        assert values == self.printed(EXAMPLE3)
+
+    def test_mutated_value_fails(self, values):
+        # F4's denominator 36 becomes 35
+        bad = {**EXAMPLE3, 4: (-5 * (Q ** 3 + 15) / (35 * Q ** 4), -4)}
+        assert values[4] != self.printed(bad)[4]
+        q = AlgNum.generator(MINPOLY_Q)
+        wrong = {2: (q / 6, -2), 4: ((q ** 3 + 15) * F(-5) / (q ** 4 * 35), -4),
+                 5: (q / 9, -5),
+                 7: ((q ** 3 * 2 + 3) * F(-5) / (q * (q ** 3 + 3) * 54), -7)}
+        assert not verify_example3(expected=wrong).passed
 
 
 # -- the code the dense routines replaced, kept verbatim as references ------

@@ -6,12 +6,13 @@ import pytest
 import hekdv.algnum
 import hekdv.poly
 from hekdv.algnum import AlgNum
-from hekdv.phiring import (MINPOLY_Q, PhiFrac, PhiRingElem, ThetaVal,
+from hekdv.phiring import (MINPOLY_Q, PhiFrac, PhiRingElem, _at_point,
                            appendix_F, d_total, example3_values,
                            phi_reduce, phi_series_example1, printed_forms,
-                           sigma_on_ring, suite_appendix, verify_appendix_forms,
+                           sextic_relation, sigma_on_ring, solution_component,
+                           suite_appendix, verify_appendix_forms,
                            verify_example1, verify_example3, verify_ratc)
-from hekdv.poly import MPoly, variables
+from hekdv.poly import MPoly, standard_weights, variables, weighted_degree
 from hekdv.series import PSeries
 
 phi, w3, w5 = variables("phi", "w3", "w5")
@@ -102,31 +103,6 @@ class TestCoercion:
         assert PhiFrac(1) != "1"
         assert PhiFrac(1) == 1 and PhiFrac(phi ** 6) == phi_reduce(phi ** 6)
 
-    def test_theta_val_against_numbers_and_foreign_operands(self):
-        assert ThetaVal(1) == 1 and 1 == ThetaVal(1)
-        assert ThetaVal(F(2, 3)) == F(2, 3) and ThetaVal(2) != 3
-        assert ThetaVal(1, 1) != 1 and ThetaVal(0, 4) == 0
-        assert (ThetaVal(1) == None) is False  # noqa: E711
-        assert ThetaVal(1) != "1"
-
-    def test_theta_val_with_scalar_operands(self):
-        assert ThetaVal(1) + 1 == ThetaVal(2)
-        assert ThetaVal(2) - 1 == ThetaVal(1)
-        assert ThetaVal(2) / 2 == ThetaVal(1)
-        assert ThetaVal(1, 3) * F(1, 2) == ThetaVal(F(1, 2), 3)
-        assert 1 + ThetaVal(1) == ThetaVal(2)
-        assert 1 - ThetaVal(2) == ThetaVal(-1)
-        assert F(1, 2) * ThetaVal(1, 3) == ThetaVal(F(1, 2), 3)
-        assert 2 / ThetaVal(1, 3) == ThetaVal(2, -3)
-
-    @pytest.mark.parametrize("op", [operator.add, operator.sub,
-                                    operator.mul, operator.truediv])
-    def test_theta_val_rejects_a_string_operand(self, op):
-        with pytest.raises(TypeError):
-            op(ThetaVal(1), "x")
-        with pytest.raises(TypeError):
-            op("x", ThetaVal(1))
-
 
 class TestSolutionComponents:
     def test_printed_forms_certify(self):
@@ -186,31 +162,53 @@ class TestExample1:
 
 
 class TestExample3:
+    """F_i at phi = q*theta, w3 = theta^3, w5 = 0, read as (coefficient,
+    theta-exponent) pairs off the certified components."""
+
     def test_values(self):
         report = verify_example3()
         assert report.passed, report.summary()
 
-    def test_theta_val_grading_guard(self):
-        a = ThetaVal(AlgNum.const(MINPOLY_Q, 1), 2)
-        b = ThetaVal(AlgNum.const(MINPOLY_Q, 1), 3)
-        with pytest.raises(ArithmeticError):
-            _ = a + b
-
     def test_f2_value_directly(self):
-        Fvals, _ = example3_values()
+        Fvals, s1 = example3_values()
         q = AlgNum.generator(MINPOLY_Q)
-        assert Fvals[2] == ThetaVal(q / 6, -2)
-        assert Fvals[5] == ThetaVal(q / 9, -5)
+        assert Fvals[2] == (q / 6, -2)
+        assert Fvals[5] == (q / 9, -5)
+        assert s1 == (q ** 2 * (q ** 3 * 2 - 15) / 15, 5)
 
     def test_mutated_value_fails(self):
         q = AlgNum.generator(MINPOLY_Q)
         bad = {
-            2: ThetaVal(q / 6, -2),
-            4: ThetaVal(q / 6, -4),          # wrong
-            5: ThetaVal(q / 9, -5),
-            7: ThetaVal(q / 6, -7),          # wrong
+            2: (q / 6, -2),
+            4: (q / 6, -4),          # wrong
+            5: (q / 9, -5),
+            7: (q / 6, -7),          # wrong
         }
         assert not verify_example3(expected=bad).passed
+
+    def test_wrong_exponent_alone_fails(self):
+        q = AlgNum.generator(MINPOLY_Q)
+        printed = {2: (q / 6, -2),
+                   4: (-5 * (q ** 3 + 15) / (36 * q ** 4), -4),
+                   5: (q / 9, -5),
+                   7: (-5 * (2 * q ** 3 + 3) / (54 * q * (q ** 3 + 3)), -7)}
+        assert verify_example3(expected=printed).passed
+        report = verify_example3(expected={**printed, 5: (q / 9, -4)})
+        assert [label for label, value in report.residuals
+                if value != "0"] == ["F5 equals printed value"]
+
+    def test_sextic_has_one_weight(self):
+        assert weighted_degree(sextic_relation(), standard_weights(3)) == -6
+
+    @pytest.mark.parametrize("i", [2, 4, 5, 7])
+    def test_components_are_homogeneous(self, i):
+        poly = solution_component(i).num.poly
+        assert weighted_degree(poly, standard_weights(3)) is not None
+
+    def test_inhomogeneous_element_has_no_exponent(self):
+        value, exp = _at_point(PhiRingElem.from_mpoly(phi + w3).poly)
+        assert exp is None
+        assert value == AlgNum.generator(MINPOLY_Q) + 1
 
 
 def test_suite():

@@ -12,7 +12,7 @@ import pytest
 
 from hekdv.algnum import AlgNum
 from hekdv.curve import CurveParams
-from hekdv.phiring import MINPOLY_Q, PhiFrac, PhiRingElem, ThetaVal
+from hekdv.phiring import MINPOLY_Q, PhiFrac, PhiRingElem
 from hekdv.poly import Ring
 from hekdv.ratfun import RatFn
 from hekdv.series import PSeries
@@ -25,7 +25,6 @@ ELEMENTS = {
     "AlgNum": (AlgNum.const(MINPOLY_Q, 0), AlgNum.const(MINPOLY_Q, 1)),
     "PhiRingElem": (PhiRingElem.const(0), PhiRingElem.const(1)),
     "PhiFrac": (PhiFrac(0), PhiFrac(1)),
-    "ThetaVal": (ThetaVal(0), ThetaVal(1)),
     "PSeries": (PSeries.zero("t", 3), PSeries("t", [1], 3)),
     "RatFn": (RatFn(0), RatFn(1)),
     "SymSqElem": (_FIELD.zero(), _FIELD.one()),
