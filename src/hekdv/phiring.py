@@ -7,7 +7,9 @@ rational-limit sigma polynomial at w1 = phi, so its phi-derivative is
 of a power of sigma_1(phi), which fractions carry explicitly, and every
 equality is certified fraction-free by cross-multiplication in the ring.
 An element is an ``algnum.QuotientElem`` by the relation; ring elements
-are never divided.
+are never divided.  A fraction, ``PhiFrac``, is a ``ratfun.RatFn`` whose
+numerator is a ring element over the one stable base sigma_1(phi), so its
+arithmetic is RatFn's; it adds only the total derivative along the divisor.
 
 Example 3 reads each F_i at phi = q*theta, w3 = theta^3, w5 = 0 off its
 certified component: the sextic has one weight, so a reduced element of
@@ -20,8 +22,8 @@ from functools import lru_cache
 
 from .algnum import AlgNum, QuotientElem, in_powers
 from .errors import ConfigError
-from .poly import (MPoly, Ring, eval_poly, standard_weights, variables,
-                   weighted_degree)
+from .poly import MPoly, eval_poly, standard_weights, variables, weighted_degree
+from .ratfun import RatFn, _fill
 from .ratlimit import sigma_rational
 from .report import ReportBuilder
 from .series import PSeries, eval_at_series, newton_solve
@@ -103,71 +105,41 @@ def sigma_on_ring(key):
     return PhiRingElem.from_mpoly(mapped)
 
 
-@lru_cache(maxsize=None)
-def _sigma1_power(k):
-    return sigma_on_ring("1") ** k
+class PhiFrac(RatFn):
+    """num / sigma_1(phi)^k, the only fraction shape the checks need: a
+    ``RatFn`` over the one stable base sigma_1(phi), num a ring element."""
 
-
-class PhiFrac(Ring):
-    """num / sigma_1(phi)^k, the only fraction shape the checks need."""
-
-    __slots__ = ("num", "k")
+    __slots__ = ()
 
     def __init__(self, num, k=0):
-        object.__setattr__(self, "num", phi_reduce(num))
-        object.__setattr__(self, "k", k)
-
-    @property
-    def is_zero(self):
-        return self.num.is_zero
+        _fill(self, phi_reduce(num), sigma_on_ring("1"), k, True)
 
     def _lift(self, other):
         return other if isinstance(other, PhiFrac) else PhiFrac(other)
 
-    def __add__(self, other):
-        other = self._lift(other)
-        k = max(self.k, other.k)
-        a = self.num * _sigma1_power(k - self.k)
-        b = other.num * _sigma1_power(k - other.k)
-        return PhiFrac(a + b, k)
+    def derivative(self, wname):
+        """Total derivative along the divisor: phi varies implicitly with w.
 
-    def __neg__(self):
-        return PhiFrac(-self.num, self.k)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PhiFrac(self.num * other, self.k)
-        other = self._lift(other)
-        return PhiFrac(self.num * other.num, self.k + other.k)
-
-    def __pow__(self, n):
-        return PhiFrac(self.num ** n, self.k * n)
+        d/dw (n / s1^k) with dphi/dw = -sigma_w(phi)/sigma_1(phi); both the
+        numerator rule and the chain rule keep denominators inside sigma_1
+        powers, courtesy of the relation's derivative being 45 sigma_1.
+        """
+        key = {"w3": "3", "w5": "5"}[wname]
+        s1 = sigma_on_ring("1")
+        sw = sigma_on_ring(key)
+        n = self.num
+        # total derivative of the numerator: n_w * s1 - n_phi * sw, over s1
+        dn = n.d_w(wname) * s1 - n.d_phi() * sw
+        if self.k == 0:
+            return PhiFrac(dn, 1)
+        # quotient rule against s1^k: s1' (total) = s1_w * s1 - s1_phi * sw, over s1
+        ds1 = s1.d_w(wname) * s1 - s1.d_phi() * sw
+        return PhiFrac(dn * s1 - n * ds1 * self.k, self.k + 2)
 
     def __str__(self):
         return f"({self.num}) / sigma1^{self.k}"
 
     __repr__ = __str__
-
-
-def d_total(frac, wname):
-    """Total derivative along the divisor: phi varies implicitly with w.
-
-    d/dw (n / s1^k) with dphi/dw = -sigma_w(phi)/sigma_1(phi); both the
-    numerator rule and the chain rule keep denominators inside sigma_1
-    powers, courtesy of the relation's derivative being 45 sigma_1.
-    """
-    key = {"w3": "3", "w5": "5"}[wname]
-    s1 = sigma_on_ring("1")
-    sw = sigma_on_ring(key)
-    n = frac.num
-    # total derivative of the numerator: n_w * s1 - n_phi * sw, over s1
-    dn = n.d_w(wname) * s1 - n.d_phi() * sw
-    if frac.k == 0:
-        return PhiFrac(dn, 1)
-    # quotient rule against s1^k: s1' (total) = s1_w * s1 - s1_phi * sw, over s1
-    ds1 = s1.d_w(wname) * s1 - s1.d_phi() * sw
-    num = dn * s1 - n * ds1 * frac.k
-    return PhiFrac(num, frac.k + 2)
 
 
 # -- the corrected solution components -----------------------------------
@@ -237,7 +209,7 @@ def printed_forms():
 def appendix_F(i):
     """The computed F_i as a (numerator, denominator) pair of ring elements."""
     comp = solution_component(i)
-    return comp.num, _sigma1_power(comp.k)
+    return comp.num, comp.den
 
 
 def verify_appendix_forms(printed=None):
@@ -268,20 +240,20 @@ def verify_ratc():
                 printed_den - s1 * 45)
     g2, g4, g5_, g7 = G[2], G[4], G[5], G[7]
     flows = [
-        ("d/dt G2 + G5", d_total(g2, "w3") + g5_),
-        ("d/dt G4 + 2 G7", d_total(g4, "w3") + g7 * 2),
+        ("d/dt G2 + G5", g2.derivative("w3") + g5_),
+        ("d/dt G4 + 2 G7", g4.derivative("w3") + g7 * 2),
         ("d/dt G5 + 35 G2^4 + 42 G2^2 G4 + 3 G4^2",
-         d_total(g5_, "w3") + g2 ** 4 * 35 + g2 * g2 * g4 * 42 + g4 * g4 * 3),
+         g5_.derivative("w3") + g2 ** 4 * 35 + g2 * g2 * g4 * 42 + g4 * g4 * 3),
         ("d/dt G7 + 7(3 G2^5 + 10 G2^3 G4 + 3 G2 G4^2)",
-         d_total(g7, "w3") + g2 ** 5 * 21 + g2 ** 3 * g4 * 70 + g2 * g4 * g4 * 21),
-        ("d/dtau G2 - (G2 G5 - G7)", d_total(g2, "w5") - g2 * g5_ + g7),
+         g7.derivative("w3") + g2 ** 5 * 21 + g2 ** 3 * g4 * 70 + g2 * g4 * g4 * 21),
+        ("d/dtau G2 - (G2 G5 - G7)", g2.derivative("w5") - g2 * g5_ + g7),
         ("d/dtau G4 - 2(G2 G7 - G4 G5)",
-         d_total(g4, "w5") - g2 * g7 * 2 + g4 * g5_ * 2),
+         g4.derivative("w5") - g2 * g7 * 2 + g4 * g5_ * 2),
         ("d/dtau G5 - (G5^2 + 14 G2^5 - 28 G2^3 G4 - 18 G2 G4^2)",
-         d_total(g5_, "w5") - g5_ * g5_ - g2 ** 5 * 14 + g2 ** 3 * g4 * 28
+         g5_.derivative("w5") - g5_ * g5_ - g2 ** 5 * 14 + g2 ** 3 * g4 * 28
          + g2 * g4 * g4 * 18),
         ("d/dtau G7 - (-G5 G7 + 21 G2^6 + 35 G2^4 G4 - 21 G2^2 G4^2 - 3 G4^3)",
-         d_total(g7, "w5") + g5_ * g7 - g2 ** 6 * 21 - g2 ** 4 * g4 * 35
+         g7.derivative("w5") + g5_ * g7 - g2 ** 6 * 21 - g2 ** 4 * g4 * 35
          + g2 ** 2 * g4 ** 2 * 21 + g4 ** 3 * 3),
     ]
     for label, resid in flows:

@@ -2,7 +2,9 @@
 
 ``RatFn`` holds the one fraction arithmetic; ``symsq.SymSqElem`` inherits
 its division, printing and weights, and supplies its own normal form and
-the rest of the arithmetic over products of X1, X2 and X1 - X2.
+the rest of the arithmetic over products of X1, X2 and X1 - X2;
+``phiring.PhiFrac`` inherits the arithmetic over the one base sigma_1(phi),
+its numerator in the sextic quotient ring, and supplies its derivative.
 ``normal_form`` cancels the common monomial and scales the denominator;
 the symmetric square also cancels X1 - X2, from its stored exponents.  It
 is deliberately lazy (no multivariate gcd), so equality is decided over a
@@ -96,7 +98,7 @@ class RatFn(Ring):
             return self._make(num, base ** k)
         if not k or num.is_zero:
             base, k = _ONE, 0
-        return _fill(object.__new__(RatFn), num, base, k, True)
+        return _fill(object.__new__(type(self)), num, base, k, True)
 
     def _common_base(self, o):
         """The base both denominators are powers of, or None."""

@@ -62,8 +62,6 @@ class VerifyReport:
 
 def _residual_str(obj):
     """Render a residual; exact zero becomes "0", otherwise a capped string."""
-    if obj is None:
-        return "0"
     is_zero = getattr(obj, "is_zero", None)
     if is_zero:
         return "0"

@@ -2,18 +2,21 @@ import operator
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, seed, strategies as st
 
 import hekdv.algnum
 import hekdv.poly
 from hekdv.algnum import AlgNum
 from hekdv.phiring import (MINPOLY_Q, PhiFrac, PhiRingElem, _at_point,
-                           appendix_F, d_total, example3_values,
+                           appendix_F, example3_values,
                            phi_reduce, phi_series_example1, printed_forms,
                            sextic_relation, sigma_on_ring, solution_component,
                            suite_appendix, verify_appendix_forms,
                            verify_example1, verify_example3, verify_ratc)
 from hekdv.poly import MPoly, standard_weights, variables, weighted_degree
 from hekdv.series import PSeries
+
+from conftest import mpoly_strategy, small_fractions
 
 phi, w3, w5 = variables("phi", "w3", "w5")
 
@@ -104,6 +107,76 @@ class TestCoercion:
         assert PhiFrac(1) == 1 and PhiFrac(phi ** 6) == phi_reduce(phi ** 6)
 
 
+ring_elements = mpoly_strategy(("phi", "w3", "w5"), max_terms=3, max_exp=2).map(
+    PhiRingElem.from_mpoly)
+fractions_over_s1 = st.tuples(ring_elements, st.integers(0, 3))
+
+
+def _is(frac, num, k):
+    """frac is a PhiFrac equal to num / s1^k, by cross-multiplication."""
+    s1 = sigma_on_ring("1")
+    return (isinstance(frac, PhiFrac)
+            and frac.num * s1 ** k == num * s1 ** frac.k)
+
+
+def _total_derivative(a, wname):
+    """The numerator over s1 of d/dw of the ring element a along the
+    divisor, a_w - a_phi * sigma_w / s1."""
+    s1, sw = sigma_on_ring("1"), sigma_on_ring({"w3": "3", "w5": "5"}[wname])
+    return a.d_w(wname) * s1 - a.d_phi() * sw
+
+
+class TestPhiFracArithmetic:
+    """PhiFrac takes RatFn's arithmetic over the one base s1 = sigma_1(phi);
+    each result is checked against the cross-multiplied fraction."""
+
+    @seed(20261022)
+    @given(fractions_over_s1, fractions_over_s1)
+    def test_sum_and_difference_scale_to_the_larger_power(self, x, y):
+        (a, j), (b, k) = x, y
+        s1, m = sigma_on_ring("1"), max(j, k)
+        p, q = PhiFrac(a, j), PhiFrac(b, k)
+        assert _is(p + q, a * s1 ** (m - j) + b * s1 ** (m - k), m)
+        assert _is(p - q, a * s1 ** (m - j) - b * s1 ** (m - k), m)
+
+    @seed(20261022)
+    @given(fractions_over_s1, fractions_over_s1, small_fractions)
+    def test_products_add_the_powers(self, x, y, c):
+        (a, j), (b, k) = x, y
+        p, q = PhiFrac(a, j), PhiFrac(b, k)
+        assert _is(p * q, a * b, j + k)
+        assert _is(p * c, a * c, j) and _is(c * p, a * c, j)
+        assert _is(-p, -a, j)
+
+    @seed(20261022)
+    @given(fractions_over_s1, st.integers(0, 3))
+    def test_power_multiplies_the_power(self, x, n):
+        a, j = x
+        assert _is(PhiFrac(a, j) ** n, a ** n, j * n)
+
+    @seed(20261022)
+    @given(fractions_over_s1, st.sampled_from(["w3", "w5"]))
+    def test_derivative_is_the_quotient_rule_along_the_divisor(self, x, wname):
+        # d(a / s1^j) = a' / s1^j - j a s1' / s1^(j+1), each ' over s1
+        a, j = x
+        s1 = sigma_on_ring("1")
+        da = _total_derivative(a, wname)
+        ds1 = _total_derivative(s1, wname)
+        want = da * s1 - a * ds1 * j
+        assert _is(PhiFrac(a, j).derivative(wname), want, j + 2)
+
+    @seed(20261022)
+    @given(fractions_over_s1, fractions_over_s1)
+    def test_derivative_keeps_the_product_rule(self, x, y):
+        p, q = PhiFrac(*x), PhiFrac(*y)
+        d = (p * q).derivative("w3") - p.derivative("w3") * q - p * q.derivative("w3")
+        assert isinstance(d, PhiFrac) and d.is_zero
+
+    def test_failing_residual_prints_over_sigma1(self):
+        assert str(PhiFrac(phi, 2)) == f"({phi_reduce(phi)}) / sigma1^2"
+        assert repr(PhiFrac(phi, 2) * 3) == f"({phi_reduce(3 * phi)}) / sigma1^2"
+
+
 class TestSolutionComponents:
     def test_printed_forms_certify(self):
         report = verify_appendix_forms()
@@ -130,14 +203,14 @@ class TestSolutionComponents:
 
     def test_total_derivative_of_constant(self):
         c = PhiFrac(PhiRingElem.const(7))
-        assert d_total(c, "w3").is_zero
-        assert d_total(c, "w5").is_zero
+        assert c.derivative("w3").is_zero
+        assert c.derivative("w5").is_zero
 
     def test_implicit_derivative_consistency(self):
         # d/dw3 applied to the class of phi itself must reproduce
         # -sigma_3/sigma_1 (the defining implicit derivative)
         phi_frac = PhiFrac(PhiRingElem.from_mpoly(phi))
-        got = d_total(phi_frac, "w3")
+        got = phi_frac.derivative("w3")
         want = PhiFrac(-1 * sigma_on_ring("3"), 1)
         assert got == want
 

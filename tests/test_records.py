@@ -8,7 +8,8 @@ import pytest
 from hekdv import sim, verify_tables
 from hekdv.curve import CurveParams
 from hekdv.errors import ConfigError
-from hekdv.report import VerifyReport
+from hekdv.poly import MPoly
+from hekdv.report import ReportBuilder, VerifyReport
 from hekdv.sim import SimState, Trajectory
 from hekdv.tables import FlowTable, flow_table
 
@@ -81,6 +82,16 @@ class TestVerifyReport:
             changed[i] = other
             assert report != VerifyReport(*changed)
         assert report != fields
+
+    def test_a_none_residual_fails(self):
+        # exact_div and divide_out_linear answer None for a non-multiple
+        rb = ReportBuilder("id", "anchor")
+        rb.residual("a residual that came back None", None)
+        rb.residual("an exact zero", MPoly.zero())
+        report = rb.build()
+        assert report.residuals == (("a residual that came back None", "None"),
+                                    ("an exact zero", "0"))
+        assert report.status == "FAIL"
 
 
 class TestTrajectory:
